@@ -468,6 +468,25 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
+def _command(args) -> list:
+    """The verb and every argument that selects the input or the check, in
+    a fixed order; where the report is written (``--json``) is left out."""
+    out = [args.command]
+    if getattr(args, "path", None):
+        out.append(args.path)
+    for flag in ("fixture", "beta", "order"):
+        value = getattr(args, flag, None)
+        if value is not None:
+            out += [f"--{flag}", str(value)]
+    for name in getattr(args, "name", None) or ():
+        out += ["--name", name]
+    if getattr(args, "all", False):
+        out.append("--all")
+    if getattr(args, "family", None):
+        out += ["--family", args.family]
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -479,7 +498,7 @@ def main(argv=None) -> int:
         return 2
     report = {
         "schema": SCHEMA_VERSION,
-        "command": [args.command] + ([args.path] if getattr(args, "path", None) else []),
+        "command": _command(args),
         "items": items,
         "ok": ok,
         "peak_jet_order": peak,

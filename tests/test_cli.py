@@ -148,3 +148,14 @@ def test_json_report_schema_and_determinism(tmp_path, capsys):
     a.pop("wall_ms")
     b.pop("wall_ms")
     assert a == b
+
+
+def test_report_command_names_the_input_and_the_check(tmp_path, capsys):
+    commands = []
+    for beta in ("4/9", "16/9"):
+        report = tmp_path / "report.json"
+        main(["prolong", "--fixture", "ch", "--beta", beta, "--json", str(report)])
+        capsys.readouterr()
+        commands.append(json.loads(report.read_text())["command"])
+    assert commands[0] != commands[1]
+    assert commands[0] == ["prolong", "--fixture", "ch", "--beta", "4/9"]
