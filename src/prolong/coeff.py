@@ -23,7 +23,6 @@ __all__ = [
     "ONE",
     "sym",
     "exp_atom",
-    "normalize",
     "substitute",
 ]
 
@@ -158,6 +157,15 @@ ONE = Scalar.of(1)
 I = Scalar(sp.I)
 
 
+def _accumulate(terms: dict, key, coeff: Scalar) -> None:
+    """Add coeff under key.  Scalars are canonical by construction, so a
+    coefficient is only moved unless another already sits under its key."""
+    if key in terms:
+        terms[key] = terms[key] + coeff
+    else:
+        terms[key] = coeff
+
+
 def sym(name: str) -> Scalar:
     return Scalar(sp.Symbol(name))
 
@@ -166,10 +174,6 @@ def exp_atom(s: ScalarLike) -> Scalar:
     """Exponential atom exp(s); differentiation and inverse-pair collapse
     come from the canonical form, nothing else is simplified."""
     return Scalar(sp.exp(Scalar.of(s).expr))
-
-
-def normalize(e: ScalarLike) -> Scalar:
-    return Scalar.of(e)
 
 
 def substitute(e: ScalarLike, bindings: Mapping[sp.Symbol, ScalarLike]) -> Scalar:
@@ -204,7 +208,7 @@ class LaurentInEta:
             if ETA in c.expr.free_symbols:
                 raise LaurentError(f"coefficient of eta**{n} contains eta: {c}")
             if not c.is_zero:
-                seen[int(n)] = seen.get(int(n), ZERO) + c
+                _accumulate(seen, int(n), c)
         pairs = tuple(sorted((n, c) for n, c in seen.items() if not c.is_zero))
         object.__setattr__(self, "coeffs", pairs)
 
@@ -247,7 +251,7 @@ class LaurentInEta:
         other = LaurentInEta.of(other)
         out = dict(self.coeffs)
         for n, c in other.coeffs:
-            out[n] = out.get(n, ZERO) + c
+            _accumulate(out, n, c)
         return LaurentInEta(tuple(out.items()))
 
     def __sub__(self, other) -> "LaurentInEta":
@@ -264,7 +268,7 @@ class LaurentInEta:
         out: dict = {}
         for n1, c1 in self.coeffs:
             for n2, c2 in other.coeffs:
-                out[n1 + n2] = out.get(n1 + n2, ZERO) + c1 * c2
+                _accumulate(out, n1 + n2, c1 * c2)
         return LaurentInEta(tuple(out.items()))
 
     __rmul__ = __mul__
@@ -289,9 +293,6 @@ class LaurentInEta:
         for n, c in self.coeffs:
             total = total + c * Scalar(ETA**n)
         return total
-
-    def map_coeffs(self, fn) -> "LaurentInEta":
-        return LaurentInEta(tuple((n, fn(c)) for n, c in self.coeffs))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (LaurentInEta, Scalar, int, dict)):

@@ -293,13 +293,13 @@ class _Parser:
         if m.kind == "chart":
             ctx = DerivationContext()
             for name in m.coordinates:
-                ctx.add_coordinate(name)
+                ctx.add_scalar(name)
             for name in m.params:
                 ctx.add_parameter(name)
         elif m.kind == "jet":
             ctx = DerivationContext()
-            ctx.add_coordinate("x")
-            ctx.add_coordinate("t")
+            ctx.add_scalar("x")
+            ctx.add_scalar("t")
             ctx.set_jet_mode(m.jet_fields)
         elif m.kind == "dga":
             ctx = DerivationContext()

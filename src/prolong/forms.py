@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 import sympy as sp
 
-from .coeff import Scalar, ZERO, ONE
+from .coeff import Scalar, ZERO, ONE, _accumulate
 from . import jets
 
 __all__ = [
@@ -104,9 +104,6 @@ class DerivationContext:
         self._scalars.append((symbol, diff_name))
         self._scalar_names.add(name)
         return symbol
-
-    def add_coordinate(self, name: str) -> sp.Symbol:
-        return self.add_scalar(name)
 
     def add_parameter(self, name: str) -> sp.Symbol:
         return self.add_scalar(name, constant=True)
@@ -206,10 +203,8 @@ class DerivationContext:
 
     def d_scalar(self, value) -> "Form":
         """Differential of a degree-0 coefficient as a one-form."""
-        out = self.zero(1)
-        for idx, part in self.coefficient_differential(Scalar.of(value)):
-            out = out + Form(self, 1, {(idx,): part} if not part.is_zero else {})
-        return out
+        parts = self.coefficient_differential(Scalar.of(value))
+        return Form(self, 1, {(idx,): part for idx, part in parts})
 
     def coefficient_differential(self, c: Scalar):
         """Pairs (generator index, scalar part) forming d of a coefficient."""
@@ -230,9 +225,6 @@ class DerivationContext:
             if not part.is_zero:
                 out.append((self._index[diff_name], part))
         return out
-
-    def d(self, form: "Form") -> "Form":
-        return form.d()
 
 
 def _sorted_monomial(degrees: Sequence[int], mono: tuple) -> tuple | None:
@@ -281,12 +273,10 @@ class Form:
             if packed is None:
                 continue
             sign, key = packed
-            value = cleaned.get(key, ZERO) + (coeff if sign == 1 else -coeff)
-            if value.is_zero:
-                cleaned.pop(key, None)
-            else:
-                cleaned[key] = value
-        object.__setattr__(self, "terms", dict(sorted(cleaned.items())))
+            _accumulate(cleaned, key, coeff if sign == 1 else -coeff)
+        object.__setattr__(
+            self, "terms", {k: c for k, c in sorted(cleaned.items()) if not c.is_zero}
+        )
 
     # -- linear structure -----------------------------------------------------
 
@@ -304,7 +294,7 @@ class Form:
             raise ContextError("cannot add forms of different degree")
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, ZERO) + coeff
+            _accumulate(out, mono, coeff)
         return Form(self.ctx, self.degree, out)
 
     def __sub__(self, other: "Form") -> "Form":
@@ -332,33 +322,32 @@ class Form:
                     continue
                 sign, key = packed
                 value = c1 * c2
-                out[key] = out.get(key, ZERO) + (value if sign == 1 else -value)
+                _accumulate(out, key, value if sign == 1 else -value)
         return Form(self.ctx, self.degree + other.degree, out)
 
     # -- differential -----------------------------------------------------------
 
     def d(self) -> "Form":
+        """Graded Leibniz rule in one pass: d(c m) = dc ^ m + c dm, where d
+        of the monomial m replaces each generator by its rule, with the sign
+        of the degree before it.  Unsorted monomials are sorted, with their
+        signs, by the one Form built at the end."""
         ctx = self.ctx
-        out = ctx.zero(self.degree + 1)
         degrees = [g.degree for g in ctx.generators]
+        out: dict = {}
         for mono, coeff in self.terms.items():
-            mono_form = Form(ctx, self.degree, {mono: ONE})
             for idx, part in ctx.coefficient_differential(coeff):
-                out = out + Form(ctx, 1, {(idx,): part}).wedge(mono_form)
+                _accumulate(out, (idx,) + mono, part)
             prefix_deg = 0
             for j, gen_idx in enumerate(mono):
                 rule = ctx.rule(ctx.name_of(gen_idx))
-                if rule.is_zero:
-                    prefix_deg += degrees[gen_idx]
-                    continue
-                before = Form(ctx, prefix_deg, {mono[:j]: ONE})
-                after_deg = sum(degrees[i] for i in mono[j + 1:])
-                after = Form(ctx, after_deg, {mono[j + 1:]: ONE})
-                term = before.wedge(rule).wedge(after)
-                sign_coeff = coeff if prefix_deg % 2 == 0 else -coeff
-                out = out + term * sign_coeff
+                if not rule.is_zero:
+                    sign_coeff = coeff if prefix_deg % 2 == 0 else -coeff
+                    for rule_mono, rule_coeff in rule.terms.items():
+                        key = mono[:j] + rule_mono + mono[j + 1:]
+                        _accumulate(out, key, rule_coeff * sign_coeff)
                 prefix_deg += degrees[gen_idx]
-        return out
+        return Form(ctx, self.degree + 1, out)
 
     # -- structure -----------------------------------------------------------------
 
@@ -385,19 +374,29 @@ class Form:
         return Form(self.ctx, self.degree, {m: fn(c) for m, c in self.terms.items()})
 
     def substitute_generators(self, mapping: Mapping[str, "Form"]) -> "Form":
-        """Replace whole generators by forms of the same degree."""
-        idx_map = {self.ctx.index_of(name): f for name, f in mapping.items()}
-        for name, f in mapping.items():
-            if f.degree != self.ctx.degree_of(self.ctx.index_of(name)):
-                raise ContextError(f"replacement for {name} has wrong degree")
-        out = self.ctx.zero(self.degree)
+        """Pull back along generator name -> form of the same degree.
+
+        The images may live in another context; then every generator must
+        be mapped.  Unmapped generators of this context map to themselves.
+        """
+        for name in mapping:
+            self.ctx.index_of(name)  # raises on a name outside this context
+        target = next(iter(mapping.values())).ctx if mapping else self.ctx
+        images = []
+        for gen in self.ctx.generators:
+            image = mapping.get(gen.name)
+            if image is None:
+                if target is not self.ctx:
+                    raise ContextError(f"no image for generator {gen.name} in the target context")
+                image = self.ctx.gen(gen.name)
+            elif image.degree != gen.degree:
+                raise ContextError(f"replacement for {gen.name} has wrong degree")
+            images.append(image)
+        out = target.zero(self.degree)
         for mono, coeff in self.terms.items():
-            piece = self.ctx.scalar_form(coeff)
+            piece = target.scalar_form(coeff)
             for gen_idx in mono:
-                factor = idx_map.get(gen_idx)
-                if factor is None:
-                    factor = Form(self.ctx, self.ctx.degree_of(gen_idx), {(gen_idx,): ONE})
-                piece = piece.wedge(factor)
+                piece = piece.wedge(images[gen_idx])
             out = out + piece
         return out
 

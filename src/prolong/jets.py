@@ -24,6 +24,7 @@ __all__ = [
     "jet_order",
     "EvolutionSystem",
     "total_derivative",
+    "solve_for_t_derivative",
     "reduce_mod_evolution",
     "euler_operator",
     "is_total_x_derivative",
@@ -114,6 +115,26 @@ class EvolutionSystem:
             if v == var:
                 return r
         raise KeyError(var)
+
+
+def solve_for_t_derivative(e: Scalar) -> tuple | None:
+    """(var, rhs) such that e = 0 is the evolution rule var_t = rhs, or None.
+
+    e qualifies when it holds exactly one t-derivative symbol, that symbol
+    is a first t-derivative var_t, and e is linear in it with a nonzero
+    slope free of it.
+    """
+    e = Scalar.of(e)
+    t_syms = [(s, parts) for s in e.free_symbols() if (parts := split_jet(s)) and parts[2] > 0]
+    if len(t_syms) != 1:
+        return None
+    symbol, (var, nx, nt) = t_syms[0]
+    if (nx, nt) != (0, 1):
+        return None
+    slope = Scalar(sp.diff(e.expr, symbol))
+    if slope.is_zero or symbol in slope.free_symbols():
+        return None
+    return var, Scalar(-(e.expr - slope.expr * symbol)) / slope
 
 
 def reduce_mod_evolution(e: Scalar, sys: EvolutionSystem) -> Scalar:

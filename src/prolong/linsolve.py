@@ -1,8 +1,9 @@
 """Exact linear solving over the rational-function coefficient field.
 
-Fraction-free (Bareiss) row echelon with deterministic pivoting: columns
-are eliminated in the order given, the pivot is the first remaining row
-with a nonzero entry.  Underdetermined systems return the solution with
+The augmented matrix [A | b] is brought to reduced row echelon form by
+sympy's ``DomainMatrix`` over the fraction field its entries generate.
+The pivot columns are the leftmost independent ones, so the solution does
+not depend on row order.  Underdetermined systems return the solution with
 all non-pivot unknowns set to zero, which is the minimal-support choice
 under the declared column order.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
 from .coeff import Scalar, ZERO
 from .forms import Form
@@ -19,65 +20,22 @@ from .forms import Form
 __all__ = ["solve_linear", "express_in_basis"]
 
 
-def _clear_row(row: list) -> list:
-    """Multiply a row by the lcm of its denominators (exact, solution-set
-    preserving since the system is homogeneous per row)."""
-    dens = [sp.fraction(c)[1] for c in row if c != 0]
-    if not dens:
-        return row
-    lcm = sp.lcm(dens)
-    if lcm == 1:
-        return row
-    return [sp.cancel(c * lcm) for c in row]
-
-
 def solve_linear(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]):
     """Solve A z = b exactly; returns a list of Scalars or None if
     inconsistent.  Free unknowns are set to zero."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
+    ncols = len(matrix[0]) if matrix else 0
     rows = [
-        _clear_row([Scalar.of(c).expr for c in row] + [Scalar.of(b).expr])
+        [Scalar.of(c).expr for c in row] + [Scalar.of(b).expr]
         for row, b in zip(matrix, rhs)
     ]
-    if ncols == 0:
-        return [] if all(sp.cancel(r[-1]) == 0 for r in rows) else None
-
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    prev_pivot = sp.Integer(1)
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if sp.cancel(rows[i][col]) != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = sp.cancel(rows[r][col])
-        rows[r][col] = pivot
-        for i in range(r + 1, nrows):
-            factor = rows[i][col]
-            for j in range(ncols + 1):
-                rows[i][j] = sp.cancel(
-                    (pivot * rows[i][j] - factor * rows[r][j]) / prev_pivot
-                )
-        pivots.append((r, col))
-        prev_pivot = pivot
-        r += 1
-
-    for i in range(r, nrows):
-        if sp.cancel(rows[i][-1]) != 0:
-            return None
-
-    solution = [sp.Integer(0)] * ncols
-    for row_idx, col in reversed(pivots):
-        acc = rows[row_idx][-1]
-        for j in range(col + 1, ncols):
-            acc -= rows[row_idx][j] * solution[j]
-        solution[col] = sp.cancel(acc / rows[row_idx][col])
-    return [Scalar(s) for s in solution]
+    augmented = DomainMatrix.from_list_sympy(len(rows), ncols + 1, rows)
+    reduced, pivots = augmented.to_field().rref()
+    if ncols in pivots:
+        return None
+    solution = [ZERO] * ncols
+    for row, col in enumerate(pivots):
+        solution[col] = Scalar(reduced.getitem_sympy(row, ncols))
+    return solution
 
 
 def express_in_basis(target: Form, candidates: Sequence[Form]):

@@ -31,7 +31,8 @@ from .forms import (
     pauli_compose,
 )
 from . import jets
-from .jets import EvolutionSystem, split_jet
+# split_jet is re-exported: bench/check_tracing.py checks the su2 binding by name.
+from .jets import EvolutionSystem, split_jet  # noqa: F401
 
 __all__ = [
     "Su2Context",
@@ -223,15 +224,11 @@ class Decomposition:
         for l, c in enumerate(self.theta_coeffs):
             out = out + sc.th[l] * c
         back = {f"w{l}": sc.w[l - 1] for l in (1, 2, 3)}
+        back.update({f"th{l}": sc.th[l - 1] for l in (1, 2, 3)})
         back.update({f"xi{i}": forms.xi[i] for i in range(1, 9)})
         back.update({"df": sc.df, "dg": sc.dg})
         for i, mult in self.multipliers.items():
-            translated = sc.ctx.zero(1)
-            for mono, coeff in mult.terms.items():
-                (gen_idx,) = mono
-                name = self.basis_ctx.name_of(gen_idx)
-                translated = translated + back[name] * coeff
-            out = out + translated.wedge(forms.xi[i])
+            out = out + mult.substitute_generators(back).wedge(forms.xi[i])
         return out
 
 
@@ -248,16 +245,6 @@ def _ring_basis_context() -> DerivationContext:
     return ctx.freeze()
 
 
-def _transport(form: Form, target_ctx: DerivationContext, gen_map: Mapping[int, Form]) -> Form:
-    out = target_ctx.zero(form.degree)
-    for mono, coeff in form.terms.items():
-        piece = target_ctx.scalar_form(coeff)
-        for gen_idx in mono:
-            piece = piece.wedge(gen_map[gen_idx])
-        out = out + piece
-    return out
-
-
 def decompose_over_ring(sc: Su2Context, forms: Su2Forms, target: Form) -> Decomposition:
     """Decompose a two-form over the ring spanned by the th's and xi's.
 
@@ -272,23 +259,23 @@ def decompose_over_ring(sc: Su2Context, forms: Su2Forms, target: Form) -> Decomp
     wmb = wb[1] - wb[2] * I
     y1, y2 = sc.y[1], sc.y[2]
     gen_map = {
-        sc.ctx.index_of("w1"): wb[1],
-        sc.ctx.index_of("w2"): wb[2],
-        sc.ctx.index_of("w3"): wb[3],
-        sc.ctx.index_of("th1"): basis.gen("th1"),
-        sc.ctx.index_of("th2"): basis.gen("th2"),
-        sc.ctx.index_of("th3"): basis.gen("th3"),
-        sc.ctx.index_of("df"): basis.gen("df"),
-        sc.ctx.index_of("dg"): basis.gen("dg"),
+        "w1": wb[1],
+        "w2": wb[2],
+        "w3": wb[3],
+        "th1": basis.gen("th1"),
+        "th2": basis.gen("th2"),
+        "th3": basis.gen("th3"),
+        "df": basis.gen("df"),
+        "dg": basis.gen("dg"),
         # dy_i expressed through xi_i and the connection part
-        sc.ctx.index_of("dy1"): xib[1] + wb[3] * y1 + wmb * y2,
-        sc.ctx.index_of("dy2"): xib[2] + wpb * y1 - wb[3] * y2,
-        sc.ctx.index_of("dy5"): xib[5] - wb[3] * 2 - wmb * (2 * sc.y3),
-        sc.ctx.index_of("dy6"): xib[6] + wb[3] * 2 - wpb * (2 * sc.y4),
-        sc.ctx.index_of("dy7"): xib[7] + wmb * sc.e5,
-        sc.ctx.index_of("dy8"): xib[8] + wpb * sc.e6,
+        "dy1": xib[1] + wb[3] * y1 + wmb * y2,
+        "dy2": xib[2] + wpb * y1 - wb[3] * y2,
+        "dy5": xib[5] - wb[3] * 2 - wmb * (2 * sc.y3),
+        "dy6": xib[6] + wb[3] * 2 - wpb * (2 * sc.y4),
+        "dy7": xib[7] + wmb * sc.e5,
+        "dy8": xib[8] + wpb * sc.e6,
     }
-    transported = _transport(target, basis, gen_map)
+    transported = target.substitute_generators(gen_map)
 
     th_idx = {basis.index_of(f"th{l}"): l for l in (1, 2, 3)}
     xi_idx = {basis.index_of(f"xi{i}"): i for i in range(1, 9)}
@@ -533,8 +520,8 @@ class AKNSSpec:
 
 def build_jet_context(deps: Sequence[str]) -> DerivationContext:
     ctx = DerivationContext()
-    ctx.add_coordinate("x")
-    ctx.add_coordinate("t")
+    ctx.add_scalar("x")
+    ctx.add_scalar("t")
     ctx.set_jet_mode(deps)
     return ctx.freeze()
 
@@ -612,23 +599,11 @@ def extract_evolution(spec: AKNSSpec) -> Extraction:
         ("plus", comps.plus_coeff),
         ("third", comps.third_coeff),
     ):
-        t_syms = []
-        for s in expr.free_symbols():
-            parts = split_jet(s)
-            if parts and parts[0] in spec.deps and parts[1] == 0 and parts[2] == 1:
-                t_syms.append((s, parts[0]))
-        if len(t_syms) != 1:
+        solved = jets.solve_for_t_derivative(expr)
+        if solved is None or ETA in solved[1].free_symbols():
             constraints.append(expr)
             continue
-        symbol, var = t_syms[0]
-        slope = Scalar(sp.diff(expr.expr, symbol))
-        if slope.is_zero or symbol in slope.free_symbols():
-            constraints.append(expr)
-            continue
-        rhs = Scalar(-(expr.expr - slope.expr * symbol)) / slope
-        if ETA in rhs.free_symbols():
-            constraints.append(expr)
-            continue
+        var, rhs = solved
         rules[var] = rhs
         sources.append((var, label))
     return Extraction(

@@ -21,7 +21,14 @@ import sympy as sp
 from .coeff import Scalar, ZERO, ONE
 from .forms import ContextError, DerivationContext, Form
 from .linsolve import express_in_basis
-from .jets import EvolutionSystem, jet, reduce_mod_evolution, split_jet, total_derivative
+from .jets import (
+    EvolutionSystem,
+    jet,
+    reduce_mod_evolution,
+    solve_for_t_derivative,
+    split_jet,
+    total_derivative,
+)
 
 __all__ = [
     "ExteriorIdeal",
@@ -47,7 +54,7 @@ def chart_context(coordinates: Sequence[str]) -> DerivationContext:
     """Coordinate context; d of a coefficient is its coordinate differential."""
     ctx = DerivationContext()
     for name in coordinates:
-        ctx.add_coordinate(name)
+        ctx.add_scalar(name)
     return ctx.freeze()
 
 
@@ -420,19 +427,12 @@ def apply_eliminations(e: Scalar, chain: Sequence[tuple], deps: Sequence[str]) -
 
 def extract_section_evolution(result: SectionResult) -> EvolutionSystem:
     """Solve the sectioned equations for first t-derivatives; fails when an
-    equation is not evolutionary (higher or mixed t-derivatives remain)."""
+    equation is not evolutionary (see :func:`jets.solve_for_t_derivative`)."""
     rules: dict[str, Scalar] = {}
     for eq in result.reduced:
-        t_syms = []
-        for s in eq.free_symbols():
-            parts = split_jet(s)
-            if parts and parts[2] >= 1:
-                t_syms.append((s, parts))
-        if len(t_syms) != 1 or t_syms[0][1][1] != 0 or t_syms[0][1][2] != 1:
+        solved = solve_for_t_derivative(eq)
+        if solved is None:
             raise ValueError(f"equation is not evolutionary: {eq}")
-        symbol, (var, _, _) = t_syms[0]
-        slope = Scalar(sp.diff(eq.expr, symbol))
-        if slope.is_zero or symbol in slope.free_symbols():
-            raise ValueError(f"equation is not linear in {symbol}: {eq}")
-        rules[var] = Scalar(-(eq.expr - slope.expr * symbol)) / slope
+        var, rhs = solved
+        rules[var] = rhs
     return EvolutionSystem.of(rules)

@@ -15,7 +15,6 @@ from prolong.coeff import (
     Scalar,
     ZERO,
     exp_atom,
-    normalize,
     substitute,
     sym,
 )
@@ -51,8 +50,11 @@ def test_normalize_idempotent_on_samples():
         (y1 / y2 + y2 / y1),
     ]
     for s in samples:
-        assert normalize(s) == normalize(normalize(s))
-        assert normalize(s).expr == normalize(normalize(s)).expr
+        assert Scalar.of(s) == Scalar.of(Scalar.of(s))
+        assert Scalar.of(s).expr == Scalar.of(Scalar.of(s)).expr
+        # the canonical form is a fixed point, so stored scalars can be
+        # moved between containers without canonicalising them again
+        assert Scalar(s.expr).expr == s.expr
 
 
 def test_difference_of_equal_expressions_is_zero():

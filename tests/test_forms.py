@@ -178,6 +178,18 @@ def test_substitute_generators(sc):
     assert swapped == w1.wedge(w3)
 
 
+def test_substitute_generators_into_another_context(chart):
+    line = chart_context(["s"])
+    ds = line.gen("ds")
+    images = {name: ds * k for k, name in enumerate(("dx", "dt", "du", "dp", "dq"), 1)}
+    form = chart.gen("dx") * Scalar(sp.Symbol("u")) + chart.gen("dq")
+    assert form.substitute_generators(images) == ds * (Scalar(sp.Symbol("u")) + 5)
+    # in another context every generator needs an image
+    del images["dq"]
+    with pytest.raises(ContextError):
+        form.substitute_generators(images)
+
+
 def test_form_degree_mismatch_rejected(sc):
     with pytest.raises(ContextError):
         sc.w[0] + sc.th[0]

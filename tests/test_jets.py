@@ -15,6 +15,7 @@ from prolong.jets import (
     jet,
     jet_order,
     reduce_mod_evolution,
+    solve_for_t_derivative,
     split_jet,
     total_derivative,
 )
@@ -129,3 +130,19 @@ def test_euler_annihilates_total_derivatives_randomized():
 def test_jet_order_reporting():
     assert jet_order(Scalar(u * uxxx + ux), ["u"]) == 3
     assert jet_order(Scalar(q), ["u"]) == 0
+
+
+def test_solve_for_t_derivative():
+    var, rhs = solve_for_t_derivative(Scalar(2 * ut + u * ux - uxxx))
+    assert var == "u"
+    assert rhs == Scalar((uxxx - u * ux) / 2)
+
+
+def test_solve_for_t_derivative_refuses_a_second_t_derivative():
+    assert solve_for_t_derivative(Scalar(ut + uxt + u * ux)) is None
+    assert solve_for_t_derivative(Scalar(uxt + u)) is None
+
+
+def test_solve_for_t_derivative_refuses_nonlinear_slope():
+    assert solve_for_t_derivative(Scalar(ut**2 + ux)) is None
+    assert solve_for_t_derivative(Scalar(u * ux)) is None

@@ -152,6 +152,14 @@ def test_kdv_extraction(kdv_spec):
     assert extraction.system.rhs("q") == Scalar(-qxxx - 6 * q * qx)
 
 
+def test_generic_family_extracts_no_rule(generic_spec):
+    # every channel keeps the spectral parameter in its solved right side
+    extraction = extract_evolution(generic_spec)
+    assert extraction.system.rules == ()
+    assert len(extraction.constraints) == 3
+    assert not extraction.consistent
+
+
 def test_kdv_eta_matching_is_exact(kdv_spec):
     comps = theta_components(kdv_spec)
     # the evolution channel must be free of the spectral parameter

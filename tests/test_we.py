@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 import sympy as sp
 
+from prolong.cli import main
 from prolong.coeff import ETA, Scalar, ZERO
 from prolong.jets import EvolutionSystem, jet
 from prolong.we import (
@@ -274,3 +275,14 @@ def test_zero_curvature_akns_connection(kdv_spec, kdv_system):
     assert raw[0][1] == comps.minus_coeff
     assert raw[1][0] == comps.plus_coeff
     assert (raw[1][1] + comps.third_coeff).is_zero
+
+
+def test_section_evolution_refuses_a_second_t_derivative(ch_model, ch_ideal):
+    sec = section(ch_ideal, ch_model.sections["ch"])
+    with pytest.raises(ValueError, match="not evolutionary"):
+        extract_section_evolution(sec)
+
+
+def test_laxcheck_on_non_evolutionary_section_is_exit_2(capsys):
+    assert main(["laxcheck", "--fixture", "ch"]) == 2
+    assert "not evolutionary" in capsys.readouterr().err
