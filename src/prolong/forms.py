@@ -413,7 +413,9 @@ class Form:
         )
 
     def __hash__(self):
-        return hash((id(self.ctx), self.degree, tuple(sorted(self.terms))))
+        # Equal forms have the same nonzero monomials (and every zero form
+        # has none), whatever their contexts' identity or declared degree.
+        return hash(tuple(self.terms))
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -18,6 +18,7 @@ from prolong.forms import (
     pauli_compose,
     pauli_decompose,
 )
+from prolong.su2 import build_su2_context
 from prolong.we import chart_context
 
 
@@ -188,6 +189,17 @@ def test_substitute_generators_into_another_context(chart):
     del images["dq"]
     with pytest.raises(ContextError):
         form.substitute_generators(images)
+
+
+def test_equal_forms_hash_equal():
+    # two contexts built alike give equal forms, which must collapse in a set
+    a, b = build_su2_context(), build_su2_context()
+    assert a.ctx is not b.ctx
+    assert a.w[0].wedge(a.w[1]) == b.w[0].wedge(b.w[1])
+    assert len({a.w[0].wedge(a.w[1]), b.w[0].wedge(b.w[1])}) == 1
+    # the zero forms of every degree are equal
+    assert a.ctx.zero(1) == a.ctx.zero(2)
+    assert hash(a.ctx.zero(1)) == hash(a.ctx.zero(2))
 
 
 def test_form_degree_mismatch_rejected(sc):
