@@ -13,6 +13,7 @@ equation(s).  Linear connections are tested either against the ideal
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -102,50 +103,36 @@ class MembershipWitness:
         return self.multipliers[self.ideal.names.index(name)]
 
 
-def _one_form_basis(ctx: DerivationContext) -> list:
-    return [ctx.gen(ctx.name_of(i)) for i in ctx.one_form_indices()]
-
-
 def ideal_membership(phi: Form, ideal: ExteriorIdeal) -> MembershipWitness | None:
     """Multiplier forms expressing phi in the ideal, or None.
 
-    Multipliers have degree deg(phi) - deg(xi_j); the coefficient match over
-    all wedge monomials is solved exactly with deterministic pivoting and
-    zero free unknowns (minimal support under the declared order).
+    Multipliers have degree deg(phi) - deg(xi_j) and are spanned by the
+    wedge monomials of that many one-form generators; the coefficient match
+    over all wedge monomials is solved exactly with deterministic pivoting
+    and zero free unknowns (minimal support under the declared order).
     """
     if phi.is_zero:
         return MembershipWitness(
             ideal, tuple(ideal.ctx.zero(0) for _ in ideal.generators)
         )
+    ctx = ideal.ctx
     candidates: list[Form] = []
-    layout: list[tuple[int, Form]] = []  # (generator slot, basis one-form or None)
-    basis = _one_form_basis(ideal.ctx)
+    layout: list[tuple[int, Form]] = []  # (generator slot, basis monomial)
     for slot, gen in enumerate(ideal.generators):
         mult_degree = phi.degree - gen.degree
         if mult_degree < 0:
             continue
-        if mult_degree == 0:
-            candidates.append(gen)
-            layout.append((slot, ideal.ctx.scalar_form(1)))
-        elif mult_degree == 1:
-            for b in basis:
-                candidates.append(b.wedge(gen))
-                layout.append((slot, b))
-        else:
-            raise ContextError("multiplier degrees above one are not supported")
+        for mono in itertools.combinations(ctx.one_form_indices(), mult_degree):
+            basis_form = Form(ctx, mult_degree, {mono: ONE})
+            candidates.append(basis_form.wedge(gen))
+            layout.append((slot, basis_form))
     solution = express_in_basis(phi, candidates)
     if solution is None:
         return None
-    multipliers = {slot: None for slot, _ in layout}
+    multipliers = [ctx.zero(0)] * len(ideal.generators)
     for coeff, (slot, basis_form) in zip(solution, layout):
-        piece = basis_form * coeff
-        current = multipliers[slot]
-        multipliers[slot] = piece if current is None else current + piece
-    filled = tuple(
-        multipliers.get(slot) if multipliers.get(slot) is not None else ideal.ctx.zero(0)
-        for slot in range(len(ideal.generators))
-    )
-    witness = MembershipWitness(ideal, filled)
+        multipliers[slot] = multipliers[slot] + basis_form * coeff
+    witness = MembershipWitness(ideal, tuple(multipliers))
     if not (witness.expand() - phi).is_zero:
         return None
     return witness

@@ -7,6 +7,7 @@ import sympy as sp
 
 from prolong.cli import main
 from prolong.coeff import ETA, Scalar, ZERO
+from prolong.dsl import parse
 from prolong.jets import EvolutionSystem, jet
 from prolong.we import (
     ConnectionData,
@@ -275,6 +276,33 @@ def test_zero_curvature_akns_connection(kdv_spec, kdv_system):
     assert raw[0][1] == comps.minus_coeff
     assert raw[1][0] == comps.plus_coeff
     assert (raw[1][1] + comps.third_coeff).is_zero
+
+
+MIXED_DEGREE_MODEL = """\
+chart x t u p
+ideal contact {
+  th = du - p*dx
+  om = u*dp^dx
+}
+"""
+
+
+def test_mixed_degree_ideal_closes():
+    ideal = parse(MIXED_DEGREE_MODEL).ideals["contact"]
+    result = closure_check(ideal)
+    assert result.ok
+    for name in ("th", "om"):
+        witness = result.witness(name)
+        assert (witness.expand() - ideal.generator(name).d()).is_zero
+    # d(om) needs a two-form multiplier on the one-form th
+    assert result.witness("om").multiplier("th").degree == 2
+
+
+def test_mixed_degree_ideal_closure_verb(tmp_path, capsys):
+    path = tmp_path / "contact.eds"
+    path.write_text(MIXED_DEGREE_MODEL, encoding="utf-8")
+    assert main(["closure", str(path)]) == 0
+    assert "result: ok" in capsys.readouterr().out
 
 
 def test_section_evolution_refuses_a_second_t_derivative(ch_model, ch_ideal):
