@@ -173,9 +173,6 @@ class DerivationContext:
         except KeyError:
             raise ContextError(f"unknown generator {name!r}") from None
 
-    def degree_of(self, idx: int) -> int:
-        return self._gens[idx].degree
-
     def name_of(self, idx: int) -> str:
         return self._gens[idx].name
 
@@ -405,12 +402,10 @@ class Form:
             return NotImplemented
         if self.ctx is not other.ctx and self.ctx.signature != other.ctx.signature:
             return False
-        if self.degree != other.degree and not (self.is_zero or other.is_zero):
-            return False
-        keys = set(self.terms) | set(other.terms)
-        return all(
-            (self.terms.get(k, ZERO) - other.terms.get(k, ZERO)).is_zero for k in keys
-        )
+        # Stored coefficients are nonzero, so equal forms share their
+        # monomials (a monomial fixes the degree) and every zero form is
+        # equal to every other; coefficients compare as Scalars.
+        return self.terms == other.terms
 
     def __hash__(self):
         # Equal forms have the same nonzero monomials (and every zero form

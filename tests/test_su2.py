@@ -160,6 +160,18 @@ def test_generic_family_extracts_no_rule(generic_spec):
     assert not extraction.consistent
 
 
+def test_channel_with_a_higher_t_derivative_is_a_constraint():
+    # each channel holds a first t-derivative next to r_xt, so none is an
+    # evolution rule; none may become one whose right side keeps r_xt
+    spec = AKNSSpec(
+        name="mixed", deps=("q", "r"), r=Scalar(jet("r")), q=Scalar(jet("q")),
+        A=LaurentInEta.of(Scalar(jet("r", 1, 1))), B=LaurentInEta(()), C=LaurentInEta(()),
+    )
+    extraction = extract_evolution(spec)
+    assert extraction.system.rules == ()
+    assert len(extraction.constraints) == 3
+
+
 def test_kdv_eta_matching_is_exact(kdv_spec):
     comps = theta_components(kdv_spec)
     # the evolution channel must be free of the spectral parameter
