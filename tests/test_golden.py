@@ -84,7 +84,7 @@ def render(argv: tuple) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+@pytest.mark.parametrize("argv", CASES, ids=lambda argv: golden_path(argv).stem)
 def test_report_matches_golden(argv):
     path = golden_path(argv)
     expected = path.read_text(encoding="utf-8")
