@@ -47,10 +47,6 @@ def _load_model(args) -> dsl.ModelFile:
     raise CliError("give a model file path or --fixture NAME")
 
 
-def _print_matrix(rows) -> list:
-    return [[dsl.print_scalar(c) for c in row] for row in rows]
-
-
 def _item(name: str, status: str, **extra) -> dict:
     out = {"name": name, "status": status}
     out.update(extra)
@@ -150,8 +146,8 @@ def _pick_spec(model: dsl.ModelFile) -> su2.AKNSSpec:
 
 def _cmd_theta(args) -> tuple:
     spec = _pick_spec(_load_model(args))
-    comps = su2.theta_components(spec)
     extraction = su2.extract_evolution(spec)
+    comps = extraction.components
     items = [
         _item("minus", "computed", coefficient=dsl.print_scalar(comps.minus_coeff)),
         _item("plus", "computed", coefficient=dsl.print_scalar(comps.plus_coeff)),
@@ -262,7 +258,7 @@ def _cmd_section(args) -> tuple:
     if args.beta is not None:
         subs[sp.Symbol("beta")] = _beta_scalar(args.beta)
     items = []
-    for name, raw in zip(ideal.names, result.raw):
+    for name, raw in zip(result.names, result.raw):
         items.append(_item(f"raw-{name}", "sectioned", equation=dsl.print_scalar(raw)))
     for var, replacement in result.eliminations:
         items.append(
@@ -330,7 +326,7 @@ def _cmd_laxcheck(args) -> tuple:
         spec = _pick_spec(model)
         conn = _akns_connection(spec)
         extraction = su2.extract_evolution(spec)
-        comps = su2.theta_components(spec)
+        comps = extraction.components
         residual = we.zero_curvature_residual(conn, extraction.system)
         flat = [c for row in residual for c in row]
         items.append(

@@ -196,7 +196,8 @@ class LaurentInEta:
     """Finite Laurent polynomial in the spectral parameter eta.
 
     Stored as sorted (exponent, coefficient) pairs with no zero
-    coefficients; coefficients are eta-free Scalars.
+    coefficients; coefficients are eta-free Scalars.  The stored pairs are
+    canonical, so the dataclass equality and hash on them are exact.
     """
 
     coeffs: tuple
@@ -245,34 +246,6 @@ class LaurentInEta:
             pairs.append((k - shift, Scalar(coeff / den)))
         return LaurentInEta(tuple(pairs))
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other) -> "LaurentInEta":
-        other = LaurentInEta.of(other)
-        out = dict(self.coeffs)
-        for n, c in other.coeffs:
-            _accumulate(out, n, c)
-        return LaurentInEta(tuple(out.items()))
-
-    def __sub__(self, other) -> "LaurentInEta":
-        return self + (-LaurentInEta.of(other))
-
-    def __neg__(self) -> "LaurentInEta":
-        return LaurentInEta(tuple((n, -c) for n, c in self.coeffs))
-
-    def __mul__(self, other) -> "LaurentInEta":
-        if isinstance(other, (Scalar, int)):
-            c = Scalar.of(other)
-            return LaurentInEta(tuple((n, v * c) for n, v in self.coeffs))
-        other = LaurentInEta.of(other)
-        out: dict = {}
-        for n1, c1 in self.coeffs:
-            for n2, c2 in other.coeffs:
-                _accumulate(out, n1 + n2, c1 * c2)
-        return LaurentInEta(tuple(out.items()))
-
-    __rmul__ = __mul__
-
     # -- access ---------------------------------------------------------------
 
     def coeff(self, n: int) -> Scalar:
@@ -293,14 +266,6 @@ class LaurentInEta:
         for n, c in self.coeffs:
             total = total + c * Scalar(ETA**n)
         return total
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (LaurentInEta, Scalar, int, dict)):
-            return NotImplemented
-        return (self - LaurentInEta.of(other)).is_zero
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __str__(self) -> str:
         return str(self.to_scalar())

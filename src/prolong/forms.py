@@ -32,6 +32,7 @@ __all__ = [
     "check_dd_zero",
     "pauli_decompose",
     "pauli_compose",
+    "build_jet_context",
 ]
 
 # Totally antisymmetric structure constants of su(2), 1-indexed.
@@ -158,10 +159,6 @@ class DerivationContext:
     @property
     def generators(self) -> tuple:
         return tuple(self._gens)
-
-    @property
-    def jet_deps(self) -> tuple:
-        return self._jet_deps
 
     @property
     def scalars(self) -> tuple:
@@ -427,16 +424,22 @@ class Form:
 
 @dataclass(frozen=True)
 class MatrixForm:
-    """2x2 matrix of forms of equal degree."""
+    """Square n x n matrix of forms of equal degree."""
 
-    entries: tuple  # ((Form, Form), (Form, Form))
+    entries: tuple  # rows of Forms
 
     def __post_init__(self):
         rows = tuple(tuple(row) for row in self.entries)
+        if not rows or any(len(row) != len(rows) for row in rows):
+            raise ContextError("a matrix of forms must be square")
         degs = {f.degree for row in rows for f in row if not f.is_zero}
         if len(degs) > 1:
             raise ContextError("matrix entries must share one degree")
         object.__setattr__(self, "entries", rows)
+
+    @property
+    def size(self) -> int:
+        return len(self.entries)
 
     @property
     def ctx(self) -> DerivationContext:
@@ -453,13 +456,20 @@ class MatrixForm:
     def entry(self, i: int, j: int) -> Form:
         return self.entries[i][j]
 
+    def _require_size(self, other: "MatrixForm"):
+        if other.size != self.size:
+            raise ContextError("matrices of forms differ in size")
+
     def wedge(self, other: "MatrixForm") -> "MatrixForm":
+        self._require_size(other)
+        n = self.size
         rows = []
-        for i in range(2):
+        for i in range(n):
             row = []
-            for j in range(2):
+            for j in range(n):
                 acc = self.entry(i, 0).wedge(other.entry(0, j))
-                acc = acc + self.entry(i, 1).wedge(other.entry(1, j))
+                for k in range(1, n):
+                    acc = acc + self.entry(i, k).wedge(other.entry(k, j))
                 row.append(acc)
             rows.append(tuple(row))
         return MatrixForm(tuple(rows))
@@ -467,31 +477,32 @@ class MatrixForm:
     def d(self) -> "MatrixForm":
         return MatrixForm(tuple(tuple(f.d() for f in row) for row in self.entries))
 
+    def curvature(self) -> "MatrixForm":
+        """d(Omega) - Omega ^ Omega, the zero-curvature form of a connection."""
+        return self.d() - self.wedge(self)
+
     def __add__(self, other: "MatrixForm") -> "MatrixForm":
+        self._require_size(other)
+        n = self.size
         return MatrixForm(
             tuple(
-                tuple(self.entry(i, j) + other.entry(i, j) for j in range(2))
-                for i in range(2)
+                tuple(self.entry(i, j) + other.entry(i, j) for j in range(n))
+                for i in range(n)
             )
         )
 
     def __sub__(self, other: "MatrixForm") -> "MatrixForm":
-        return MatrixForm(
-            tuple(
-                tuple(self.entry(i, j) - other.entry(i, j) for j in range(2))
-                for i in range(2)
-            )
-        )
+        return self + (-other)
 
     def __neg__(self) -> "MatrixForm":
         return MatrixForm(tuple(tuple(-f for f in row) for row in self.entries))
 
-    def scale(self, c) -> "MatrixForm":
-        return MatrixForm(tuple(tuple(f * c for f in row) for row in self.entries))
-
     @property
     def trace(self) -> Form:
-        return self.entry(0, 0) + self.entry(1, 1)
+        acc = self.entry(0, 0)
+        for i in range(1, self.size):
+            acc = acc + self.entry(i, i)
+        return acc
 
     @property
     def is_traceless(self) -> bool:
@@ -503,7 +514,9 @@ class MatrixForm:
 
 
 def pauli_decompose(m: MatrixForm) -> tuple:
-    """Components along the Pauli basis; requires a traceless matrix."""
+    """Components along the Pauli basis; requires a traceless 2x2 matrix."""
+    if m.size != 2:
+        raise ContextError("pauli decomposition needs a 2x2 matrix")
     if not m.is_traceless:
         raise ContextError("pauli decomposition needs a traceless matrix")
     half = Scalar.rational(1, 2)
@@ -516,6 +529,14 @@ def pauli_decompose(m: MatrixForm) -> tuple:
 def pauli_compose(f1: Form, f2: Form, f3: Form) -> MatrixForm:
     i = Scalar(sp.I)
     return MatrixForm(((f3, f1 - f2 * i), (f1 + f2 * i, -f3)))
+
+
+def build_jet_context(deps: Sequence[str]) -> DerivationContext:
+    ctx = DerivationContext()
+    ctx.add_scalar("x")
+    ctx.add_scalar("t")
+    ctx.set_jet_mode(deps)
+    return ctx.freeze()
 
 
 @dataclass(frozen=True)

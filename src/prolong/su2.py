@@ -27,6 +27,7 @@ from .forms import (
     DerivationContext,
     Form,
     MatrixForm,
+    build_jet_context,
     epsilon,
     pauli_compose,
 )
@@ -107,25 +108,24 @@ class Su2Context:
         return pauli_compose(*self.th)
 
 
+def _epsilon_wedge(l: int, a: Sequence[Form], b: Sequence[Form]) -> Form:
+    """sum_{m,n} eps_{lmn} a_m ^ b_n, the l-th su(2) component of [a, b]."""
+    out = a[0].ctx.zero(a[0].degree + b[0].degree)
+    for m in range(1, 4):
+        for n in range(1, 4):
+            e = epsilon(l, m, n)
+            if e:
+                out = out + a[m - 1].wedge(b[n - 1]) * e
+    return out
+
+
 def _structure_rules(ctx: DerivationContext, w: Sequence[Form], th: Sequence[Form]):
     """dw_l = th_l + i eps_{lmn} w_m w_n and the induced curvature rule
-    dth_l = 2 i eps_{mnl} w_m th_n."""
+    dth_l = 2 i eps_{mnl} w_m th_n (eps_{mnl} = eps_{lmn})."""
     for l in range(1, 4):
-        rule = th[l - 1]
-        for m in range(1, 4):
-            for n in range(1, 4):
-                e = epsilon(l, m, n)
-                if e:
-                    rule = rule + w[m - 1].wedge(w[n - 1]) * (I * e)
-        ctx.set_rule(f"w{l}", rule)
+        ctx.set_rule(f"w{l}", th[l - 1] + _epsilon_wedge(l, w, w) * I)
     for l in range(1, 4):
-        rule = ctx.zero(3)
-        for m in range(1, 4):
-            for n in range(1, 4):
-                e = epsilon(m, n, l)
-                if e:
-                    rule = rule + w[m - 1].wedge(th[n - 1]) * (I * 2 * e)
-        ctx.set_rule(f"th{l}", rule)
+        ctx.set_rule(f"th{l}", _epsilon_wedge(l, w, th) * (I * 2))
 
 
 def build_su2_context() -> Su2Context:
@@ -452,9 +452,9 @@ def gauge_transform(sc: Su2Context, q: MatrixForm) -> GaugeResult:
         raise ValueError(f"gauge matrix must have determinant one, got {det}")
     q_inv = MatrixForm(((q.entry(1, 1), -q.entry(0, 1)), (-q.entry(1, 0), q.entry(0, 0))))
     omega = sc.omega_matrix()
-    theta = omega.d() - omega.wedge(omega)
+    theta = omega.curvature()
     omega_prime = q.wedge(omega).wedge(q_inv) + q.d().wedge(q_inv)
-    theta_direct = omega_prime.d() - omega_prime.wedge(omega_prime)
+    theta_direct = omega_prime.curvature()
     theta_conj = q.wedge(theta).wedge(q_inv)
     return GaugeResult(
         omega_prime=omega_prime,
@@ -518,18 +518,9 @@ class AKNSSpec:
                 raise ValueError(f"{label} must not contain the spectral parameter")
 
 
-def build_jet_context(deps: Sequence[str]) -> DerivationContext:
-    ctx = DerivationContext()
-    ctx.add_scalar("x")
-    ctx.add_scalar("t")
-    ctx.set_jet_mode(deps)
-    return ctx.freeze()
-
-
-def akns_forms(spec: AKNSSpec, ctx: DerivationContext | None = None):
+def akns_forms(spec: AKNSSpec):
     """The three connection one-forms of the family over (dx, dt)."""
-    if ctx is None:
-        ctx = build_jet_context(spec.deps)
+    ctx = build_jet_context(spec.deps)
     dx, dt = ctx.gen("dx"), ctx.gen("dt")
     w_plus = dx * spec.r + dt * spec.C.to_scalar()
     w_minus = dx * spec.q + dt * spec.B.to_scalar()
@@ -545,6 +536,7 @@ class ThetaComponents:
     """Curvature components of the family, each a multiple of dx^dt."""
 
     ctx: DerivationContext
+    w: tuple  # the family's connection one-forms w1, w2, w3
     theta: tuple  # three Forms
     coeffs: tuple  # dx^dt coefficients of th1, th2, th3
     plus_coeff: Scalar  # of th1 + i th2
@@ -554,19 +546,12 @@ class ThetaComponents:
 
 def theta_components(spec: AKNSSpec) -> ThetaComponents:
     ctx, w = akns_forms(spec)
-    theta = []
-    for l in (1, 2, 3):
-        t_l = w[l - 1].d()
-        for m in (1, 2, 3):
-            for n in (1, 2, 3):
-                e = epsilon(l, m, n)
-                if e:
-                    t_l = t_l - w[m - 1].wedge(w[n - 1]) * (I * e)
-        theta.append(t_l)
+    theta = tuple(w[l - 1].d() - _epsilon_wedge(l, w, w) * I for l in (1, 2, 3))
     coeffs = tuple(t.coefficient("dx", "dt") for t in theta)
     return ThetaComponents(
         ctx=ctx,
-        theta=tuple(theta),
+        w=w,
+        theta=theta,
         coeffs=coeffs,
         plus_coeff=coeffs[0] + I * coeffs[1],
         minus_coeff=coeffs[0] - I * coeffs[1],
@@ -580,6 +565,7 @@ class Extraction:
     leftover constraints that must vanish identically for a consistent
     concrete family."""
 
+    components: ThetaComponents  # the curvature the rules were solved from
     system: EvolutionSystem
     constraints: tuple  # Scalars
     sources: tuple  # (var, originating coefficient) pairs
@@ -607,6 +593,7 @@ def extract_evolution(spec: AKNSSpec) -> Extraction:
         rules[var] = rhs
         sources.append((var, label))
     return Extraction(
+        components=comps,
         system=EvolutionSystem.of(rules),
         constraints=tuple(constraints),
         sources=tuple(sources),
@@ -667,6 +654,5 @@ def surface_data(w1: Form, w2: Form, w3: Form, sys: EvolutionSystem | None = Non
 
 
 def surface_from_spec(spec: AKNSSpec) -> SurfaceData:
-    _, w = akns_forms(spec)
     extraction = extract_evolution(spec)
-    return surface_data(*w, sys=extraction.system)
+    return surface_data(*extraction.components.w, sys=extraction.system)

@@ -4,11 +4,12 @@ An ExteriorIdeal holds generating forms over a chart (u_1 .. u_m) whose
 first two coordinates are the independent pair (x, t).  Closure is checked
 by finding multiplier witnesses d(xi_i) = sum_j alpha_ij ^ xi_j through an
 exact linear solve over the rational-function field.  Sectioning pulls the
-generators back along du -> u_x dx + u_t dt and reads off the dx^dt
-coefficient; a user-declared elimination chain then presents the final
-equation(s).  Linear connections are tested either against the ideal
-(membership of the prolongation two-form) or against an evolution system
-(zero-curvature residual).
+generators back along du -> u_x dx + u_t dt and reads off their dx, dt or
+dx^dt coefficients; a user-declared elimination chain then presents the
+final equation(s).  Linear connections are tested through the curvature
+d(Omega) - Omega^Omega of Omega = F dt + G dx, either against the ideal
+(membership of each entry) or against an evolution system (zero-curvature
+residual).
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-import sympy as sp
-
-from .coeff import Scalar, ZERO, ONE
-from .forms import ContextError, DerivationContext, Form
+from .coeff import Scalar, ONE
+from .forms import ContextError, DerivationContext, Form, MatrixForm, build_jet_context
 from .linsolve import express_in_basis
 from .jets import (
     EvolutionSystem,
@@ -174,34 +173,11 @@ def closure_check(ideal: ExteriorIdeal) -> ClosureResult:
 
 @dataclass(frozen=True)
 class SectionResult:
-    raw: tuple  # dx^dt coefficients per generator, jet expressions
+    names: tuple  # generator name, suffixed -dx or -dt for a one-form's parts
+    raw: tuple  # pulled-back coefficients aligned with names, jet expressions
     reduced: tuple  # the same after the elimination chain, trivial ones dropped
     eliminations: tuple  # (variable, substituted jet expression) as applied
     labels: tuple  # recognized equation names aligned with reduced
-
-
-def _pullback_coefficient(gen: Form, base: tuple) -> Scalar:
-    """dx^dt coefficient of the pullback along du_k -> u_kx dx + u_kt dt."""
-    if gen.degree != 2:
-        raise ContextError("sectioning expects two-form generators")
-    ctx = gen.ctx
-    x_name, t_name = base
-    out = ZERO
-    for mono, coeff in gen.terms.items():
-        # each factor contributes (a dx + b dt); collect the dx^dt part
-        pairs = []
-        for idx in mono:
-            name = ctx.name_of(idx)
-            var = name[1:]  # strip the leading d
-            if var == x_name:
-                pairs.append((ONE, ZERO))
-            elif var == t_name:
-                pairs.append((ZERO, ONE))
-            else:
-                pairs.append((Scalar(jet(var, 1, 0)), Scalar(jet(var, 0, 1))))
-        (a1, b1), (a2, b2) = pairs
-        out = out + coeff * (a1 * b2 - b1 * a2)
-    return out
 
 
 def _apply_elimination(e: Scalar, var: str, replacement: Scalar, deps: tuple) -> Scalar:
@@ -222,15 +198,28 @@ def _apply_elimination(e: Scalar, var: str, replacement: Scalar, deps: tuple) ->
     return Scalar(e.expr.subs(subs_map, simultaneous=True))
 
 
-def section(
-    ideal: ExteriorIdeal,
-    eliminations: Sequence[tuple] = (),
-    base: tuple = ("x", "t"),
-) -> SectionResult:
-    """Pull the generators back to the transversal integral manifold and
-    present the equations after the declared elimination chain."""
-    raw = tuple(_pullback_coefficient(gen, base) for gen in ideal.generators)
-    deps = tuple(c for c in ideal.coordinates if c not in base)
+def section(ideal: ExteriorIdeal, eliminations: Sequence[tuple] = ()) -> SectionResult:
+    """Pull the generators back to the transversal integral manifold over
+    (x, t) and present the equations after the declared elimination chain.
+
+    A one-form generator gives its dx and dt coefficients, a two-form its
+    dx^dt coefficient; a higher form pulls back to zero on the
+    two-dimensional base and gives no equation.
+    """
+    deps = tuple(c for c in ideal.coordinates if c not in ("x", "t"))
+    jet_ctx = build_jet_context(deps)
+    dx, dt = jet_ctx.gen("dx"), jet_ctx.gen("dt")
+    images = {
+        f"d{c}": jet_ctx.gen(f"d{c}") if c in ("x", "t")
+        else dx * Scalar(jet(c, 1, 0)) + dt * Scalar(jet(c, 0, 1))
+        for c in ideal.coordinates
+    }
+    names, raw = [], []
+    for name, gen in zip(ideal.names, ideal.generators):
+        pulled = gen.substitute_generators(images)
+        for base in itertools.combinations(("dx", "dt"), gen.degree):
+            names.append(f"{name}-{base[0]}" if gen.degree == 1 else name)
+            raw.append(pulled.coefficient(*base))
     applied = []
     for var, replacement in eliminations:
         replacement = Scalar.of(replacement)
@@ -249,7 +238,8 @@ def section(
             reduced.append(e)
     labels = tuple(named_equation(e) for e in reduced)
     return SectionResult(
-        raw=raw,
+        names=tuple(names),
+        raw=tuple(raw),
         reduced=tuple(reduced),
         eliminations=tuple(applied),
         labels=labels,
@@ -318,18 +308,15 @@ class ConnectionData:
             G=tuple(tuple(fn(c) for c in row) for row in self.G),
         )
 
-
-def _commutator(a: tuple, b: tuple, n: int) -> list:
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = ZERO
-            for k in range(n):
-                acc = acc + a[i][k] * b[k][j] - b[i][k] * a[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    def one_form(self, ctx: DerivationContext) -> MatrixForm:
+        """Omega = F dt + G dx over a context declaring dx and dt."""
+        dx, dt = ctx.gen("dx"), ctx.gen("dt")
+        return MatrixForm(
+            tuple(
+                tuple(dt * f + dx * g for f, g in zip(f_row, g_row))
+                for f_row, g_row in zip(self.F, self.G)
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -356,41 +343,25 @@ class ProlongationResult:
 
 
 def prolongation_residual(conn: ConnectionData, ideal: ExteriorIdeal) -> ProlongationResult:
-    """Entrywise two-form  dF/du_j du_j^dt + dG/du_j du_j^dx + [F,G] dx^dt
-    tested for ideal membership; an empty witness set means failure."""
-    ctx = ideal.ctx
-    n = conn.size
-    comm = _commutator(conn.F, conn.G, n)
-    dx, dt = ctx.gen("dx"), ctx.gen("dt")
-    coordinate_symbols = [(name, sp.Symbol(name)) for name in ideal.coordinates]
+    """Each entry of the curvature d(Omega) - Omega^Omega over the chart,
+    dF/du_j du_j^dt + dG/du_j du_j^dx + [F,G] dx^dt, tested for ideal
+    membership; an empty witness set means failure."""
+    curvature = conn.one_form(ideal.ctx).curvature()
     results = []
-    for i in range(n):
-        for j in range(n):
-            z = ctx.zero(2)
-            for name, symbol in coordinate_symbols:
-                du = ctx.gen(f"d{name}")
-                z = z + du.wedge(dt) * conn.F[i][j].diff(symbol)
-                z = z + du.wedge(dx) * conn.G[i][j].diff(symbol)
-            z = z + dx.wedge(dt) * comm[i][j]
-            witness = ideal_membership(z, ideal)
-            results.append((i, j, witness, z))
+    for i in range(conn.size):
+        for j in range(conn.size):
+            z = curvature.entry(i, j)
+            results.append((i, j, ideal_membership(z, ideal), z))
     return ProlongationResult(entries=tuple(results))
 
 
 def curvature_matrix(conn: ConnectionData, deps: Sequence[str]) -> tuple:
-    """D_x F - D_t G + [F, G] with formal jet derivatives, unreduced."""
-    n = conn.size
-
-    def dmat(rows, direction):
-        return [
-            [total_derivative(c, direction, deps) for c in row] for row in rows
-        ]
-
-    fx = dmat(conn.F, "x")
-    gt = dmat(conn.G, "t")
-    comm = _commutator(conn.F, conn.G, n)
+    """D_x F - D_t G + [F, G] with formal jet derivatives, unreduced: the
+    dx^dt coefficients of d(Omega) - Omega^Omega over the jet chart."""
+    curvature = conn.one_form(build_jet_context(deps)).curvature()
     return tuple(
-        tuple(fx[i][j] - gt[i][j] + comm[i][j] for j in range(n)) for i in range(n)
+        tuple(curvature.entry(i, j).coefficient("dx", "dt") for j in range(conn.size))
+        for i in range(conn.size)
     )
 
 

@@ -34,6 +34,28 @@ def test_verify_su2_with_fixture(capsys):
     assert "dd-zero-fixture" in out
 
 
+def test_spectral_verbs_compute_the_curvature_once(monkeypatch, capsys):
+    from prolong import su2
+
+    calls = []
+
+    def counted(name):
+        original = getattr(su2, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("theta_components", "akns_forms"):
+        monkeypatch.setattr(su2, name, counted(name))
+    for verb in ("theta", "laxcheck", "surface"):
+        calls.clear()
+        run([verb, "--fixture", "kdv"], capsys)
+        assert calls == ["theta_components", "akns_forms"], verb
+
+
 def test_gauge(capsys):
     code, out, _ = run(["gauge"], capsys)
     assert code == 0

@@ -142,9 +142,15 @@ def test_laurent_roundtrip_and_arithmetic():
     assert fam.coeff(-1) == y2
     assert fam.coeff(7).is_zero
     assert fam.to_scalar() == value
-    prod = fam * LaurentInEta.of({-2: y1})
-    assert prod.coeff(0) == Scalar.of(4) * y1
-    assert prod.coeff(-3) == y1 * y2
+
+
+def test_laurent_equality_compares_stored_pairs():
+    eta = Scalar(ETA)
+    fam = LaurentInEta.from_scalar(q * eta + y1 / eta)
+    same = LaurentInEta.of({1: q, -1: y1, 0: q - q})
+    assert fam == same
+    assert hash(fam) == hash(same)
+    assert fam != LaurentInEta.of({1: q})
 
 
 def test_laurent_no_zero_coefficients_stored():

@@ -138,6 +138,22 @@ def test_pauli_compose_decompose_random(sc):
         assert pauli_compose(*back).entry(0, 1) == m.entry(0, 1)
 
 
+def test_matrix_form_refuses_a_non_square_matrix(sc):
+    zero = sc.ctx.zero(1)
+    with pytest.raises(ContextError, match="square"):
+        MatrixForm(((zero, zero),))
+    with pytest.raises(ContextError, match="square"):
+        MatrixForm(((zero, zero), (zero,)))
+
+
+def test_pauli_refuses_a_3x3_matrix(sc):
+    zero = sc.ctx.zero(1)
+    m = MatrixForm(tuple((zero, zero, zero) for _ in range(3)))
+    assert m.size == 3
+    with pytest.raises(ContextError, match="2x2"):
+        pauli_decompose(m)
+
+
 def test_pauli_rejects_trace(sc):
     one = sc.ctx.scalar_form(1)
     zero = sc.ctx.zero(0)

@@ -233,6 +233,70 @@ def test_prolongation_kdv_ideal(kdv_ideal_model):
     assert prolongation_residual(conn, ideal).ok
 
 
+def _connection(f: sp.Matrix, g: sp.Matrix) -> ConnectionData:
+    def rows(m):
+        return tuple(tuple(Scalar(m[i, j]) for j in range(m.cols)) for i in range(m.rows))
+
+    return ConnectionData(F=rows(f), G=rows(g))
+
+
+def test_prolongation_3x3_matches_hand_curvature():
+    ctx = chart_context(("x", "t", "u"))
+    du, dx, dt = ctx.gen("du"), ctx.gen("dx"), ctx.gen("dt")
+    ideal = ExteriorIdeal(
+        ctx=ctx,
+        names=("a", "b"),
+        generators=(du.wedge(dx), du.wedge(dt)),
+        coordinates=("x", "t", "u"),
+    )
+    f = sp.Matrix([[U, 1, 0], [0, U**2, 1], [1, 0, -U]])
+    g = sp.Matrix([[0, 1, U], [U, 0, 0], [0, 3, 1]])
+    comm = f * g - g * f
+    result = prolongation_residual(_connection(f, g), ideal)
+    for i in range(3):
+        for j in range(3):
+            expected = (
+                du.wedge(dt) * Scalar(sp.diff(f[i, j], U))
+                + du.wedge(dx) * Scalar(sp.diff(g[i, j], U))
+                + dx.wedge(dt) * Scalar(comm[i, j])
+            )
+            assert result.residual(i, j) == expected
+    assert not result.ok  # [F, G] has dx^dt parts outside the ideal
+    # commuting u-dependent pair: every entry lies in the ideal
+    n = sp.Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    assert prolongation_residual(_connection(U * n, U**2 * n), ideal).ok
+    # non-commuting constant pair: the entries are [F, G] dx^dt
+    e12 = sp.Matrix(3, 3, lambda i, j: int((i, j) == (0, 1)))
+    constant = prolongation_residual(_connection(e12, e12.T), ideal)
+    assert not constant.ok
+    assert constant.witness(0, 0) is None
+    assert constant.residual(0, 0) == dx.wedge(dt)
+    assert constant.residual(1, 1) == -dx.wedge(dt)
+    assert constant.witness(0, 1) is not None
+
+
+def test_curvature_matrix_3x3_matches_hand_curvature():
+    u, ux, uxx, ut, uxt = jet("u"), jet("u", 1), jet("u", 2), jet("u", 0, 1), jet("u", 1, 1)
+
+    def d_x(e):  # chain rule over the jet variables that occur
+        return sp.diff(e, u) * ux + sp.diff(e, ux) * uxx
+
+    def d_t(e):
+        return sp.diff(e, u) * ut + sp.diff(e, ux) * uxt
+
+    f = sp.Matrix([[u, ux, 0], [0, u**2, 1], [ux, 0, -u]])
+    g = sp.Matrix([[0, 1, u], [u * ux, 0, 0], [0, ETA, 1]])
+    expected = f.applyfunc(d_x) - g.applyfunc(d_t) + f * g - g * f
+    raw = curvature_matrix(_connection(f, g), ("u",))
+    for i in range(3):
+        for j in range(3):
+            assert raw[i][j] == Scalar(expected[i, j])
+    # non-commuting constant pair: the curvature is [F, G] = E11 - E22
+    e12 = sp.Matrix(3, 3, lambda i, j: int((i, j) == (0, 1)))
+    raw = curvature_matrix(_connection(e12, e12.T), ("u",))
+    assert [[c.expr for c in row] for row in raw] == [[1, 0, 0], [0, -1, 0], [0, 0, 0]]
+
+
 def test_zero_curvature_trivial_cases():
     sys = EvolutionSystem.of({"u": Scalar(jet("u", 1))})
     zero = ((ZERO, ZERO), (ZERO, ZERO))
@@ -303,6 +367,26 @@ def test_mixed_degree_ideal_closure_verb(tmp_path, capsys):
     path.write_text(MIXED_DEGREE_MODEL, encoding="utf-8")
     assert main(["closure", str(path)]) == 0
     assert "result: ok" in capsys.readouterr().out
+
+
+def test_mixed_degree_ideal_sections():
+    ideal = parse(MIXED_DEGREE_MODEL).ideals["contact"]
+    result = section(ideal)
+    p, u = jet("p"), jet("u")
+    assert result.names == ("th-dx", "th-dt", "om")
+    assert result.raw == (
+        Scalar(-p + jet("u", 1)),
+        Scalar(jet("u", 0, 1)),
+        Scalar(-jet("p", 0, 1) * u),
+    )
+
+
+def test_mixed_degree_ideal_section_verb(tmp_path, capsys):
+    path = tmp_path / "contact.eds"
+    path.write_text(MIXED_DEGREE_MODEL, encoding="utf-8")
+    assert main(["section", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "raw-th-dx" in out and "raw-th-dt" in out and "raw-om" in out
 
 
 def test_section_evolution_refuses_a_second_t_derivative(ch_model, ch_ideal):
