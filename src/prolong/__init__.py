@@ -1,7 +1,7 @@
 """Exact exterior-calculus engine for prolongation structures of
 nonlinear partial differential equations."""
 
-from .coeff import ETA, I, LaurentInEta, Scalar, exp_atom, substitute
+from .coeff import ETA, I, Scalar, eta_coefficients, exp_atom, substitute
 from .forms import (
     DerivationContext,
     Form,

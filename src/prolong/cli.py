@@ -17,7 +17,7 @@ import sympy as sp
 from . import conservation, dsl, su2, we
 from .coeff import ETA, Scalar
 from .forms import check_dd_zero
-from .jets import jet_order
+from .jets import EvolutionSystem, jet_order
 
 SCHEMA_VERSION = 1
 
@@ -137,15 +137,16 @@ def _cmd_gauge(args) -> tuple:
     return items, all(i["status"] == "verified" for i in items), None
 
 
-def _pick_spec(model: dsl.ModelFile) -> su2.AKNSSpec:
-    if not model.akns:
-        raise CliError("model file declares no spectral family block")
-    name = sorted(model.akns)[0]
-    return model.akns[name]
+def _pick(block: dict, what: str) -> tuple:
+    """(name, entry) of the block entry whose name sorts first."""
+    if not block:
+        raise CliError(f"model file declares no {what} block")
+    name = min(block)
+    return name, block[name]
 
 
 def _cmd_theta(args) -> tuple:
-    spec = _pick_spec(_load_model(args))
+    _, spec = _pick(_load_model(args).akns, "spectral family")
     extraction = su2.extract_evolution(spec)
     comps = extraction.components
     items = [
@@ -174,7 +175,7 @@ def _cmd_theta(args) -> tuple:
 
 
 def _cmd_densities(args) -> tuple:
-    spec = _pick_spec(_load_model(args))
+    _, spec = _pick(_load_model(args).akns, "spectral family")
     seq = conservation.recursion_densities(spec, args.order)
     items = []
     for n in range(1, args.order + 1):
@@ -193,7 +194,7 @@ def _cmd_densities(args) -> tuple:
 
 
 def _cmd_conserve(args) -> tuple:
-    spec = _pick_spec(_load_model(args))
+    _, spec = _pick(_load_model(args).akns, "spectral family")
     extraction = su2.extract_evolution(spec)
     if not extraction.consistent:
         raise CliError("family has nonvanishing constraints; cannot reduce on-shell")
@@ -219,15 +220,8 @@ def _cmd_conserve(args) -> tuple:
     return items, all(i["status"] == "certified" for i in items), peak
 
 
-def _pick_ideal(model: dsl.ModelFile) -> we.ExteriorIdeal:
-    if not model.ideals:
-        raise CliError("model file declares no ideal block")
-    name = sorted(model.ideals)[0]
-    return model.ideals[name]
-
-
 def _cmd_closure(args) -> tuple:
-    ideal = _pick_ideal(_load_model(args))
+    _, ideal = _pick(_load_model(args).ideals, "ideal")
     result = we.closure_check(ideal)
     items = []
     for name, witness in result.witnesses:
@@ -249,11 +243,8 @@ def _beta_scalar(text: str) -> Scalar:
 
 def _cmd_section(args) -> tuple:
     model = _load_model(args)
-    ideal = _pick_ideal(model)
-    chain = model.sections.get(
-        sorted(model.ideals)[0], ()
-    )
-    result = we.section(ideal, chain)
+    name, ideal = _pick(model.ideals, "ideal")
+    result = we.section(ideal, model.sections.get(name, ()))
     subs = {}
     if args.beta is not None:
         subs[sp.Symbol("beta")] = _beta_scalar(args.beta)
@@ -276,10 +267,8 @@ def _cmd_section(args) -> tuple:
 
 def _cmd_prolong(args) -> tuple:
     model = _load_model(args)
-    ideal = _pick_ideal(model)
-    if not model.connections:
-        raise CliError("model file declares no connection block")
-    conn = model.connections[sorted(model.connections)[0]]
+    _, ideal = _pick(model.ideals, "ideal")
+    _, conn = _pick(model.connections, "connection")
     if args.beta is not None:
         beta_val = _beta_scalar(args.beta)
         substitution = {sp.Symbol("beta"): beta_val}
@@ -310,32 +299,31 @@ def _cmd_prolong(args) -> tuple:
 def _akns_connection(spec: su2.AKNSSpec) -> we.ConnectionData:
     """Read the linear pair off the family: dt side [[A, B], [C, -A]],
     dx side [[eta, q], [r, -eta]]."""
-    a, b, c = spec.A.to_scalar(), spec.B.to_scalar(), spec.C.to_scalar()
     eta = Scalar(ETA)
     return we.ConnectionData(
-        F=((a, b), (c, -a)),
+        F=((spec.A, spec.B), (spec.C, -spec.A)),
         G=((eta, spec.q), (spec.r, -eta)),
+    )
+
+
+def _zero_curvature_item(conn: we.ConnectionData, system: EvolutionSystem) -> dict:
+    residual = we.zero_curvature_residual(conn, system)
+    flat = [c for row in residual for c in row]
+    return _item(
+        "zero-curvature",
+        "verified" if all(c.is_zero for c in flat) else "failed",
+        residual=[dsl.print_scalar(c) for c in flat if not c.is_zero],
     )
 
 
 def _cmd_laxcheck(args) -> tuple:
     model = _load_model(args)
-    items = []
-    peak = None
     if model.akns:
-        spec = _pick_spec(model)
+        _, spec = _pick(model.akns, "spectral family")
         conn = _akns_connection(spec)
         extraction = su2.extract_evolution(spec)
         comps = extraction.components
-        residual = we.zero_curvature_residual(conn, extraction.system)
-        flat = [c for row in residual for c in row]
-        items.append(
-            _item(
-                "zero-curvature",
-                "verified" if all(c.is_zero for c in flat) else "failed",
-                residual=[dsl.print_scalar(c) for c in flat if not c.is_zero],
-            )
-        )
+        items = [_zero_curvature_item(conn, extraction.system)]
         raw = we.curvature_matrix(conn, spec.deps)
         agreement = (
             (raw[0][0] - comps.third_coeff).is_zero
@@ -343,38 +331,23 @@ def _cmd_laxcheck(args) -> tuple:
             and (raw[1][0] - comps.plus_coeff).is_zero
             and (raw[1][1] + comps.third_coeff).is_zero
         )
-        items.append(
-            _item(
-                "curvature-agreement",
-                "verified" if agreement else "failed",
-            )
-        )
+        items.append(_item("curvature-agreement", "verified" if agreement else "failed"))
     elif model.ideals and model.connections:
-        ideal = _pick_ideal(model)
-        chain_name = sorted(model.ideals)[0]
-        chain = model.sections.get(chain_name, ())
-        sec = we.section(ideal, chain)
+        name, ideal = _pick(model.ideals, "ideal")
+        sec = we.section(ideal, model.sections.get(name, ()))
         sys = we.extract_section_evolution(sec)
-        conn = model.connections[sorted(model.connections)[0]]
+        _, conn = _pick(model.connections, "connection")
         jet_conn = conn.map_entries(
             lambda c: we.apply_eliminations(c, sec.eliminations, sys.deps)
         )
-        residual = we.zero_curvature_residual(jet_conn, sys)
-        flat = [c for row in residual for c in row]
-        items.append(
-            _item(
-                "zero-curvature",
-                "verified" if all(c.is_zero for c in flat) else "failed",
-                residual=[dsl.print_scalar(c) for c in flat if not c.is_zero],
-            )
-        )
+        items = [_zero_curvature_item(jet_conn, sys)]
     else:
         raise CliError("laxcheck needs either a spectral family or ideal+connection")
-    return items, all(i["status"] == "verified" for i in items), peak
+    return items, all(i["status"] == "verified" for i in items), None
 
 
 def _cmd_surface(args) -> tuple:
-    spec = _pick_spec(_load_model(args))
+    _, spec = _pick(_load_model(args).akns, "spectral family")
     data = su2.surface_from_spec(spec)
     if data.degenerate:
         items = [_item("curvature", "degenerate")]

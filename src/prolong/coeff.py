@@ -5,6 +5,10 @@ rationals, optionally containing exponential atoms exp(s) of degree-0
 symbols.  Everything is kept in a canonical form (expanded numerator and
 denominator in lowest terms), so structural equality decides mathematical
 equality on this fragment.  No floating point enters anywhere.
+
+Scalar is the one scalar type: a spectral-family coefficient is a Scalar
+too, and :func:`eta_coefficients` reads it as a Laurent polynomial in the
+spectral parameter eta.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ import sympy as sp
 
 __all__ = [
     "Scalar",
-    "LaurentInEta",
+    "LaurentError",
+    "eta_coefficients",
     "ETA",
     "I",
     "ZERO",
@@ -118,10 +123,6 @@ class Scalar:
         return self.expr == 0
 
     @property
-    def numerator(self) -> sp.Expr:
-        return sp.fraction(self.expr)[0]
-
-    @property
     def denominator(self) -> sp.Expr:
         return sp.fraction(self.expr)[1]
 
@@ -191,81 +192,24 @@ class LaurentError(ValueError):
     """Raised when an expression is not a Laurent polynomial in eta."""
 
 
-@dataclass(frozen=True)
-class LaurentInEta:
-    """Finite Laurent polynomial in the spectral parameter eta.
+def eta_coefficients(e: ScalarLike) -> dict:
+    """{n: coefficient of eta**n} of a Laurent polynomial in eta, in
+    ascending order of n.
 
-    Stored as sorted (exponent, coefficient) pairs with no zero
-    coefficients; coefficients are eta-free Scalars.  The stored pairs are
-    canonical, so the dataclass equality and hash on them are exact.
+    The coefficients are nonzero eta-free Scalars; zero gives {}.  The
+    denominator must be a monomial in eta times an eta-free part.
     """
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        seen = {}
-        for n, c in self.coeffs:
-            c = Scalar.of(c)
-            if ETA in c.expr.free_symbols:
-                raise LaurentError(f"coefficient of eta**{n} contains eta: {c}")
-            if not c.is_zero:
-                _accumulate(seen, int(n), c)
-        pairs = tuple(sorted((n, c) for n, c in seen.items() if not c.is_zero))
-        object.__setattr__(self, "coeffs", pairs)
-
-    # -- construction -----------------------------------------------------
-
-    @staticmethod
-    def of(value) -> "LaurentInEta":
-        if isinstance(value, LaurentInEta):
-            return value
-        if isinstance(value, dict):
-            return LaurentInEta(tuple(value.items()))
-        return LaurentInEta.from_scalar(Scalar.of(value))
-
-    @staticmethod
-    def from_scalar(e: Scalar) -> "LaurentInEta":
-        """Decompose a Scalar as a Laurent polynomial in eta.
-
-        The denominator must be a monomial in eta times an eta-free part.
-        """
-        num, den = sp.fraction(e.expr)
-        shift = 0
-        if den.has(ETA):
-            den_poly = sp.Poly(den, ETA)
-            monoms = den_poly.monoms()
-            if len(monoms) != 1:
-                raise LaurentError(f"denominator is not a monomial in eta: {den}")
-            shift = monoms[0][0]
-            den = den_poly.coeffs()[0]
-        if sp.sympify(den).has(ETA):
-            raise LaurentError(f"denominator is not eta-free: {den}")
-        num_poly = sp.Poly(num, ETA)
-        pairs = []
-        for (k,), coeff in zip(num_poly.monoms(), num_poly.coeffs()):
-            pairs.append((k - shift, Scalar(coeff / den)))
-        return LaurentInEta(tuple(pairs))
-
-    # -- access ---------------------------------------------------------------
-
-    def coeff(self, n: int) -> Scalar:
-        for k, c in self.coeffs:
-            if k == n:
-                return c
-        return ZERO
-
-    def exponents(self) -> tuple:
-        return tuple(n for n, _ in self.coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def to_scalar(self) -> Scalar:
-        total = ZERO
-        for n, c in self.coeffs:
-            total = total + c * Scalar(ETA**n)
-        return total
-
-    def __str__(self) -> str:
-        return str(self.to_scalar())
+    num, den = sp.fraction(Scalar.of(e).expr)
+    try:
+        num_poly, den_poly = sp.Poly(num, ETA), sp.Poly(den, ETA)
+    except sp.PolynomialError:
+        raise LaurentError(f"not a Laurent polynomial in eta: {e}") from None
+    if len(den_poly.terms()) != 1:
+        raise LaurentError(f"denominator is not a monomial in eta: {den}")
+    [((shift,), den_coeff)] = den_poly.terms()
+    out = {}
+    for (k,), coeff in reversed(num_poly.terms()):
+        c = Scalar(coeff / den_coeff)
+        if not c.is_zero:
+            out[k - shift] = c
+    return out

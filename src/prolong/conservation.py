@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeff import Scalar, ZERO
+from .coeff import Scalar, ZERO, eta_coefficients
 from .jets import (
     EvolutionSystem,
     TotalDerivativeCertificate,
@@ -93,14 +93,14 @@ class ConservedPair:
 def conserved_pairs(spec: AKNSSpec, order: int) -> tuple:
     """Density q*W_n with the current from the eta^(-n) coefficient of the
     time-part expansion A + B * sum_m eta^(-m) W_m."""
-    b_exps = spec.B.exponents()
-    reach = order + max((max(b_exps), 0)) if b_exps else order
-    seq = recursion_densities(spec, max(reach, order))
+    a_coeffs = eta_coefficients(spec.A)
+    b_coeffs = eta_coefficients(spec.B)
+    seq = recursion_densities(spec, order + max(max(b_coeffs, default=0), 0))
     out = []
     for n in range(1, order + 1):
-        current = spec.A.coeff(-n)
+        current = a_coeffs.get(-n, ZERO)
         trace = []
-        for j, b_j in spec.B.coeffs:
+        for j, b_j in b_coeffs.items():
             m = n + j
             if m >= 1:
                 current = current + b_j * seq.w(m)

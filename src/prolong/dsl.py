@@ -18,7 +18,7 @@ from typing import Sequence
 
 import sympy as sp
 
-from .coeff import I, LaurentInEta, Scalar
+from .coeff import I, Scalar, exp_atom
 from .forms import DerivationContext, Form
 from .jets import jet, split_jet
 from .su2 import AKNSSpec
@@ -385,9 +385,9 @@ class _Parser:
             deps=m.jet_fields,
             r=fields["r"],
             q=fields["q"],
-            A=LaurentInEta.from_scalar(fields["A"]),
-            B=LaurentInEta.from_scalar(fields["B"]),
-            C=LaurentInEta.from_scalar(fields["C"]),
+            A=fields["A"],
+            B=fields["B"],
+            C=fields["C"],
         )
 
     def _build_connection(self, name, items):
@@ -525,7 +525,7 @@ class _ExprEval:
                 self.expect_op(")")
                 if isinstance(inner, Form):
                     raise DslError("exp takes a scalar", tok.line, tok.col)
-                return Scalar(sp.exp(Scalar.of(inner).expr))
+                return exp_atom(inner)
             return self._resolve(tok)
         raise DslError(f"unexpected {tok.text or tok.kind!r}", tok.line, tok.col)
 
@@ -724,7 +724,7 @@ def print_model(m: ModelFile) -> str:
         lines.append(f"  r = {print_scalar(spec.r)}")
         lines.append(f"  q = {print_scalar(spec.q)}")
         for label in ("A", "B", "C"):
-            lines.append(f"  {label} = {print_scalar(getattr(spec, label).to_scalar())}")
+            lines.append(f"  {label} = {print_scalar(getattr(spec, label))}")
         lines.append("}")
     for name, conn in m.connections.items():
         lines.append(f"connection {name} {{")

@@ -4,6 +4,8 @@ Derivative symbols are generated on demand with canonical names like
 ``u_x``, ``u_xx``, ``u_xt`` (all x's before all t's).  Only x-jets are
 first class; t-derivative symbols are transient and are eliminated by
 :func:`reduce_mod_evolution` against an evolution system u_t = rhs.
+Every replacement of jet symbols by expressions, here and in the section
+elimination chain of :mod:`we`, runs through :func:`substitute_jets`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Sequence
 
 import sympy as sp
 
-from .coeff import Scalar, ZERO
+from .coeff import Scalar, ZERO, substitute
 
 __all__ = [
     "X",
@@ -24,6 +26,8 @@ __all__ = [
     "jet_order",
     "EvolutionSystem",
     "total_derivative",
+    "total_derivatives",
+    "substitute_jets",
     "solve_for_t_derivative",
     "reduce_mod_evolution",
     "euler_operator",
@@ -78,6 +82,28 @@ def total_derivative(e: Scalar, direction: str, deps: Sequence[str]) -> Scalar:
         bumped = jet(var, nx + 1, nt) if direction == "x" else jet(var, nx, nt + 1)
         out += sp.diff(expr, s) * bumped
     return Scalar(out)
+
+
+def total_derivatives(e: Scalar, nx: int, nt: int, deps: Sequence[str]) -> Scalar:
+    """D_x^nx D_t^nt e."""
+    out = Scalar.of(e)
+    for _ in range(nx):
+        out = total_derivative(out, "x", deps)
+    for _ in range(nt):
+        out = total_derivative(out, "t", deps)
+    return out
+
+
+def substitute_jets(e: Scalar, image) -> Scalar:
+    """Replace every jet symbol of e by image(var, nx, nt) in one
+    simultaneous substitution; a symbol whose image is None stays."""
+    e = Scalar.of(e)
+    bindings = {}
+    for s in e.free_symbols():
+        parts = split_jet(s)
+        if parts is not None and (value := image(*parts)) is not None:
+            bindings[s] = value
+    return substitute(e, bindings) if bindings else e
 
 
 @dataclass(frozen=True)
@@ -144,39 +170,21 @@ def reduce_mod_evolution(e: Scalar, sys: EvolutionSystem) -> Scalar:
     deps = sys.deps
     cache: dict = {}
 
-    def resolve(var: str, nx: int, nt: int) -> sp.Expr:
+    def image(var: str, nx: int, nt: int) -> Scalar | None:
         if nt == 0:
-            return jet(var, nx, 0)
+            return None
+        if var not in deps:
+            raise ValueError(f"t-derivative of {var} not covered by the evolution system")
         key = (var, nx, nt)
-        if key in cache:
-            return cache[key]
-        if var not in deps:
-            raise ValueError(f"t-derivative of {var} not covered by the evolution system")
-        if nt == 1:
-            out = sys.rhs(var)
-            for _ in range(nx):
-                out = total_derivative(out, "x", deps)
-            result = out.expr
-        else:
-            lower = Scalar(resolve(var, nx, nt - 1))
-            bumped = total_derivative(lower, "t", deps)
-            result = reduce_mod_evolution(bumped, sys).expr
-        cache[key] = result
-        return result
+        if key not in cache:
+            if nt == 1:
+                cache[key] = total_derivatives(sys.rhs(var), nx, 0, deps)
+            else:
+                bumped = total_derivative(image(var, nx, nt - 1), "t", deps)
+                cache[key] = reduce_mod_evolution(bumped, sys)
+        return cache[key]
 
-    expr = Scalar.of(e).expr
-    subs_map = {}
-    for s in expr.free_symbols:
-        parts = split_jet(s)
-        if parts is None or parts[2] == 0:
-            continue
-        var, nx, nt = parts
-        if var not in deps:
-            raise ValueError(f"t-derivative of {var} not covered by the evolution system")
-        subs_map[s] = resolve(var, nx, nt)
-    if not subs_map:
-        return Scalar.of(e)
-    return Scalar(expr.subs(subs_map, simultaneous=True))
+    return substitute_jets(e, image)
 
 
 def _check_polynomial(e: Scalar, deps: Sequence[str]) -> None:
@@ -205,10 +213,8 @@ def euler_operator(e: Scalar, var: str, deps: Sequence[str] | None = None) -> Sc
     out = ZERO
     order = jet_order(e, [var])
     for k in range(order + 1):
-        term = Scalar(sp.diff(e.expr, jet(var, k, 0)))
-        for _ in range(k):
-            term = -total_derivative(term, "x", deps)
-        out = out + term
+        term = total_derivatives(Scalar(sp.diff(e.expr, jet(var, k, 0))), k, 0, deps)
+        out = out - term if k % 2 else out + term
     return out
 
 

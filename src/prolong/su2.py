@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import sympy as sp
 
-from .coeff import ETA, I, LaurentInEta, ONE, Scalar, ZERO, exp_atom
+from .coeff import ETA, I, ONE, Scalar, ZERO, eta_coefficients, exp_atom
 from .forms import (
     DerivationContext,
     Form,
@@ -209,7 +209,6 @@ class Decomposition:
     collects anything outside the ring (zero when the target decomposes).
     """
 
-    basis_ctx: DerivationContext
     theta_coeffs: tuple  # three Scalars
     multipliers: Mapping[int, Form]  # ring one-forms keyed by xi index
     obstruction: Form
@@ -301,7 +300,6 @@ def decompose_over_ring(sc: Su2Context, forms: Su2Forms, target: Form) -> Decomp
             obstruction = obstruction + Form(basis, 2, {mono: coeff})
 
     return Decomposition(
-        basis_ctx=basis,
         theta_coeffs=tuple(theta_coeffs),
         multipliers=multipliers,
         obstruction=obstruction,
@@ -435,9 +433,7 @@ def verify_identity(sc: Su2Context, name: str, forms: Su2Forms | None = None) ->
 @dataclass(frozen=True)
 class GaugeResult:
     omega_prime: MatrixForm
-    theta_direct: MatrixForm  # d(omega') - omega'^omega'
-    theta_conjugated: MatrixForm  # Q theta Q^-1
-    residual: MatrixForm
+    residual: MatrixForm  # d(omega') - omega'^omega' - Q theta Q^-1
 
     @property
     def ok(self) -> bool:
@@ -452,15 +448,11 @@ def gauge_transform(sc: Su2Context, q: MatrixForm) -> GaugeResult:
         raise ValueError(f"gauge matrix must have determinant one, got {det}")
     q_inv = MatrixForm(((q.entry(1, 1), -q.entry(0, 1)), (-q.entry(1, 0), q.entry(0, 0))))
     omega = sc.omega_matrix()
-    theta = omega.curvature()
     omega_prime = q.wedge(omega).wedge(q_inv) + q.d().wedge(q_inv)
-    theta_direct = omega_prime.curvature()
-    theta_conj = q.wedge(theta).wedge(q_inv)
+    theta_conj = q.wedge(omega.curvature()).wedge(q_inv)
     return GaugeResult(
         omega_prime=omega_prime,
-        theta_direct=theta_direct,
-        theta_conjugated=theta_conj,
-        residual=theta_direct - theta_conj,
+        residual=omega_prime.curvature() - theta_conj,
     )
 
 
@@ -494,8 +486,9 @@ class AKNSSpec:
     """One-parameter family of connection coefficients over jet fields.
 
     r and q are jet expressions (free of the spectral parameter); A, B, C
-    are Laurent polynomials in the spectral parameter with jet-expression
-    coefficients.  The associated one-forms are
+    are Scalars that must be Laurent polynomials in the spectral parameter
+    (:func:`coeff.eta_coefficients` reads their coefficients, and refuses
+    anything else with LaurentError).  The associated one-forms are
     w1 + i w2 = r dx + C dt, w1 - i w2 = q dx + B dt, w3 = eta dx + A dt.
     """
 
@@ -503,41 +496,39 @@ class AKNSSpec:
     deps: tuple
     r: Scalar
     q: Scalar
-    A: LaurentInEta
-    B: LaurentInEta
-    C: LaurentInEta
+    A: Scalar
+    B: Scalar
+    C: Scalar
 
     def __post_init__(self):
         object.__setattr__(self, "deps", tuple(self.deps))
-        object.__setattr__(self, "r", Scalar.of(self.r))
-        object.__setattr__(self, "q", Scalar.of(self.q))
-        for field_name in ("A", "B", "C"):
-            object.__setattr__(self, field_name, LaurentInEta.of(getattr(self, field_name)))
+        for label in ("r", "q", "A", "B", "C"):
+            object.__setattr__(self, label, Scalar.of(getattr(self, label)))
+        for label in ("A", "B", "C"):
+            eta_coefficients(getattr(self, label))
         for label in ("r", "q"):
             if ETA in getattr(self, label).free_symbols():
                 raise ValueError(f"{label} must not contain the spectral parameter")
 
 
-def akns_forms(spec: AKNSSpec):
-    """The three connection one-forms of the family over (dx, dt)."""
+def akns_forms(spec: AKNSSpec) -> tuple:
+    """The three connection one-forms w1, w2, w3 of the family over (dx, dt)."""
     ctx = build_jet_context(spec.deps)
     dx, dt = ctx.gen("dx"), ctx.gen("dt")
-    w_plus = dx * spec.r + dt * spec.C.to_scalar()
-    w_minus = dx * spec.q + dt * spec.B.to_scalar()
-    w3 = dx * Scalar(ETA) + dt * spec.A.to_scalar()
+    w_plus = dx * spec.r + dt * spec.C
+    w_minus = dx * spec.q + dt * spec.B
+    w3 = dx * Scalar(ETA) + dt * spec.A
     half = Scalar.rational(1, 2)
     w1 = (w_plus + w_minus) * half
     w2 = (w_plus - w_minus) * (half / I)
-    return ctx, (w1, w2, w3)
+    return w1, w2, w3
 
 
 @dataclass(frozen=True)
 class ThetaComponents:
     """Curvature components of the family, each a multiple of dx^dt."""
 
-    ctx: DerivationContext
     w: tuple  # the family's connection one-forms w1, w2, w3
-    theta: tuple  # three Forms
     coeffs: tuple  # dx^dt coefficients of th1, th2, th3
     plus_coeff: Scalar  # of th1 + i th2
     minus_coeff: Scalar  # of th1 - i th2
@@ -545,13 +536,13 @@ class ThetaComponents:
 
 
 def theta_components(spec: AKNSSpec) -> ThetaComponents:
-    ctx, w = akns_forms(spec)
-    theta = tuple(w[l - 1].d() - _epsilon_wedge(l, w, w) * I for l in (1, 2, 3))
-    coeffs = tuple(t.coefficient("dx", "dt") for t in theta)
+    w = akns_forms(spec)
+    coeffs = tuple(
+        (w[l - 1].d() - _epsilon_wedge(l, w, w) * I).coefficient("dx", "dt")
+        for l in (1, 2, 3)
+    )
     return ThetaComponents(
-        ctx=ctx,
         w=w,
-        theta=theta,
         coeffs=coeffs,
         plus_coeff=coeffs[0] + I * coeffs[1],
         minus_coeff=coeffs[0] - I * coeffs[1],
@@ -568,7 +559,6 @@ class Extraction:
     components: ThetaComponents  # the curvature the rules were solved from
     system: EvolutionSystem
     constraints: tuple  # Scalars
-    sources: tuple  # (var, originating coefficient) pairs
 
     @property
     def consistent(self) -> bool:
@@ -579,24 +569,17 @@ def extract_evolution(spec: AKNSSpec) -> Extraction:
     comps = theta_components(spec)
     rules: dict[str, Scalar] = {}
     constraints: list[Scalar] = []
-    sources: list = []
-    for label, expr in (
-        ("minus", comps.minus_coeff),
-        ("plus", comps.plus_coeff),
-        ("third", comps.third_coeff),
-    ):
+    for expr in (comps.minus_coeff, comps.plus_coeff, comps.third_coeff):
         solved = jets.solve_for_t_derivative(expr)
         if solved is None or ETA in solved[1].free_symbols():
             constraints.append(expr)
             continue
         var, rhs = solved
         rules[var] = rhs
-        sources.append((var, label))
     return Extraction(
         components=comps,
         system=EvolutionSystem.of(rules),
         constraints=tuple(constraints),
-        sources=tuple(sources),
     )
 
 
@@ -607,16 +590,12 @@ def extract_evolution(spec: AKNSSpec) -> Extraction:
 
 @dataclass(frozen=True)
 class SurfaceData:
-    alpha1: Form
-    alpha2: Form
-    omega: Form
     curvature: Scalar | None
     degenerate: bool
     residuals: tuple  # three Scalars: the structure-equation residuals
 
 
 def surface_data(w1: Form, w2: Form, w3: Form, sys: EvolutionSystem | None = None) -> SurfaceData:
-    ctx = w1.ctx
     alpha1 = w2 + w3
     alpha2 = -(w1 * 2)
     omega = w2 - w3
@@ -634,9 +613,6 @@ def surface_data(w1: Form, w2: Form, w3: Form, sys: EvolutionSystem | None = Non
     )
     if area.is_zero:
         return SurfaceData(
-            alpha1=alpha1,
-            alpha2=alpha2,
-            omega=omega,
             curvature=None,
             degenerate=True,
             residuals=(res1, res2, d_omega),
@@ -644,9 +620,6 @@ def surface_data(w1: Form, w2: Form, w3: Form, sys: EvolutionSystem | None = Non
     curvature = -(d_omega / area)
     res3 = d_omega + curvature * area
     return SurfaceData(
-        alpha1=alpha1,
-        alpha2=alpha2,
-        omega=omega,
         curvature=curvature,
         degenerate=False,
         residuals=(res1, res2, res3),

@@ -6,10 +6,12 @@ by finding multiplier witnesses d(xi_i) = sum_j alpha_ij ^ xi_j through an
 exact linear solve over the rational-function field.  Sectioning pulls the
 generators back along du -> u_x dx + u_t dt and reads off their dx, dt or
 dx^dt coefficients; a user-declared elimination chain then presents the
-final equation(s).  Linear connections are tested through the curvature
-d(Omega) - Omega^Omega of Omega = F dt + G dx, either against the ideal
-(membership of each entry) or against an evolution system (zero-curvature
-residual).
+final equation(s).  Each elimination replaces every jet of its variable by
+the matching total derivative of the replacement, through
+:func:`jets.substitute_jets`.  Linear connections are tested through the
+curvature d(Omega) - Omega^Omega of Omega = F dt + G dx, either against
+the ideal (membership of each entry) or against an evolution system
+(zero-curvature residual).
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .jets import (
     reduce_mod_evolution,
     solve_for_t_derivative,
     split_jet,
-    total_derivative,
+    substitute_jets,
+    total_derivatives,
 )
 
 __all__ = [
@@ -181,21 +184,11 @@ class SectionResult:
 
 
 def _apply_elimination(e: Scalar, var: str, replacement: Scalar, deps: tuple) -> Scalar:
-    subs_map = {}
-    for s in e.free_symbols():
-        parts = split_jet(s)
-        if parts is None or parts[0] != var:
-            continue
-        _, nx, nt = parts
-        value = replacement
-        for _ in range(nx):
-            value = total_derivative(value, "x", deps)
-        for _ in range(nt):
-            value = total_derivative(value, "t", deps)
-        subs_map[s] = value.expr
-    if not subs_map:
-        return e
-    return Scalar(e.expr.subs(subs_map, simultaneous=True))
+    """Replace each jet var_(x^nx t^nt) of e by D_x^nx D_t^nt replacement."""
+    return substitute_jets(
+        e,
+        lambda v, nx, nt: total_derivatives(replacement, nx, nt, deps) if v == var else None,
+    )
 
 
 def section(ideal: ExteriorIdeal, eliminations: Sequence[tuple] = ()) -> SectionResult:
@@ -222,20 +215,15 @@ def section(ideal: ExteriorIdeal, eliminations: Sequence[tuple] = ()) -> Section
             raw.append(pulled.coefficient(*base))
     applied = []
     for var, replacement in eliminations:
-        replacement = Scalar.of(replacement)
-        for done_var, done_repl in applied:
-            replacement = _apply_elimination(replacement, done_var, done_repl, deps)
+        replacement = apply_eliminations(replacement, applied, deps)
         for s in replacement.free_symbols():
             parts = split_jet(s)
             if parts and parts[0] == var:
                 raise ValueError(f"cyclic elimination for {var}: {replacement}")
         applied.append((var, replacement))
-    reduced = []
-    for e in raw:
-        for var, replacement in applied:
-            e = _apply_elimination(e, var, replacement, deps)
-        if not e.is_zero:
-            reduced.append(e)
+    reduced = [
+        e for e in (apply_eliminations(e, applied, deps) for e in raw) if not e.is_zero
+    ]
     labels = tuple(named_equation(e) for e in reduced)
     return SectionResult(
         names=tuple(names),

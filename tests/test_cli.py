@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from prolong.cli import main
 
 from conftest import fixture_text
@@ -154,6 +156,17 @@ def test_parse_error_is_usage_error(tmp_path, capsys):
     bad.write_text("chart x t u\nform a = dx ^\n", encoding="utf-8")
     code, _, err = run(["closure", str(bad)], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("a_text", ("1/(eta + 1)", "exp(eta)"))
+def test_family_not_laurent_in_eta_is_usage_error(a_text, tmp_path, capsys):
+    bad = tmp_path / "not_laurent.eds"
+    text = fixture_text("kdv").replace("A = -4*eta**3 - 2*q*eta - q_x", f"A = {a_text}")
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run(["theta", str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "eta" in err
 
 
 def test_json_report_schema_and_determinism(tmp_path, capsys):

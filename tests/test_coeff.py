@@ -1,4 +1,4 @@
-"""Exact scalar kernel: canonical forms, substitution, Laurent families."""
+"""Exact scalar kernel: canonical forms, substitution, eta coefficients."""
 
 from __future__ import annotations
 
@@ -10,10 +10,10 @@ import sympy as sp
 from prolong.coeff import (
     ETA,
     I,
-    LaurentInEta,
     LaurentError,
     Scalar,
     ZERO,
+    eta_coefficients,
     exp_atom,
     substitute,
     sym,
@@ -133,36 +133,29 @@ def test_two_evaluation_orders_same_canonical_form():
         assert prod_left.expr == prod_right.expr
 
 
-def test_laurent_roundtrip_and_arithmetic():
+def test_eta_coefficients_roundtrip():
     eta = Scalar(ETA)
     value = 4 * eta**2 + q * eta + y1 + y2 / eta
-    fam = LaurentInEta.from_scalar(value)
-    assert fam.exponents() == (-1, 0, 1, 2)
-    assert fam.coeff(2) == Scalar.of(4)
-    assert fam.coeff(-1) == y2
-    assert fam.coeff(7).is_zero
-    assert fam.to_scalar() == value
+    coeffs = eta_coefficients(value)
+    assert list(coeffs) == [-1, 0, 1, 2]
+    assert coeffs[2] == Scalar.of(4)
+    assert coeffs[-1] == y2
+    assert 7 not in coeffs
+    total = ZERO
+    for n, c in coeffs.items():
+        assert ETA not in c.free_symbols()
+        total = total + c * eta**n
+    assert total == value
 
 
-def test_laurent_equality_compares_stored_pairs():
-    eta = Scalar(ETA)
-    fam = LaurentInEta.from_scalar(q * eta + y1 / eta)
-    same = LaurentInEta.of({1: q, -1: y1, 0: q - q})
-    assert fam == same
-    assert hash(fam) == hash(same)
-    assert fam != LaurentInEta.of({1: q})
+def test_eta_coefficients_drop_zero_coefficients():
+    assert eta_coefficients(ZERO) == {}
+    assert eta_coefficients(q - q) == {}
+    assert eta_coefficients(q * Scalar(ETA) ** 3) == {3: q}
 
 
-def test_laurent_no_zero_coefficients_stored():
-    fam = LaurentInEta.of({3: q, 1: ZERO, 0: q - q})
-    assert fam.exponents() == (3,)
-
-
-def test_laurent_rejects_eta_in_coefficient():
+def test_eta_coefficients_rejects_non_laurent():
     with pytest.raises(LaurentError):
-        LaurentInEta.of({0: Scalar(ETA) + 1})
-
-
-def test_laurent_rejects_non_monomial_denominator():
+        eta_coefficients(1 / (Scalar(ETA) + 1))
     with pytest.raises(LaurentError):
-        LaurentInEta.from_scalar(1 / (Scalar(ETA) + 1))
+        eta_coefficients(exp_atom(Scalar(ETA)))

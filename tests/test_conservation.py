@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 import sympy as sp
 
-from prolong.coeff import LaurentInEta, Scalar, ZERO
+from prolong.coeff import Scalar, ZERO
 from prolong.conservation import (
     ConservedPair,
     conserved_pairs,
@@ -26,9 +26,9 @@ def symbolic_spec():
         deps=("q", "r"),
         r=Scalar(jet("r")),
         q=Scalar(jet("q")),
-        A=LaurentInEta(()),
-        B=LaurentInEta(()),
-        C=LaurentInEta(()),
+        A=ZERO,
+        B=ZERO,
+        C=ZERO,
     )
 
 
@@ -81,10 +81,12 @@ def test_current_without_eta_content():
     # with B = 0 and A eta-free there is no eta^(-n) source at all
     spec = AKNSSpec(
         name="plain", deps=("q",), r=Scalar.of(-1), q=Scalar(jet("q")),
-        A=LaurentInEta.of({0: Scalar(jet("q"))}), B=LaurentInEta(()), C=LaurentInEta(()),
+        A=Scalar(jet("q")), B=ZERO, C=ZERO,
     )
     for pair in conserved_pairs(spec, 3):
         assert pair.current.is_zero
+        # B = 0 has no eta coefficients, so no density feeds the current
+        assert pair.eta_trace == ()
 
 
 def test_verify_linear_density():

@@ -8,7 +8,7 @@ import string
 import pytest
 import sympy as sp
 
-from prolong.coeff import Scalar
+from prolong.coeff import Scalar, eta_coefficients
 from prolong.dsl import DslError, parse, print_form, print_model, print_scalar
 from prolong.jets import jet
 
@@ -80,7 +80,19 @@ def test_jet_names_in_akns_block():
     model = parse(fixture_text("kdv"))
     spec = model.akns["kdv"]
     assert spec.deps == ("q",)
-    assert spec.B.coeff(2) == Scalar(-4 * jet("q"))
+    assert eta_coefficients(spec.B)[2] == Scalar(-4 * jet("q"))
+
+
+NON_LAURENT_A = ("1/(eta + 1)", "exp(eta)")
+
+
+@pytest.mark.parametrize("a_text", NON_LAURENT_A)
+def test_akns_refuses_a_coefficient_that_is_not_laurent_in_eta(a_text):
+    text = fixture_text("kdv").replace("A = -4*eta**3 - 2*q*eta - q_x", f"A = {a_text}")
+    assert f"A = {a_text}" in text
+    with pytest.raises(DslError) as err:
+        parse(text)
+    assert "eta" in str(err.value)
 
 
 def test_rule_table_builds_dga():

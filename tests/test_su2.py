@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 import sympy as sp
 
-from prolong.coeff import ETA, I, LaurentInEta, Scalar, ZERO
+from prolong.coeff import ETA, I, Scalar, ZERO
 from prolong.forms import MatrixForm
 from prolong.jets import jet
 from prolong.su2 import (
@@ -118,7 +118,7 @@ def test_gauge_rejects_general_determinant(sc):
 def test_theta_flat_family_vanishes():
     spec = AKNSSpec(
         name="flat", deps=(), r=ZERO, q=ZERO,
-        A=LaurentInEta(()), B=LaurentInEta(()), C=LaurentInEta(()),
+        A=ZERO, B=ZERO, C=ZERO,
     )
     comps = theta_components(spec)
     assert all(c.is_zero for c in comps.coeffs)
@@ -165,7 +165,7 @@ def test_channel_with_a_higher_t_derivative_is_a_constraint():
     # evolution rule; none may become one whose right side keeps r_xt
     spec = AKNSSpec(
         name="mixed", deps=("q", "r"), r=Scalar(jet("r")), q=Scalar(jet("q")),
-        A=LaurentInEta.of(Scalar(jet("r", 1, 1))), B=LaurentInEta(()), C=LaurentInEta(()),
+        A=Scalar(jet("r", 1, 1)), B=ZERO, C=ZERO,
     )
     extraction = extract_evolution(spec)
     assert extraction.system.rules == ()

@@ -325,7 +325,7 @@ def test_zero_curvature_kdv_cross_module(kdv_ideal_model):
 def test_zero_curvature_akns_connection(kdv_spec, kdv_system):
     from prolong.su2 import theta_components
 
-    a, b, c = kdv_spec.A.to_scalar(), kdv_spec.B.to_scalar(), kdv_spec.C.to_scalar()
+    a, b, c = kdv_spec.A, kdv_spec.B, kdv_spec.C
     eta = Scalar(ETA)
     conn = ConnectionData(
         F=((a, b), (c, -a)),
