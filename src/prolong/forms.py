@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 import sympy as sp
 
-from .coeff import Scalar, ZERO, ONE, _accumulate
+from .coeff import I, Scalar, ZERO, ONE, _accumulate
 from . import jets
 
 __all__ = [
@@ -140,7 +140,7 @@ class DerivationContext:
             return cached
         rules = tuple(
             sorted(
-                (name, form.degree, tuple((m, str(c.expr)) for m, c in form.terms.items()))
+                (name, form.degree, tuple(form.terms.items()))
                 for name, form in self._rules.items()
             )
         )
@@ -521,14 +521,13 @@ def pauli_decompose(m: MatrixForm) -> tuple:
         raise ContextError("pauli decomposition needs a traceless matrix")
     half = Scalar.rational(1, 2)
     f1 = (m.entry(0, 1) + m.entry(1, 0)) * half
-    f2 = (m.entry(1, 0) - m.entry(0, 1)) * (half / Scalar(sp.I))
+    f2 = (m.entry(1, 0) - m.entry(0, 1)) * (half / I)
     f3 = m.entry(0, 0)
     return (f1, f2, f3)
 
 
 def pauli_compose(f1: Form, f2: Form, f3: Form) -> MatrixForm:
-    i = Scalar(sp.I)
-    return MatrixForm(((f3, f1 - f2 * i), (f1 + f2 * i, -f3)))
+    return MatrixForm(((f3, f1 - f2 * I), (f1 + f2 * I, -f3)))
 
 
 def build_jet_context(deps: Sequence[str]) -> DerivationContext:

@@ -71,17 +71,16 @@ def total_derivative(e: Scalar, direction: str, deps: Sequence[str]) -> Scalar:
     """Chain-rule total derivative D_x or D_t, promoting jet symbols."""
     if direction not in ("x", "t"):
         raise ValueError(f"direction must be 'x' or 't', got {direction!r}")
-    expr = Scalar.of(e).expr
-    base = X if direction == "x" else T
-    out = sp.diff(expr, base)
-    for s in expr.free_symbols:
+    e = Scalar.of(e)
+    out = e.diff(X if direction == "x" else T)
+    for s in e.free_symbols():
         parts = split_jet(s)
         if parts is None or parts[0] not in deps:
             continue
         var, nx, nt = parts
         bumped = jet(var, nx + 1, nt) if direction == "x" else jet(var, nx, nt + 1)
-        out += sp.diff(expr, s) * bumped
-    return Scalar(out)
+        out = out + e.diff(s) * Scalar(bumped)
+    return out
 
 
 def total_derivatives(e: Scalar, nx: int, nt: int, deps: Sequence[str]) -> Scalar:
@@ -157,10 +156,10 @@ def solve_for_t_derivative(e: Scalar) -> tuple | None:
     symbol, (var, nx, nt) = t_syms[0]
     if (nx, nt) != (0, 1):
         return None
-    slope = Scalar(sp.diff(e.expr, symbol))
+    slope = e.diff(symbol)
     if slope.is_zero or symbol in slope.free_symbols():
         return None
-    return var, Scalar(-(e.expr - slope.expr * symbol)) / slope
+    return var, (slope * Scalar(symbol) - e) / slope
 
 
 def reduce_mod_evolution(e: Scalar, sys: EvolutionSystem) -> Scalar:
@@ -188,8 +187,7 @@ def reduce_mod_evolution(e: Scalar, sys: EvolutionSystem) -> Scalar:
 
 
 def _check_polynomial(e: Scalar, deps: Sequence[str]) -> None:
-    den = e.denominator
-    for s in sp.sympify(den).free_symbols:
+    for s in e.denominator.free_symbols():
         parts = split_jet(s)
         if parts and parts[0] in deps:
             raise ValueError(f"non-polynomial dependence on jet symbol {s}")
@@ -213,7 +211,7 @@ def euler_operator(e: Scalar, var: str, deps: Sequence[str] | None = None) -> Sc
     out = ZERO
     order = jet_order(e, [var])
     for k in range(order + 1):
-        term = total_derivatives(Scalar(sp.diff(e.expr, jet(var, k, 0))), k, 0, deps)
+        term = total_derivatives(e.diff(jet(var, k, 0)), k, 0, deps)
         out = out - term if k % 2 else out + term
     return out
 

@@ -11,6 +11,7 @@ from prolong.coeff import (
     ETA,
     I,
     LaurentError,
+    ONE,
     Scalar,
     ZERO,
     eta_coefficients,
@@ -36,6 +37,20 @@ def test_exponential_inverse_pair():
     assert exp_atom(y5) * exp_atom(-y5) == Scalar.of(1)
 
 
+def test_exponential_inverse_pair_is_one_and_hashes_as_one():
+    product = exp_atom(y5) * exp_atom(-y5)
+    assert product == ONE and ONE == product
+    assert hash(product) == hash(ONE)
+
+
+def test_exponential_atoms_share_a_generator():
+    # exp(-y5) is the monomial denominator of exp(y5); exp(2*y5) its square
+    assert exp_atom(-y5).denominator == exp_atom(y5)
+    assert exp_atom(2 * y5) == exp_atom(y5) ** 2
+    assert exp_atom(y5 + y1) == exp_atom(y5) * exp_atom(y1)
+    assert exp_atom(-y5).expr == sp.exp(-sp.Symbol("y5"))
+
+
 def test_exponential_derivative():
     e = exp_atom(y5)
     assert e.diff(sp.Symbol("y5")) == e
@@ -55,6 +70,30 @@ def test_normalize_idempotent_on_samples():
         # the canonical form is a fixed point, so stored scalars can be
         # moved between containers without canonicalising them again
         assert Scalar(s.expr).expr == s.expr
+
+
+def test_non_monomial_denominator_reduces():
+    s = (y1**2 - y2**2) / (y1 - y2)
+    assert s == y1 + y2
+    assert s.denominator == ONE
+    assert s.expr == sp.Symbol("y1") + sp.Symbol("y2")
+
+
+def test_value_built_before_ring_growth_equals_value_built_after():
+    before = (y1 * y2 + I) / y1
+    unhashed = y2 / (y1 * y2 + 3)
+    hashed = hash(before)
+    ring = before.num.ring
+    k = 0
+    # new symbols, as jet calculus makes them, until the ring is rebuilt
+    while sym(f"ring_growth_{k}").num.ring is ring:
+        k += 1
+    after = (sym("y1") * sym("y2") + I) / sym("y1")
+    assert after.num.ring is not ring
+    assert before == after and after == before
+    assert hash(after) == hashed == hash(before)
+    later = sym("y2") / (sym("y1") * sym("y2") + 3)
+    assert later == unhashed and hash(unhashed) == hash(later)
 
 
 def test_difference_of_equal_expressions_is_zero():
@@ -128,9 +167,11 @@ def test_two_evaluation_orders_same_canonical_form():
         left = ((parts[0] + parts[1]) + parts[2]) + parts[3]
         right = parts[0] + (parts[1] + (parts[2] + parts[3]))
         assert left.expr == right.expr
+        assert (left.num, left.den) == (right.num, right.den)
         prod_left = ((parts[0] * parts[1]) * parts[2]) * parts[3]
         prod_right = parts[0] * ((parts[1] * parts[2]) * parts[3])
         assert prod_left.expr == prod_right.expr
+        assert (prod_left.num, prod_left.den) == (prod_right.num, prod_right.den)
 
 
 def test_eta_coefficients_roundtrip():

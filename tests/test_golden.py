@@ -19,6 +19,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+import sympy
 
 from prolong.cli import main
 
@@ -115,3 +116,23 @@ def test_conserve_order_5_golden_stays_red():
     (failed,) = [item for item in report["items"] if item["status"] == "failed"]
     assert failed["name"] == "n=5"
     assert failed["witness"] == {"q": "-9*q_x*q_xx/2"}
+
+
+def _refuse(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"sympy.{name} called: the scalar core fell back to Expr algebra")
+
+    return refused
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (("verify-su2", "--all", "--fixture", "su2_dga"), ("conserve", "--fixture", "kdv", "--order", "7")),
+    ids=lambda argv: golden_path(argv).stem,
+)
+def test_golden_without_cancel_or_powsimp(argv, monkeypatch):
+    """The scalar core reduces on its stored polynomial pairs; no verb may
+    reach sympy's cancel or powsimp."""
+    monkeypatch.setattr(sympy, "cancel", _refuse("cancel"))
+    monkeypatch.setattr(sympy, "powsimp", _refuse("powsimp"))
+    assert render(argv) == golden_path(argv).read_text(encoding="utf-8")
