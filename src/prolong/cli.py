@@ -236,8 +236,8 @@ def _cmd_closure(args) -> tuple:
 def _beta_scalar(text: str) -> Scalar:
     try:
         num, _, den = text.partition("/")
-        return Scalar(sp.Rational(int(num), int(den) if den else 1))
-    except (ValueError, TypeError):
+        return Scalar.rational(int(num), int(den) if den else 1)
+    except (ValueError, ZeroDivisionError):
         raise CliError(f"--beta wants an integer or rational, got {text!r}") from None
 
 

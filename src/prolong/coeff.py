@@ -30,8 +30,8 @@ while a verb runs); a generator keeps its index, so a value built in an
 older ring lifts to the current one by padding its exponents.
 
 ``.expr``, the sympy expression ``num/den``, is converted lazily and only
-at the boundary: printing, linear solving and tests.  ``Scalar(expr)``
-converts an expression once.
+at the boundary: printing and tests.  ``Scalar(expr)`` converts an
+expression once.
 
 Scalar is the one scalar type: a spectral-family coefficient is a Scalar
 too, and :func:`eta_coefficients` reads it as a Laurent polynomial in the
@@ -562,9 +562,10 @@ def exp_atom(s: ScalarLike) -> Scalar:
 
     Each term t of s gives one factor: t = (a/b) * p with p's coefficients
     primitive and sign-normalised, and exp(t) = E**a for the atom E =
-    exp(p/b).  Atoms whose exponents differ by a non-integer rational
-    factor (exp(y/2) beside exp(y)) are refused, since their relation is
-    not polynomial; the one refused is the one the process meets second.
+    exp(p/b).  Once exp(p/b) is registered, exp(p/c) with c dividing b is
+    the power E**(b/c) (exp(y) after exp(y/3) is E**3).  Any other c is
+    refused, since its relation to E is not polynomial: exp(y/3) after
+    exp(y), or exp(y/3) after exp(y/2).
     """
     s = Scalar.of(s)
     num, den = s._lifted()
@@ -588,7 +589,8 @@ def exp_atom(s: ScalarLike) -> Scalar:
 
 
 def _atom(direction: Scalar, denominator: int) -> Scalar:
-    """The generator E = exp(direction/denominator), registered once."""
+    """exp(direction/denominator) as a power of the one atom registered for
+    direction, registering it on first use."""
     known = _CORE.atoms.get(direction)
     if known is None:
         exponent = direction / Scalar.rational(denominator)
@@ -597,14 +599,14 @@ def _atom(direction: Scalar, denominator: int) -> Scalar:
         index = _CORE.index[symbol]
         _CORE.exponents[index] = exponent
         _CORE.atoms[direction] = known = (denominator, index)
-    if known[0] != denominator:
+    if known[0] % denominator:
         wanted = direction / Scalar.rational(denominator)
         raise ValueError(
             f"exponential atoms {_CORE.symbols[known[1]]} and exp({wanted}) "
             "differ by a non-integer factor"
         )
     ring = _CORE.ring
-    return _make(ring.gens[known[1]], ring.one)
+    return _make(ring.gens[known[1]] ** (known[0] // denominator), ring.one)
 
 
 def substitute(e: ScalarLike, bindings: Mapping[sp.Symbol, ScalarLike]) -> Scalar:

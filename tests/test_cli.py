@@ -123,6 +123,24 @@ def test_prolong_off_member_fails(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("verb", ["section", "prolong"])
+def test_beta_with_zero_denominator_is_a_usage_error(verb, capsys):
+    code, out, err = run([verb, "--fixture", "ch", "--beta", "3/0"], capsys)
+    assert code == 2
+    assert "--beta wants an integer or rational, got '3/0'" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_exponential_atom_after_a_finer_one_closes(tmp_path, capsys):
+    # exp(z) = exp(z/3)**3; atoms are process-wide, so z is used nowhere else
+    model = tmp_path / "fine-first.eds"
+    model.write_text("chart x zfine\nideal e {\n  a = exp(zfine/3)*dx + exp(zfine)*dzfine\n}\n")
+    code, out, _ = run(["closure", str(model)], capsys)
+    assert code == 0
+    assert "(-exp(-2*zfine/3)/3)*dx" in out
+
+
 def test_laxcheck_akns(capsys):
     code, out, _ = run(["laxcheck", "--fixture", "kdv"], capsys)
     assert code == 0

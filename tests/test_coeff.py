@@ -19,6 +19,7 @@ from prolong.coeff import (
     substitute,
     sym,
 )
+from prolong.dsl import print_scalar
 
 y1, y2, y3, y5 = sym("y1"), sym("y2"), sym("y3"), sym("y5")
 q, r = sym("q"), sym("r")
@@ -51,6 +52,30 @@ def test_exponential_atoms_share_a_generator():
     assert exp_atom(-y5).expr == sp.exp(-sp.Symbol("y5"))
 
 
+# Atoms are registered process-wide, so each order test uses symbols of its own.
+
+
+def test_exponential_atom_after_a_finer_one_is_its_power():
+    c = sym("c_fine_first")
+    third = exp_atom(c / 3)
+    assert exp_atom(c) == third**3
+    assert exp_atom(-2 * c) == third**-6
+    assert exp_atom(c).expr == sp.exp(sp.Symbol("c_fine_first"))
+    assert exp_atom(c).diff(sp.Symbol("c_fine_first")) == exp_atom(c)
+    assert exp_atom(2 * c / 3) == third**2
+
+
+def test_exponential_atom_finer_than_a_registered_one_is_refused():
+    c = sym("c_coarse_first")
+    exp_atom(c)
+    with pytest.raises(ValueError, match="differ by a non-integer factor"):
+        exp_atom(c / 3)
+    half = sym("c_half_first")
+    exp_atom(half / 2)
+    with pytest.raises(ValueError, match="differ by a non-integer factor"):
+        exp_atom(half / 3)
+
+
 def test_exponential_derivative():
     e = exp_atom(y5)
     assert e.diff(sp.Symbol("y5")) == e
@@ -77,6 +102,17 @@ def test_non_monomial_denominator_reduces():
     assert s == y1 + y2
     assert s.denominator == ONE
     assert s.expr == sp.Symbol("y1") + sp.Symbol("y2")
+
+
+@pytest.mark.parametrize(
+    "value, printed",
+    [(ONE / (1 + I), "1/2 - i/2"), ((1 + I) / (2 - I), "1/5 + 3*i/5")],
+    ids=["inverse", "quotient"],
+)
+def test_gaussian_rational_constant_prints_as_cancel_gives(value, printed):
+    # a constant pair is expanded to a + b*i, the form sympy's cancel gives
+    assert print_scalar(value) == printed
+    assert value.expr == sp.cancel(value.expr)
 
 
 def test_value_built_before_ring_growth_equals_value_built_after():

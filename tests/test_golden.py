@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from prolong.cli import main
 
@@ -127,12 +128,20 @@ def _refuse(name):
 
 @pytest.mark.parametrize(
     "argv",
-    (("verify-su2", "--all", "--fixture", "su2_dga"), ("conserve", "--fixture", "kdv", "--order", "7")),
+    (
+        ("verify-su2", "--all", "--fixture", "su2_dga"),
+        ("conserve", "--fixture", "kdv", "--order", "7"),
+        ("closure", "--fixture", "ch"),
+        ("prolong", "--fixture", "ch", "--beta", "2"),
+        ("closure", CH_WITHOUT_XI2),
+    ),
     ids=lambda argv: golden_path(argv).stem,
 )
 def test_golden_without_cancel_or_powsimp(argv, monkeypatch):
-    """The scalar core reduces on its stored polynomial pairs; no verb may
-    reach sympy's cancel or powsimp."""
+    """The scalar core reduces on its stored polynomial pairs and solves
+    multiplier systems on them; no verb may reach sympy's cancel or
+    powsimp, or rebuild a system as a DomainMatrix of expressions."""
     monkeypatch.setattr(sympy, "cancel", _refuse("cancel"))
     monkeypatch.setattr(sympy, "powsimp", _refuse("powsimp"))
+    monkeypatch.setattr(DomainMatrix, "from_list_sympy", _refuse("DomainMatrix.from_list_sympy"))
     assert render(argv) == golden_path(argv).read_text(encoding="utf-8")
