@@ -325,17 +325,25 @@ class Scalar:
         return _reduce(a * d + c * b, b * d)
 
     def __add__(self, other: ScalarLike) -> "Scalar":
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         return self._add(Scalar.of(other), 1)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         return self._add(Scalar.of(other), -1)
 
     def __rsub__(self, other: ScalarLike) -> "Scalar":
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         return Scalar.of(other)._add(self, -1)
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         other = Scalar.of(other)
         a, b, c, d = self._pair(other)
         for unit, num, den in ((_unit_of(other), a, b), (_unit_of(self), c, d)):
@@ -349,6 +357,8 @@ class Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "Scalar":
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         divisor = Scalar.of(other)
         if divisor.is_zero:
             raise ZeroDivisionError("division by a scalar that normalizes to zero")
@@ -356,6 +366,8 @@ class Scalar:
         return _reduce(a * d, b * c)
 
     def __rtruediv__(self, other: ScalarLike) -> "Scalar":
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         return Scalar.of(other) / self
 
     def __pow__(self, n: int) -> "Scalar":
@@ -440,7 +452,7 @@ class Scalar:
         return substitute(self, mapping)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (Scalar, int, sp.Expr)):
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
         a, b, c, d = self._pair(Scalar.of(other))
         return a == c and b == d
@@ -457,6 +469,11 @@ class Scalar:
 
     def __str__(self) -> str:
         return str(self.expr)
+
+
+# What Scalar arithmetic accepts; for anything else (a Form, say) the
+# operators return NotImplemented, so Python tries the other operand.
+_OPERANDS = (Scalar, int, sp.Expr)
 
 
 def _stripped(poly: PolyElement) -> frozenset:

@@ -93,6 +93,8 @@ class ConservedPair:
 def conserved_pairs(spec: AKNSSpec, order: int) -> tuple:
     """Density q*W_n with the current from the eta^(-n) coefficient of the
     time-part expansion A + B * sum_m eta^(-m) W_m."""
+    if order < 1:
+        raise ValueError("order must be at least 1")
     a_coeffs = eta_coefficients(spec.A)
     b_coeffs = eta_coefficients(spec.B)
     seq = recursion_densities(spec, order + max(max(b_coeffs, default=0), 0))

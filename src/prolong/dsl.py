@@ -1,9 +1,13 @@
 """Model-file language: declarations, expressions, printing.
 
 A model file declares one context (a coordinate chart, a jet family over
-(x, t), or a free differential graded algebra) followed by named forms,
-exterior ideals, spectral families, linear connections, and section
-(elimination) chains.  The expression grammar is infix with `+ - * /`,
+(x, t), or a free differential graded algebra), then gives the
+differential rules of a free algebra, then defines named forms, exterior
+ideals, spectral families, linear connections, and section (elimination)
+chains.  The reader makes one pass: each statement is evaluated as it is
+read, the context is built at the first rule or definition and frozen at
+the first definition, and a statement out of that order is a DslError
+with its line and column.  The expression grammar is infix with `+ - * /`,
 wedge `^` (same precedence as `*`, left associative), integer powers
 `**`, differentials `d(...)`, exponentials `exp(...)`, the imaginary
 unit `i`, and `#` comments.  Printing emits canonical text that parses
@@ -14,12 +18,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import sympy as sp
 
 from .coeff import I, Scalar, exp_atom
-from .forms import DerivationContext, Form
+from .forms import ContextError, DerivationContext, Form
 from .jets import jet, split_jet
 from .su2 import AKNSSpec
 from .we import ConnectionData, ExteriorIdeal
@@ -102,13 +105,37 @@ class ModelFile:
     sections: dict = field(default_factory=dict)  # ideal name -> ((var, Scalar), ...)
 
 
+# Statement keyword -> (stage, context kind it declares, ModelFile field it
+# fills).  Statements come in stage order: declarations, then rules, then
+# definitions; the context is built when the declarations end and frozen
+# when the rules end.
+_DECLARATION, _RULE, _DEFINITION = range(3)
+_STAGE_NAMES = ("declaration", "rule", "definition")
+_STATEMENTS = {
+    "chart": (_DECLARATION, "chart", "coordinates"),
+    "jet": (_DECLARATION, "jet", "jet_fields"),
+    "scalars": (_DECLARATION, "dga", "scalars"),
+    "oneform": (_DECLARATION, "dga", "oneforms"),
+    "twoform": (_DECLARATION, "dga", "twoforms"),
+    "params": (_DECLARATION, None, "params"),
+    "rule": (_RULE, None, "rules"),
+    "let": (_DEFINITION, None, "lets"),
+    "form": (_DEFINITION, None, "forms"),
+    "ideal": (_DEFINITION, None, "ideals"),
+    "akns": (_DEFINITION, None, "akns"),
+    "connection": (_DEFINITION, None, "connections"),
+    "section": (_DEFINITION, None, "sections"),
+}
+_AKNS_ENTRIES = ("r", "q", "A", "B", "C")
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
         self.model = ModelFile()
-        self._pending_rules: list = []
-        self._pending_defs: list = []
+        self.stage = _DECLARATION
+        self.allow_jets = False
 
     # -- token plumbing ------------------------------------------------------
 
@@ -120,6 +147,10 @@ class _Parser:
         if tok.kind != "eof":
             self.pos += 1
         return tok
+
+    def at_op(self, text: str) -> bool:
+        tok = self.peek()
+        return tok.kind == "op" and tok.text in text
 
     def expect(self, kind: str, text: str | None = None) -> Token:
         tok = self.peek()
@@ -133,12 +164,16 @@ class _Parser:
         while self.peek().kind == "newline":
             self.advance()
 
+    def at_end(self) -> bool:
+        """At the newline, end of input or closing bracket an expression stops at."""
+        return self.peek().kind in ("newline", "eof") or self.at_op(")]}")
+
     def end_statement(self):
         tok = self.peek()
         if tok.kind in ("newline", "eof"):
             self.skip_newlines()
             return
-        if tok.kind == "op" and tok.text == "}":
+        if self.at_op("}"):
             return
         raise DslError(f"unexpected trailing {tok.text!r}", tok.line, tok.col)
 
@@ -146,15 +181,12 @@ class _Parser:
 
     def parse(self) -> ModelFile:
         self.skip_newlines()
-        while self.peek().kind != "eof":
-            tok = self.expect("name")
-            handler = getattr(self, f"_stmt_{tok.text}", None)
-            if handler is None:
-                raise DslError(f"unknown declaration {tok.text!r}", tok.line, tok.col)
-            handler()
-            self.skip_newlines()
         try:
-            self._build()
+            while self.peek().kind != "eof":
+                self._statement()
+                self.skip_newlines()
+            if self.model.kind is not None:
+                self._enter(_DEFINITION)  # the end of the file ends the rules too
         except DslError:
             raise
         except (ValueError, ZeroDivisionError) as exc:
@@ -163,146 +195,48 @@ class _Parser:
             raise DslError(str(exc)) from exc
         return self.model
 
-    def _names_until_newline(self) -> tuple:
-        names = []
-        while self.peek().kind == "name":
-            names.append(self.advance().text)
-        self.end_statement()
-        if not names:
-            raise DslError("expected at least one name", self.peek().line, self.peek().col)
-        return tuple(names)
-
-    def _set_kind(self, kind: str, tok_hint: str):
-        if self.model.kind is None:
-            self.model.kind = kind
-            return
-        if self.model.kind != kind:
+    def _statement(self):
+        tok = self.expect("name")
+        if tok.text not in _STATEMENTS:
+            raise DslError(f"unknown declaration {tok.text!r}", tok.line, tok.col)
+        stage, kind, field_name = _STATEMENTS[tok.text]
+        if stage < self.stage:
             raise DslError(
-                f"{tok_hint} cannot be mixed with a {self.model.kind} context")
-        # repeated declarations of the same kind extend it
-
-    def _stmt_chart(self):
-        self._set_kind("chart", "chart")
-        names = self._names_until_newline()
-        if len(names) < 2:
-            raise DslError("chart needs the base pair plus fields")
-        self.model.coordinates += names
-
-    def _stmt_jet(self):
-        self._set_kind("jet", "jet")
-        self.model.jet_fields += self._names_until_newline()
-
-    def _stmt_scalars(self):
-        self._set_kind("dga", "scalars")
-        self.model.scalars += self._names_until_newline()
-
-    def _stmt_params(self):
-        self.model.params += self._names_until_newline()
-
-    def _stmt_oneform(self):
-        self._set_kind("dga", "oneform")
-        self.model.oneforms += self._names_until_newline()
-
-    def _stmt_twoform(self):
-        self._set_kind("dga", "twoform")
-        self.model.twoforms += self._names_until_newline()
-
-    def _stmt_rule(self):
-        self.expect("name", "d")
-        target = self.expect("name").text
-        self.expect("op", "=")
-        expr_tokens = self._capture_expression()
-        self.end_statement()
-        self._pending_rules.append((target, expr_tokens))
-
-    def _stmt_let(self):
-        name = self.expect("name").text
-        self.expect("op", "=")
-        self._pending_defs.append(("let", name, self._capture_expression(), None))
-        self.end_statement()
-
-    def _stmt_form(self):
-        name = self.expect("name").text
-        self.expect("op", "=")
-        self._pending_defs.append(("form", name, self._capture_expression(), None))
-        self.end_statement()
-
-    def _block_items(self) -> list:
-        self.expect("op", "{")
-        self.skip_newlines()
-        items = []
-        while not (self.peek().kind == "op" and self.peek().text == "}"):
-            name = self.expect("name").text
-            sep = self.peek()
-            if sep.kind == "op" and sep.text == "=":
-                self.advance()
-                items.append((name, "=", self._capture_expression()))
-            elif sep.kind == "arrow":
-                self.advance()
-                items.append((name, "->", self._capture_expression()))
-            else:
-                raise DslError("expected '=' or '->'", sep.line, sep.col)
-            self.end_statement()
-            self.skip_newlines()
-        self.expect("op", "}")
-        return items
-
-    def _stmt_ideal(self):
-        name = self.expect("name").text
-        self._pending_defs.append(("ideal", name, None, self._block_items()))
-        self.end_statement()
-
-    def _stmt_akns(self):
-        name = self.expect("name").text
-        self._pending_defs.append(("akns", name, None, self._block_items()))
-        self.end_statement()
-
-    def _stmt_connection(self):
-        name = self.expect("name").text
-        self._pending_defs.append(("connection", name, None, self._block_items()))
-        self.end_statement()
-
-    def _stmt_section(self):
-        name = self.expect("name").text
-        self._pending_defs.append(("section", name, None, self._block_items()))
-        self.end_statement()
-
-    def _capture_expression(self) -> list:
-        """Tokens of one expression, up to newline, '}', or ','."""
-        depth = 0
-        out = []
-        while True:
-            tok = self.peek()
-            if tok.kind in ("newline", "eof"):
-                break
-            if tok.kind == "op" and tok.text in "([{":
-                depth += 1
-            if tok.kind == "op" and tok.text in ")]}":
-                if depth == 0:
-                    break
-                depth -= 1
-            out.append(self.advance())
-        if not out:
-            raise DslError("expected an expression", tok.line, tok.col)
-        return out
-
-    # -- model assembly -------------------------------------------------------
-
-    def _build(self):
+                f"{tok.text} cannot follow a {_STAGE_NAMES[self.stage]}; "
+                "declarations come first, then rules, then definitions",
+                tok.line, tok.col)
+        self._enter(stage)
+        if stage == _DECLARATION:
+            self._declaration(tok.text, kind, field_name)
+            return
         m = self.model
+        # chart coordinates stand for jets only where a connection or a
+        # section is written in them
+        self.allow_jets = m.kind == "jet" or tok.text in ("connection", "section")
+        name, value = self._rule() if stage == _RULE else self._definition(tok.text)
+        getattr(m, field_name)[name] = value
+
+    def _enter(self, stage: int):
+        m = self.model
+        if stage > _DECLARATION and m.ctx is None:
+            m.ctx = self._context()
+        if stage > _RULE:
+            m.ctx.freeze()
+        self.stage = stage
+
+    def _context(self) -> DerivationContext:
+        m = self.model
+        ctx = DerivationContext()
         if m.kind == "chart":
-            ctx = DerivationContext()
             for name in m.coordinates:
                 ctx.add_scalar(name)
             for name in m.params:
                 ctx.add_parameter(name)
         elif m.kind == "jet":
-            ctx = DerivationContext()
             ctx.add_scalar("x")
             ctx.add_scalar("t")
             ctx.set_jet_mode(m.jet_fields)
         elif m.kind == "dga":
-            ctx = DerivationContext()
             for name in m.oneforms:
                 ctx.add_generator(name, 1)
             for name in m.scalars:
@@ -311,153 +245,140 @@ class _Parser:
                 ctx.add_parameter(name)
             for name in m.twoforms:
                 ctx.add_generator(name, 2)
-        elif self._pending_rules or self._pending_defs:
-            raise DslError("definitions require a context declaration first")
         else:
-            m.ctx = None
-            return
-        m.ctx = ctx
-        for target, tokens in self._pending_rules:
-            rule = self._eval_tokens(tokens, allow_jets=(m.kind == "jet"))
-            if not isinstance(rule, Form):
-                rule = ctx.scalar_form(rule)
-            ctx.set_rule(target, rule)
-            m.rules[target] = rule
-        ctx.freeze()
-        for kind, name, tokens, items in self._pending_defs:
-            if kind == "let":
-                value = self._eval_tokens(tokens, allow_jets=(m.kind == "jet"))
-                if isinstance(value, Form):
-                    raise DslError(f"let {name} must be a scalar")
-                m.lets[name] = value
-            elif kind == "form":
-                value = self._eval_tokens(tokens, allow_jets=(m.kind == "jet"))
-                if not isinstance(value, Form):
-                    value = ctx.scalar_form(value)
-                m.forms[name] = value
-            elif kind == "ideal":
-                self._build_ideal(name, items)
-            elif kind == "akns":
-                self._build_akns(name, items)
-            elif kind == "connection":
-                self._build_connection(name, items)
-            elif kind == "section":
-                self._build_section(name, items)
+            raise DslError("definitions require a context declaration first")
+        return ctx
 
-    def _build_ideal(self, name, items):
+    def _declaration(self, keyword: str, kind: str | None, field_name: str):
+        m = self.model
+        if kind is not None:
+            if m.kind not in (None, kind):
+                raise DslError(f"{keyword} cannot be mixed with a {m.kind} context")
+            m.kind = kind  # repeated declarations of the same kind extend it
+        names = []
+        while self.peek().kind == "name":
+            names.append(self.advance().text)
+        self.end_statement()
+        if not names:
+            raise DslError("expected at least one name", self.peek().line, self.peek().col)
+        if keyword == "chart" and len(names) < 2:
+            raise DslError("chart needs the base pair plus fields")
+        setattr(m, field_name, getattr(m, field_name) + tuple(names))
+
+    def _rule(self) -> tuple:
+        self.expect("name", "d")
+        target = self.expect("name").text
+        self.expect("op", "=")
+        rule = self._as_form(self._operand())
+        self.model.ctx.set_rule(target, rule)
+        self.end_statement()
+        return target, rule
+
+    def _definition(self, keyword: str) -> tuple:
+        name = self.expect("name").text
+        if keyword == "let" or keyword == "form":
+            self.expect("op", "=")
+            value = self._operand()
+            if keyword == "form":
+                value = self._as_form(value)
+            elif isinstance(value, Form):
+                raise DslError(f"let {name} must be a scalar")
+        else:
+            blocks = {"ideal": self._ideal, "akns": self._akns,
+                      "connection": self._connection, "section": self._section}
+            value = blocks[keyword](name)
+        self.end_statement()
+        return name, value
+
+    def _items(self):
+        """Yield (name, separator) for each `name = value` or `name -> value`
+        line of a `{ ... }` block, with the cursor on the value; the caller
+        reads the value before asking for the next item."""
+        self.expect("op", "{")
+        self.skip_newlines()
+        while not self.at_op("}"):
+            name = self.expect("name").text
+            sep = self.peek()
+            if not (self.at_op("=") or sep.kind == "arrow"):
+                raise DslError("expected '=' or '->'", sep.line, sep.col)
+            self.advance()
+            yield name, sep.text
+            self.end_statement()
+            self.skip_newlines()
+        self.expect("op", "}")
+
+    def _ideal(self, name: str) -> ExteriorIdeal:
         m = self.model
         if m.kind != "chart":
             raise DslError("ideals need a chart context")
         gen_names, gens = [], []
-        for gname, sep, tokens in items:
+        for gname, sep in self._items():
             if sep != "=":
                 raise DslError(f"ideal {name}: use '=' for generators")
-            value = self._eval_tokens(tokens, allow_jets=False)
+            value = self._operand()
             if not isinstance(value, Form) or value.degree < 1:
                 raise DslError(f"ideal generator {gname} must be a form")
             gen_names.append(gname)
             gens.append(value)
-        m.ideals[name] = ExteriorIdeal(
-            ctx=m.ctx,
-            names=tuple(gen_names),
-            generators=tuple(gens),
-            coordinates=m.coordinates,
-            parameters=m.params,
-        )
+        return ExteriorIdeal(ctx=m.ctx, names=tuple(gen_names), generators=tuple(gens),
+                             coordinates=m.coordinates, parameters=m.params)
 
-    def _build_akns(self, name, items):
+    def _akns(self, name: str) -> AKNSSpec:
         m = self.model
         if m.kind != "jet":
             raise DslError("spectral families need a jet context")
-        fields = {}
-        for fname, sep, tokens in items:
-            if sep != "=" or fname not in ("r", "q", "A", "B", "C"):
+        entries = {}
+        for fname, sep in self._items():
+            if sep != "=" or fname not in _AKNS_ENTRIES:
                 raise DslError(f"akns {name}: entries are r, q, A, B, C")
-            value = self._eval_tokens(tokens, allow_jets=True)
+            value = self._operand()
             if isinstance(value, Form):
                 raise DslError(f"akns {name}: {fname} must be a scalar")
-            fields[fname] = value
-        missing = {"r", "q", "A", "B", "C"} - set(fields)
+            entries[fname] = value
+        missing = set(_AKNS_ENTRIES) - set(entries)
         if missing:
             raise DslError(f"akns {name}: missing {sorted(missing)}")
-        m.akns[name] = AKNSSpec(
-            name=name,
-            deps=m.jet_fields,
-            r=fields["r"],
-            q=fields["q"],
-            A=fields["A"],
-            B=fields["B"],
-            C=fields["C"],
-        )
+        return AKNSSpec(name=name, deps=m.jet_fields, **entries)
 
-    def _build_connection(self, name, items):
-        m = self.model
+    def _connection(self, name: str) -> ConnectionData:
         mats = {}
-        for fname, sep, tokens in items:
+        for fname, sep in self._items():
             if sep != "=" or fname not in ("F", "G"):
                 raise DslError(f"connection {name}: entries are F and G")
-            mats[fname] = self._eval_matrix(tokens)
+            mats[fname] = self._operand(self.matrix)
         if set(mats) != {"F", "G"}:
             raise DslError(f"connection {name}: both F and G are required")
-        m.connections[name] = ConnectionData(F=mats["F"], G=mats["G"])
+        return ConnectionData(**mats)
 
-    def _build_section(self, name, items):
+    def _section(self, name: str) -> tuple:
         m = self.model
         if name not in m.ideals:
             raise DslError(f"section references unknown ideal {name!r}")
         chain = []
-        for var, sep, tokens in items:
+        for var, sep in self._items():
             if sep != "->":
                 raise DslError(f"section {name}: use 'var -> expression'")
             if var not in m.coordinates:
                 raise DslError(f"section {name}: {var} is not a chart coordinate")
-            value = self._eval_tokens(tokens, allow_jets=True)
+            value = self._operand()
             if isinstance(value, Form):
                 raise DslError(f"section {name}: replacement must be a jet scalar")
             chain.append((var, value))
-        m.sections[name] = tuple(chain)
+        return tuple(chain)
 
-    # -- expression evaluation ---------------------------------------------------
+    # -- expressions ---------------------------------------------------------------
 
-    def _eval_matrix(self, tokens):
-        ev = _ExprEval(self.model, tokens, allow_jets=True)
-        rows = ev.matrix()
-        ev.finish()
-        return rows
-
-    def _eval_tokens(self, tokens, allow_jets: bool):
-        ev = _ExprEval(self.model, tokens, allow_jets=allow_jets)
-        value = ev.expression()
-        ev.finish()
-        return value
-
-
-class _ExprEval:
-    def __init__(self, model: ModelFile, tokens: Sequence[Token], allow_jets: bool):
-        self.model = model
-        self.tokens = list(tokens) + [Token("eof", "", 0, 0)]
-        self.pos = 0
-        self.allow_jets = allow_jets
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def expect_op(self, text: str):
+    def _operand(self, read=None):
+        """The expression (or, with read=self.matrix, the matrix) that makes
+        up the rest of a statement."""
         tok = self.peek()
-        if not (tok.kind == "op" and tok.text == text):
-            raise DslError(f"expected {text!r}", tok.line, tok.col)
-        return self.advance()
-
-    def finish(self):
+        if self.at_end():
+            raise DslError("expected an expression", tok.line, tok.col)
+        value = (read or self.expression)()
         tok = self.peek()
-        if tok.kind != "eof":
+        if not self.at_end():
             raise DslError(f"unexpected {tok.text!r}", tok.line, tok.col)
+        return value
 
     # grammar: expression := term (('+'|'-') term)*
     #          term       := power (('*'|'^'|'/') power)*
@@ -466,21 +387,18 @@ class _ExprEval:
 
     def expression(self):
         value = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
+        while self.at_op("+-"):
             op = self.advance().text
             rhs = self.term()
-            value = self._add(value, rhs) if op == "+" else self._add(value, self._neg(rhs))
+            value = self._add(value, rhs if op == "+" else -rhs)
         return value
 
     def term(self):
         value = self.power()
-        while self.peek().kind == "op" and self.peek().text in "*^/":
+        while self.at_op("*^/"):
             op = self.advance().text
             rhs = self.power()
-            if op == "/":
-                value = self._div(value, rhs)
-            else:
-                value = self._mul(value, rhs)
+            value = self._div(value, rhs) if op == "/" else value * rhs
         return value
 
     def power(self):
@@ -488,21 +406,17 @@ class _ExprEval:
         if self.peek().kind == "pow":
             tok = self.advance()
             exponent = self.unary()
-            if isinstance(exponent, Form):
-                raise DslError("exponent must be an integer", tok.line, tok.col)
-            e = Scalar.of(exponent).expr
-            if not e.is_Integer:
+            if isinstance(exponent, Form) or not exponent.expr.is_Integer:
                 raise DslError("exponent must be an integer", tok.line, tok.col)
             if isinstance(value, Form):
                 raise DslError("cannot exponentiate a form", tok.line, tok.col)
-            return Scalar.of(value) ** int(e)
+            return value ** int(exponent.expr)
         return value
 
     def unary(self):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
+        if self.at_op("-"):
             self.advance()
-            return self._neg(self.unary())
+            return -self.unary()
         return self.atom()
 
     def atom(self):
@@ -511,18 +425,15 @@ class _ExprEval:
             return Scalar.of(int(tok.text))
         if tok.kind == "op" and tok.text == "(":
             value = self.expression()
-            self.expect_op(")")
+            self.expect("op", ")")
             return value
         if tok.kind == "name":
-            if tok.text == "d" and self.peek().kind == "op" and self.peek().text == "(":
+            if tok.text in ("d", "exp") and self.at_op("("):
                 self.advance()
                 inner = self.expression()
-                self.expect_op(")")
-                return self._differential(inner, tok)
-            if tok.text == "exp" and self.peek().kind == "op" and self.peek().text == "(":
-                self.advance()
-                inner = self.expression()
-                self.expect_op(")")
+                self.expect("op", ")")
+                if tok.text == "d":
+                    return inner.d() if isinstance(inner, Form) else self.model.ctx.d_scalar(inner)
                 if isinstance(inner, Form):
                     raise DslError("exp takes a scalar", tok.line, tok.col)
                 return exp_atom(inner)
@@ -530,44 +441,31 @@ class _ExprEval:
         raise DslError(f"unexpected {tok.text or tok.kind!r}", tok.line, tok.col)
 
     def matrix(self):
-        self.expect_op("[")
+        self.expect("op", "[")
         rows = []
         while True:
             rows.append(self._matrix_row())
-            if self.peek().kind == "op" and self.peek().text == ",":
-                self.advance()
-                continue
-            break
-        self.expect_op("]")
-        width = {len(r) for r in rows}
-        if len(width) != 1:
+            if not self.at_op(","):
+                break
+            self.advance()
+        self.expect("op", "]")
+        if len({len(r) for r in rows}) != 1:
             raise DslError("matrix rows must have equal length")
         return tuple(rows)
 
     def _matrix_row(self):
-        self.expect_op("[")
+        self.expect("op", "[")
         row = []
         while True:
             value = self.expression()
             if isinstance(value, Form):
                 raise DslError("matrix entries must be scalars")
-            row.append(Scalar.of(value))
-            if self.peek().kind == "op" and self.peek().text == ",":
-                self.advance()
-                continue
-            break
-        self.expect_op("]")
+            row.append(value)
+            if not self.at_op(","):
+                break
+            self.advance()
+        self.expect("op", "]")
         return tuple(row)
-
-    # -- helpers ----------------------------------------------------------------
-
-    def _differential(self, inner, tok: Token):
-        ctx = self.model.ctx
-        if ctx is None:
-            raise DslError("no context declared", tok.line, tok.col)
-        if isinstance(inner, Form):
-            return inner.d()
-        return ctx.d_scalar(Scalar.of(inner))
 
     def _resolve(self, tok: Token):
         m = self.model
@@ -578,61 +476,34 @@ class _ExprEval:
             return m.lets[name]
         if name in m.forms:
             return m.forms[name]
-        ctx = m.ctx
-        if ctx is not None:
-            try:
-                idx = ctx.index_of(name)
-            except Exception:
-                idx = None
-            if idx is not None:
-                return ctx.gen(name)
-        if name in m.params:
-            return Scalar(sp.Symbol(name))
-        if m.kind == "chart" and name in m.coordinates:
-            return Scalar(sp.Symbol(name))
-        if m.kind == "dga" and name in m.scalars:
+        try:
+            return m.ctx.gen(name)
+        except ContextError:
+            pass
+        if (name in m.params or (m.kind == "chart" and name in m.coordinates)
+                or (m.kind == "dga" and name in m.scalars)):
             return Scalar(sp.Symbol(name))
         parts = split_jet(sp.Symbol(name))
         if parts is not None and self.allow_jets:
             var, nx, nt = parts
-            known = var in m.jet_fields or (m.kind == "chart" and var in m.coordinates)
-            if known:
+            if var in m.jet_fields or (m.kind == "chart" and var in m.coordinates):
                 return Scalar(jet(var, nx, nt))
         raise DslError(f"unknown symbol {name!r}", tok.line, tok.col)
 
-    def _neg(self, value):
-        return -value
-
     def _add(self, a, b):
         if isinstance(a, Form) or isinstance(b, Form):
-            a = self._as_form(a)
-            b = self._as_form(b)
-            return a + b
-        return Scalar.of(a) + Scalar.of(b)
+            return self._as_form(a) + self._as_form(b)
+        return a + b
 
     def _as_form(self, value):
-        if isinstance(value, Form):
-            return value
-        return self.model.ctx.scalar_form(Scalar.of(value))
-
-    def _mul(self, a, b):
-        if isinstance(a, Form) and isinstance(b, Form):
-            return a.wedge(b)
-        if isinstance(a, Form):
-            return a * Scalar.of(b)
-        if isinstance(b, Form):
-            return b * Scalar.of(a)
-        return Scalar.of(a) * Scalar.of(b)
+        return value if isinstance(value, Form) else self.model.ctx.scalar_form(value)
 
     def _div(self, a, b):
         if isinstance(b, Form):
-            if b.degree == 0:
-                b = b.as_scalar()
-            else:
+            if b.degree != 0:
                 raise DslError("division by a form")
-        if isinstance(a, Form):
-            return a * (Scalar.of(1) / Scalar.of(b))
-        return Scalar.of(a) / Scalar.of(b)
+            b = b.as_scalar()
+        return a * (1 / b) if isinstance(a, Form) else a / b
 
 
 def parse(text: str) -> ModelFile:

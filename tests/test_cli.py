@@ -87,6 +87,14 @@ def test_conserve_clean_through_four(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_conserve_without_a_density_is_a_usage_error(order, capsys):
+    code, out, err = run(["conserve", "--fixture", "kdv", "--order", order], capsys)
+    assert code == 2
+    assert out == ""
+    assert "order must be at least 1" in err
+
+
 def test_closure(capsys):
     code, out, _ = run(["closure", "--fixture", "ch"], capsys)
     assert code == 0

@@ -54,6 +54,19 @@ def test_declaration_before_use():
         parse("form a = dx ^ dt\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "chart x t u\nform a = dx\nparams beta\n",
+        "oneform w1 w2\nform a = w1\nrule d w1 = w1^w2\n",
+    ],
+)
+def test_statement_out_of_order_is_refused(text):
+    with pytest.raises(DslError) as err:
+        parse(text)
+    assert err.value.line == 3
+
+
 def test_wedge_and_product_have_equal_precedence():
     model = parse("chart x t u\nform a = 2*dx ^ u*dt\nform b = 2*u*dx ^ dt\n")
     assert model.forms["a"] == model.forms["b"]

@@ -46,6 +46,13 @@ def test_wedge_bilinearity(chart):
     assert got == dx.wedge(dt) * (q * b)
 
 
+def test_scalar_times_form_defers_to_the_form(chart):
+    u, du = Scalar(sp.Symbol("u")), chart.gen("du")
+    assert u * du == du * u
+    with pytest.raises(TypeError):
+        u + du
+
+
 def test_coordinate_differential(chart):
     dx, dt, dp = chart.gen("dx"), chart.gen("dt"), chart.gen("dp")
     p = Scalar(sp.Symbol("p"))
