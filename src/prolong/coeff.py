@@ -10,7 +10,7 @@ factor, not even a Gaussian-integer content, and the leading coefficient
 of ``den`` lies in the first quadrant (its canonical unit), the leading
 term taken in lex order over the generators sorted as sympy's polynomial
 constructors sort them.  This is the pair sympy's rational simplification
-returns, so ``.expr`` prints as before.  The pair is unique, so equality
+returns, so ``.expr`` is the expression sympy's ``cancel`` gives.  The pair is unique, so equality
 compares the stored pairs.  When ``den`` is a single term, which is every
 symbolic denominator the bundled workloads produce, reducing needs no
 polynomial gcd: dividing out the minimum exponent of each variable and
@@ -29,9 +29,11 @@ grows as symbols and atoms appear (jet symbols such as ``u_xxxxx`` appear
 while a verb runs); a generator keeps its index, so a value built in an
 older ring lifts to the current one by padding its exponents.
 
-``.expr``, the sympy expression ``num/den``, is converted lazily and only
-at the boundary: printing and tests.  ``Scalar(expr)`` converts an
-expression once.
+``.expr``, the sympy expression ``num/den``, is converted lazily, for
+``repr``/``str``, for registering an exponential atom and for tests;
+reports print from the stored pair (``dsl.print_scalar``), and
+:func:`generator` tells the printer what each generator stands for.
+``Scalar(expr)`` converts an expression once.
 
 Scalar is the one scalar type: a spectral-family coefficient is a Scalar
 too, and :func:`eta_coefficients` reads it as a Laurent polynomial in the
@@ -61,6 +63,7 @@ __all__ = [
     "ONE",
     "sym",
     "exp_atom",
+    "generator",
     "substitute",
 ]
 
@@ -603,6 +606,13 @@ def exp_atom(s: ScalarLike) -> Scalar:
         )
         out = out * _atom(direction, power.denominator) ** power.numerator
     return out
+
+
+def generator(index: int) -> Union[str, Scalar]:
+    """Ring generator ``index``: a symbol's name, or the exponent b of the
+    exponential atom exp(b)."""
+    exponent = _CORE.exponents.get(index)
+    return _CORE.symbols[index].name if exponent is None else exponent
 
 
 def _atom(direction: Scalar, denominator: int) -> Scalar:

@@ -11,17 +11,23 @@ with its line and column.  The expression grammar is infix with `+ - * /`,
 wedge `^` (same precedence as `*`, left associative), integer powers
 `**`, differentials `d(...)`, exponentials `exp(...)`, the imaginary
 unit `i`, and `#` comments.  Printing emits canonical text that parses
-back to the same model.
+back to the same model.  A scalar is printed from its stored polynomial
+pair, with no sympy expression or printer: the text is what sympy's
+StrPrinter writes for num/den, with `i` for the imaginary unit.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
 
 import sympy as sp
 
-from .coeff import I, Scalar, exp_atom
+from .coeff import I, Scalar, exp_atom, generator
 from .forms import ContextError, DerivationContext, Form
 from .jets import jet, split_jet
 from .su2 import AKNSSpec
@@ -84,6 +90,26 @@ def tokenize(text: str) -> list:
     return tokens
 
 
+def _describe(tok: Token) -> str:
+    """A token as an error message names it."""
+    if tok.kind == "newline":
+        return "end of line"
+    if tok.kind == "eof":
+        return "end of file"
+    return repr(tok.text)
+
+
+def _integer(value) -> int | None:
+    """The integer a scalar equals, read from its stored pair (a constant,
+    real, integer numerator over 1), else None."""
+    if isinstance(value, Form):
+        return None
+    num, den = value.num, value.den
+    if den != den.ring.one or not num.is_ground or num.LC.y:
+        return None
+    return int(num.LC.x)
+
+
 @dataclass
 class ModelFile:
     """Parsed model: one context plus the named objects defined over it."""
@@ -136,6 +162,9 @@ class _Parser:
         self.model = ModelFile()
         self.stage = _DECLARATION
         self.allow_jets = False
+        # the statement keyword or block item being read: the position of
+        # an error found after its tokens
+        self.where = None
 
     # -- token plumbing ------------------------------------------------------
 
@@ -156,9 +185,14 @@ class _Parser:
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
             wanted = text or kind
-            raise DslError(f"expected {wanted!r}, found {tok.text or tok.kind!r}",
-                           tok.line, tok.col)
+            raise DslError(f"expected {wanted!r}, found {_describe(tok)}", tok.line, tok.col)
         return self.advance()
+
+    def error(self, message: str) -> DslError:
+        """A DslError at the block item being read or, outside a block, at
+        the statement keyword."""
+        tok = self.where
+        return DslError(message, tok.line, tok.col) if tok else DslError(message)
 
     def skip_newlines(self):
         while self.peek().kind == "newline":
@@ -175,7 +209,7 @@ class _Parser:
             return
         if self.at_op("}"):
             return
-        raise DslError(f"unexpected trailing {tok.text!r}", tok.line, tok.col)
+        raise DslError(f"unexpected trailing {_describe(tok)}", tok.line, tok.col)
 
     # -- statements -------------------------------------------------------------
 
@@ -192,19 +226,19 @@ class _Parser:
         except (ValueError, ZeroDivisionError) as exc:
             # engine-level rejections (degree mismatches, bad families,
             # undefined divisions) surface as structured input errors
-            raise DslError(str(exc)) from exc
+            raise self.error(str(exc)) from exc
         return self.model
 
     def _statement(self):
         tok = self.expect("name")
+        self.where = tok
         if tok.text not in _STATEMENTS:
             raise DslError(f"unknown declaration {tok.text!r}", tok.line, tok.col)
         stage, kind, field_name = _STATEMENTS[tok.text]
         if stage < self.stage:
-            raise DslError(
+            raise self.error(
                 f"{tok.text} cannot follow a {_STAGE_NAMES[self.stage]}; "
-                "declarations come first, then rules, then definitions",
-                tok.line, tok.col)
+                "declarations come first, then rules, then definitions")
         self._enter(stage)
         if stage == _DECLARATION:
             self._declaration(tok.text, kind, field_name)
@@ -246,14 +280,14 @@ class _Parser:
             for name in m.twoforms:
                 ctx.add_generator(name, 2)
         else:
-            raise DslError("definitions require a context declaration first")
+            raise self.error("definitions require a context declaration first")
         return ctx
 
     def _declaration(self, keyword: str, kind: str | None, field_name: str):
         m = self.model
         if kind is not None:
             if m.kind not in (None, kind):
-                raise DslError(f"{keyword} cannot be mixed with a {m.kind} context")
+                raise self.error(f"{keyword} cannot be mixed with a {m.kind} context")
             m.kind = kind  # repeated declarations of the same kind extend it
         names = []
         while self.peek().kind == "name":
@@ -262,7 +296,7 @@ class _Parser:
         if not names:
             raise DslError("expected at least one name", self.peek().line, self.peek().col)
         if keyword == "chart" and len(names) < 2:
-            raise DslError("chart needs the base pair plus fields")
+            raise self.error("chart needs the base pair plus fields")
         setattr(m, field_name, getattr(m, field_name) + tuple(names))
 
     def _rule(self) -> tuple:
@@ -282,7 +316,7 @@ class _Parser:
             if keyword == "form":
                 value = self._as_form(value)
             elif isinstance(value, Form):
-                raise DslError(f"let {name} must be a scalar")
+                raise self.error(f"let {name} must be a scalar")
         else:
             blocks = {"ideal": self._ideal, "akns": self._akns,
                       "connection": self._connection, "section": self._section}
@@ -294,30 +328,32 @@ class _Parser:
         """Yield (name, separator) for each `name = value` or `name -> value`
         line of a `{ ... }` block, with the cursor on the value; the caller
         reads the value before asking for the next item."""
+        keyword = self.where
         self.expect("op", "{")
         self.skip_newlines()
         while not self.at_op("}"):
-            name = self.expect("name").text
+            self.where = self.expect("name")
             sep = self.peek()
             if not (self.at_op("=") or sep.kind == "arrow"):
                 raise DslError("expected '=' or '->'", sep.line, sep.col)
             self.advance()
-            yield name, sep.text
+            yield self.where.text, sep.text
             self.end_statement()
             self.skip_newlines()
         self.expect("op", "}")
+        self.where = keyword
 
     def _ideal(self, name: str) -> ExteriorIdeal:
         m = self.model
         if m.kind != "chart":
-            raise DslError("ideals need a chart context")
+            raise self.error("ideals need a chart context")
         gen_names, gens = [], []
         for gname, sep in self._items():
             if sep != "=":
-                raise DslError(f"ideal {name}: use '=' for generators")
+                raise self.error(f"ideal {name}: use '=' for generators")
             value = self._operand()
             if not isinstance(value, Form) or value.degree < 1:
-                raise DslError(f"ideal generator {gname} must be a form")
+                raise self.error(f"ideal generator {gname} must be a form")
             gen_names.append(gname)
             gens.append(value)
         return ExteriorIdeal(ctx=m.ctx, names=tuple(gen_names), generators=tuple(gens),
@@ -326,43 +362,43 @@ class _Parser:
     def _akns(self, name: str) -> AKNSSpec:
         m = self.model
         if m.kind != "jet":
-            raise DslError("spectral families need a jet context")
+            raise self.error("spectral families need a jet context")
         entries = {}
         for fname, sep in self._items():
             if sep != "=" or fname not in _AKNS_ENTRIES:
-                raise DslError(f"akns {name}: entries are r, q, A, B, C")
+                raise self.error(f"akns {name}: entries are r, q, A, B, C")
             value = self._operand()
             if isinstance(value, Form):
-                raise DslError(f"akns {name}: {fname} must be a scalar")
+                raise self.error(f"akns {name}: {fname} must be a scalar")
             entries[fname] = value
         missing = set(_AKNS_ENTRIES) - set(entries)
         if missing:
-            raise DslError(f"akns {name}: missing {sorted(missing)}")
+            raise self.error(f"akns {name}: missing {sorted(missing)}")
         return AKNSSpec(name=name, deps=m.jet_fields, **entries)
 
     def _connection(self, name: str) -> ConnectionData:
         mats = {}
         for fname, sep in self._items():
             if sep != "=" or fname not in ("F", "G"):
-                raise DslError(f"connection {name}: entries are F and G")
+                raise self.error(f"connection {name}: entries are F and G")
             mats[fname] = self._operand(self.matrix)
         if set(mats) != {"F", "G"}:
-            raise DslError(f"connection {name}: both F and G are required")
+            raise self.error(f"connection {name}: both F and G are required")
         return ConnectionData(**mats)
 
     def _section(self, name: str) -> tuple:
         m = self.model
         if name not in m.ideals:
-            raise DslError(f"section references unknown ideal {name!r}")
+            raise self.error(f"section references unknown ideal {name!r}")
         chain = []
         for var, sep in self._items():
             if sep != "->":
-                raise DslError(f"section {name}: use 'var -> expression'")
+                raise self.error(f"section {name}: use 'var -> expression'")
             if var not in m.coordinates:
-                raise DslError(f"section {name}: {var} is not a chart coordinate")
+                raise self.error(f"section {name}: {var} is not a chart coordinate")
             value = self._operand()
             if isinstance(value, Form):
-                raise DslError(f"section {name}: replacement must be a jet scalar")
+                raise self.error(f"section {name}: replacement must be a jet scalar")
             chain.append((var, value))
         return tuple(chain)
 
@@ -377,7 +413,7 @@ class _Parser:
         value = (read or self.expression)()
         tok = self.peek()
         if not self.at_end():
-            raise DslError(f"unexpected {tok.text!r}", tok.line, tok.col)
+            raise DslError(f"unexpected {_describe(tok)}", tok.line, tok.col)
         return value
 
     # grammar: expression := term (('+'|'-') term)*
@@ -405,12 +441,12 @@ class _Parser:
         value = self.unary()
         if self.peek().kind == "pow":
             tok = self.advance()
-            exponent = self.unary()
-            if isinstance(exponent, Form) or not exponent.expr.is_Integer:
+            n = _integer(self.unary())
+            if n is None:
                 raise DslError("exponent must be an integer", tok.line, tok.col)
             if isinstance(value, Form):
                 raise DslError("cannot exponentiate a form", tok.line, tok.col)
-            return value ** int(exponent.expr)
+            return value**n
         return value
 
     def unary(self):
@@ -438,7 +474,7 @@ class _Parser:
                     raise DslError("exp takes a scalar", tok.line, tok.col)
                 return exp_atom(inner)
             return self._resolve(tok)
-        raise DslError(f"unexpected {tok.text or tok.kind!r}", tok.line, tok.col)
+        raise DslError(f"unexpected {_describe(tok)}", tok.line, tok.col)
 
     def matrix(self):
         self.expect("op", "[")
@@ -450,7 +486,7 @@ class _Parser:
             self.advance()
         self.expect("op", "]")
         if len({len(r) for r in rows}) != 1:
-            raise DslError("matrix rows must have equal length")
+            raise self.error("matrix rows must have equal length")
         return tuple(rows)
 
     def _matrix_row(self):
@@ -459,7 +495,7 @@ class _Parser:
         while True:
             value = self.expression()
             if isinstance(value, Form):
-                raise DslError("matrix entries must be scalars")
+                raise self.error("matrix entries must be scalars")
             row.append(value)
             if not self.at_op(","):
                 break
@@ -501,7 +537,7 @@ class _Parser:
     def _div(self, a, b):
         if isinstance(b, Form):
             if b.degree != 0:
-                raise DslError("division by a form")
+                raise self.error("division by a form")
             b = b.as_scalar()
         return a * (1 / b) if isinstance(a, Form) else a / b
 
@@ -520,16 +556,279 @@ def parse_path(path) -> ModelFile:
 # ---------------------------------------------------------------------------
 
 
-class _DslPrinter(sp.printing.str.StrPrinter):
-    def _print_ImaginaryUnit(self, expr):
+# print_scalar writes, byte for byte, the text sympy's StrPrinter gives for
+# the expression num/den, without building that expression or calling the
+# printer.  It reads the stored pair into a small model of the expression
+# sympy evaluates num/den to, then applies StrPrinter's rules for sums and
+# products to the model:
+#
+# - an expression is a tuple of terms: one term, or the terms of a sum;
+# - a term is (coefficient, factors): a Fraction and a tuple of factors in
+#   sympy's sort-key order;
+# - a factor is (kind, base, exponent), one of
+#     ("sym", name, e)   a symbol to a nonzero integer power,
+#     ("I", None, 1)     the imaginary unit,
+#     ("E", None, 1)     Euler's number, exp(1),
+#     ("exp", arg, 1)    the exponential of an expression other than 1,
+#     ("add", sum, e)    a sum to the power e: a Gaussian constant
+#                        (a + b*i), a numerator polynomial, or, with
+#                        e = -1, a denominator polynomial.
+#
+# sympy evaluates num/den as follows, and so does the model: a generator
+# power exp(b)**k is exp(k*b); a Gaussian coefficient a + b*i stays a factor
+# of its monomial, and a Gaussian constant term joins the sum as a and b*i;
+# an integer denominator n spreads 1/n over the terms of the numerator; a
+# Gaussian constant denominator c inverts to conj(c)/|c|**2; a monomial
+# denominator inverts factor by factor (exp(b) to exp(-b)); any other
+# denominator stays the factor 1/(sum); a constant over a constant is
+# expanded to a + b*i.
+
+_I = ("I", None, 1)
+_E = ("E", None, 1)
+_NUMBER = (1, 0, "Number")
+
+
+def _number_key(value) -> tuple:
+    return (_NUMBER, (0, ()), (), value)
+
+
+_ONE_KEY = _number_key(1)
+
+
+@lru_cache(maxsize=4096)
+def _factor_key(factor: tuple) -> tuple:
+    """sympy's sort_key of a factor."""
+    kind, base, e = factor
+    if kind == "sym":
+        return ((2, 0, "Symbol"), (1, (base,)), _number_key(e), 1)
+    if kind == "I":
+        return ((2, 0, "ImaginaryUnit"), (1, ("I",)), _ONE_KEY, 1)
+    if kind == "E":
+        return ((2, 0, "Exp1"), (1, ("E",)), _ONE_KEY, 1)
+    if kind == "exp":
+        return ((4, 10, "exp"), (1, (_expression_key(base),)), _ONE_KEY, 1)
+    keys = tuple(_term_key(t) for t in _ordered(base))
+    return ((3, 1, "Add"), (len(keys), keys), _number_key(e), 1)
+
+
+def _term_key(term: tuple) -> tuple:
+    c, factors = term
+    if not factors:
+        return _number_key(c)
+    if len(factors) == 1:
+        return _factor_key(factors[0])[:3] + (c,)
+    keys = tuple(_factor_key(f) for f in factors)
+    return ((3, 0, "Mul"), (len(keys), keys), _ONE_KEY, c)
+
+
+def _expression_key(expr: tuple) -> tuple:
+    return _term_key(expr[0]) if len(expr) == 1 else _factor_key(("add", expr, 1))
+
+
+def _sorted(factors) -> tuple:
+    return tuple(sorted(factors, key=_factor_key))
+
+
+def _value(factor: tuple):
+    """The complex value of a constant factor, else None."""
+    kind, base, e = factor
+    if kind == "I":
+        return 1j
+    if kind == "E":
+        return math.e
+    if kind == "sym":
+        return None
+    total = 0
+    for c, factors in base:
+        term = complex(c)
+        for f in factors:
+            v = _value(f)
+            if v is None:
+                return None
+            term *= v
+        total += term
+    return cmath.exp(total) if kind == "exp" else total**e
+
+
+def _decomposed(factor: tuple) -> tuple:
+    """(base, exponent) of a non-constant factor, as sympy's decompose_power
+    splits it: exp(-2*y/3) is exp(y/3) to the power -2."""
+    kind, base, e = factor
+    if kind == "exp" and len(base) == 1:
+        c, rest = base[0]
+        return ("exp", ((Fraction(1, c.denominator), rest),), 1), c.numerator
+    return (kind, base, 1), e
+
+
+def _ordered(expr: tuple) -> list:
+    """The terms of a sum in the order StrPrinter writes them."""
+    if len(expr) == 2:
+        # a positive number and a negative multiple of one factor keep
+        # that order: 1 - x
+        for first, (c, factors) in (expr, expr[::-1]):
+            if (first[0] > 0 and (not first[1] or first == (1, (_E,)))
+                    and c < 0 and len(factors) == 1):
+                return [first, (c, factors)]
+    # otherwise descending lex order of the monomials over the non-constant
+    # bases, constant factors joining the coefficient, real before imaginary
+    rows = []
+    for c, factors in expr:
+        value, powers = complex(c), {}
+        for f in factors:
+            v = _value(f)
+            if v is None:
+                base, e = _decomposed(f)
+                powers[base] = e
+            else:
+                value *= v
+        rows.append((powers, value))
+    bases = sorted({b for powers, _ in rows for b in powers}, key=_factor_key)
+
+    def key(i):
+        powers, value = rows[i]
+        return (tuple(-powers.get(b, 0) for b in bases),
+                ((value.imag != 0, value.imag), (value.real, value.imag)))
+
+    return [expr[i] for i in sorted(range(len(expr)), key=key)]
+
+
+def _print_expression(expr: tuple) -> str:
+    if len(expr) == 1:
+        return _print_term(expr[0])
+    out = ""
+    for term in _ordered(expr):
+        text = _print_term(term)
+        out += f" - {text[1:]}" if text.startswith("-") else f" + {text}"
+    return f"-{out[3:]}" if out.startswith(" - ") else out[3:]
+
+
+def _print_term(term: tuple) -> str:
+    c, factors = term
+    if not factors:
+        return str(c)
+    if c == 1 and len(factors) == 1:
+        return _print_alone(factors[0])
+    top = [str(abs(c.numerator))] if abs(c.numerator) != 1 else []
+    bottom = [str(c.denominator)] if c.denominator != 1 else []
+    for kind, base, e in factors:
+        if e < 0:
+            bottom.append(_print_factor(kind, base, -e))
+        else:
+            top.append(_print_factor(kind, base, e))
+    text = ("-" if c < 0 else "") + "*".join(top or ["1"])
+    if len(bottom) > 1:
+        return f"{text}/({'*'.join(bottom)})"
+    return f"{text}/{bottom[0]}" if bottom else text
+
+
+def _print_factor(kind: str, base, e: int) -> str:
+    """A factor to a positive power, as it appears inside a product."""
+    if kind == "sym":
+        text = base
+    elif kind == "add":
+        text = f"({_print_expression(base)})"
+    else:
+        return _print_alone((kind, base, e))
+    return text if e == 1 else f"{text}**{e}"
+
+
+def _print_alone(factor: tuple) -> str:
+    """A factor that makes up a whole term."""
+    kind, base, e = factor
+    if kind == "I":
         return "i"
+    if kind == "E":
+        return "E"
+    if kind == "exp":
+        return f"exp({_print_expression(base)})"
+    if kind == "add" and e == 1:
+        return _print_expression(base)
+    text = _print_factor(kind, base, 1)
+    if e == -1:
+        return f"1/{text}"
+    return _print_factor(kind, base, e) if e > 0 else f"{text}**({e})"
 
 
-_PRINTER = _DslPrinter()
+def _gaussian(re, im) -> tuple:
+    """The expression re + im*i of a Gaussian rational."""
+    terms = ()
+    if re:
+        terms += ((Fraction(re), ()),)
+    if im:
+        terms += ((Fraction(im), (_I,)),)
+    return terms
+
+
+def _scaled(expr: tuple, k) -> tuple:
+    """k*expr for a rational k: sympy spreads k over the terms of a sum."""
+    return tuple((c * k, factors) for c, factors in expr)
+
+
+@lru_cache(maxsize=4096)
+def _power(index: int, e: int) -> tuple:
+    """The factor of ring generator index to the power e."""
+    g = generator(index)
+    if isinstance(g, str):
+        return ("sym", g, e)
+    arg = _scaled(_expression(g), e)
+    return _E if arg == ((1, ()),) else ("exp", arg, 1)
+
+
+def _polynomial(poly) -> tuple:
+    terms = ()
+    for monom, c in poly.items():
+        factors = [_power(i, e) for i, e in enumerate(monom) if e]
+        if not factors:
+            terms += _gaussian(c.x, c.y)
+            continue
+        coeff = c.x
+        if c.y:
+            coeff = c.y if not c.x else 1
+            factors.append(_I if not c.x else ("add", _gaussian(c.x, c.y), 1))
+        terms += ((Fraction(coeff), _sorted(factors)),)
+    return terms
+
+
+def _expression(s: Scalar) -> tuple:
+    """The model of the expression sympy evaluates s.num/s.den to."""
+    num, den = s.num, s.den
+    top = _polynomial(num)
+    if den == den.ring.one:
+        return top
+    if den.is_ground and num.is_ground:
+        n, d = num.LC, den.LC
+        norm = d.x * d.x + d.y * d.y
+        return _gaussian(Fraction(n.x * d.x + n.y * d.y, norm),
+                         Fraction(n.y * d.x - n.x * d.y, norm))
+    if den.is_ground and not den.LC.y:
+        return _scaled(top, Fraction(1, den.LC.x))
+    if len(den) == 1:
+        # c*m, constants included, inverts to conj(c)/|c|**2 times 1/m
+        [(monom, d)] = den.items()
+        inverse = [_power(i, -e) for i, e in enumerate(monom) if e]
+        if d.y:
+            inverse.append(("add", _gaussian(d.x, -d.y), 1))
+        coeff = Fraction(1, d.x * d.x + d.y * d.y if d.y else d.x)
+    else:
+        inverse, coeff = [("add", _polynomial(den), -1)], Fraction(1)
+    if len(top) == 1:
+        coeff *= top[0][0]
+        inverse += top[0][1]
+    else:
+        inverse.append(("add", top, 1))
+    # equal bases multiply: a Gaussian numerator coefficient can meet the
+    # conjugate of the denominator's
+    powers: dict = {}
+    for kind, base, e in inverse:
+        powers[kind, base] = powers.get((kind, base), 0) + e
+    return ((coeff, _sorted((kind, base, e) for (kind, base), e in powers.items())),)
 
 
 def print_scalar(value: Scalar) -> str:
-    return _PRINTER.doprint(Scalar.of(value).expr)
+    """The text of a scalar: what sympy's StrPrinter writes for num/den,
+    with i for the imaginary unit."""
+    s = Scalar.of(value)
+    return "0" if s.is_zero else _print_expression(_expression(s))
 
 
 def _coeff_prefix(coeff: Scalar) -> str:

@@ -182,3 +182,58 @@ def test_print_form_signs():
     assert printed == "-2*dx^dt + dt^du"
     reparsed = parse(f"chart x t u\nform a = {printed}\n")
     assert reparsed.forms["a"] == model.forms["a"]
+
+
+def test_integer_exponent_is_accepted():
+    model = parse("chart x t u\nlet a = u**2\nlet b = u**-1\n")
+    assert model.lets["a"] == Scalar(sp.Symbol("u") ** 2)
+    assert model.lets["b"] == Scalar(1 / sp.Symbol("u"))
+
+
+@pytest.mark.parametrize("exponent", ["(1/2)", "i", "t", "(2*i)", "dx"])
+def test_non_integer_exponent_is_refused_at_its_operator(exponent):
+    with pytest.raises(DslError, match="exponent must be an integer") as err:
+        parse(f"chart x t u\nlet a = u**{exponent}\n")
+    assert (err.value.line, err.value.col) == (2, 10)
+
+
+CH_IDEAL = "chart x t u p q\nideal ch {\n  xi1 = du - p*dx\n  xi2 = dq\n}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        (CH_IDEAL.replace("xi2 = dq", "xi2 = q"), "ideal generator xi2 must be a form", 4, 3),
+        (CH_IDEAL.replace("xi2 = dq", "xi2 -> dq"), "ideal ch: use '=' for generators", 4, 3),
+        ("jet q\nideal ch {\n  xi1 = dq\n}\n", "ideals need a chart context", 2, 1),
+        (fixture_text("kdv").replace("  C = ", "  # C = "), "akns kdv: missing ['C']", 7, 1),
+        ("chart x t u\n\nform a = dx + dx ^ dt\n", "degree", 3, 1),
+        (CH_IDEAL.replace("xi2 = dq", "xi2 = dq + dx ^ dt"), "degree", 4, 3),
+        ("oneform w1\nchart x t u\n", "chart cannot be mixed with a dga context", 2, 1),
+        ("chart x t u\nlet a = 1/(u - u)\n", "division", 2, 1),
+    ],
+    ids=["generator-not-a-form", "arrow-in-ideal", "ideal-without-chart", "akns-missing-entry",
+         "engine-error-in-statement", "engine-error-in-block-item", "mixed-context",
+         "division-by-zero"],
+)
+def test_semantic_errors_carry_the_statement_or_item_position(text, message, line, col):
+    with pytest.raises(DslError) as err:
+        parse(text)
+    assert message in str(err.value)
+    assert str(err.value).startswith(f"line {line}, column {col}: ")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("chart x t u p q\nideal ch\n{\n}\n", "line 2, column 9: expected '{', found end of line"),
+        ("chart x t u\nform a = dx ^\n", "line 2, column 14: unexpected end of line"),
+        ("chart x t u\nform a = (dx", "line 2, column 13: expected ')', found end of file"),
+        ("chart x t u\nform a = dx ^", "line 2, column 14: unexpected end of file"),
+    ],
+    ids=["expect", "atom-at-newline", "expect-at-eof", "atom-at-eof"],
+)
+def test_line_and_file_ends_are_named_in_messages(text, message):
+    with pytest.raises(DslError) as err:
+        parse(text)
+    assert str(err.value) == message

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
+from sympy.printing.str import StrPrinter
 
 from prolong.cli import main
 
@@ -121,7 +122,7 @@ def test_conserve_order_5_golden_stays_red():
 
 def _refuse(name):
     def refused(*args, **kwargs):
-        raise AssertionError(f"sympy.{name} called: the scalar core fell back to Expr algebra")
+        raise AssertionError(f"sympy.{name} called: a verb fell back to Expr algebra or printing")
 
     return refused
 
@@ -138,10 +139,12 @@ def _refuse(name):
     ids=lambda argv: golden_path(argv).stem,
 )
 def test_golden_without_cancel_or_powsimp(argv, monkeypatch):
-    """The scalar core reduces on its stored polynomial pairs and solves
-    multiplier systems on them; no verb may reach sympy's cancel or
-    powsimp, or rebuild a system as a DomainMatrix of expressions."""
+    """The scalar core reduces on its stored polynomial pairs, solves
+    multiplier systems on them and prints from them; no verb may reach
+    sympy's cancel or powsimp, rebuild a system as a DomainMatrix of
+    expressions, or run sympy's string printer."""
     monkeypatch.setattr(sympy, "cancel", _refuse("cancel"))
     monkeypatch.setattr(sympy, "powsimp", _refuse("powsimp"))
     monkeypatch.setattr(DomainMatrix, "from_list_sympy", _refuse("DomainMatrix.from_list_sympy"))
+    monkeypatch.setattr(StrPrinter, "doprint", _refuse("StrPrinter.doprint"))
     assert render(argv) == golden_path(argv).read_text(encoding="utf-8")
