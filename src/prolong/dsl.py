@@ -781,10 +781,14 @@ def _polynomial(poly) -> tuple:
         if not factors:
             terms += _gaussian(c.x, c.y)
             continue
-        coeff = c.x
-        if c.y:
-            coeff = c.y if not c.x else 1
-            factors.append(_I if not c.x else ("add", _gaussian(c.x, c.y), 1))
+        if not c.y:
+            coeff = c.x
+        elif not c.x:
+            coeff = c.y
+            factors.append(_I)
+        else:
+            coeff = 1
+            factors.append(("add", _gaussian(c.x, c.y), 1))
         terms += ((Fraction(coeff), _sorted(factors)),)
     return terms
 

@@ -244,12 +244,10 @@ def _proportional_to(e: Scalar, target: Scalar) -> bool:
 
 def _peakon_family(beta: int) -> Scalar:
     """(u - u_xx)_t + u (u - u_xx)_x + beta (u - u_xx) u_x, expanded in jets."""
-    u, ux, uxx, uxxx = jet("u"), jet("u", 1), jet("u", 2), jet("u", 3)
-    ut, uxxt = jet("u", 0, 1), jet("u", 2, 1)
-    m_t = Scalar(ut - uxxt)
-    m_x = Scalar(ux - uxxx)
-    m = Scalar(u - uxx)
-    return m_t + Scalar(u) * m_x + beta * m * Scalar(ux)
+    u, ux, uxx, uxxx, ut, uxxt = (
+        Scalar(jet("u", nx, nt)) for nx, nt in ((0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (2, 1))
+    )
+    return ut - uxxt + u * (ux - uxxx) + beta * (u - uxx) * ux
 
 
 def named_equation(e: Scalar) -> str | None:

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy.printing.str import StrPrinter
 
 from prolong import dsl
-from prolong.coeff import I, ONE, ZERO, Scalar, exp_atom, sym
+from prolong.coeff import I, ONE, ZERO, Scalar, exp_atom, generator, sym
 from prolong.dsl import parse, print_scalar
 
 from test_golden import CASES, render
@@ -114,9 +114,35 @@ def corpus(seed: int, size: int) -> list:
     return out
 
 
+def _shapes(s: Scalar) -> set:
+    """The evaluation shapes of s that print differently."""
+    num, den = s.num, s.den
+    found = set()
+    if den.is_ground:
+        if den.LC.y:
+            found.add("gaussian denominator")
+        elif den.LC.x != 1 and len(num) > 1:
+            found.add("integer denominator over a sum")
+    elif len(den) == 1:
+        [monom] = den.keys()
+        found.add("monomial denominator")
+        if any(e and not isinstance(generator(i), str) for i, e in enumerate(monom)):
+            found.add("negative power of an exp atom")
+    else:
+        found.add("polynomial denominator")
+    constant = num.get(num.ring.zero_monom)
+    if len(num) > 1 and constant is not None and constant.x and constant.y:
+        found.add("gaussian constant term in a sum")
+    return found
+
+
 def test_seeded_corpus_prints_as_the_oracle():
     scalars = corpus(7, 2000)
-    assert len({s.den.is_ground for s in scalars}) == 2
+    counts = {}
+    for s in scalars:
+        for shape in _shapes(s):
+            counts[shape] = counts.get(shape, 0) + 1
+    assert len(counts) == 6 and min(counts.values()) >= 50, counts
     assert _mismatches(scalars) == []
 
 
