@@ -10,11 +10,12 @@ factor, not even a Gaussian-integer content, and the leading coefficient
 of ``den`` lies in the first quadrant (its canonical unit), the leading
 term taken in lex order over the generators sorted as sympy's polynomial
 constructors sort them.  This is the pair sympy's rational simplification
-returns, so ``.expr`` is the expression sympy's ``cancel`` gives.  The pair is unique, so equality
-compares the stored pairs.  When ``den`` is a single term, which is every
-symbolic denominator the bundled workloads produce, reducing needs no
-polynomial gcd: dividing out the minimum exponent of each variable and
-the content gcd suffices.  Any other ``den`` goes through ``cofactors``.
+returns, so ``.expr`` is the expression sympy's ``cancel`` gives.  The
+pair is unique, so equality compares the stored pairs.  When ``den`` is a
+single term, which is every symbolic denominator the bundled workloads
+produce, reducing needs no polynomial gcd: dividing out the minimum
+exponent of each variable and the content gcd suffices.  Any other
+``den`` goes through ``cofactors``.
 
 Each exponential atom is a ring generator ``E`` standing for exp(b) with
 dE/dz = E * db/dz.  exp(s) splits into one factor per term of s, each an
