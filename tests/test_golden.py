@@ -140,9 +140,9 @@ def _refuse(name):
 )
 def test_golden_without_cancel_or_powsimp(argv, monkeypatch):
     """The scalar core reduces on its stored polynomial pairs, solves
-    multiplier systems on them and prints from them; no verb may reach
-    sympy's cancel or powsimp, rebuild a system as a DomainMatrix of
-    expressions, or run sympy's string printer."""
+    multiplier systems on them and prints from them; none of these verb
+    runs may reach sympy's cancel or powsimp, rebuild a system as a
+    DomainMatrix of expressions, or run sympy's string printer."""
     monkeypatch.setattr(sympy, "cancel", _refuse("cancel"))
     monkeypatch.setattr(sympy, "powsimp", _refuse("powsimp"))
     monkeypatch.setattr(DomainMatrix, "from_list_sympy", _refuse("DomainMatrix.from_list_sympy"))
