@@ -8,20 +8,26 @@ A Scalar stores a canonical pair ``num/den`` of sparse polynomials over
 the Gaussian integers ``ZZ_I`` (``sympy.polys.rings``): the two share no
 factor, not even a Gaussian-integer content, and the leading coefficient
 of ``den`` lies in the first quadrant (its canonical unit), the leading
-term taken in lex order over the generators sorted as sympy's polynomial
-constructors sort them.  This is the pair sympy's rational simplification
-returns, so ``.expr`` is the expression sympy's ``cancel`` gives.  The
-pair is unique, so equality compares the stored pairs.  When ``den`` is a
-single term, which is every symbolic denominator the bundled workloads
-produce, reducing needs no polynomial gcd: dividing out the minimum
-exponent of each variable and the content gcd suffices.  Any other
-``den`` goes through ``cofactors``.
+term taken in lex order over the generators sorted by their text with the
+key sympy's polynomial constructors sort generators by (``_sort_gens``).
+A generator's text is a symbol's name, or an atom's printed ``exp(...)``
+or ``E``, computed once when the generator is registered.  This is the
+pair sympy's rational simplification returns, so ``.expr`` is the
+expression sympy's ``cancel`` gives, except that an atom whose exponent
+holds the imaginary unit sorts as ``exp(i*...)`` where sympy sorts
+``exp(I*...)``.  The pair is unique, so equality compares the stored
+pairs.  When ``den`` is a single term, which is every symbolic
+denominator the bundled workloads produce, reducing needs no polynomial
+gcd: dividing out the minimum exponent of each variable and the content
+gcd suffices.  Any other ``den`` goes through ``cofactors``.
 
 Each exponential atom is a ring generator ``E`` standing for exp(b) with
 dE/dz = E * db/dz.  exp(s) splits into one factor per term of s, each an
 integer power of an atom whose exponent b has primitive, sign-normalised
 coefficients, so exp(-y5) is the monomial denominator 1/E and exp(y5)
-and exp(2*y5) share one generator.
+and exp(2*y5) share one generator.  The ring names an atom by a
+placeholder symbol named by its text; only ``.expr`` maps it back to
+sympy's exp(b).
 
 All Scalars live in one process-wide polynomial ring, not one per
 context, because values cross contexts (generator pullbacks, jet
@@ -30,11 +36,14 @@ grows as symbols and atoms appear (jet symbols such as ``u_xxxxx`` appear
 while a verb runs); a generator keeps its index, so a value built in an
 older ring lifts to the current one by padding its exponents.
 
-``.expr``, the sympy expression ``num/den``, is converted lazily, for
-``repr``/``str``, for registering an exponential atom and for tests;
-reports print from the stored pair (``dsl.print_scalar``), and
-:func:`generator` tells the printer what each generator stands for.
-``Scalar(expr)`` converts an expression once.
+A Scalar prints from its stored pair: ``str`` writes, byte for byte, the
+text sympy's string printer gives for the expression num/den, with ``i``
+for the imaginary unit, without building that expression or running the
+printer (see the printing section).  Reports, error messages, ``repr``
+and the generator order all use that one text.  ``.expr``, the sympy
+expression num/den, and ``Scalar(expr)``, which converts an expression
+once, are the boundary to sympy: no engine code reads ``.expr``; tests
+and callers outside the engine do.
 
 Scalar is the one scalar type: a spectral-family coefficient is a Scalar
 too, and :func:`eta_coefficients` reads it as a Laurent polynomial in the
@@ -43,8 +52,11 @@ spectral parameter eta.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Mapping, Union
 
@@ -64,7 +76,6 @@ __all__ = [
     "ONE",
     "sym",
     "exp_atom",
-    "generator",
     "substitute",
 ]
 
@@ -86,7 +97,7 @@ class _Ring:
     """
 
     def __init__(self):
-        self.symbols: list = []  # sympy Symbols and exp atoms, by index
+        self.symbols: list = []  # Symbols and atom placeholders, by index
         self.index: dict = {}
         self.exponents: dict = {}  # generator index -> exponent b of exp(b)
         self.atoms: dict = {}  # primitive exponent -> (denominator, index)
@@ -108,17 +119,25 @@ class _Ring:
             self.ring = PolyRing(tuple(self.symbols) + spare, ZZ_I, lex)
 
     def as_expr(self, poly: PolyElement) -> sp.Expr:
-        """poly as an expression in the generators' own symbols (the ring
-        still names generators added after it was built by placeholders)."""
-        n = poly.ring.ngens
-        return poly.as_expr(*self.symbols[:n], *poly.ring.symbols[len(self.symbols):])
+        """poly as an expression in the generators' own symbols, each atom
+        that occurs as sympy's exp(b) (the ring still names generators
+        added after it was built by spare placeholders)."""
+        gens = [*self.symbols[:poly.ring.ngens], *poly.ring.symbols[len(self.symbols):]]
+        for i in _used(poly):
+            if i in self.exponents:
+                gens[i] = sp.exp(self.exponents[i].expr)
+        return poly.as_expr(*gens)
 
     def lex_order(self) -> list:
         """Generator indices in the order sympy's polynomial constructors
-        sort the generators."""
+        sort generators with these texts; equal texts (a declared E and
+        the atom exp(1)) keep their registration order."""
         if self._lex is None:
-            position = {s: i for i, s in enumerate(self.symbols)}
-            self._lex = [position[s] for s in _sort_gens(self.symbols)]
+            texts = [s.name for s in self.symbols]
+            slots: dict = {}
+            for i, text in enumerate(texts):
+                slots.setdefault(text, []).append(i)
+            self._lex = [slots[text].pop(0) for text in _sort_gens(texts)]
         return self._lex
 
 
@@ -469,10 +488,10 @@ class Scalar:
         return h
 
     def __repr__(self) -> str:
-        return f"Scalar({self.expr})"
+        return f"Scalar({self})"
 
     def __str__(self) -> str:
-        return str(self.expr)
+        return "0" if self.is_zero else _print_expression(_expression(self))
 
 
 # What Scalar arithmetic accepts; for anything else (a Form, say) the
@@ -534,7 +553,7 @@ def _convert(value) -> tuple:
         raise ZeroDivisionError(f"scalar normalizes to an undefined value: {expr}")
     # Register every atom and symbol first, so one ring serves the walk.
     atoms = {a: exp_atom(Scalar(a.args[0])) for a in expr.atoms(sp.exp)}
-    _CORE.grow(sorted(expr.free_symbols, key=str))
+    _CORE.grow(sorted(expr.free_symbols, key=lambda s: s.name))
     atoms = {a: s._lifted() for a, s in atoms.items()}
     ring = _CORE.ring
     one = ring.one
@@ -609,20 +628,14 @@ def exp_atom(s: ScalarLike) -> Scalar:
     return out
 
 
-def generator(index: int) -> Union[str, Scalar]:
-    """Ring generator ``index``: a symbol's name, or the exponent b of the
-    exponential atom exp(b)."""
-    exponent = _CORE.exponents.get(index)
-    return _CORE.symbols[index].name if exponent is None else exponent
-
-
 def _atom(direction: Scalar, denominator: int) -> Scalar:
     """exp(direction/denominator) as a power of the one atom registered for
     direction, registering it on first use."""
     known = _CORE.atoms.get(direction)
     if known is None:
         exponent = direction / Scalar.rational(denominator)
-        symbol = sp.exp(exponent.expr)
+        # a Dummy, so no declared symbol (a scalar named E, say) is taken
+        symbol = sp.Dummy(_print_alone(_exp_factor(_expression(exponent))))
         _CORE.grow([symbol])
         index = _CORE.index[symbol]
         _CORE.exponents[index] = exponent
@@ -630,7 +643,7 @@ def _atom(direction: Scalar, denominator: int) -> Scalar:
     if known[0] % denominator:
         wanted = direction / Scalar.rational(denominator)
         raise ValueError(
-            f"exponential atoms {_CORE.symbols[known[1]]} and exp({wanted}) "
+            f"exponential atoms {_CORE.symbols[known[1]].name} and exp({wanted}) "
             "differ by a non-integer factor"
         )
     ring = _CORE.ring
@@ -727,3 +740,284 @@ def eta_coefficients(e: ScalarLike) -> dict:
     for m, c in num.items():
         parts.setdefault(m[k], []).append((m, c))
     return {n - shift: _reduce(drop(num.new(parts[n])), rest) for n in sorted(parts)}
+
+
+# ---------------------------------------------------------------------------
+# printing
+# ---------------------------------------------------------------------------
+
+
+# str(Scalar) writes, byte for byte, the text sympy's string printer gives
+# for the expression num/den, without building that expression or calling
+# the printer.  It reads the stored pair into a small model of the expression
+# sympy evaluates num/den to, then applies the printer's rules for sums and
+# products to the model:
+#
+# - an expression is a tuple of terms: one term, or the terms of a sum;
+# - a term is (coefficient, factors): a Fraction and a tuple of factors in
+#   sympy's sort-key order;
+# - a factor is (kind, base, exponent), one of
+#     ("sym", name, e)   a symbol to a nonzero integer power,
+#     ("I", None, 1)     the imaginary unit,
+#     ("E", None, 1)     Euler's number, exp(1),
+#     ("exp", arg, 1)    the exponential of an expression other than 1,
+#     ("add", sum, e)    a sum to the power e: a Gaussian constant
+#                        (a + b*i), a numerator polynomial, or, with
+#                        e = -1, a denominator polynomial.
+#
+# sympy evaluates num/den as follows, and so does the model: a generator
+# power exp(b)**k is exp(k*b); a Gaussian coefficient a + b*i stays a factor
+# of its monomial, and a Gaussian constant term joins the sum as a and b*i;
+# an integer denominator n spreads 1/n over the terms of the numerator; a
+# Gaussian constant denominator c inverts to conj(c)/|c|**2; a monomial
+# denominator inverts factor by factor (exp(b) to exp(-b)); any other
+# denominator stays the factor 1/(sum); a constant over a constant is
+# expanded to a + b*i.
+
+_I = ("I", None, 1)
+_E = ("E", None, 1)
+_NUMBER = (1, 0, "Number")
+
+
+def _number_key(value) -> tuple:
+    return (_NUMBER, (0, ()), (), value)
+
+
+_ONE_KEY = _number_key(1)
+
+
+@lru_cache(maxsize=4096)
+def _factor_key(factor: tuple) -> tuple:
+    """sympy's sort_key of a factor."""
+    kind, base, e = factor
+    if kind == "sym":
+        return ((2, 0, "Symbol"), (1, (base,)), _number_key(e), 1)
+    if kind == "I":
+        return ((2, 0, "ImaginaryUnit"), (1, ("I",)), _ONE_KEY, 1)
+    if kind == "E":
+        return ((2, 0, "Exp1"), (1, ("E",)), _ONE_KEY, 1)
+    if kind == "exp":
+        return ((4, 10, "exp"), (1, (_expression_key(base),)), _ONE_KEY, 1)
+    keys = tuple(_term_key(t) for t in _ordered(base))
+    return ((3, 1, "Add"), (len(keys), keys), _number_key(e), 1)
+
+
+def _term_key(term: tuple) -> tuple:
+    c, factors = term
+    if not factors:
+        return _number_key(c)
+    if len(factors) == 1:
+        return _factor_key(factors[0])[:3] + (c,)
+    keys = tuple(_factor_key(f) for f in factors)
+    return ((3, 0, "Mul"), (len(keys), keys), _ONE_KEY, c)
+
+
+def _expression_key(expr: tuple) -> tuple:
+    return _term_key(expr[0]) if len(expr) == 1 else _factor_key(("add", expr, 1))
+
+
+def _sorted(factors) -> tuple:
+    return tuple(sorted(factors, key=_factor_key))
+
+
+def _value(factor: tuple):
+    """The complex value of a constant factor, else None."""
+    kind, base, e = factor
+    if kind == "I":
+        return 1j
+    if kind == "E":
+        return math.e
+    if kind == "sym":
+        return None
+    total = 0
+    for c, factors in base:
+        term = complex(c)
+        for f in factors:
+            v = _value(f)
+            if v is None:
+                return None
+            term *= v
+        total += term
+    return cmath.exp(total) if kind == "exp" else total**e
+
+
+def _decomposed(factor: tuple) -> tuple:
+    """(base, exponent) of a non-constant factor, as sympy's decompose_power
+    splits it: exp(-2*y/3) is exp(y/3) to the power -2."""
+    kind, base, e = factor
+    if kind == "exp" and len(base) == 1:
+        c, rest = base[0]
+        return ("exp", ((Fraction(1, c.denominator), rest),), 1), c.numerator
+    return (kind, base, 1), e
+
+
+def _ordered(expr: tuple) -> list:
+    """The terms of a sum in the order sympy's string printer writes them."""
+    if len(expr) == 2:
+        # a positive number and a negative multiple of one factor keep
+        # that order: 1 - x
+        for first, (c, factors) in (expr, expr[::-1]):
+            if (first[0] > 0 and (not first[1] or first == (1, (_E,)))
+                    and c < 0 and len(factors) == 1):
+                return [first, (c, factors)]
+    # otherwise descending lex order of the monomials over the non-constant
+    # bases, constant factors joining the coefficient, real before imaginary
+    rows = []
+    for c, factors in expr:
+        value, powers = complex(c), {}
+        for f in factors:
+            v = _value(f)
+            if v is None:
+                base, e = _decomposed(f)
+                powers[base] = e
+            else:
+                value *= v
+        rows.append((powers, value))
+    bases = sorted({b for powers, _ in rows for b in powers}, key=_factor_key)
+
+    def key(i):
+        powers, value = rows[i]
+        return (tuple(-powers.get(b, 0) for b in bases),
+                ((value.imag != 0, value.imag), (value.real, value.imag)))
+
+    return [expr[i] for i in sorted(range(len(expr)), key=key)]
+
+
+def _print_expression(expr: tuple) -> str:
+    if len(expr) == 1:
+        return _print_term(expr[0])
+    out = ""
+    for term in _ordered(expr):
+        text = _print_term(term)
+        out += f" - {text[1:]}" if text.startswith("-") else f" + {text}"
+    return f"-{out[3:]}" if out.startswith(" - ") else out[3:]
+
+
+def _print_term(term: tuple) -> str:
+    c, factors = term
+    if not factors:
+        return str(c)
+    if c == 1 and len(factors) == 1:
+        return _print_alone(factors[0])
+    top = [str(abs(c.numerator))] if abs(c.numerator) != 1 else []
+    bottom = [str(c.denominator)] if c.denominator != 1 else []
+    for kind, base, e in factors:
+        if e < 0:
+            bottom.append(_print_factor(kind, base, -e))
+        else:
+            top.append(_print_factor(kind, base, e))
+    text = ("-" if c < 0 else "") + "*".join(top or ["1"])
+    if len(bottom) > 1:
+        return f"{text}/({'*'.join(bottom)})"
+    return f"{text}/{bottom[0]}" if bottom else text
+
+
+def _print_factor(kind: str, base, e: int) -> str:
+    """A factor to a positive power, as it appears inside a product."""
+    if kind == "sym":
+        text = base
+    elif kind == "add":
+        text = f"({_print_expression(base)})"
+    else:
+        return _print_alone((kind, base, e))
+    return text if e == 1 else f"{text}**{e}"
+
+
+def _print_alone(factor: tuple) -> str:
+    """A factor that makes up a whole term."""
+    kind, base, e = factor
+    if kind == "I":
+        return "i"
+    if kind == "E":
+        return "E"
+    if kind == "exp":
+        return f"exp({_print_expression(base)})"
+    if kind == "add" and e == 1:
+        return _print_expression(base)
+    text = _print_factor(kind, base, 1)
+    if e == -1:
+        return f"1/{text}"
+    return _print_factor(kind, base, e) if e > 0 else f"{text}**({e})"
+
+
+def _gaussian(re, im) -> tuple:
+    """The expression re + im*i of a Gaussian rational."""
+    terms = ()
+    if re:
+        terms += ((Fraction(re), ()),)
+    if im:
+        terms += ((Fraction(im), (_I,)),)
+    return terms
+
+
+def _scaled(expr: tuple, k) -> tuple:
+    """k*expr for a rational k: sympy spreads k over the terms of a sum."""
+    return tuple((c * k, factors) for c, factors in expr)
+
+
+def _exp_factor(arg: tuple) -> tuple:
+    """The factor exp(arg)."""
+    return _E if arg == ((1, ()),) else ("exp", arg, 1)
+
+
+@lru_cache(maxsize=4096)
+def _power(index: int, e: int) -> tuple:
+    """The factor of ring generator index to the power e."""
+    exponent = _CORE.exponents.get(index)
+    if exponent is None:
+        return ("sym", _CORE.symbols[index].name, e)
+    return _exp_factor(_scaled(_expression(exponent), e))
+
+
+def _polynomial(poly) -> tuple:
+    terms = ()
+    for monom, c in poly.items():
+        factors = [_power(i, e) for i, e in enumerate(monom) if e]
+        if not factors:
+            terms += _gaussian(c.x, c.y)
+            continue
+        if not c.y:
+            coeff = c.x
+        elif not c.x:
+            coeff = c.y
+            factors.append(_I)
+        else:
+            coeff = 1
+            factors.append(("add", _gaussian(c.x, c.y), 1))
+        terms += ((Fraction(coeff), _sorted(factors)),)
+    return terms
+
+
+def _expression(s: Scalar) -> tuple:
+    """The model of the expression sympy evaluates s.num/s.den to."""
+    num, den = s.num, s.den
+    top = _polynomial(num)
+    if den == den.ring.one:
+        return top
+    if den.is_ground and num.is_ground:
+        n, d = num.LC, den.LC
+        norm = d.x * d.x + d.y * d.y
+        return _gaussian(Fraction(n.x * d.x + n.y * d.y, norm),
+                         Fraction(n.y * d.x - n.x * d.y, norm))
+    if den.is_ground and not den.LC.y:
+        return _scaled(top, Fraction(1, den.LC.x))
+    if len(den) == 1:
+        # c*m, constants included, inverts to conj(c)/|c|**2 times 1/m
+        [(monom, d)] = den.items()
+        inverse = [_power(i, -e) for i, e in enumerate(monom) if e]
+        if d.y:
+            inverse.append(("add", _gaussian(d.x, -d.y), 1))
+        coeff = Fraction(1, d.x * d.x + d.y * d.y if d.y else d.x)
+    else:
+        inverse, coeff = [("add", _polynomial(den), -1)], Fraction(1)
+    if len(top) == 1:
+        coeff *= top[0][0]
+        inverse += top[0][1]
+    else:
+        inverse.append(("add", top, 1))
+    # equal bases multiply: a Gaussian numerator coefficient can meet the
+    # conjugate of the denominator's
+    powers: dict = {}
+    for kind, base, e in inverse:
+        powers[kind, base] = powers.get((kind, base), 0) + e
+    return ((coeff, _sorted((kind, base, e) for (kind, base), e in powers.items())),)

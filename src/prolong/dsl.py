@@ -10,24 +10,21 @@ the first definition, and a statement out of that order is a DslError
 with its line and column.  The expression grammar is infix with `+ - * /`,
 wedge `^` (same precedence as `*`, left associative), integer powers
 `**`, differentials `d(...)`, exponentials `exp(...)`, the imaginary
-unit `i`, and `#` comments.  Printing emits canonical text that parses
-back to the same model.  A scalar is printed from its stored polynomial
-pair, with no sympy expression or printer: the text is what sympy's
-StrPrinter writes for num/den, with `i` for the imaginary unit.
+unit `i`, and `#` comments; an undeclared `E` reads as `exp(1)`.
+Printing emits canonical text that parses back to the same model: a
+scalar or form prints as its ``str``, which the scalar core writes from
+the stored polynomial pairs (see ``coeff``), and ``print_scalar`` and
+``print_form`` are the entry points reports call.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import lru_cache
 
 import sympy as sp
 
-from .coeff import I, Scalar, exp_atom, generator
+from .coeff import I, Scalar, exp_atom
 from .forms import ContextError, DerivationContext, Form
 from .jets import jet, split_jet
 from .su2 import AKNSSpec
@@ -524,6 +521,8 @@ class _Parser:
             var, nx, nt = parts
             if var in m.jet_fields or (m.kind == "chart" and var in m.coordinates):
                 return Scalar(jet(var, nx, nt))
+        if name == "E":
+            return exp_atom(1)
         raise DslError(f"unknown symbol {name!r}", tok.line, tok.col)
 
     def _add(self, a, b):
@@ -556,315 +555,14 @@ def parse_path(path) -> ModelFile:
 # ---------------------------------------------------------------------------
 
 
-# print_scalar writes, byte for byte, the text sympy's StrPrinter gives for
-# the expression num/den, without building that expression or calling the
-# printer.  It reads the stored pair into a small model of the expression
-# sympy evaluates num/den to, then applies StrPrinter's rules for sums and
-# products to the model:
-#
-# - an expression is a tuple of terms: one term, or the terms of a sum;
-# - a term is (coefficient, factors): a Fraction and a tuple of factors in
-#   sympy's sort-key order;
-# - a factor is (kind, base, exponent), one of
-#     ("sym", name, e)   a symbol to a nonzero integer power,
-#     ("I", None, 1)     the imaginary unit,
-#     ("E", None, 1)     Euler's number, exp(1),
-#     ("exp", arg, 1)    the exponential of an expression other than 1,
-#     ("add", sum, e)    a sum to the power e: a Gaussian constant
-#                        (a + b*i), a numerator polynomial, or, with
-#                        e = -1, a denominator polynomial.
-#
-# sympy evaluates num/den as follows, and so does the model: a generator
-# power exp(b)**k is exp(k*b); a Gaussian coefficient a + b*i stays a factor
-# of its monomial, and a Gaussian constant term joins the sum as a and b*i;
-# an integer denominator n spreads 1/n over the terms of the numerator; a
-# Gaussian constant denominator c inverts to conj(c)/|c|**2; a monomial
-# denominator inverts factor by factor (exp(b) to exp(-b)); any other
-# denominator stays the factor 1/(sum); a constant over a constant is
-# expanded to a + b*i.
-
-_I = ("I", None, 1)
-_E = ("E", None, 1)
-_NUMBER = (1, 0, "Number")
-
-
-def _number_key(value) -> tuple:
-    return (_NUMBER, (0, ()), (), value)
-
-
-_ONE_KEY = _number_key(1)
-
-
-@lru_cache(maxsize=4096)
-def _factor_key(factor: tuple) -> tuple:
-    """sympy's sort_key of a factor."""
-    kind, base, e = factor
-    if kind == "sym":
-        return ((2, 0, "Symbol"), (1, (base,)), _number_key(e), 1)
-    if kind == "I":
-        return ((2, 0, "ImaginaryUnit"), (1, ("I",)), _ONE_KEY, 1)
-    if kind == "E":
-        return ((2, 0, "Exp1"), (1, ("E",)), _ONE_KEY, 1)
-    if kind == "exp":
-        return ((4, 10, "exp"), (1, (_expression_key(base),)), _ONE_KEY, 1)
-    keys = tuple(_term_key(t) for t in _ordered(base))
-    return ((3, 1, "Add"), (len(keys), keys), _number_key(e), 1)
-
-
-def _term_key(term: tuple) -> tuple:
-    c, factors = term
-    if not factors:
-        return _number_key(c)
-    if len(factors) == 1:
-        return _factor_key(factors[0])[:3] + (c,)
-    keys = tuple(_factor_key(f) for f in factors)
-    return ((3, 0, "Mul"), (len(keys), keys), _ONE_KEY, c)
-
-
-def _expression_key(expr: tuple) -> tuple:
-    return _term_key(expr[0]) if len(expr) == 1 else _factor_key(("add", expr, 1))
-
-
-def _sorted(factors) -> tuple:
-    return tuple(sorted(factors, key=_factor_key))
-
-
-def _value(factor: tuple):
-    """The complex value of a constant factor, else None."""
-    kind, base, e = factor
-    if kind == "I":
-        return 1j
-    if kind == "E":
-        return math.e
-    if kind == "sym":
-        return None
-    total = 0
-    for c, factors in base:
-        term = complex(c)
-        for f in factors:
-            v = _value(f)
-            if v is None:
-                return None
-            term *= v
-        total += term
-    return cmath.exp(total) if kind == "exp" else total**e
-
-
-def _decomposed(factor: tuple) -> tuple:
-    """(base, exponent) of a non-constant factor, as sympy's decompose_power
-    splits it: exp(-2*y/3) is exp(y/3) to the power -2."""
-    kind, base, e = factor
-    if kind == "exp" and len(base) == 1:
-        c, rest = base[0]
-        return ("exp", ((Fraction(1, c.denominator), rest),), 1), c.numerator
-    return (kind, base, 1), e
-
-
-def _ordered(expr: tuple) -> list:
-    """The terms of a sum in the order StrPrinter writes them."""
-    if len(expr) == 2:
-        # a positive number and a negative multiple of one factor keep
-        # that order: 1 - x
-        for first, (c, factors) in (expr, expr[::-1]):
-            if (first[0] > 0 and (not first[1] or first == (1, (_E,)))
-                    and c < 0 and len(factors) == 1):
-                return [first, (c, factors)]
-    # otherwise descending lex order of the monomials over the non-constant
-    # bases, constant factors joining the coefficient, real before imaginary
-    rows = []
-    for c, factors in expr:
-        value, powers = complex(c), {}
-        for f in factors:
-            v = _value(f)
-            if v is None:
-                base, e = _decomposed(f)
-                powers[base] = e
-            else:
-                value *= v
-        rows.append((powers, value))
-    bases = sorted({b for powers, _ in rows for b in powers}, key=_factor_key)
-
-    def key(i):
-        powers, value = rows[i]
-        return (tuple(-powers.get(b, 0) for b in bases),
-                ((value.imag != 0, value.imag), (value.real, value.imag)))
-
-    return [expr[i] for i in sorted(range(len(expr)), key=key)]
-
-
-def _print_expression(expr: tuple) -> str:
-    if len(expr) == 1:
-        return _print_term(expr[0])
-    out = ""
-    for term in _ordered(expr):
-        text = _print_term(term)
-        out += f" - {text[1:]}" if text.startswith("-") else f" + {text}"
-    return f"-{out[3:]}" if out.startswith(" - ") else out[3:]
-
-
-def _print_term(term: tuple) -> str:
-    c, factors = term
-    if not factors:
-        return str(c)
-    if c == 1 and len(factors) == 1:
-        return _print_alone(factors[0])
-    top = [str(abs(c.numerator))] if abs(c.numerator) != 1 else []
-    bottom = [str(c.denominator)] if c.denominator != 1 else []
-    for kind, base, e in factors:
-        if e < 0:
-            bottom.append(_print_factor(kind, base, -e))
-        else:
-            top.append(_print_factor(kind, base, e))
-    text = ("-" if c < 0 else "") + "*".join(top or ["1"])
-    if len(bottom) > 1:
-        return f"{text}/({'*'.join(bottom)})"
-    return f"{text}/{bottom[0]}" if bottom else text
-
-
-def _print_factor(kind: str, base, e: int) -> str:
-    """A factor to a positive power, as it appears inside a product."""
-    if kind == "sym":
-        text = base
-    elif kind == "add":
-        text = f"({_print_expression(base)})"
-    else:
-        return _print_alone((kind, base, e))
-    return text if e == 1 else f"{text}**{e}"
-
-
-def _print_alone(factor: tuple) -> str:
-    """A factor that makes up a whole term."""
-    kind, base, e = factor
-    if kind == "I":
-        return "i"
-    if kind == "E":
-        return "E"
-    if kind == "exp":
-        return f"exp({_print_expression(base)})"
-    if kind == "add" and e == 1:
-        return _print_expression(base)
-    text = _print_factor(kind, base, 1)
-    if e == -1:
-        return f"1/{text}"
-    return _print_factor(kind, base, e) if e > 0 else f"{text}**({e})"
-
-
-def _gaussian(re, im) -> tuple:
-    """The expression re + im*i of a Gaussian rational."""
-    terms = ()
-    if re:
-        terms += ((Fraction(re), ()),)
-    if im:
-        terms += ((Fraction(im), (_I,)),)
-    return terms
-
-
-def _scaled(expr: tuple, k) -> tuple:
-    """k*expr for a rational k: sympy spreads k over the terms of a sum."""
-    return tuple((c * k, factors) for c, factors in expr)
-
-
-@lru_cache(maxsize=4096)
-def _power(index: int, e: int) -> tuple:
-    """The factor of ring generator index to the power e."""
-    g = generator(index)
-    if isinstance(g, str):
-        return ("sym", g, e)
-    arg = _scaled(_expression(g), e)
-    return _E if arg == ((1, ()),) else ("exp", arg, 1)
-
-
-def _polynomial(poly) -> tuple:
-    terms = ()
-    for monom, c in poly.items():
-        factors = [_power(i, e) for i, e in enumerate(monom) if e]
-        if not factors:
-            terms += _gaussian(c.x, c.y)
-            continue
-        if not c.y:
-            coeff = c.x
-        elif not c.x:
-            coeff = c.y
-            factors.append(_I)
-        else:
-            coeff = 1
-            factors.append(("add", _gaussian(c.x, c.y), 1))
-        terms += ((Fraction(coeff), _sorted(factors)),)
-    return terms
-
-
-def _expression(s: Scalar) -> tuple:
-    """The model of the expression sympy evaluates s.num/s.den to."""
-    num, den = s.num, s.den
-    top = _polynomial(num)
-    if den == den.ring.one:
-        return top
-    if den.is_ground and num.is_ground:
-        n, d = num.LC, den.LC
-        norm = d.x * d.x + d.y * d.y
-        return _gaussian(Fraction(n.x * d.x + n.y * d.y, norm),
-                         Fraction(n.y * d.x - n.x * d.y, norm))
-    if den.is_ground and not den.LC.y:
-        return _scaled(top, Fraction(1, den.LC.x))
-    if len(den) == 1:
-        # c*m, constants included, inverts to conj(c)/|c|**2 times 1/m
-        [(monom, d)] = den.items()
-        inverse = [_power(i, -e) for i, e in enumerate(monom) if e]
-        if d.y:
-            inverse.append(("add", _gaussian(d.x, -d.y), 1))
-        coeff = Fraction(1, d.x * d.x + d.y * d.y if d.y else d.x)
-    else:
-        inverse, coeff = [("add", _polynomial(den), -1)], Fraction(1)
-    if len(top) == 1:
-        coeff *= top[0][0]
-        inverse += top[0][1]
-    else:
-        inverse.append(("add", top, 1))
-    # equal bases multiply: a Gaussian numerator coefficient can meet the
-    # conjugate of the denominator's
-    powers: dict = {}
-    for kind, base, e in inverse:
-        powers[kind, base] = powers.get((kind, base), 0) + e
-    return ((coeff, _sorted((kind, base, e) for (kind, base), e in powers.items())),)
-
-
 def print_scalar(value: Scalar) -> str:
-    """The text of a scalar: what sympy's StrPrinter writes for num/den,
-    with i for the imaginary unit."""
-    s = Scalar.of(value)
-    return "0" if s.is_zero else _print_expression(_expression(s))
-
-
-def _coeff_prefix(coeff: Scalar) -> str:
-    text = print_scalar(coeff)
-    if text == "1":
-        return ""
-    if text == "-1":
-        return "-"
-    if ("+" in text[1:] or "-" in text[1:] or "/" in text or " " in text) and not (
-        text.startswith("(") and text.endswith(")")
-    ):
-        text = f"({text})"
-    return f"{text}*"
+    """The text of a scalar (``str`` of a Scalar)."""
+    return str(Scalar.of(value))
 
 
 def print_form(f: Form) -> str:
-    if f.is_zero:
-        return "0"
-    parts = []
-    for mono, coeff in f.terms.items():
-        names = "^".join(f.ctx.name_of(i) for i in mono)
-        if not mono:
-            parts.append(print_scalar(coeff))
-        else:
-            parts.append(f"{_coeff_prefix(coeff)}{names}")
-    out = parts[0]
-    for part in parts[1:]:
-        if part.startswith("-"):
-            out += f" - {part[1:]}"
-        else:
-            out += f" + {part}"
-    return out
+    """The text of a form (``str`` of a Form)."""
+    return str(f)
 
 
 def print_model(m: ModelFile) -> str:

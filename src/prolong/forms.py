@@ -412,14 +412,31 @@ class Form:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        parts = []
+        out = ""
         for mono, coeff in self.terms.items():
-            names = "^".join(self.ctx.name_of(i) for i in mono) or "1"
-            parts.append(f"({coeff})*{names}" if mono else f"({coeff})")
-        return " + ".join(parts)
+            if mono:
+                part = _coeff_prefix(coeff) + "^".join(self.ctx.name_of(i) for i in mono)
+            else:
+                part = str(coeff)
+            out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
+        return f"-{out[3:]}" if out.startswith(" - ") else out[3:]
 
     def __repr__(self) -> str:
         return f"Form<{self.degree}>({self})"
+
+
+def _coeff_prefix(coeff: Scalar) -> str:
+    """coeff as the factor in front of a wedge monomial."""
+    text = str(coeff)
+    if text == "1":
+        return ""
+    if text == "-1":
+        return "-"
+    if ("+" in text[1:] or "-" in text[1:] or "/" in text or " " in text) and not (
+        text.startswith("(") and text.endswith(")")
+    ):
+        text = f"({text})"
+    return f"{text}*"
 
 
 @dataclass(frozen=True)

@@ -174,25 +174,32 @@ class Su2Forms:
     beta2: Form
 
 
-def build_forms(sc: Su2Context) -> Su2Forms:
-    w1, w2, w3 = sc.w
-    wp, wm = sc.w_plus, sc.w_minus
+def _connection_parts(sc: Su2Context, w: Sequence[Form]) -> dict:
+    """The connection part of dy_i in xi_i = dy_i - part_i (i = 1, 2, 5..8),
+    written in the one-forms w = (w1, w2, w3) of either context."""
+    w1, w2, w3 = w
+    wp, wm = w1 + w2 * I, w1 - w2 * I
     y1, y2 = sc.y[1], sc.y[2]
+    return {
+        1: w3 * y1 + wm * y2,
+        2: wp * y1 - w3 * y2,
+        5: -(w3 * 2) - wm * (2 * sc.y3),
+        6: w3 * 2 - wp * (2 * sc.y4),
+        7: wm * sc.e5,
+        8: wp * sc.e6,
+    }
+
+
+def build_forms(sc: Su2Context) -> Su2Forms:
+    w3 = sc.w[2]
+    wp, wm = sc.w_plus, sc.w_minus
     y3, y4 = sc.y3, sc.y4
     ctx = sc.ctx
-    xi = {
-        1: sc.dy[1] - w3 * y1 - wm * y2,
-        2: sc.dy[2] - wp * y1 + w3 * y2,
-        3: ctx.d_scalar(y3) - wp + w3 * (2 * y3) + wm * (y3**2),
-        4: ctx.d_scalar(y4) - wm - w3 * (2 * y4) + wp * (y4**2),
-        5: sc.dy[5] + w3 * 2 + wm * (2 * y3),
-        6: sc.dy[6] - w3 * 2 + wp * (2 * y4),
-        7: sc.dy[7] - wm * sc.e5,
-        8: sc.dy[8] - wp * sc.e6,
-    }
-    beta1 = -(w3 * 2) - wm * (2 * y3)
-    beta2 = w3 * 2 - wp * (2 * y4)
-    return Su2Forms(xi=xi, beta1=beta1, beta2=beta2)
+    parts = _connection_parts(sc, sc.w)
+    xi = {i: sc.dy[i] - part for i, part in parts.items()}
+    xi[3] = ctx.d_scalar(y3) - wp + w3 * (2 * y3) + wm * (y3**2)
+    xi[4] = ctx.d_scalar(y4) - wm - w3 * (2 * y4) + wp * (y4**2)
+    return Su2Forms(xi=xi, beta1=parts[5], beta2=parts[6])
 
 
 # ---------------------------------------------------------------------------
@@ -247,33 +254,15 @@ def _ring_basis_context() -> DerivationContext:
 def decompose_over_ring(sc: Su2Context, forms: Su2Forms, target: Form) -> Decomposition:
     """Decompose a two-form over the ring spanned by the th's and xi's.
 
-    The change of basis dy_i = xi_i + (w-part) is triangular, so after
+    The change of basis dy_i = xi_i + part_i is triangular, so after
     transporting to the basis context the multipliers are read off monomial
     by monomial; a two-xi monomial is assigned to the higher xi index.
     """
     basis = _ring_basis_context()
-    wb = {l: basis.gen(f"w{l}") for l in (1, 2, 3)}
-    xib = {i: basis.gen(f"xi{i}") for i in range(1, 9)}
-    wpb = wb[1] + wb[2] * I
-    wmb = wb[1] - wb[2] * I
-    y1, y2 = sc.y[1], sc.y[2]
-    gen_map = {
-        "w1": wb[1],
-        "w2": wb[2],
-        "w3": wb[3],
-        "th1": basis.gen("th1"),
-        "th2": basis.gen("th2"),
-        "th3": basis.gen("th3"),
-        "df": basis.gen("df"),
-        "dg": basis.gen("dg"),
-        # dy_i expressed through xi_i and the connection part
-        "dy1": xib[1] + wb[3] * y1 + wmb * y2,
-        "dy2": xib[2] + wpb * y1 - wb[3] * y2,
-        "dy5": xib[5] - wb[3] * 2 - wmb * (2 * sc.y3),
-        "dy6": xib[6] + wb[3] * 2 - wpb * (2 * sc.y4),
-        "dy7": xib[7] + wmb * sc.e5,
-        "dy8": xib[8] + wpb * sc.e6,
-    }
+    names = ("w1", "w2", "w3", "th1", "th2", "th3", "df", "dg")
+    gen_map = {name: basis.gen(name) for name in names}
+    parts = _connection_parts(sc, [gen_map[f"w{l}"] for l in (1, 2, 3)])
+    gen_map.update({f"dy{i}": basis.gen(f"xi{i}") + part for i, part in parts.items()})
     transported = target.substitute_generators(gen_map)
 
     th_idx = {basis.index_of(f"th{l}"): l for l in (1, 2, 3)}
@@ -339,25 +328,27 @@ class IdentityResult:
         return self.stated_ok or self.corrected
 
 
-def _stated_rhs(sc: Su2Context, forms: Su2Forms) -> dict:
+def _stated_rhs(sc: Su2Context, forms: Su2Forms, name: str) -> Form:
+    """The stated right side of identity ``name`` (xi1 .. xi8)."""
     wp, wm = sc.w_plus, sc.w_minus
     thp, thm = sc.th_plus, sc.th_minus
     w3, th3 = sc.w[2], sc.th[2]
     y1, y2, y3, y4 = sc.y[1], sc.y[2], sc.y3, sc.y4
     xi = forms.xi
-    return {
-        "xi1": -(thm * y2) - th3 * y1 + w3.wedge(xi[1]) + wm.wedge(xi[2]),
-        "xi2": -(thp * y1) + th3 * y2 + wp.wedge(xi[1]) - w3.wedge(xi[2]),
-        "xi3": -thp + thm * (y3**2) + th3 * (2 * y3)
+    stated = {
+        "xi1": lambda: -(thm * y2) - th3 * y1 + w3.wedge(xi[1]) + wm.wedge(xi[2]),
+        "xi2": lambda: -(thp * y1) + th3 * y2 + wp.wedge(xi[1]) - w3.wedge(xi[2]),
+        "xi3": lambda: -thp + thm * (y3**2) + th3 * (2 * y3)
         - (w3 + wm * y3).wedge(xi[3]) * 2,
         # the stated form's curvature term names a nonexistent fourth
         # component; only the well-defined terms are kept here
-        "xi4": -thm + thp * (y4**2) + (w3 - wp * y4).wedge(xi[4]) * 2,
-        "xi5": thm * (2 * y3) + th3 * 2 + xi[3].wedge(wm) * 2,
-        "xi6": thp * (2 * y4) - th3 * 2 + xi[4].wedge(wp) * 2,
-        "xi7": (thm + xi[5].wedge(wm)) * (-sc.e5),
-        "xi8": (thp + xi[6].wedge(wp)) * (-sc.e6),
+        "xi4": lambda: -thm + thp * (y4**2) + (w3 - wp * y4).wedge(xi[4]) * 2,
+        "xi5": lambda: thm * (2 * y3) + th3 * 2 + xi[3].wedge(wm) * 2,
+        "xi6": lambda: thp * (2 * y4) - th3 * 2 + xi[4].wedge(wp) * 2,
+        "xi7": lambda: (thm + xi[5].wedge(wm)) * (-sc.e5),
+        "xi8": lambda: (thp + xi[6].wedge(wp)) * (-sc.e6),
     }
+    return stated[name]()
 
 
 def verify_identity(sc: Su2Context, name: str, forms: Su2Forms | None = None) -> IdentityResult:
@@ -402,7 +393,7 @@ def verify_identity(sc: Su2Context, name: str, forms: Su2Forms | None = None) ->
 
     index = int(name[2:])
     lhs = forms.xi[index].d()
-    stated = _stated_rhs(sc, forms)[name]
+    stated = _stated_rhs(sc, forms, name)
     residual = lhs - stated
     decomposition = decompose_over_ring(sc, forms, lhs)
     exact = decomposition.ok and (decomposition.expand(sc, forms) - lhs).is_zero

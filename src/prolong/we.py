@@ -180,7 +180,6 @@ class SectionResult:
     raw: tuple  # pulled-back coefficients aligned with names, jet expressions
     reduced: tuple  # the same after the elimination chain, trivial ones dropped
     eliminations: tuple  # (variable, substituted jet expression) as applied
-    labels: tuple  # recognized equation names aligned with reduced
 
 
 def _apply_elimination(e: Scalar, var: str, replacement: Scalar, deps: tuple) -> Scalar:
@@ -224,13 +223,11 @@ def section(ideal: ExteriorIdeal, eliminations: Sequence[tuple] = ()) -> Section
     reduced = [
         e for e in (apply_eliminations(e, applied, deps) for e in raw) if not e.is_zero
     ]
-    labels = tuple(named_equation(e) for e in reduced)
     return SectionResult(
         names=tuple(names),
         raw=tuple(raw),
         reduced=tuple(reduced),
         eliminations=tuple(applied),
-        labels=labels,
     )
 
 

@@ -30,6 +30,11 @@ def test_imaginary_unit_squares_to_minus_one():
     assert (I * I).expr == -1
 
 
+def test_repr_and_str_write_the_printed_text():
+    assert repr(I) == "Scalar(i)"
+    assert str((y1 + I) / y2) == "(y1 + i)/y2"
+
+
 def test_gcd_cancellation():
     assert (y1 * y2) / y1 == y2
 
@@ -68,7 +73,8 @@ def test_exponential_atom_after_a_finer_one_is_its_power():
 def test_exponential_atom_finer_than_a_registered_one_is_refused():
     c = sym("c_coarse_first")
     exp_atom(c)
-    with pytest.raises(ValueError, match="differ by a non-integer factor"):
+    with pytest.raises(ValueError, match=r"atoms exp\(c_coarse_first\) and exp\(c_coarse_first/3\) "
+                       "differ by a non-integer factor"):
         exp_atom(c / 3)
     half = sym("c_half_first")
     exp_atom(half / 2)

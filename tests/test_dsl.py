@@ -8,7 +8,7 @@ import string
 import pytest
 import sympy as sp
 
-from prolong.coeff import Scalar, eta_coefficients
+from prolong.coeff import Scalar, eta_coefficients, exp_atom
 from prolong.dsl import DslError, parse, print_form, print_model, print_scalar
 from prolong.jets import jet
 
@@ -108,6 +108,13 @@ def test_akns_refuses_a_coefficient_that_is_not_laurent_in_eta(a_text):
     assert "eta" in str(err.value)
 
 
+def test_engine_errors_write_i_for_the_imaginary_unit():
+    text = fixture_text("kdv").replace("A = -4*eta**3 - 2*q*eta - q_x", "A = i/(eta + i)")
+    with pytest.raises(DslError) as err:
+        parse(text)
+    assert str(err.value) == "line 7, column 1: denominator is not a monomial in eta: eta + i"
+
+
 def test_rule_table_builds_dga():
     model = parse(fixture_text("su2_dga"))
     assert model.kind == "dga"
@@ -182,6 +189,25 @@ def test_print_form_signs():
     assert printed == "-2*dx^dt + dt^du"
     reparsed = parse(f"chart x t u\nform a = {printed}\n")
     assert reparsed.forms["a"] == model.forms["a"]
+
+
+@pytest.mark.parametrize("name", ["ch", "su2_dga"])
+def test_str_of_a_form_is_its_printed_text(name):
+    model = parse(fixture_text(name))
+    forms = [*model.forms.values(), *model.rules.values(),
+             *(g for ideal in model.ideals.values() for g in ideal.generators)]
+    assert len(forms) >= 3
+    for f in forms:
+        assert str(f) == print_form(f)
+
+
+def test_exponentials_of_constants_read_back():
+    model = parse("scalars y\nlet a = exp(1)\nlet b = 2*exp(1)/y\nlet c = exp(2)\n")
+    back = parse(print_model(model))
+    y = Scalar(sp.Symbol("y"))
+    assert back.lets == {"a": exp_atom(1), "b": 2 * exp_atom(1) / y, "c": exp_atom(2)}
+    # a declared E keeps its meaning
+    assert parse("scalars E\nlet a = E\n").lets["a"] == Scalar(sp.Symbol("E"))
 
 
 def test_integer_exponent_is_accepted():
