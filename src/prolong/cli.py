@@ -454,7 +454,7 @@ def main(argv=None) -> int:
         "items": items,
         "ok": ok,
         "peak_jet_order": peak,
-        "wall_ms": round((time.perf_counter() - started) * 1000.0, 3),
+        "wall_ms": round((time.perf_counter() - started) * 1000, 3),
     }
     print(_render_text(report))
     if getattr(args, "json_path", None):

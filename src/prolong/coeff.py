@@ -10,16 +10,13 @@ factor, not even a Gaussian-integer content, and the leading coefficient
 of ``den`` lies in the first quadrant (its canonical unit), the leading
 term taken in lex order over the generators sorted by their text with the
 key sympy's polynomial constructors sort generators by (``_sort_gens``).
-A generator's text is a symbol's name, or an atom's printed ``exp(...)``
-or ``E``, computed once when the generator is registered.  This is the
-pair sympy's rational simplification returns, so ``.expr`` is the
-expression sympy's ``cancel`` gives, except that an atom whose exponent
-holds the imaginary unit sorts as ``exp(i*...)`` where sympy sorts
-``exp(I*...)``.  The pair is unique, so equality compares the stored
-pairs.  When ``den`` is a single term, which is every symbolic
-denominator the bundled workloads produce, reducing needs no polynomial
-gcd: dividing out the minimum exponent of each variable and the content
-gcd suffices.  Any other ``den`` goes through ``cofactors``.
+A generator's text is a symbol's name, or ``exp(<exponent>)`` for an
+atom, computed once when the generator is registered.  The pair is
+unique, so equality compares the stored pairs.  When ``den`` is a single
+term, which is every symbolic denominator the bundled workloads produce,
+reducing needs no polynomial gcd: dividing out the minimum exponent of
+each variable and the content gcd suffices.  Any other ``den`` goes
+through ``cofactors``.
 
 Each exponential atom is a ring generator ``E`` standing for exp(b) with
 dE/dz = E * db/dz.  exp(s) splits into one factor per term of s, each an
@@ -36,14 +33,17 @@ grows as symbols and atoms appear (jet symbols such as ``u_xxxxx`` appear
 while a verb runs); a generator keeps its index, so a value built in an
 older ring lifts to the current one by padding its exponents.
 
-A Scalar prints from its stored pair: ``str`` writes, byte for byte, the
-text sympy's string printer gives for the expression num/den, with ``i``
-for the imaginary unit, without building that expression or running the
-printer (see the printing section).  Reports, error messages, ``repr``
-and the generator order all use that one text.  ``.expr``, the sympy
-expression num/den, and ``Scalar(expr)``, which converts an expression
-once, are the boundary to sympy: no engine code reads ``.expr``; tests
-and callers outside the engine do.
+A Scalar prints its stored pair itself, with exact comparisons only:
+``str`` writes the terms of ``num``, then of ``den``, in descending lex
+order over the generator order that fixes the canonical unit, each a
+Gaussian-integer coefficient ``a``, ``b*i`` or ``(a + b*i)`` times the
+generators' texts, as ``num/den`` with parentheses only where a sum or a
+product needs them (see the printing section).  The model reader reads
+the text back to the same Scalar.  Reports, error messages and ``repr``
+all use that one text.  ``.expr``, the sympy expression num/den, and
+``Scalar(expr)``, which converts an expression once, are the boundary to
+sympy: no engine code reads ``.expr``; tests and callers outside the
+engine do.
 
 Scalar is the one scalar type: a spectral-family coefficient is a Scalar
 too, and :func:`eta_coefficients` reads it as a Laurent polynomial in the
@@ -52,11 +52,8 @@ spectral parameter eta.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from typing import Mapping, Union
 
@@ -130,14 +127,14 @@ class _Ring:
 
     def lex_order(self) -> list:
         """Generator indices in the order sympy's polynomial constructors
-        sort generators with these texts; equal texts (a declared E and
-        the atom exp(1)) keep their registration order."""
+        sort generators with these texts; texts that key alike (y1 and
+        y01) go in text order, so no order depends on registration."""
         if self._lex is None:
             texts = [s.name for s in self.symbols]
             slots: dict = {}
             for i, text in enumerate(texts):
                 slots.setdefault(text, []).append(i)
-            self._lex = [slots[text].pop(0) for text in _sort_gens(texts)]
+            self._lex = [slots[text].pop(0) for text in _sort_gens(sorted(texts))]
         return self._lex
 
 
@@ -183,11 +180,16 @@ def _exquo(a, b):
     return ZZ_I.exquo(a, b)
 
 
+def _lex_order(ring: PolyRing) -> list:
+    """The generator indices of ring, greatest first in lex order: the
+    order that fixes the canonical unit and the printed order."""
+    return [k for k in _CORE.lex_order() if k < ring.ngens]
+
+
 def _leading_coeff(den: PolyElement):
     if len(den) == 1:
         return next(iter(den.values()))
-    n = den.ring.ngens
-    order = [k for k in _CORE.lex_order() if k < n]
+    order = _lex_order(den.ring)
     return den[max(den, key=lambda m: [m[k] for k in order])]
 
 
@@ -491,7 +493,7 @@ class Scalar:
         return f"Scalar({self})"
 
     def __str__(self) -> str:
-        return "0" if self.is_zero else _print_expression(_expression(self))
+        return "0" if self.is_zero else _print(self.num, self.den)
 
 
 # What Scalar arithmetic accepts; for anything else (a Form, say) the
@@ -553,6 +555,8 @@ def _convert(value) -> tuple:
         raise ZeroDivisionError(f"scalar normalizes to an undefined value: {expr}")
     # Register every atom and symbol first, so one ring serves the walk.
     atoms = {a: exp_atom(Scalar(a.args[0])) for a in expr.atoms(sp.exp)}
+    if expr.has(sp.E):  # sympy evaluates exp(1) to E, which is no exp
+        atoms[sp.E] = exp_atom(1)
     _CORE.grow(sorted(expr.free_symbols, key=lambda s: s.name))
     atoms = {a: s._lifted() for a, s in atoms.items()}
     ring = _CORE.ring
@@ -634,8 +638,8 @@ def _atom(direction: Scalar, denominator: int) -> Scalar:
     known = _CORE.atoms.get(direction)
     if known is None:
         exponent = direction / Scalar.rational(denominator)
-        # a Dummy, so no declared symbol (a scalar named E, say) is taken
-        symbol = sp.Dummy(_print_alone(_exp_factor(_expression(exponent))))
+        # a Dummy, so the atom is never the generator of a Symbol of that name
+        symbol = sp.Dummy(f"exp({exponent})")
         _CORE.grow([symbol])
         index = _CORE.index[symbol]
         _CORE.exponents[index] = exponent
@@ -747,277 +751,52 @@ def eta_coefficients(e: ScalarLike) -> dict:
 # ---------------------------------------------------------------------------
 
 
-# str(Scalar) writes, byte for byte, the text sympy's string printer gives
-# for the expression num/den, without building that expression or calling
-# the printer.  It reads the stored pair into a small model of the expression
-# sympy evaluates num/den to, then applies the printer's rules for sums and
-# products to the model:
-#
-# - an expression is a tuple of terms: one term, or the terms of a sum;
-# - a term is (coefficient, factors): a Fraction and a tuple of factors in
-#   sympy's sort-key order;
-# - a factor is (kind, base, exponent), one of
-#     ("sym", name, e)   a symbol to a nonzero integer power,
-#     ("I", None, 1)     the imaginary unit,
-#     ("E", None, 1)     Euler's number, exp(1),
-#     ("exp", arg, 1)    the exponential of an expression other than 1,
-#     ("add", sum, e)    a sum to the power e: a Gaussian constant
-#                        (a + b*i), a numerator polynomial, or, with
-#                        e = -1, a denominator polynomial.
-#
-# sympy evaluates num/den as follows, and so does the model: a generator
-# power exp(b)**k is exp(k*b); a Gaussian coefficient a + b*i stays a factor
-# of its monomial, and a Gaussian constant term joins the sum as a and b*i;
-# an integer denominator n spreads 1/n over the terms of the numerator; a
-# Gaussian constant denominator c inverts to conj(c)/|c|**2; a monomial
-# denominator inverts factor by factor (exp(b) to exp(-b)); any other
-# denominator stays the factor 1/(sum); a constant over a constant is
-# expanded to a + b*i.
-
-_I = ("I", None, 1)
-_E = ("E", None, 1)
-_NUMBER = (1, 0, "Number")
+def _print(num: PolyElement, den: PolyElement) -> str:
+    """The text num/den, parenthesising a sum, or a product below the bar."""
+    top = _terms(num)
+    text = _sum(top)
+    if _is_one(den):
+        return text
+    bottom = _terms(den)
+    if len(top) > 1:
+        text = f"({text})"
+    below = _sum(bottom)
+    if len(bottom) > 1 or len(bottom[0][1]) > 1:
+        below = f"({below})"
+    return f"{text}/{below}"
 
 
-def _number_key(value) -> tuple:
-    return (_NUMBER, (0, ()), (), value)
+def _sum(terms: list) -> str:
+    out = "".join(f" {'-' if negative else '+'} {'*'.join(factors) or '1'}"
+                  for negative, factors in terms)
+    return ("-" if terms[0][0] else "") + out[3:]
 
 
-_ONE_KEY = _number_key(1)
+def _terms(poly: PolyElement) -> list:
+    """The terms of poly as (negative?, factor texts), in descending lex
+    order; a constant a + b*i is the two terms a and b*i."""
+    order = _lex_order(poly.ring)
+    out = []
+    for monom in sorted(poly, key=lambda m: [m[k] for k in order], reverse=True):
+        c = poly[monom]
+        gens = [_CORE.symbols[k].name + (f"**{monom[k]}" if monom[k] > 1 else "")
+                for k in order if monom[k]]
+        parts = [(c.x, 0), (0, c.y)] if not gens and c.x and c.y else [(c.x, c.y)]
+        for a, b in parts:
+            negative, factors = _coefficient(a, b)
+            out.append((negative, factors + gens))
+    return out
 
 
-@lru_cache(maxsize=4096)
-def _factor_key(factor: tuple) -> tuple:
-    """sympy's sort_key of a factor."""
-    kind, base, e = factor
-    if kind == "sym":
-        return ((2, 0, "Symbol"), (1, (base,)), _number_key(e), 1)
-    if kind == "I":
-        return ((2, 0, "ImaginaryUnit"), (1, ("I",)), _ONE_KEY, 1)
-    if kind == "E":
-        return ((2, 0, "Exp1"), (1, ("E",)), _ONE_KEY, 1)
-    if kind == "exp":
-        return ((4, 10, "exp"), (1, (_expression_key(base),)), _ONE_KEY, 1)
-    keys = tuple(_term_key(t) for t in _ordered(base))
-    return ((3, 1, "Add"), (len(keys), keys), _number_key(e), 1)
-
-
-def _term_key(term: tuple) -> tuple:
-    c, factors = term
-    if not factors:
-        return _number_key(c)
-    if len(factors) == 1:
-        return _factor_key(factors[0])[:3] + (c,)
-    keys = tuple(_factor_key(f) for f in factors)
-    return ((3, 0, "Mul"), (len(keys), keys), _ONE_KEY, c)
-
-
-def _expression_key(expr: tuple) -> tuple:
-    return _term_key(expr[0]) if len(expr) == 1 else _factor_key(("add", expr, 1))
-
-
-def _sorted(factors) -> tuple:
-    return tuple(sorted(factors, key=_factor_key))
-
-
-def _value(factor: tuple):
-    """The complex value of a constant factor, else None."""
-    kind, base, e = factor
-    if kind == "I":
-        return 1j
-    if kind == "E":
-        return math.e
-    if kind == "sym":
-        return None
-    total = 0
-    for c, factors in base:
-        term = complex(c)
-        for f in factors:
-            v = _value(f)
-            if v is None:
-                return None
-            term *= v
-        total += term
-    return cmath.exp(total) if kind == "exp" else total**e
-
-
-def _decomposed(factor: tuple) -> tuple:
-    """(base, exponent) of a non-constant factor, as sympy's decompose_power
-    splits it: exp(-2*y/3) is exp(y/3) to the power -2."""
-    kind, base, e = factor
-    if kind == "exp" and len(base) == 1:
-        c, rest = base[0]
-        return ("exp", ((Fraction(1, c.denominator), rest),), 1), c.numerator
-    return (kind, base, 1), e
-
-
-def _ordered(expr: tuple) -> list:
-    """The terms of a sum in the order sympy's string printer writes them."""
-    if len(expr) == 2:
-        # a positive number and a negative multiple of one factor keep
-        # that order: 1 - x
-        for first, (c, factors) in (expr, expr[::-1]):
-            if (first[0] > 0 and (not first[1] or first == (1, (_E,)))
-                    and c < 0 and len(factors) == 1):
-                return [first, (c, factors)]
-    # otherwise descending lex order of the monomials over the non-constant
-    # bases, constant factors joining the coefficient, real before imaginary
-    rows = []
-    for c, factors in expr:
-        value, powers = complex(c), {}
-        for f in factors:
-            v = _value(f)
-            if v is None:
-                base, e = _decomposed(f)
-                powers[base] = e
-            else:
-                value *= v
-        rows.append((powers, value))
-    bases = sorted({b for powers, _ in rows for b in powers}, key=_factor_key)
-
-    def key(i):
-        powers, value = rows[i]
-        return (tuple(-powers.get(b, 0) for b in bases),
-                ((value.imag != 0, value.imag), (value.real, value.imag)))
-
-    return [expr[i] for i in sorted(range(len(expr)), key=key)]
-
-
-def _print_expression(expr: tuple) -> str:
-    if len(expr) == 1:
-        return _print_term(expr[0])
-    out = ""
-    for term in _ordered(expr):
-        text = _print_term(term)
-        out += f" - {text[1:]}" if text.startswith("-") else f" + {text}"
-    return f"-{out[3:]}" if out.startswith(" - ") else out[3:]
-
-
-def _print_term(term: tuple) -> str:
-    c, factors = term
-    if not factors:
-        return str(c)
-    if c == 1 and len(factors) == 1:
-        return _print_alone(factors[0])
-    top = [str(abs(c.numerator))] if abs(c.numerator) != 1 else []
-    bottom = [str(c.denominator)] if c.denominator != 1 else []
-    for kind, base, e in factors:
-        if e < 0:
-            bottom.append(_print_factor(kind, base, -e))
-        else:
-            top.append(_print_factor(kind, base, e))
-    text = ("-" if c < 0 else "") + "*".join(top or ["1"])
-    if len(bottom) > 1:
-        return f"{text}/({'*'.join(bottom)})"
-    return f"{text}/{bottom[0]}" if bottom else text
-
-
-def _print_factor(kind: str, base, e: int) -> str:
-    """A factor to a positive power, as it appears inside a product."""
-    if kind == "sym":
-        text = base
-    elif kind == "add":
-        text = f"({_print_expression(base)})"
-    else:
-        return _print_alone((kind, base, e))
-    return text if e == 1 else f"{text}**{e}"
-
-
-def _print_alone(factor: tuple) -> str:
-    """A factor that makes up a whole term."""
-    kind, base, e = factor
-    if kind == "I":
-        return "i"
-    if kind == "E":
-        return "E"
-    if kind == "exp":
-        return f"exp({_print_expression(base)})"
-    if kind == "add" and e == 1:
-        return _print_expression(base)
-    text = _print_factor(kind, base, 1)
-    if e == -1:
-        return f"1/{text}"
-    return _print_factor(kind, base, e) if e > 0 else f"{text}**({e})"
-
-
-def _gaussian(re, im) -> tuple:
-    """The expression re + im*i of a Gaussian rational."""
-    terms = ()
-    if re:
-        terms += ((Fraction(re), ()),)
-    if im:
-        terms += ((Fraction(im), (_I,)),)
-    return terms
-
-
-def _scaled(expr: tuple, k) -> tuple:
-    """k*expr for a rational k: sympy spreads k over the terms of a sum."""
-    return tuple((c * k, factors) for c, factors in expr)
-
-
-def _exp_factor(arg: tuple) -> tuple:
-    """The factor exp(arg)."""
-    return _E if arg == ((1, ()),) else ("exp", arg, 1)
-
-
-@lru_cache(maxsize=4096)
-def _power(index: int, e: int) -> tuple:
-    """The factor of ring generator index to the power e."""
-    exponent = _CORE.exponents.get(index)
-    if exponent is None:
-        return ("sym", _CORE.symbols[index].name, e)
-    return _exp_factor(_scaled(_expression(exponent), e))
-
-
-def _polynomial(poly) -> tuple:
-    terms = ()
-    for monom, c in poly.items():
-        factors = [_power(i, e) for i, e in enumerate(monom) if e]
-        if not factors:
-            terms += _gaussian(c.x, c.y)
-            continue
-        if not c.y:
-            coeff = c.x
-        elif not c.x:
-            coeff = c.y
-            factors.append(_I)
-        else:
-            coeff = 1
-            factors.append(("add", _gaussian(c.x, c.y), 1))
-        terms += ((Fraction(coeff), _sorted(factors)),)
-    return terms
-
-
-def _expression(s: Scalar) -> tuple:
-    """The model of the expression sympy evaluates s.num/s.den to."""
-    num, den = s.num, s.den
-    top = _polynomial(num)
-    if den == den.ring.one:
-        return top
-    if den.is_ground and num.is_ground:
-        n, d = num.LC, den.LC
-        norm = d.x * d.x + d.y * d.y
-        return _gaussian(Fraction(n.x * d.x + n.y * d.y, norm),
-                         Fraction(n.y * d.x - n.x * d.y, norm))
-    if den.is_ground and not den.LC.y:
-        return _scaled(top, Fraction(1, den.LC.x))
-    if len(den) == 1:
-        # c*m, constants included, inverts to conj(c)/|c|**2 times 1/m
-        [(monom, d)] = den.items()
-        inverse = [_power(i, -e) for i, e in enumerate(monom) if e]
-        if d.y:
-            inverse.append(("add", _gaussian(d.x, -d.y), 1))
-        coeff = Fraction(1, d.x * d.x + d.y * d.y if d.y else d.x)
-    else:
-        inverse, coeff = [("add", _polynomial(den), -1)], Fraction(1)
-    if len(top) == 1:
-        coeff *= top[0][0]
-        inverse += top[0][1]
-    else:
-        inverse.append(("add", top, 1))
-    # equal bases multiply: a Gaussian numerator coefficient can meet the
-    # conjugate of the denominator's
-    powers: dict = {}
-    for kind, base, e in inverse:
-        powers[kind, base] = powers.get((kind, base), 0) + e
-    return ((coeff, _sorted((kind, base, e) for (kind, base), e in powers.items())),)
+def _coefficient(a, b) -> tuple:
+    """(negative?, factor texts) of the Gaussian integer a + b*i, not zero;
+    a factor 1 is left out."""
+    negative = a < 0 or (not a and b < 0)
+    if negative:
+        a, b = -a, -b
+    imaginary = ["i"] if abs(b) == 1 else [str(abs(b)), "i"]
+    if not b:
+        return negative, [] if a == 1 else [str(a)]
+    if not a:
+        return negative, imaginary
+    return negative, [f"({a} {'+' if b > 0 else '-'} {'*'.join(imaginary)})"]

@@ -9,8 +9,9 @@ read, the context is built at the first rule or definition and frozen at
 the first definition, and a statement out of that order is a DslError
 with its line and column.  The expression grammar is infix with `+ - * /`,
 wedge `^` (same precedence as `*`, left associative), integer powers
-`**`, differentials `d(...)`, exponentials `exp(...)`, the imaginary
-unit `i`, and `#` comments; an undeclared `E` reads as `exp(1)`.
+`**` (binding tighter than unary minus, so `-x**2` is `-(x**2)`),
+differentials `d(...)`, exponentials `exp(...)`, the imaginary unit `i`,
+and `#` comments.
 Printing emits canonical text that parses back to the same model: a
 scalar or form prints as its ``str``, which the scalar core writes from
 the stored polynomial pairs (see ``coeff``), and ``print_scalar`` and
@@ -414,9 +415,9 @@ class _Parser:
         return value
 
     # grammar: expression := term (('+'|'-') term)*
-    #          term       := power (('*'|'^'|'/') power)*
-    #          power      := unary ('**' unary)?
-    #          unary      := '-' unary | atom
+    #          term       := unary (('*'|'^'|'/') unary)*
+    #          unary      := '-' unary | power
+    #          power      := atom ('**' unary)?
 
     def expression(self):
         value = self.term()
@@ -427,15 +428,21 @@ class _Parser:
         return value
 
     def term(self):
-        value = self.power()
+        value = self.unary()
         while self.at_op("*^/"):
             op = self.advance().text
-            rhs = self.power()
+            rhs = self.unary()
             value = self._div(value, rhs) if op == "/" else value * rhs
         return value
 
+    def unary(self):
+        if self.at_op("-"):
+            self.advance()
+            return -self.unary()
+        return self.power()
+
     def power(self):
-        value = self.unary()
+        value = self.atom()
         if self.peek().kind == "pow":
             tok = self.advance()
             n = _integer(self.unary())
@@ -445,12 +452,6 @@ class _Parser:
                 raise DslError("cannot exponentiate a form", tok.line, tok.col)
             return value**n
         return value
-
-    def unary(self):
-        if self.at_op("-"):
-            self.advance()
-            return -self.unary()
-        return self.atom()
 
     def atom(self):
         tok = self.advance()
@@ -521,8 +522,6 @@ class _Parser:
             var, nx, nt = parts
             if var in m.jet_fields or (m.kind == "chart" and var in m.coordinates):
                 return Scalar(jet(var, nx, nt))
-        if name == "E":
-            return exp_atom(1)
         raise DslError(f"unknown symbol {name!r}", tok.line, tok.col)
 
     def _add(self, a, b):

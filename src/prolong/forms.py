@@ -432,9 +432,7 @@ def _coeff_prefix(coeff: Scalar) -> str:
         return ""
     if text == "-1":
         return "-"
-    if ("+" in text[1:] or "-" in text[1:] or "/" in text or " " in text) and not (
-        text.startswith("(") and text.endswith(")")
-    ):
+    if "+" in text[1:] or "-" in text[1:] or "/" in text or " " in text:
         text = f"({text})"
     return f"{text}*"
 

@@ -7,6 +7,8 @@ import json
 import pytest
 
 from prolong.cli import main
+from prolong.coeff import exp_atom, sym
+from prolong.dsl import parse
 
 from conftest import fixture_text
 
@@ -146,7 +148,11 @@ def test_exponential_atom_after_a_finer_one_closes(tmp_path, capsys):
     model.write_text("chart x zfine\nideal e {\n  a = exp(zfine/3)*dx + exp(zfine)*dzfine\n}\n")
     code, out, _ = run(["closure", str(model)], capsys)
     assert code == 0
-    assert "(-exp(-2*zfine/3)/3)*dx" in out
+    # the witness is -exp(-2*zfine/3)/3 times dx, written with the finer atom
+    text = "-1/(3*exp(zfine/3)**2)"
+    assert f"({text})*dx" in out
+    witness = parse(f"chart x zfine\nlet w = {text}\n").lets["w"]
+    assert witness == -exp_atom(-2 * sym("zfine") / 3) / 3
 
 
 def test_laxcheck_akns(capsys):

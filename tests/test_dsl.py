@@ -77,6 +77,16 @@ def test_power_binds_tighter_than_product():
     assert model.lets["a"] == model.lets["b"]
 
 
+def test_unary_minus_binds_looser_than_power():
+    lets = parse("scalars x\nlet a = -x**2\nlet b = (-x**2)\nlet c = 2*(-x**2)\n"
+                 "let d = -x**-2\nlet e = x**-1\n").lets
+    x = Scalar(sp.Symbol("x"))
+    assert lets["a"] == lets["b"] == -(x**2)
+    assert lets["c"] == -2 * x**2
+    assert lets["d"] == -1 / x**2
+    assert lets["e"] == 1 / x
+
+
 def test_exp_and_imaginary_atoms():
     model = parse("scalars y5\nlet a = i*exp(y5)*exp(-y5)\n")
     assert model.lets["a"] == Scalar(sp.I)
@@ -131,8 +141,15 @@ def test_fixture_roundtrip_semantics(name):
     second = parse(printed)
     assert print_model(second) == printed
     assert first.kind == second.kind
+    assert first.lets == second.lets
+    assert first.sections == second.sections
+    for block in ("forms", "rules"):
+        a, b = getattr(first, block), getattr(second, block)
+        assert a.keys() == b.keys()
+        assert all((a[key] - b[key]).is_zero for key in a)
     assert set(first.ideals) == set(second.ideals)
     for key in first.ideals:
+        assert first.ideals[key].names == second.ideals[key].names
         for a, b in zip(first.ideals[key].generators, second.ideals[key].generators):
             assert (a - b).is_zero
     for key in first.akns:
@@ -191,6 +208,14 @@ def test_print_form_signs():
     assert reparsed.forms["a"] == model.forms["a"]
 
 
+def test_form_coefficient_between_parentheses_reads_back():
+    # the coefficient's text starts and ends with a parenthesis, yet is a sum
+    model = parse("chart x y u\nform a = ((1 + i)*x + exp(y))*dx\n")
+    printed = print_form(model.forms["a"])
+    assert printed == "((1 + i)*x + exp(y))*dx"
+    assert parse(f"chart x y u\nform a = {printed}\n").forms["a"] == model.forms["a"]
+
+
 @pytest.mark.parametrize("name", ["ch", "su2_dga"])
 def test_str_of_a_form_is_its_printed_text(name):
     model = parse(fixture_text(name))
@@ -206,8 +231,10 @@ def test_exponentials_of_constants_read_back():
     back = parse(print_model(model))
     y = Scalar(sp.Symbol("y"))
     assert back.lets == {"a": exp_atom(1), "b": 2 * exp_atom(1) / y, "c": exp_atom(2)}
-    # a declared E keeps its meaning
+    # E is an ordinary name: a declared E is a symbol, an undeclared one unknown
     assert parse("scalars E\nlet a = E\n").lets["a"] == Scalar(sp.Symbol("E"))
+    with pytest.raises(DslError, match="unknown symbol 'E'"):
+        parse("scalars y\nlet a = E\n")
 
 
 def test_integer_exponent_is_accepted():

@@ -1,121 +1,37 @@
-"""Scalar printing: print_scalar writes, from the stored polynomial pair,
-exactly the text sympy's StrPrinter gives for the expression num/den, and
-that text parses back to the same scalar."""
+"""Scalar printing: ``str`` writes a scalar's stored pair num/den itself,
+in an order fixed by the generators' texts, and the model reader reads
+the text back to the same scalar."""
 
 from __future__ import annotations
 
-import random
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import assume, given, settings, strategies as st
-from sympy.printing.str import StrPrinter
 
-from prolong.coeff import _CORE, I, ONE, ZERO, Scalar, exp_atom, sym
-from prolong.dsl import parse, print_scalar
+from prolong.coeff import _CORE, I, ZERO, Scalar, exp_atom, sym
+from prolong.dsl import parse, print_model, print_scalar
 
-from test_golden import CASES, render
+from scalar_corpus import NAMES, corpus, exponents
 
-
-class DslPrinter(StrPrinter):
-    """The printer reports used before print_scalar wrote text itself:
-    sympy's StrPrinter with ``i`` for the imaginary unit."""
-
-    def _print_ImaginaryUnit(self, expr):
-        return "i"
+# The corpus's symbols and atoms are its own, registered when this module
+# is collected, so no other test's atoms (registered process-wide)
+# constrain them.
+_SYMBOLS = [sym(name) for name in NAMES]
+_ATOMS = [exp_atom(e) for e in exponents()]
 
 
-ORACLE = DslPrinter()
-
-
-def _mismatches(scalars) -> list:
-    return [(ORACLE.doprint(s.expr), print_scalar(s)) for s in scalars
-            if print_scalar(s) != ORACLE.doprint(s.expr)]
-
-
-def test_golden_scalars_print_as_the_oracle(monkeypatch):
-    printed = []
-    text = Scalar.__str__
-
-    def recording(value):
-        printed.append(value)
-        return text(value)
-
-    monkeypatch.setattr(Scalar, "__str__", recording)
-    for argv in CASES:
-        render(argv)
-    monkeypatch.undo()
-    assert len(printed) > 150
-    assert _mismatches(printed) == []
-
-
-# The corpus's symbols and atoms are its own, so no other test's atoms
-# (registered process-wide) constrain them.  Atoms are registered in an
-# order that refuses none: exp(1/3) before exp(1).
-_SYMBOLS = [sym(name) for name in ("pc_x", "pc_y", "pc_z", "pc_q_x", "pc_beta")]
-_X, _Y, _Z = _SYMBOLS[:3]
-_ATOMS = [
-    exp_atom(sym("pc_y5")),
-    exp_atom(sym("pc_y6") / 3),
-    exp_atom(I * _X),
-    exp_atom(_X / _Y),
-    exp_atom(_Z / (_X + _Y)),
-    exp_atom(_X * (1 + 2 * I)),
-    exp_atom(exp_atom(_Z)),
-    exp_atom(Scalar.rational(1, 3)),
-    exp_atom(ONE),
-    exp_atom(1 + I),
-]
-# the denominator shapes sympy evaluates differently
-SHAPES = ("one", "integer", "gaussian", "monomial", "gaussian monomial", "polynomial")
-
-
-def _random_gaussian(rng) -> Scalar:
-    return (Scalar.rational(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
-            + I * Scalar.rational(rng.randint(-3, 3), rng.choice((1, 1, 2, 5))))
-
-
-def _random_monomial(rng) -> Scalar:
-    m = ONE
-    for _ in range(rng.randint(0, 3)):
-        m = m * rng.choice(_SYMBOLS) ** rng.randint(1, 3)
-    if rng.random() < 0.35:
-        m = m * rng.choice(_ATOMS) ** rng.choice((-2, -1, 1, 2))
-    return m
-
-
-def _random_polynomial(rng, terms: int) -> Scalar:
-    p = ZERO
-    for _ in range(terms):
-        c = _random_gaussian(rng) if rng.random() < 0.3 else Scalar.of(rng.randint(-5, 5))
-        p = p + c * _random_monomial(rng)
-    return p
-
-
-def _denominator(rng, shape: str) -> Scalar:
-    if shape == "integer":
-        return Scalar.of(rng.randint(2, 7))
-    if shape == "gaussian":
-        return _random_gaussian(rng)
-    if shape == "monomial":
-        return _random_monomial(rng) * rng.randint(1, 4)
-    if shape == "gaussian monomial":
-        return _random_monomial(rng) * _random_gaussian(rng)
-    if shape == "polynomial":
-        return _random_polynomial(rng, rng.randint(2, 3))
-    return ONE
-
-
-def corpus(seed: int, size: int) -> list:
-    rng = random.Random(seed)
-    out = []
-    while len(out) < size:
-        den = _denominator(rng, SHAPES[len(out) % len(SHAPES)])
-        if not den.is_zero:
-            out.append(_random_polynomial(rng, rng.randint(1, 4)) / den)
-    return out
+def _read_back(texts: list, names) -> list:
+    """The scalars texts read as, in a model that declares names."""
+    model = parse(f"scalars {' '.join(names)}\n"
+                  + "".join(f"let s{k} = {text}\n" for k, text in enumerate(texts)))
+    return [model.lets[f"s{k}"] for k in range(len(texts))]
 
 
 def _shapes(s: Scalar) -> set:
-    """The evaluation shapes of s that print differently."""
+    """The shapes of s whose text differs in kind."""
     num, den = s.num, s.den
     found = set()
     if den.is_ground:
@@ -136,14 +52,73 @@ def _shapes(s: Scalar) -> set:
     return found
 
 
-def test_seeded_corpus_prints_as_the_oracle():
-    scalars = corpus(7, 2000)
+def test_seeded_corpus_reads_back_and_prints_distinct_values_distinctly():
+    scalars = corpus(7, 2000, _SYMBOLS, _ATOMS)
     counts = {}
     for s in scalars:
         for shape in _shapes(s):
             counts[shape] = counts.get(shape, 0) + 1
     assert len(counts) == 6 and min(counts.values()) >= 50, counts
-    assert _mismatches(scalars) == []
+    texts = [print_scalar(s) for s in scalars]
+    names = (*NAMES, "pc_y5", "pc_y6")
+    assert [k for k, (s, back) in enumerate(zip(scalars, _read_back(texts, names)))
+            if back != s] == []
+    assert len(set(texts)) == len(set(scalars))
+
+
+# Prints the corpus, built from atoms of unrelated directions only (no
+# exp(1/3) beside exp(1)), and two scalars in pc_w1 and pc_w01, whose
+# names sympy's generator key does not tell apart, after registering the
+# symbols and atoms in the order, or the reverse order, given on the
+# command line.
+_REGISTERED = """
+import sys
+
+from prolong.coeff import exp_atom, sym
+from scalar_corpus import NAMES, corpus, exponents
+
+forward = sys.argv[1] == "forward"
+names = (*NAMES, "pc_y5", "pc_y6", "pc_w1", "pc_w01")
+for name in names if forward else names[::-1]:
+    sym(name)
+related = exponents()
+unrelated = related[:7] + related[8:]
+atoms = [exp_atom(e) for e in (unrelated if forward else unrelated[::-1])]
+for s in corpus(7, 400, [sym(name) for name in NAMES], atoms if forward else atoms[::-1]):
+    print(s)
+w1, w01 = sym("pc_w1"), sym("pc_w01")
+print(w01 - w1)
+print((w01 + 1) / (w01 - w1))
+"""
+
+
+def test_text_does_not_depend_on_the_registration_order():
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")) if p))
+    printed = []
+    for order in ("forward", "reverse"):
+        result = subprocess.run([sys.executable, "-c", _REGISTERED, order], cwd=tests, env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        printed.append(result.stdout.splitlines())
+    assert len(printed[0]) == 402
+    assert printed[0] == printed[1]
+
+
+def test_a_large_power_of_an_exponential_prints():
+    x = _SYMBOLS[0]
+    value = x * exp_atom(710) + 3 * x
+    assert _read_back([print_scalar(value)], NAMES) == [value]
+
+
+def test_a_declared_e_and_exp_1_round_trip_through_the_model_text():
+    model = parse("scalars E y\nlet a = E*exp(1)\nlet b = exp(1)/E - E**2\nlet c = -exp(-1)\n")
+    text = print_model(model)
+    again = parse(text)
+    assert again.lets == model.lets
+    assert print_model(again) == text
+    assert model.lets["a"] != model.lets["b"]
 
 
 # -- print, parse, compare ----------------------------------------------------
