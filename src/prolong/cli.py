@@ -13,10 +13,8 @@ import sys
 import time
 from importlib import resources
 
-import sympy as sp
-
 from . import conservation, dsl, su2, we
-from .coeff import ETA, Scalar
+from .coeff import ETA, Scalar, sym
 from .forms import check_dd_zero
 from .jets import EvolutionSystem, jet_order
 
@@ -244,7 +242,7 @@ def _cmd_section(args) -> tuple:
     result = we.section(ideal, model.sections.get(name, ()))
     subs = {}
     if args.beta is not None:
-        subs[sp.Symbol("beta")] = _beta_scalar(args.beta)
+        subs["beta"] = _beta_scalar(args.beta)
     items = []
     for name, raw in zip(result.names, result.raw):
         items.append(_item(f"raw-{name}", "sectioned", equation=dsl.print_scalar(raw)))
@@ -267,7 +265,7 @@ def _cmd_prolong(args) -> tuple:
     _, ideal = _pick(model.ideals, "ideal")
     _, conn = _pick(model.connections, "connection")
     if args.beta is not None:
-        substitution = {sp.Symbol("beta"): _beta_scalar(args.beta)}
+        substitution = {"beta": _beta_scalar(args.beta)}
         ideal = dataclasses.replace(ideal, generators=tuple(
             g.map_coefficients(lambda c: c.subs(substitution)) for g in ideal.generators))
     closure = we.closure_check(ideal)
@@ -290,7 +288,7 @@ def _cmd_prolong(args) -> tuple:
 def _akns_connection(spec: su2.AKNSSpec) -> we.ConnectionData:
     """Read the linear pair off the family: dt side [[A, B], [C, -A]],
     dx side [[eta, q], [r, -eta]]."""
-    eta = Scalar(ETA)
+    eta = sym(ETA)
     return we.ConnectionData(
         F=((spec.A, spec.B), (spec.C, -spec.A)),
         G=((eta, spec.q), (spec.r, -eta)),

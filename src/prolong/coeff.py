@@ -4,34 +4,34 @@ Scalars are rational functions of declared symbols over the Gaussian
 rationals, optionally containing exponential atoms exp(s) of degree-0
 symbols.  No floating point enters anywhere.
 
-A Scalar stores a canonical pair ``num/den`` of sparse polynomials over
-the Gaussian integers ``ZZ_I`` (``sympy.polys.rings``): the two share no
-factor, not even a Gaussian-integer content, and the leading coefficient
-of ``den`` lies in the first quadrant (its canonical unit), the leading
-term taken in lex order over the generators sorted by their text with the
-key sympy's polynomial constructors sort generators by (``_sort_gens``).
-A generator's text is a symbol's name, or ``exp(<exponent>)`` for an
-atom, computed once when the generator is registered.  The pair is
-unique, so equality compares the stored pairs.  When ``den`` is a single
-term, which is every symbolic denominator the bundled workloads produce,
-reducing needs no polynomial gcd: dividing out the minimum exponent of
-each variable and the content gcd suffices.  Any other ``den`` goes
-through ``cofactors``.
+A generator is its text: a symbol's name, or ``exp(<exponent>)`` for an
+atom.  A Scalar stores a canonical pair ``num/den`` of sparse
+polynomials, each a dict ``{monomial: coefficient}`` of nonzero Gaussian
+integers (``ZZ_I`` elements), a monomial being the sorted tuple of the
+``(generator, exponent)`` pairs it holds.  A monomial names only its own
+generators, so no value changes when a generator is registered.  The two
+share no factor, not even a Gaussian-integer content, and the leading
+coefficient of ``den`` lies in the first quadrant (its canonical unit),
+the leading term taken in lex order over the generators ranked by their
+text with the key sympy's polynomial constructors sort generators by
+(``_sort_gens``).  The pair is unique, so equality compares the stored
+pairs.  When ``den`` is a single term, which is every symbolic
+denominator the bundled workloads produce, reducing needs no polynomial
+gcd: dividing out the minimum exponent of each variable and the content
+gcd suffices.  Any other ``den`` goes through sympy's ``cofactors``.
 
-Each exponential atom is a ring generator ``E`` standing for exp(b) with
+Each exponential atom is a generator ``E`` standing for exp(b) with
 dE/dz = E * db/dz.  exp(s) splits into one factor per term of s, each an
 integer power of an atom whose exponent b has primitive, sign-normalised
 coefficients, so exp(-y5) is the monomial denominator 1/E and exp(y5)
-and exp(2*y5) share one generator.  The ring names an atom by a
-placeholder symbol named by its text; only ``.expr`` maps it back to
-sympy's exp(b).
+and exp(2*y5) share one generator.  A symbol may not share its name with
+an atom's text.  Only ``.expr`` maps an atom back to sympy's exp(b).
 
-All Scalars live in one process-wide polynomial ring, not one per
-context, because values cross contexts (generator pullbacks, jet
-substitutions, parameter bindings).  It starts with no generators and
-grows as symbols and atoms appear (jet symbols such as ``u_xxxxx`` appear
-while a verb runs); a generator keeps its index, so a value built in an
-older ring lifts to the current one by padding its exponents.
+The generator table (texts, atoms and the rank of each text) is one per
+process, not one per context, because values cross contexts (generator
+pullbacks, jet substitutions, parameter bindings).  It grows as symbols
+and atoms appear (jet symbols such as ``u_xxxxx`` appear while a verb
+runs).
 
 A Scalar prints its stored pair itself, with exact comparisons only:
 ``str`` writes the terms of ``num``, then of ``den``, in descending lex
@@ -42,8 +42,8 @@ product needs them (see the printing section).  The model reader reads
 the text back to the same Scalar.  Reports, error messages and ``repr``
 all use that one text.  ``.expr``, the sympy expression num/den, and
 ``Scalar(expr)``, which converts an expression once, are the boundary to
-sympy: no engine code reads ``.expr``; tests and callers outside the
-engine do.
+sympy, mapping names to and from sympy symbols: no engine code reads
+``.expr``; tests and callers outside the engine do.
 
 Scalar is the one scalar type: a spectral-family coefficient is a Scalar
 too, and :func:`eta_coefficients` reads it as a Laurent polynomial in the
@@ -58,10 +58,8 @@ from math import gcd
 from typing import Mapping, Union
 
 import sympy as sp
-from sympy.polys.domains import ZZ, ZZ_I
-from sympy.polys.orderings import lex
+from sympy.polys.domains import ZZ_I
 from sympy.polys.polyutils import _sort_gens
-from sympy.polys.rings import PolyElement, PolyRing
 
 __all__ = [
     "Scalar",
@@ -76,91 +74,152 @@ __all__ = [
     "substitute",
 ]
 
-ETA = sp.Symbol("eta")
+ETA = "eta"
 
 ScalarLike = Union["Scalar", int, sp.Expr]
 
 _BAD_ATOMS = (sp.zoo, sp.nan, sp.oo, -sp.oo)
 _UNIT = ZZ_I.one
+_ONE = {(): _UNIT}  # the polynomial 1
 
 
-class _Ring:
-    """The one polynomial ring over ZZ_I that every Scalar lives in.
-
-    Generators are only ever appended, so an index never changes and an
-    element of an older ring lifts by padding its exponent vectors.  The
-    ring keeps spare placeholder generators and is rebuilt only when they
-    run out, doubling its size, since building a ring costs milliseconds.
-    """
+class _Generators:
+    """The texts of every registered generator, the exponential atoms, and
+    each text's rank in the generator order."""
 
     def __init__(self):
-        self.symbols: list = []  # Symbols and atom placeholders, by index
-        self.index: dict = {}
-        self.exponents: dict = {}  # generator index -> exponent b of exp(b)
-        self.atoms: dict = {}  # primitive exponent -> (denominator, index)
-        self.ring = PolyRing((), ZZ_I, lex)
-        self.small: dict = {}  # (generator indices, real?) -> ring for gcds
-        self._lex = None
+        self.texts: set = set()
+        self.exponents: dict = {}  # atom text -> exponent b of exp(b)
+        self.atoms: dict = {}  # primitive exponent -> (denominator, atom text)
+        self._rank: dict | None = {}
 
-    def grow(self, symbols) -> None:
-        fresh = [s for s in dict.fromkeys(symbols) if s not in self.index]
-        if not fresh:
-            return
-        for s in fresh:
-            self.index[s] = len(self.symbols)
-            self.symbols.append(s)
-        self._lex = None
-        size = len(self.symbols)
-        if size > self.ring.ngens:
-            spare = tuple(sp.Dummy() for _ in range(max(16, 2 * size) - size))
-            self.ring = PolyRing(tuple(self.symbols) + spare, ZZ_I, lex)
+    def add_symbol(self, name: str) -> None:
+        if name not in self.texts:
+            self.texts.add(name)
+            self._rank = None
+        elif name in self.exponents:
+            raise ValueError(f"{name} is the text of an exponential atom, not a symbol")
 
-    def as_expr(self, poly: PolyElement) -> sp.Expr:
-        """poly as an expression in the generators' own symbols, each atom
-        that occurs as sympy's exp(b) (the ring still names generators
-        added after it was built by spare placeholders)."""
-        gens = [*self.symbols[:poly.ring.ngens], *poly.ring.symbols[len(self.symbols):]]
-        for i in _used(poly):
-            if i in self.exponents:
-                gens[i] = sp.exp(self.exponents[i].expr)
-        return poly.as_expr(*gens)
+    def add_atom(self, direction: "Scalar", denominator: int) -> tuple:
+        exponent = direction / Scalar.rational(denominator)
+        text = f"exp({exponent})"
+        if text in self.texts:
+            raise ValueError(f"the exponential atom {text} has the name of a symbol")
+        self.texts.add(text)
+        self.exponents[text] = exponent
+        self.atoms[direction] = known = (denominator, text)
+        self._rank = None
+        return known
 
-    def lex_order(self) -> list:
-        """Generator indices in the order sympy's polynomial constructors
+    def rank(self) -> dict:
+        """{text: position} in the order sympy's polynomial constructors
         sort generators with these texts; texts that key alike (y1 and
-        y01) go in text order, so no order depends on registration."""
-        if self._lex is None:
-            texts = [s.name for s in self.symbols]
-            slots: dict = {}
-            for i, text in enumerate(texts):
-                slots.setdefault(text, []).append(i)
-            self._lex = [slots[text].pop(0) for text in _sort_gens(sorted(texts))]
-        return self._lex
+        y01) go in text order, so no rank depends on registration."""
+        if self._rank is None:
+            self._rank = {text: k for k, text in enumerate(_sort_gens(sorted(self.texts)))}
+        return self._rank
 
 
-_CORE = _Ring()
+_GENS = _Generators()
 
 
-def _lift(poly: PolyElement) -> PolyElement:
-    ring = _CORE.ring
-    if poly.ring is ring:
-        return poly
-    pad = (0,) * (ring.ngens - poly.ring.ngens)
-    out = ring.zero
-    for monom, coeff in poly.items():
-        out[monom + pad] = coeff
+# -- sparse polynomials ------------------------------------------------------
+
+
+def _ground(value) -> dict:
+    c = ZZ_I.convert(value)
+    return {(): c} if c else {}
+
+
+def _is_one(poly: dict) -> bool:
+    return poly == _ONE
+
+
+def _used(*polys: dict) -> set:
+    """The generators that occur in any of polys."""
+    return {g for poly in polys for monom in poly for g, _ in monom}
+
+
+def _scaled(poly: dict, c) -> dict:
+    return {m: a * c for m, a in poly.items()}
+
+
+def _negated(poly: dict) -> dict:
+    return {m: -c for m, c in poly.items()}
+
+
+def _plus(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for m, c in q.items():
+        total = out.get(m)
+        if total is None:
+            out[m] = c
+        elif total + c:
+            out[m] = total + c
+        else:
+            del out[m]
     return out
 
 
-def _is_one(poly: PolyElement) -> bool:
-    return len(poly) == 1 and poly.get(poly.ring.zero_monom) == _UNIT
+def _monomial_product(a: tuple, b: tuple) -> tuple:
+    if not a:
+        return b
+    if not b:
+        return a
+    exponents = dict(a)
+    for g, e in b:
+        exponents[g] = exponents.get(g, 0) + e
+    return tuple(sorted(exponents.items()))
 
 
-def _constant(poly: PolyElement):
-    """The ground coefficient of a constant polynomial, else None."""
+def _times(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for m, a in p.items():
+        for n, b in q.items():
+            k = _monomial_product(m, n)
+            out[k] = out[k] + a * b if k in out else a * b
+    return {m: c for m, c in out.items() if c}
+
+
+def _power(poly: dict, k: int) -> dict:
     if len(poly) == 1:
-        return poly.get(poly.ring.zero_monom)
-    return None
+        [(m, c)] = poly.items()
+        return {tuple((g, e * k) for g, e in m): c**k}
+    out = _ONE
+    for _ in range(k):
+        out = _times(out, poly)
+    return out
+
+
+def _derivative(poly: dict, g: str) -> dict:
+    out = {}
+    for m, c in poly.items():
+        for k, (h, e) in enumerate(m):
+            if h == g:
+                out[m[:k] + (((h, e - 1),) if e > 1 else ()) + m[k + 1:]] = c * e
+                break
+    return out
+
+
+def _quotient(monom: tuple, divisor: tuple) -> tuple:
+    """monom divided by a monomial that divides it."""
+    less = dict(divisor)
+    return tuple((g, e - less.get(g, 0)) for g, e in monom if e != less.get(g, 0))
+
+
+def _order(*polys: dict) -> list:
+    """The generators of polys, greatest first in lex order: the order
+    that fixes the canonical unit and the printed order."""
+    return sorted(_used(*polys), key=_GENS.rank().__getitem__)
+
+
+def _exponents(monom: tuple, gens: list) -> list:
+    """The exponent of each of gens in monom."""
+    held = dict(monom)
+    return [held.get(g, 0) for g in gens]
+
+
+# -- canonical pairs ---------------------------------------------------------
 
 
 def _is_unit(c) -> bool:
@@ -180,107 +239,86 @@ def _exquo(a, b):
     return ZZ_I.exquo(a, b)
 
 
-def _lex_order(ring: PolyRing) -> list:
-    """The generator indices of ring, greatest first in lex order: the
-    order that fixes the canonical unit and the printed order."""
-    return [k for k in _CORE.lex_order() if k < ring.ngens]
-
-
-def _leading_coeff(den: PolyElement):
+def _leading_coeff(den: dict):
     if len(den) == 1:
         return next(iter(den.values()))
-    order = _lex_order(den.ring)
-    return den[max(den, key=lambda m: [m[k] for k in order])]
+    order = _order(den)
+    return den[max(den, key=lambda m: _exponents(m, order))]
 
 
-def _normal_unit(num: PolyElement, den: PolyElement) -> tuple:
+def _normal_unit(num: dict, den: dict) -> tuple:
     unit = ZZ_I.canonical_unit(_leading_coeff(den))
     if unit == _UNIT:
         return num, den
-    return num.mul_ground(unit), den.mul_ground(unit)
+    return _scaled(num, unit), _scaled(den, unit)
 
 
-def _reduce(num: PolyElement, den: PolyElement) -> "Scalar":
-    """The canonical Scalar of num/den (same ring, den nonzero)."""
+def _reduce(num: dict, den: dict) -> "Scalar":
+    """The canonical Scalar of num/den (den nonzero)."""
     if not den:
         raise ZeroDivisionError("division by a scalar that normalizes to zero")
-    ring = den.ring
     if not num:
-        return _make(num, ring.one)
+        return _make(num, _ONE)
     if len(den) == 1:
         [(dm, dc)] = den.items()
         common = dm
-        if any(dm):
-            monomial_gcd = ring.monomial_gcd
-            for m in num:
-                common = monomial_gcd(common, m)
-                if not any(common):
-                    break
+        for m in num:
+            if not common:
+                break
+            held = dict(m)
+            common = tuple((g, min(e, held[g])) for g, e in common if g in held)
         content = dc
         if not _is_unit(dc):
             for c in num.values():
                 content = _gcd(content, c)
                 if _is_unit(content):
                     break
-        if any(common) or not _is_unit(content):
-            ldiv = ring.monomial_ldiv
-            num = num.new([(ldiv(m, common), _exquo(c, content)) for m, c in num.items()])
-            den = den.new([(ldiv(dm, common), _exquo(dc, content))])
+        if common or not _is_unit(content):
+            num = {_quotient(m, common): _exquo(c, content) for m, c in num.items()}
+            den = {_quotient(dm, common): _exquo(dc, content)}
     else:
         num, den = _cofactors(num, den)
     return _make(*_normal_unit(num, den))
 
 
-def _cofactors(num: PolyElement, den: PolyElement) -> tuple:
+def _cofactors(num: dict, den: dict) -> tuple:
     """num and den divided by their gcd.
 
-    sympy's gcd is dense in every generator of the ring and slow over
+    sympy's gcd is dense in every generator of its ring and slow over
     ZZ_I, so it runs in a ring of only the generators that occur, over ZZ
     when no coefficient has an imaginary part.
     """
-    used = tuple(_used(num, den))
+    from sympy.polys.domains import ZZ
+    from sympy.polys.orderings import lex
+    from sympy.polys.rings import PolyRing
+
+    gens = sorted(_used(num, den))
     real = all(not c.y for poly in (num, den) for c in poly.values())
-    key = (used, real)
-    small = _CORE.small.get(key)
-    if small is None:
-        small = PolyRing(tuple(_CORE.symbols[i] for i in used), ZZ if real else ZZ_I, lex)
-        _CORE.small[key] = small
+    ring = PolyRing([sp.Symbol(g) for g in gens], ZZ if real else ZZ_I, lex)
 
-    def down(poly: PolyElement) -> PolyElement:
-        return small.from_dict(
-            {tuple(m[i] for i in used): (c.x if real else c) for m, c in poly.items()}
-        )
+    def down(poly: dict):
+        return ring.from_dict({tuple(_exponents(m, gens)): (c.x if real else c)
+                               for m, c in poly.items()})
 
-    ring = num.ring
-
-    def up(poly: PolyElement) -> PolyElement:
-        out = ring.zero
-        for m, c in poly.items():
-            full = [0] * ring.ngens
-            for i, e in zip(used, m):
-                full[i] = e
-            out[tuple(full)] = ZZ_I(c) if real else c
-        return out
+    def up(poly) -> dict:
+        return {tuple((g, e) for g, e in zip(gens, m) if e): (ZZ_I(c) if real else c)
+                for m, c in poly.items()}
 
     _, p, q = down(num).cofactors(down(den))
     return up(p), up(q)
 
 
-def _make(num: PolyElement, den: PolyElement) -> "Scalar":
+def _make(num: dict, den: dict) -> "Scalar":
     s = object.__new__(Scalar)
     object.__setattr__(s, "num", num)
     object.__setattr__(s, "den", den)
     return s
 
 
-def _ground(value) -> PolyElement:
-    return _CORE.ring.ground_new(ZZ_I.convert(value))
-
-
 def _unit_of(s: "Scalar"):
     """The ground unit s equals (1, -1, i or -i), else None."""
-    if _is_one(s.den):
-        c = _constant(s.num)
+    if len(s.num) == 1 and _is_one(s.den):
+        c = s.num.get(())
         if c is not None and _is_unit(c):
             return c
     return None
@@ -291,16 +329,16 @@ class Scalar:
     """Immutable exact coefficient, stored as a canonical pair num/den.
 
     ``Scalar(expr)`` converts a sympy expression (or an int, or a Scalar)
-    once; arithmetic stays on the stored pair.
+    once; arithmetic stays on the stored pair.  A name is not an
+    expression: :func:`sym` gives the Scalar of a symbol.
     """
 
     value: InitVar[ScalarLike]
-    num: PolyElement = field(init=False)
-    den: PolyElement = field(init=False)
+    num: dict = field(init=False)
+    den: dict = field(init=False)
 
     def __post_init__(self, value):
-        num, den = _convert(value)
-        canon = _reduce(num, den)
+        canon = _reduce(*_convert(value))
         object.__setattr__(self, "num", canon.num)
         object.__setattr__(self, "den", canon.den)
 
@@ -311,43 +349,28 @@ class Scalar:
         if isinstance(value, Scalar):
             return value
         if isinstance(value, int):
-            return _make(_ground(value), _CORE.ring.one)
-        return Scalar(sp.sympify(value))
+            return _make(_ground(value), _ONE)
+        return Scalar(value)
 
     @staticmethod
     def rational(p: int, q: int = 1) -> "Scalar":
         return _reduce(_ground(p), _ground(q))
 
-    def _lifted(self) -> tuple:
-        """(num, den) over the current ring; the lift is kept, since it
-        stands for the same value."""
-        num = self.num
-        if num.ring is not _CORE.ring:
-            num, den = _lift(num), _lift(self.den)
-            object.__setattr__(self, "num", num)
-            object.__setattr__(self, "den", den)
-        return num, self.den
-
-    def _pair(self, other: "Scalar") -> tuple:
-        if self.num.ring is other.num.ring:
-            return self.num, self.den, other.num, other.den
-        return self._lifted() + other._lifted()
-
     # -- ring operations ---------------------------------------------------
 
     def _add(self, other: "Scalar", sign: int) -> "Scalar":
-        a, b, c, d = self._pair(other)
+        a, b, c, d = self.num, self.den, other.num, other.den
         if sign < 0:
-            c = -c
+            c = _negated(c)
         # a/b + c stays coprime to b, so only a shared or a product
         # denominator needs reducing
         if _is_one(d):
-            return _make(a + c * b if not _is_one(b) else a + c, b)
+            return _make(_plus(a, _times(c, b)) if not _is_one(b) else _plus(a, c), b)
         if _is_one(b):
-            return _make(a * d + c, d)
+            return _make(_plus(_times(a, d), c), d)
         if b == d:
-            return _reduce(a + c, b)
-        return _reduce(a * d + c * b, b * d)
+            return _reduce(_plus(a, c), b)
+        return _reduce(_plus(_times(a, d), _times(c, b)), _times(b, d))
 
     def __add__(self, other: ScalarLike) -> "Scalar":
         if not isinstance(other, _OPERANDS):
@@ -370,14 +393,13 @@ class Scalar:
         if not isinstance(other, _OPERANDS):
             return NotImplemented
         other = Scalar.of(other)
-        a, b, c, d = self._pair(other)
-        for unit, num, den in ((_unit_of(other), a, b), (_unit_of(self), c, d)):
+        for unit, s in ((_unit_of(other), self), (_unit_of(self), other)):
             if unit is not None:
                 # a product by 1, -1, i or -i keeps the pair canonical
-                return _make(num.mul_ground(unit) if unit != _UNIT else num, den)
-        if _is_one(b) and _is_one(d):
-            return _make(a * c, b)
-        return _reduce(a * c, b * d)
+                return _make(_scaled(s.num, unit) if unit != _UNIT else s.num, s.den)
+        if _is_one(self.den) and _is_one(other.den):
+            return _make(_times(self.num, other.num), _ONE)
+        return _reduce(_times(self.num, other.num), _times(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -387,8 +409,7 @@ class Scalar:
         divisor = Scalar.of(other)
         if divisor.is_zero:
             raise ZeroDivisionError("division by a scalar that normalizes to zero")
-        a, b, c, d = self._pair(divisor)
-        return _reduce(a * d, b * c)
+        return _reduce(_times(self.num, divisor.den), _times(self.den, divisor.num))
 
     def __rtruediv__(self, other: ScalarLike) -> "Scalar":
         if not isinstance(other, _OPERANDS):
@@ -403,10 +424,10 @@ class Scalar:
         if n == 0:
             return ONE
         num, den = (self.num, self.den) if n >= 0 else (self.den, self.num)
-        return _make(*_normal_unit(num ** abs(n), den ** abs(n)))
+        return _make(*_normal_unit(_power(num, abs(n)), _power(den, abs(n))))
 
     def __neg__(self) -> "Scalar":
-        return _make(-self.num, self.den)
+        return _make(_negated(self.num), self.den)
 
     # -- structure ----------------------------------------------------------
 
@@ -415,10 +436,10 @@ class Scalar:
         """The sympy expression num/den, converted once on first use."""
         expr = self.__dict__.get("_expr")
         if expr is None:
-            expr = _CORE.as_expr(self.num)
+            expr = _as_expr(self.num)
             if not _is_one(self.den):
-                expr = expr / _CORE.as_expr(self.den)
-                if _constant(self.den) is not None and _constant(self.num) is not None:
+                expr = expr / _as_expr(self.den)
+                if self.den.keys() == {()} and self.num.keys() == {()}:
                     expr = expr.expand()  # a Gaussian rational, as a + b*I
             object.__setattr__(self, "_expr", expr)
         return expr
@@ -430,62 +451,65 @@ class Scalar:
     @property
     def denominator(self) -> "Scalar":
         """The stored denominator, as a polynomial Scalar."""
-        return _make(self.den, self.den.ring.one)
+        return _make(self.den, _ONE)
 
     def free_symbols(self) -> set:
+        """The names of the symbols this depends on, inside atoms too."""
         return set(self._symbols())
 
     def _symbols(self) -> frozenset:
         found = self.__dict__.get("_free")
         if found is None:
             found = set()
-            for i in _used(self.num, self.den):
-                atom = _CORE.exponents.get(i)
-                found |= atom._symbols() if atom is not None else {_CORE.symbols[i]}
+            for g in _used(self.num, self.den):
+                atom = _GENS.exponents.get(g)
+                found |= atom._symbols() if atom is not None else {g}
             found = frozenset(found)
             object.__setattr__(self, "_free", found)
         return found
 
-    def diff(self, symbol: sp.Symbol) -> "Scalar":
-        """Partial derivative: the quotient rule on the stored pair, and the
-        chain rule dE/dz = E * db/dz through every exponential atom."""
-        index = _CORE.index.get(symbol)
-        if index is None or symbol not in self._symbols():
+    def diff(self, name: str) -> "Scalar":
+        """Partial derivative by the symbol name: the quotient rule on the
+        stored pair, and the chain rule dE/dz = E * db/dz through every
+        exponential atom."""
+        if not isinstance(name, str):
+            raise TypeError(f"diff takes a symbol's name, not {name!r}")
+        if name not in self._symbols():
             return ZERO
-        num, den = self._lifted()
-        ring = num.ring
+        num, den = self.num, self.den
         chain = [
-            (i, dexp) for i in _used(num, den) if i in _CORE.exponents
-            and not (dexp := _CORE.exponents[i].diff(symbol)).is_zero
+            (g, dexp) for g in _used(num, den) if g in _GENS.exponents
+            and not (dexp := _GENS.exponents[g].diff(name)).is_zero
         ]
         if not chain:
-            dnum = num.diff(index)
+            dnum = _derivative(num, name)
             if _is_one(den):
                 return _make(dnum, den)
-            return _reduce(dnum * den - num * den.diff(index), den * den)
+            return _reduce(_plus(_times(dnum, den), _negated(_times(num, _derivative(den, name)))),
+                           _times(den, den))
 
-        def derivative(poly: PolyElement) -> Scalar:
-            out = _make(poly.diff(index), ring.one)
-            for i, dexp in chain:
-                out = out + _make(poly.diff(i) * ring.gens[i], ring.one) * dexp
+        def derivative(poly: dict) -> Scalar:
+            out = _make(_derivative(poly, name), _ONE)
+            for g, dexp in chain:
+                out = out + _make(_times(_derivative(poly, g), {((g, 1),): _UNIT}), _ONE) * dexp
             return out
 
-        p, q = _make(num, ring.one), _make(den, ring.one)
+        p, q = _make(num, _ONE), _make(den, _ONE)
         return (derivative(num) * q - p * derivative(den)) / (q * q)
 
-    def subs(self, mapping: Mapping[sp.Symbol, ScalarLike]) -> "Scalar":
+    def subs(self, mapping: Mapping[str, ScalarLike]) -> "Scalar":
         return substitute(self, mapping)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, _OPERANDS):
             return NotImplemented
-        a, b, c, d = self._pair(Scalar.of(other))
-        return a == c and b == d
+        other = Scalar.of(other)
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((_stripped(self.num), _stripped(self.den)))
+            h = hash((frozenset(self.num.items()), frozenset(self.den.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -500,34 +524,9 @@ class Scalar:
 # operators return NotImplemented, so Python tries the other operand.
 _OPERANDS = (Scalar, int, sp.Expr)
 
-
-def _stripped(poly: PolyElement) -> frozenset:
-    """The terms of poly with trailing zero exponents dropped: the same in
-    every ring poly lifts to, so hashes agree across ring growth."""
-    out = []
-    for monom, coeff in poly.items():
-        k = len(monom)
-        while k and not monom[k - 1]:
-            k -= 1
-        out.append((monom[:k], coeff))
-    return frozenset(out)
-
-
-def _used(*polys: PolyElement) -> list:
-    """Indices of the generators that occur in any of polys."""
-    ring = polys[0].ring
-    if not ring.ngens:
-        return []
-    span = ring.zero_monom
-    for poly in polys:
-        for monom in poly:
-            span = ring.monomial_lcm(span, monom)
-    return [i for i, e in enumerate(span) if e]
-
-
 ZERO = Scalar.of(0)
 ONE = Scalar.of(1)
-I = _make(_CORE.ring.ground_new(ZZ_I(0, 1)), _CORE.ring.one)
+I = _make({(): ZZ_I(0, 1)}, _ONE)
 
 
 def _accumulate(terms: dict, key, coeff: Scalar) -> None:
@@ -539,54 +538,67 @@ def _accumulate(terms: dict, key, coeff: Scalar) -> None:
         terms[key] = coeff
 
 
+def _generator(name: str) -> dict:
+    """The polynomial of the symbol named name, registering it."""
+    _GENS.add_symbol(name)
+    return {((name, 1),): _UNIT}
+
+
 def sym(name: str) -> Scalar:
-    return Scalar(sp.Symbol(name))
+    """The Scalar of the symbol named name."""
+    return _make(_generator(name), _ONE)
+
+
+def _as_expr(poly: dict) -> sp.Expr:
+    """poly as a sympy expression: a name as its Symbol, an atom as
+    sympy's exp(b)."""
+    def gen(g: str) -> sp.Expr:
+        atom = _GENS.exponents.get(g)
+        return sp.Symbol(g) if atom is None else sp.exp(atom.expr)
+
+    return sp.Add(*(ZZ_I.to_sympy(c) * sp.Mul(*(gen(g) ** e for g, e in m))
+                    for m, c in poly.items()))
 
 
 def _convert(value) -> tuple:
-    """(num, den) of an expression over the current ring, not yet reduced."""
+    """(num, den) of an expression, not yet reduced."""
     if isinstance(value, Scalar):
-        return value._lifted()
+        return value.num, value.den
+    if isinstance(value, str):
+        raise TypeError(f"a Scalar is not read from text: sym({value!r}) is the symbol "
+                        "of that name, and the model reader reads expressions")
     expr = sp.sympify(value)
-    if expr.is_Symbol:
-        _CORE.grow([expr])
-        return _CORE.ring.gens[_CORE.index[expr]], _CORE.ring.one
     if expr.has(*_BAD_ATOMS):
         raise ZeroDivisionError(f"scalar normalizes to an undefined value: {expr}")
-    # Register every atom and symbol first, so one ring serves the walk.
     atoms = {a: exp_atom(Scalar(a.args[0])) for a in expr.atoms(sp.exp)}
     if expr.has(sp.E):  # sympy evaluates exp(1) to E, which is no exp
         atoms[sp.E] = exp_atom(1)
-    _CORE.grow(sorted(expr.free_symbols, key=lambda s: s.name))
-    atoms = {a: s._lifted() for a, s in atoms.items()}
-    ring = _CORE.ring
-    one = ring.one
 
     def walk(e) -> tuple:
         if e.is_Symbol:
-            return ring.gens[_CORE.index[e]], one
+            return _generator(e.name), _ONE
         if e.is_Integer:
-            return _ground(int(e)), one
+            return _ground(int(e)), _ONE
         if e.is_Rational:
             return _ground(e.p), _ground(e.q)
         if e is sp.I:
-            return ring.ground_new(ZZ_I(0, 1)), one
+            return {(): ZZ_I(0, 1)}, _ONE
         if e in atoms:
-            return atoms[e]
+            return atoms[e].num, atoms[e].den
         if e.is_Add:
-            num, den = ring.zero, one
+            num, den = {}, _ONE
             for arg in e.args:
                 n, d = walk(arg)
                 if d == den:
-                    num = num + n
+                    num = _plus(num, n)
                 else:
-                    num, den = num * d + n * den, den * d
+                    num, den = _plus(_times(num, d), _times(n, den)), _times(den, d)
             return num, den
         if e.is_Mul:
-            num, den = one, one
+            num, den = _ONE, _ONE
             for arg in e.args:
                 n, d = walk(arg)
-                num, den = num * n, den * d
+                num, den = _times(num, n), _times(den, d)
             return num, den
         if e.is_Pow and e.exp.is_Integer:
             n, d = walk(e.base)
@@ -595,7 +607,7 @@ def _convert(value) -> tuple:
                 if not n:
                     raise ZeroDivisionError(f"scalar normalizes to an undefined value: {expr}")
                 n, d, k = d, n, -k
-            return n**k, d**k
+            return _power(n, k), _power(d, k)
         raise ValueError(f"not an exact rational scalar: {expr}")
 
     return walk(expr)
@@ -612,10 +624,9 @@ def exp_atom(s: ScalarLike) -> Scalar:
     exp(y), or exp(y/3) after exp(y/2).
     """
     s = Scalar.of(s)
-    num, den = s._lifted()
     out = ONE
-    for monom, coeff in list(num.items()):
-        term = _reduce(num.new([(monom, coeff)]), den)
+    for monom, coeff in s.num.items():
+        term = _reduce({monom: coeff}, s.den)
         [(tm, tc)] = term.num.items()
         top = gcd(int(tc.x), int(tc.y))
         if tc.x < 0 or (tc.x == 0 and tc.y < 0):
@@ -625,8 +636,8 @@ def exp_atom(s: ScalarLike) -> Scalar:
             bottom = gcd(bottom, int(c.x), int(c.y))
         power = Fraction(top, bottom)
         direction = _make(
-            term.num.new([(tm, _exquo(tc, ZZ_I(top)))]),
-            term.den.new([(m, _exquo(c, ZZ_I(bottom))) for m, c in term.den.items()]),
+            {tm: _exquo(tc, ZZ_I(top))},
+            {m: _exquo(c, ZZ_I(bottom)) for m, c in term.den.items()},
         )
         out = out * _atom(direction, power.denominator) ** power.numerator
     return out
@@ -635,75 +646,60 @@ def exp_atom(s: ScalarLike) -> Scalar:
 def _atom(direction: Scalar, denominator: int) -> Scalar:
     """exp(direction/denominator) as a power of the one atom registered for
     direction, registering it on first use."""
-    known = _CORE.atoms.get(direction)
+    known = _GENS.atoms.get(direction)
     if known is None:
-        exponent = direction / Scalar.rational(denominator)
-        # a Dummy, so the atom is never the generator of a Symbol of that name
-        symbol = sp.Dummy(f"exp({exponent})")
-        _CORE.grow([symbol])
-        index = _CORE.index[symbol]
-        _CORE.exponents[index] = exponent
-        _CORE.atoms[direction] = known = (denominator, index)
+        known = _GENS.add_atom(direction, denominator)
     if known[0] % denominator:
         wanted = direction / Scalar.rational(denominator)
         raise ValueError(
-            f"exponential atoms {_CORE.symbols[known[1]].name} and exp({wanted}) "
-            "differ by a non-integer factor"
+            f"exponential atoms {known[1]} and exp({wanted}) differ by a non-integer factor"
         )
-    ring = _CORE.ring
-    return _make(ring.gens[known[1]] ** (known[0] // denominator), ring.one)
+    return _make({((known[1], known[0] // denominator),): _UNIT}, _ONE)
 
 
-def substitute(e: ScalarLike, bindings: Mapping[sp.Symbol, ScalarLike]) -> Scalar:
-    """Simultaneous substitution on the stored pair.
+def substitute(e: ScalarLike, bindings: Mapping[str, ScalarLike]) -> Scalar:
+    """Simultaneous substitution on the stored pair, bindings keyed by
+    symbol name.
 
     All bindings are applied in one pass, so swaps and rescalings like
     r -> lam*r are well defined; nothing is re-substituted afterwards.
     An exponential atom whose exponent holds a bound symbol becomes the
     exponential of the substituted exponent.
     """
+    if not all(isinstance(name, str) for name in bindings):
+        raise TypeError(f"substitute binds symbols by name: {list(bindings)}")
     e = Scalar.of(e)
-    num, den = e._lifted()
     images = {}
-    for i in _used(num, den):
-        atom = _CORE.exponents.get(i)
+    for g in _used(e.num, e.den):
+        atom = _GENS.exponents.get(g)
         if atom is None:
-            if _CORE.symbols[i] in bindings:
-                images[i] = Scalar.of(bindings[_CORE.symbols[i]])
+            if g in bindings:
+                images[g] = Scalar.of(bindings[g])
         elif not atom._symbols().isdisjoint(bindings):
-            images[i] = exp_atom(substitute(atom, bindings))
+            images[g] = exp_atom(substitute(atom, bindings))
     if not images:
         return e
-    top, bottom = _evaluate(num, images), _evaluate(den, images)
+    top, bottom = _evaluate(e.num, images), _evaluate(e.den, images)
     if bottom.is_zero:
         raise ZeroDivisionError(f"substitution makes the denominator of {e} vanish")
     return top / bottom
 
 
-def _evaluate(poly: PolyElement, images: dict) -> Scalar:
-    """poly with generator i replaced by images[i], every other kept."""
-    ring = _CORE.ring
-    poly = _lift(poly)
-    bound = sorted(images)
+def _evaluate(poly: dict, images: dict) -> Scalar:
+    """poly with generator g replaced by images[g], every other kept."""
     groups: dict = {}
     for monom, coeff in poly.items():
-        key = tuple(monom[i] for i in bound)
-        rest = list(monom)
-        for i in bound:
-            rest[i] = 0
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = ring.zero
-        group[tuple(rest)] = coeff
+        bound = tuple((g, e) for g, e in monom if g in images)
+        rest = tuple((g, e) for g, e in monom if g not in images)
+        groups.setdefault(bound, {})[rest] = coeff
     powers: dict = {}
     out = ZERO
-    for key, rest in groups.items():
-        term = _make(rest, ring.one)
-        for i, k in zip(bound, key):
-            if k:
-                if (i, k) not in powers:
-                    powers[(i, k)] = images[i] ** k
-                term = term * powers[(i, k)]
+    for bound, rest in groups.items():
+        term = _make(rest, _ONE)
+        for g, k in bound:
+            if (g, k) not in powers:
+                powers[(g, k)] = images[g] ** k
+            term = term * powers[(g, k)]
         out = out + term
     return out
 
@@ -722,28 +718,29 @@ def eta_coefficients(e: ScalarLike) -> dict:
     e = Scalar.of(e)
     if e.is_zero:
         return {}
-    num, den = e._lifted()
-    used = _used(num, den)
-    for i in used:
-        atom = _CORE.exponents.get(i)
+    used = _used(e.num, e.den)
+    for g in used:
+        atom = _GENS.exponents.get(g)
         if atom is not None and ETA in atom._symbols():
             raise LaurentError(f"not a Laurent polynomial in eta: {e}")
-    k = _CORE.index.get(ETA)
-    if k not in used:
+    if ETA not in used:
         return {0: e}
-    shifts = {m[k] for m in den}
+
+    def split(monom: tuple) -> tuple:
+        """(the power of eta in monom, the rest of monom)."""
+        held = dict(monom)
+        return held.pop(ETA, 0), tuple(held.items())
+
+    shifts = {split(m)[0] for m in e.den}
     if len(shifts) != 1:
         raise LaurentError(f"denominator is not a monomial in eta: {e.denominator}")
     [shift] = shifts
-
-    def drop(poly: PolyElement) -> PolyElement:
-        return poly.new([(m[:k] + (0,) + m[k + 1:], c) for m, c in poly.items()])
-
-    rest = drop(den)
+    rest = {split(m)[1]: c for m, c in e.den.items()}
     parts: dict = {}
-    for m, c in num.items():
-        parts.setdefault(m[k], []).append((m, c))
-    return {n - shift: _reduce(drop(num.new(parts[n])), rest) for n in sorted(parts)}
+    for m, c in e.num.items():
+        k, r = split(m)
+        parts.setdefault(k, {})[r] = c
+    return {n - shift: _reduce(parts[n], rest) for n in sorted(parts)}
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +748,7 @@ def eta_coefficients(e: ScalarLike) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _print(num: PolyElement, den: PolyElement) -> str:
+def _print(num: dict, den: dict) -> str:
     """The text num/den, parenthesising a sum, or a product below the bar."""
     top = _terms(num)
     text = _sum(top)
@@ -772,15 +769,15 @@ def _sum(terms: list) -> str:
     return ("-" if terms[0][0] else "") + out[3:]
 
 
-def _terms(poly: PolyElement) -> list:
+def _terms(poly: dict) -> list:
     """The terms of poly as (negative?, factor texts), in descending lex
     order; a constant a + b*i is the two terms a and b*i."""
-    order = _lex_order(poly.ring)
+    order = _order(poly)
     out = []
-    for monom in sorted(poly, key=lambda m: [m[k] for k in order], reverse=True):
+    for monom in sorted(poly, key=lambda m: _exponents(m, order), reverse=True):
         c = poly[monom]
-        gens = [_CORE.symbols[k].name + (f"**{monom[k]}" if monom[k] > 1 else "")
-                for k in order if monom[k]]
+        held = dict(monom)
+        gens = [g + (f"**{held[g]}" if held[g] > 1 else "") for g in order if g in held]
         parts = [(c.x, 0), (0, c.y)] if not gens and c.x and c.y else [(c.x, c.y)]
         for a, b in parts:
             negative, factors = _coefficient(a, b)

@@ -23,9 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-import sympy as sp
-
-from .coeff import I, Scalar, exp_atom
+from .coeff import I, ONE, Scalar, exp_atom, sym
 from .forms import ContextError, DerivationContext, Form
 from .jets import jet, split_jet
 from .su2 import AKNSSpec
@@ -102,10 +100,12 @@ def _integer(value) -> int | None:
     real, integer numerator over 1), else None."""
     if isinstance(value, Form):
         return None
-    num, den = value.num, value.den
-    if den != den.ring.one or not num.is_ground or num.LC.y:
+    if value.den != ONE.den or not value.num.keys() <= {()}:
         return None
-    return int(num.LC.x)
+    c = value.num.get(())
+    if c is None:
+        return 0
+    return None if c.y else int(c.x)
 
 
 @dataclass
@@ -516,12 +516,12 @@ class _Parser:
             pass
         if (name in m.params or (m.kind == "chart" and name in m.coordinates)
                 or (m.kind == "dga" and name in m.scalars)):
-            return Scalar(sp.Symbol(name))
-        parts = split_jet(sp.Symbol(name))
+            return sym(name)
+        parts = split_jet(name)
         if parts is not None and self.allow_jets:
             var, nx, nt = parts
             if var in m.jet_fields or (m.kind == "chart" and var in m.coordinates):
-                return Scalar(jet(var, nx, nt))
+                return sym(jet(var, nx, nt))
         raise DslError(f"unknown symbol {name!r}", tok.line, tok.col)
 
     def _add(self, a, b):

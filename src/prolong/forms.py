@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-import sympy as sp
-
 from .coeff import I, Scalar, ZERO, ONE, _accumulate
 from . import jets
 
@@ -67,7 +65,7 @@ class DerivationContext:
         self._gens: list[Generator] = []
         self._index: dict[str, int] = {}
         self._rules: dict[str, "Form"] = {}
-        self._scalars: list[tuple[sp.Symbol, str | None]] = []
+        self._scalars: list[tuple[str, str | None]] = []
         self._scalar_names: set[str] = set()
         self._jet_deps: tuple[str, ...] = ()
         self._base_pair: tuple[str, str] | None = None
@@ -93,20 +91,19 @@ class DerivationContext:
             raise ContextError("free generators must have degree 1 or 2")
         return self._register_gen(name, degree)
 
-    def add_scalar(self, name: str, constant: bool = False) -> sp.Symbol:
+    def add_scalar(self, name: str, constant: bool = False) -> str:
         """Degree-0 symbol; unless constant, its differential d<name> is a
         fresh degree-1 generator."""
         self._check_open()
-        symbol = sp.Symbol(name)
         diff_name = None
         if not constant:
             diff_name = f"d{name}"
             self._register_gen(diff_name, 1)
-        self._scalars.append((symbol, diff_name))
+        self._scalars.append((name, diff_name))
         self._scalar_names.add(name)
-        return symbol
+        return name
 
-    def add_parameter(self, name: str) -> sp.Symbol:
+    def add_parameter(self, name: str) -> str:
         return self.add_scalar(name, constant=True)
 
     def set_jet_mode(self, deps: Sequence[str]) -> None:
@@ -146,7 +143,7 @@ class DerivationContext:
         )
         signature = (
             tuple((g.name, g.degree) for g in self._gens),
-            tuple((s.name, d) for s, d in self._scalars),
+            tuple(self._scalars),
             self._jet_deps,
             rules,
         )
@@ -212,10 +209,10 @@ class DerivationContext:
             if not ct.is_zero:
                 out.append((self._index[dt], ct))
             return out
-        for symbol, diff_name in self._scalars:
+        for name, diff_name in self._scalars:
             if diff_name is None:
                 continue
-            part = c.diff(symbol)
+            part = c.diff(name)
             if not part.is_zero:
                 out.append((self._index[diff_name], part))
         return out

@@ -14,9 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-import sympy as sp
-
-from .coeff import Scalar, ZERO, substitute
+from .coeff import Scalar, ZERO, substitute, sym
 
 __all__ = [
     "X",
@@ -35,22 +33,23 @@ __all__ = [
     "TotalDerivativeCertificate",
 ]
 
-X = sp.Symbol("x")
-T = sp.Symbol("t")
+X = "x"
+T = "t"
 
 _JET_RE = re.compile(r"^(?P<var>[A-Za-z][A-Za-z0-9]*)(?:_(?P<ord>x*t*))?$")
 
 
-def jet(var: str, nx: int = 0, nt: int = 0) -> sp.Symbol:
-    """The jet symbol for the (nx, nt)-th derivative of a dependent variable."""
+def jet(var: str, nx: int = 0, nt: int = 0) -> str:
+    """The jet symbol's name for the (nx, nt)-th derivative of a dependent
+    variable."""
     if nx == 0 and nt == 0:
-        return sp.Symbol(var)
-    return sp.Symbol(f"{var}_{'x' * nx}{'t' * nt}")
+        return var
+    return f"{var}_{'x' * nx}{'t' * nt}"
 
 
-def split_jet(symbol: sp.Symbol) -> tuple | None:
+def split_jet(name: str) -> tuple | None:
     """(var, nx, nt) for a canonical jet name, else None."""
-    m = _JET_RE.match(symbol.name)
+    m = _JET_RE.match(name)
     if m is None:
         return None
     order = m.group("ord") or ""
@@ -79,7 +78,7 @@ def total_derivative(e: Scalar, direction: str, deps: Sequence[str]) -> Scalar:
             continue
         var, nx, nt = parts
         bumped = jet(var, nx + 1, nt) if direction == "x" else jet(var, nx, nt + 1)
-        out = out + e.diff(s) * Scalar(bumped)
+        out = out + e.diff(s) * sym(bumped)
     return out
 
 
@@ -159,7 +158,7 @@ def solve_for_t_derivative(e: Scalar) -> tuple | None:
     slope = e.diff(symbol)
     if slope.is_zero or symbol in slope.free_symbols():
         return None
-    return var, (slope * Scalar(symbol) - e) / slope
+    return var, (slope * sym(symbol) - e) / slope
 
 
 def reduce_mod_evolution(e: Scalar, sys: EvolutionSystem) -> Scalar:

@@ -20,9 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import sympy as sp
-
-from .coeff import ETA, I, ONE, Scalar, ZERO, eta_coefficients, exp_atom
+from .coeff import ETA, I, ONE, Scalar, ZERO, eta_coefficients, exp_atom, sym
 from .forms import (
     DerivationContext,
     Form,
@@ -143,7 +141,7 @@ def build_su2_context() -> Su2Context:
     th = tuple(ctx.gen(f"th{l}") for l in (1, 2, 3))
     _structure_rules(ctx, w, th)
     ctx.freeze()
-    y = {k: Scalar(sp.Symbol(f"y{k}")) for k in indices}
+    y = {k: sym(f"y{k}") for k in indices}
     dy = {k: ctx.gen(f"dy{k}") for k in indices}
     return Su2Context(
         ctx=ctx,
@@ -155,8 +153,8 @@ def build_su2_context() -> Su2Context:
         y4=y[1] / y[2],
         e5=exp_atom(y[5]),
         e6=exp_atom(y[6]),
-        f=Scalar(sp.Symbol("f")),
-        g=Scalar(sp.Symbol("g")),
+        f=sym("f"),
+        g=sym("g"),
         df=ctx.gen("df"),
         dg=ctx.gen("dg"),
     )
@@ -508,7 +506,7 @@ def akns_forms(spec: AKNSSpec) -> tuple:
     dx, dt = ctx.gen("dx"), ctx.gen("dt")
     w_plus = dx * spec.r + dt * spec.C
     w_minus = dx * spec.q + dt * spec.B
-    w3 = dx * Scalar(ETA) + dt * spec.A
+    w3 = dx * sym(ETA) + dt * spec.A
     half = Scalar.rational(1, 2)
     w1 = (w_plus + w_minus) * half
     w2 = (w_plus - w_minus) * (half / I)

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .coeff import Scalar, ONE
+from .coeff import Scalar, ONE, sym
 from .forms import ContextError, DerivationContext, Form, MatrixForm, build_jet_context
 from .linsolve import express_in_basis
 from .jets import (
@@ -203,7 +203,7 @@ def section(ideal: ExteriorIdeal, eliminations: Sequence[tuple] = ()) -> Section
     dx, dt = jet_ctx.gen("dx"), jet_ctx.gen("dt")
     images = {
         f"d{c}": jet_ctx.gen(f"d{c}") if c in ("x", "t")
-        else dx * Scalar(jet(c, 1, 0)) + dt * Scalar(jet(c, 0, 1))
+        else dx * sym(jet(c, 1, 0)) + dt * sym(jet(c, 0, 1))
         for c in ideal.coordinates
     }
     names, raw = [], []
@@ -242,7 +242,7 @@ def _proportional_to(e: Scalar, target: Scalar) -> bool:
 def _peakon_family(beta: int) -> Scalar:
     """(u - u_xx)_t + u (u - u_xx)_x + beta (u - u_xx) u_x, expanded in jets."""
     u, ux, uxx, uxxx, ut, uxxt = (
-        Scalar(jet("u", nx, nt)) for nx, nt in ((0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (2, 1))
+        sym(jet("u", nx, nt)) for nx, nt in ((0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (2, 1))
     )
     return ut - uxxt + u * (ux - uxxx) + beta * (u - uxx) * ux
 

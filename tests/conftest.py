@@ -4,7 +4,14 @@ import pytest
 
 from importlib import resources
 
+from hypothesis import settings
+
 from prolong import dsl, su2
+
+# The randomised algebra laws draw the same examples on every run, with no
+# per-example deadline; each law sets its own max_examples.
+settings.register_profile("laws", derandomize=True, deadline=None)
+settings.load_profile("laws")
 
 
 def fixture_text(name: str) -> str:

@@ -65,7 +65,7 @@ def test_exponential_atom_after_a_finer_one_is_its_power():
     assert exp_atom(c) == third**3
     assert exp_atom(-2 * c) == third**-6
     assert exp_atom(c).expr == sp.exp(sp.Symbol("c_fine_first"))
-    assert exp_atom(c).diff(sp.Symbol("c_fine_first")) == exp_atom(c)
+    assert exp_atom(c).diff("c_fine_first") == exp_atom(c)
     assert exp_atom(2 * c / 3) == third**2
 
 
@@ -83,7 +83,7 @@ def test_exponential_atom_finer_than_a_registered_one_is_refused():
 
 def test_exponential_derivative():
     e = exp_atom(y5)
-    assert e.diff(sp.Symbol("y5")) == e
+    assert e.diff("y5") == e
 
 
 def test_normalize_idempotent_on_samples():
@@ -129,16 +129,16 @@ def test_boundary_reads_sympys_e_as_the_atom_exp_1():
 
 
 def test_value_built_before_ring_growth_equals_value_built_after():
+    # a monomial names only the generators it holds, so registering new
+    # ones, as jet calculus does, changes no stored value
     before = (y1 * y2 + I) / y1
     unhashed = y2 / (y1 * y2 + 3)
     hashed = hash(before)
-    ring = before.num.ring
-    k = 0
-    # new symbols, as jet calculus makes them, until the ring is rebuilt
-    while sym(f"ring_growth_{k}").num.ring is ring:
-        k += 1
+    pair = (dict(before.num), dict(before.den))
+    for k in range(100):
+        sym(f"ring_growth_{k}")
     after = (sym("y1") * sym("y2") + I) / sym("y1")
-    assert after.num.ring is not ring
+    assert (before.num, before.den) == pair
     assert before == after and after == before
     assert hash(after) == hashed == hash(before)
     later = sym("y2") / (sym("y1") * sym("y2") + 3)
@@ -152,21 +152,46 @@ def test_difference_of_equal_expressions_is_zero():
 
 
 def test_substitute_examples():
-    assert substitute(y3**2, {y3.expr: y2 / y1}) == y2**2 / y1**2
-    assert substitute(q * r, {q.expr: ZERO}).is_zero
+    assert substitute(y3**2, {"y3": y2 / y1}) == y2**2 / y1**2
+    assert substitute(q * r, {"q": ZERO}).is_zero
     # simultaneous swap is legal
-    assert substitute(q * r**2, {q.expr: r, r.expr: q}) == r * q**2
+    assert substitute(q * r**2, {"q": r, "r": q}) == r * q**2
 
 
 def test_substitute_is_single_pass():
     # a self-referencing binding is applied once, never re-expanded
-    assert substitute(q, {q.expr: q + 1}) == q + 1
-    assert substitute(q * r, {q.expr: 2 * q, r.expr: r / 2}) == q * r
+    assert substitute(q, {"q": q + 1}) == q + 1
+    assert substitute(q * r, {"q": 2 * q, "r": r / 2}) == q * r
 
 
 def test_substitute_zero_denominator():
     with pytest.raises(ZeroDivisionError):
-        substitute(1 / y1, {y1.expr: ZERO})
+        substitute(1 / y1, {"y1": ZERO})
+
+
+def test_a_name_is_not_read_as_an_expression():
+    # sympify would evaluate the text, a call included
+    for build in (Scalar, Scalar.of):
+        with pytest.raises(TypeError, match=r"sym\('__import__"):
+            build('__import__("os").getcwd()')
+
+
+def test_a_symbol_is_named_by_its_name_not_a_sympy_symbol():
+    # a sympy Symbol never equals its name, so it would silently match nothing
+    with pytest.raises(TypeError, match="name"):
+        q.diff(sp.Symbol("q"))
+    with pytest.raises(TypeError, match="by name"):
+        substitute(q, {sp.Symbol("q"): r})
+    assert q.diff("q") == ONE and substitute(q, {"q": r}) == r
+
+
+def test_a_symbol_and_an_atom_never_share_a_text():
+    exp_atom(sym("clash_y"))
+    with pytest.raises(ValueError, match="text of an exponential atom"):
+        sym("exp(clash_y)")
+    sym("exp(clash_z)")
+    with pytest.raises(ValueError, match="has the name of a symbol"):
+        exp_atom(sym("clash_z"))
 
 
 def test_division_by_zero_scalar():
@@ -191,10 +216,7 @@ def _scalars(*atoms):
     return terms.map(total)
 
 
-_LAWS = settings(derandomize=True, max_examples=500, deadline=None)
-
-
-@_LAWS
+@settings(max_examples=500)
 @given(*[_scalars(y1, y2, q, r, I)] * 3)
 def test_ring_axioms_randomized(a, b, c):
     assert (a + b) + c == a + (b + c)
@@ -202,14 +224,14 @@ def test_ring_axioms_randomized(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-@_LAWS
+@settings(max_examples=500)
 @given(_scalars(y1, y2, q))
 def test_inverse_of_nonzero_randomized(e):
     assume(not e.is_zero)
     assert e * (1 / e) == Scalar.of(1)
 
 
-@_LAWS
+@settings(max_examples=500)
 @given(st.lists(_scalars(y1, y2, q, r), min_size=4, max_size=4))
 def test_two_evaluation_orders_same_canonical_form(parts):
     left = ((parts[0] + parts[1]) + parts[2]) + parts[3]
@@ -223,7 +245,7 @@ def test_two_evaluation_orders_same_canonical_form(parts):
 
 
 def test_eta_coefficients_roundtrip():
-    eta = Scalar(ETA)
+    eta = sym(ETA)
     value = 4 * eta**2 + q * eta + y1 + y2 / eta
     coeffs = eta_coefficients(value)
     assert list(coeffs) == [-1, 0, 1, 2]
@@ -240,11 +262,11 @@ def test_eta_coefficients_roundtrip():
 def test_eta_coefficients_drop_zero_coefficients():
     assert eta_coefficients(ZERO) == {}
     assert eta_coefficients(q - q) == {}
-    assert eta_coefficients(q * Scalar(ETA) ** 3) == {3: q}
+    assert eta_coefficients(q * sym(ETA) ** 3) == {3: q}
 
 
 def test_eta_coefficients_rejects_non_laurent():
     with pytest.raises(LaurentError):
-        eta_coefficients(1 / (Scalar(ETA) + 1))
+        eta_coefficients(1 / (sym(ETA) + 1))
     with pytest.raises(LaurentError):
-        eta_coefficients(exp_atom(Scalar(ETA)))
+        eta_coefficients(exp_atom(sym(ETA)))

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 import sympy as sp
 
-from prolong.coeff import Scalar, ZERO
+from prolong.coeff import Scalar, ZERO, sym
 from prolong.conservation import (
     ConservedPair,
     conserved_pairs,
@@ -24,8 +24,8 @@ def symbolic_spec():
     return AKNSSpec(
         name="symbolic",
         deps=("q", "r"),
-        r=Scalar(jet("r")),
-        q=Scalar(jet("q")),
+        r=sym(jet("r")),
+        q=sym(jet("q")),
         A=ZERO,
         B=ZERO,
         C=ZERO,
@@ -34,7 +34,7 @@ def symbolic_spec():
 
 def test_first_three_densities(symbolic_spec):
     seq = recursion_densities(symbolic_spec, 3)
-    r, rx, rxx, q = jet("r"), jet("r", 1), jet("r", 2), jet("q")
+    r, rx, rxx, q = sym(jet("r")), sym(jet("r", 1)), sym(jet("r", 2)), sym(jet("q"))
     assert seq.w(1) == Scalar(r)
     assert seq.w(2) == Scalar(-rx / 2)
     assert seq.w(3) == Scalar(rxx / 4 - q * r**2 / 2)
@@ -56,15 +56,14 @@ def test_density_jet_order_grows_by_one(symbolic_spec):
 
 def test_scaling_invariance_of_densities(symbolic_spec):
     # r -> lam*r, q -> q/lam leaves q*W_n invariant for every n
-    lam = sp.Symbol("lam")
+    lam = sym("lam")
     seq = recursion_densities(symbolic_spec, 6)
     scale = {}
-    for s in set().union(*(w.free_symbols() for w in seq.densities)):
-        name = s.name
+    for name in set().union(*(w.free_symbols() for w in seq.densities)):
         if name.startswith("r"):
-            scale[s] = Scalar(lam * s)
+            scale[name] = lam * sym(name)
         elif name.startswith("q"):
-            scale[s] = Scalar(s / lam)
+            scale[name] = sym(name) / lam
     for n in range(1, 7):
         density = symbolic_spec.q * seq.w(n)
         assert density.subs(scale) == density
@@ -80,8 +79,8 @@ def test_currents_vanish_without_time_part(symbolic_spec):
 def test_current_without_eta_content():
     # with B = 0 and A eta-free there is no eta^(-n) source at all
     spec = AKNSSpec(
-        name="plain", deps=("q",), r=Scalar.of(-1), q=Scalar(jet("q")),
-        A=Scalar(jet("q")), B=ZERO, C=ZERO,
+        name="plain", deps=("q",), r=Scalar.of(-1), q=sym(jet("q")),
+        A=sym(jet("q")), B=ZERO, C=ZERO,
     )
     for pair in conserved_pairs(spec, 3):
         assert pair.current.is_zero
@@ -90,8 +89,8 @@ def test_current_without_eta_content():
 
 
 def test_verify_linear_density():
-    u, uxx = jet("u"), jet("u", 2)
-    sys = EvolutionSystem.of({"u": Scalar(jet("u", 3))})
+    u, uxx = sym(jet("u")), sym(jet("u", 2))
+    sys = EvolutionSystem.of({"u": sym(jet("u", 3))})
     pair = ConservedPair(n=1, density=Scalar(u), current=Scalar(uxx), eta_trace=())
     cert = verify_conservation(pair, sys)
     assert cert.ok
@@ -99,8 +98,8 @@ def test_verify_linear_density():
 
 
 def test_verify_quadratic_density_up_to_exact_terms():
-    u = jet("u")
-    sys = EvolutionSystem.of({"u": Scalar(jet("u", 3))})
+    u = sym(jet("u"))
+    sys = EvolutionSystem.of({"u": sym(jet("u", 3))})
     # D_t(u^2) = 2 u u_xxx = D_x(2 u u_xx - u_x^2); current left at zero
     pair = ConservedPair(n=1, density=Scalar(u**2), current=ZERO, eta_trace=())
     cert = verify_conservation(pair, sys)
@@ -109,8 +108,8 @@ def test_verify_quadratic_density_up_to_exact_terms():
 
 
 def test_verify_failure_carries_witness():
-    u, ux = jet("u"), jet("u", 1)
-    sys = EvolutionSystem.of({"u": Scalar(jet("u", 3))})
+    u, ux = sym(jet("u")), sym(jet("u", 1))
+    sys = EvolutionSystem.of({"u": sym(jet("u", 3))})
     pair = ConservedPair(n=1, density=Scalar(u**3), current=ZERO, eta_trace=())
     cert = verify_conservation(pair, sys)
     assert not cert.ok
@@ -124,7 +123,7 @@ def test_current_perturbation_cannot_flip_certification(kdv_spec, kdv_system):
     bumped = ConservedPair(
         n=pair.n,
         density=pair.density,
-        current=pair.current + Scalar(jet("q", 1) ** 2),
+        current=pair.current + sym(jet("q", 1)) ** 2,
         eta_trace=pair.eta_trace,
     )
     assert verify_conservation(pair, kdv_system).ok
@@ -133,7 +132,7 @@ def test_current_perturbation_cannot_flip_certification(kdv_spec, kdv_system):
 
 def test_kdv_densities_and_currents(kdv_spec):
     seq = recursion_densities(kdv_spec, 5)
-    q, qx, qxx = jet("q"), jet("q", 1), jet("q", 2)
+    q, qx, qxx = sym(jet("q")), sym(jet("q", 1)), sym(jet("q", 2))
     assert seq.w(1) == Scalar.of(-1)
     assert seq.w(2).is_zero
     assert seq.w(3) == Scalar(-q / 2)
@@ -155,7 +154,7 @@ def test_kdv_seed_defect_at_five(kdv_spec, kdv_system):
     pair = conserved_pairs(kdv_spec, 5)[4]
     cert = verify_conservation(pair, kdv_system)
     assert not cert.ok
-    qx, qxx = jet("q", 1), jet("q", 2)
+    qx, qxx = sym(jet("q", 1)), sym(jet("q", 2))
     assert cert.witness("q") == Scalar(sp.Rational(-9, 2) * qx * qxx)
 
 

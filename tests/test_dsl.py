@@ -8,7 +8,7 @@ import string
 import pytest
 import sympy as sp
 
-from prolong.coeff import Scalar, eta_coefficients, exp_atom
+from prolong.coeff import Scalar, eta_coefficients, exp_atom, sym
 from prolong.dsl import DslError, parse, print_form, print_model, print_scalar
 from prolong.jets import jet
 
@@ -103,7 +103,7 @@ def test_jet_names_in_akns_block():
     model = parse(fixture_text("kdv"))
     spec = model.akns["kdv"]
     assert spec.deps == ("q",)
-    assert eta_coefficients(spec.B)[2] == Scalar(-4 * jet("q"))
+    assert eta_coefficients(spec.B)[2] == -4 * sym(jet("q"))
 
 
 NON_LAURENT_A = ("1/(eta + 1)", "exp(eta)")
@@ -164,7 +164,7 @@ def test_fixture_roundtrip_semantics(name):
 
 
 def test_scalar_print_parse_cycle():
-    q = jet("q")
+    q = sym(jet("q"))
     samples = [
         Scalar(sp.Rational(-3, 4)),
         Scalar(sp.I),

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
-import sympy as sp
+from hypothesis import given, settings, strategies as st
 
-from prolong.coeff import I, Scalar
+from prolong.coeff import I, Scalar, sym
 from prolong.forms import (
     ContextError,
     DerivationContext,
@@ -41,13 +39,13 @@ def test_wedge_antisymmetry(chart):
 
 def test_wedge_bilinearity(chart):
     dx, dt = chart.gen("dx"), chart.gen("dt")
-    q, b = Scalar(sp.Symbol("q")), Scalar(sp.Symbol("b"))
+    q, b = sym("q"), sym("b")
     got = (dx * q).wedge(dt * b)
     assert got == dx.wedge(dt) * (q * b)
 
 
 def test_scalar_times_form_defers_to_the_form(chart):
-    u, du = Scalar(sp.Symbol("u")), chart.gen("du")
+    u, du = sym("u"), chart.gen("du")
     assert u * du == du * u
     with pytest.raises(TypeError):
         u + du
@@ -55,7 +53,7 @@ def test_scalar_times_form_defers_to_the_form(chart):
 
 def test_coordinate_differential(chart):
     dx, dt, dp = chart.gen("dx"), chart.gen("dt"), chart.gen("dp")
-    p = Scalar(sp.Symbol("p"))
+    p = sym("p")
     form = dx.wedge(dt) * p
     assert form.d() == dp.wedge(dx).wedge(dt)
 
@@ -133,16 +131,31 @@ def test_pauli_zero_matrix(sc):
     assert all(c.is_zero for c in comps)
 
 
-def test_pauli_compose_decompose_random(sc):
-    rng = random.Random(76)
-    for _ in range(40):
-        forms = [_random_one_form(rng, sc) for _ in range(3)]
-        m = pauli_compose(*forms)
-        assert m.is_traceless
-        back = pauli_decompose(m)
-        for a, b in zip(back, forms):
-            assert a == b
-        assert pauli_compose(*back).entry(0, 1) == m.entry(0, 1)
+# A one-form recipe: 1-3 terms, each a generator times an integer in
+# -3..3, or times that integer and y1 or y2.
+_ONE_FORMS = st.lists(
+    st.tuples(st.integers(-3, 3), st.sampled_from((None, 1, 2)),
+              st.sampled_from(("w1", "w2", "w3", "dy1", "dy2", "dy5"))),
+    min_size=1, max_size=3,
+)
+
+
+def _one_form(sc, recipe) -> Form:
+    out = sc.ctx.zero(1)
+    for c, y, gen in recipe:
+        out = out + sc.ctx.gen(gen) * (Scalar.of(c) if y is None else c * sc.y[y])
+    return out
+
+
+@settings(max_examples=40)
+@given(st.lists(_ONE_FORMS, min_size=3, max_size=3))
+def test_pauli_compose_decompose_random(sc, recipes):
+    forms = [_one_form(sc, recipe) for recipe in recipes]
+    m = pauli_compose(*forms)
+    assert m.is_traceless
+    back = pauli_decompose(m)
+    assert back == tuple(forms)
+    assert pauli_compose(*back).entry(0, 1) == m.entry(0, 1)
 
 
 def test_matrix_form_refuses_a_non_square_matrix(sc):
@@ -168,32 +181,19 @@ def test_pauli_rejects_trace(sc):
         pauli_decompose(MatrixForm(((one, zero), (zero, one))))
 
 
-def _random_one_form(rng: random.Random, sc) -> Form:
-    gens = ["w1", "w2", "w3", "dy1", "dy2", "dy5"]
-    out = sc.ctx.zero(1)
-    for _ in range(rng.randint(1, 3)):
-        coeff = Scalar.of(rng.randint(-3, 3))
-        if rng.random() < 0.4:
-            coeff = coeff * sc.y[rng.choice((1, 2))]
-        out = out + sc.ctx.gen(rng.choice(gens)) * coeff
-    return out
+@settings(max_examples=60)
+@given(_ONE_FORMS, _ONE_FORMS)
+def test_graded_leibniz_randomized(sc, left, right):
+    a, b = _one_form(sc, left), _one_form(sc, right)
+    lhs = a.wedge(b).d()
+    rhs = a.d().wedge(b) - a.wedge(b.d())
+    assert lhs == rhs
 
 
-def test_graded_leibniz_randomized(sc):
-    rng = random.Random(77)
-    for _ in range(60):
-        a = _random_one_form(rng, sc)
-        b = _random_one_form(rng, sc)
-        lhs = a.wedge(b).d()
-        rhs = a.d().wedge(b) - a.wedge(b.d())
-        assert lhs == rhs
-
-
-def test_dd_zero_randomized(sc):
-    rng = random.Random(78)
-    for _ in range(40):
-        a = _random_one_form(rng, sc)
-        assert a.d().d().is_zero
+@settings(max_examples=40)
+@given(_ONE_FORMS)
+def test_dd_zero_randomized(sc, recipe):
+    assert _one_form(sc, recipe).d().d().is_zero
 
 
 def test_substitute_generators(sc):
@@ -206,8 +206,8 @@ def test_substitute_generators_into_another_context(chart):
     line = chart_context(["s"])
     ds = line.gen("ds")
     images = {name: ds * k for k, name in enumerate(("dx", "dt", "du", "dp", "dq"), 1)}
-    form = chart.gen("dx") * Scalar(sp.Symbol("u")) + chart.gen("dq")
-    assert form.substitute_generators(images) == ds * (Scalar(sp.Symbol("u")) + 5)
+    form = chart.gen("dx") * sym("u") + chart.gen("dq")
+    assert form.substitute_generators(images) == ds * (sym("u") + 5)
     # in another context every generator needs an image
     del images["dq"]
     with pytest.raises(ContextError):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 import sympy as sp
 
-from prolong.coeff import ETA, I, Scalar, ZERO
+from prolong.coeff import ETA, I, Scalar, ZERO, sym
 from prolong.forms import MatrixForm
 from prolong.jets import jet
 from prolong.su2 import (
@@ -72,7 +72,7 @@ def test_decompositions_reexpand_exactly(sc, su2_forms):
 
 def test_exchange_symmetry_xi3_xi4(sc, su2_forms):
     # swap y1 <-> y2, w2 -> -w2, w3 -> -w3 carries xi3 onto xi4
-    swap = {sp.Symbol("y1"): Scalar(sp.Symbol("y2")), sp.Symbol("y2"): Scalar(sp.Symbol("y1"))}
+    swap = {"y1": sym("y2"), "y2": sym("y1")}
     mapped = su2_forms.xi[3].substitute_generators(
         {
             "w2": -sc.w[1],
@@ -128,11 +128,11 @@ def test_theta_flat_family_vanishes():
 
 def test_theta_generic_components(generic_spec):
     comps = theta_components(generic_spec)
-    A, B, C = jet("A"), jet("B"), jet("C")
-    q, r = jet("q"), jet("r")
-    third = Scalar(jet("A", 1) - q * C + r * B)
-    minus = Scalar(jet("B", 1) - jet("q", 0, 1) + 2 * A * q - 2 * ETA * B)
-    plus = Scalar(jet("C", 1) - jet("r", 0, 1) + 2 * ETA * C - 2 * A * r)
+    A, B, C = sym(jet("A")), sym(jet("B")), sym(jet("C"))
+    q, r, eta = sym(jet("q")), sym(jet("r")), sym(ETA)
+    third = sym(jet("A", 1)) - q * C + r * B
+    minus = sym(jet("B", 1)) - sym(jet("q", 0, 1)) + 2 * A * q - 2 * eta * B
+    plus = sym(jet("C", 1)) - sym(jet("r", 0, 1)) + 2 * eta * C - 2 * A * r
     assert comps.third_coeff == third
     assert comps.minus_coeff == minus
     assert comps.plus_coeff == plus
@@ -142,13 +142,13 @@ def test_theta_substitution_example(generic_spec):
     # dropping the r and B channels leaves the pure derivative part
     comps = theta_components(generic_spec)
     reducedv = comps.third_coeff.subs({jet("r"): ZERO, jet("B"): ZERO})
-    assert reducedv == Scalar(jet("A", 1) - jet("q") * jet("C"))
+    assert reducedv == sym(jet("A", 1)) - sym(jet("q")) * sym(jet("C"))
 
 
 def test_kdv_extraction(kdv_spec):
     extraction = extract_evolution(kdv_spec)
     assert extraction.consistent
-    q, qx, qxxx = jet("q"), jet("q", 1), jet("q", 3)
+    q, qx, qxxx = sym(jet("q")), sym(jet("q", 1)), sym(jet("q", 3))
     assert extraction.system.rhs("q") == Scalar(-qxxx - 6 * q * qx)
 
 
@@ -164,8 +164,8 @@ def test_channel_with_a_higher_t_derivative_is_a_constraint():
     # each channel holds a first t-derivative next to r_xt, so none is an
     # evolution rule; none may become one whose right side keeps r_xt
     spec = AKNSSpec(
-        name="mixed", deps=("q", "r"), r=Scalar(jet("r")), q=Scalar(jet("q")),
-        A=Scalar(jet("r", 1, 1)), B=ZERO, C=ZERO,
+        name="mixed", deps=("q", "r"), r=sym(jet("r")), q=sym(jet("q")),
+        A=sym(jet("r", 1, 1)), B=ZERO, C=ZERO,
     )
     extraction = extract_evolution(spec)
     assert extraction.system.rules == ()
@@ -175,7 +175,7 @@ def test_channel_with_a_higher_t_derivative_is_a_constraint():
 def test_kdv_eta_matching_is_exact(kdv_spec):
     comps = theta_components(kdv_spec)
     # the evolution channel must be free of the spectral parameter
-    rhs = comps.minus_coeff + Scalar(jet("q", 0, 1))
+    rhs = comps.minus_coeff + sym(jet("q", 0, 1))
     assert ETA not in rhs.free_symbols()
 
 
@@ -187,7 +187,7 @@ def test_kdv_eta_matching_is_exact(kdv_spec):
 def test_surface_zero_rotation_gives_flat():
     ctx = build_jet_context(("u",))
     dx, dt = ctx.gen("dx"), ctx.gen("dt")
-    u = Scalar(jet("u"))
+    u = sym(jet("u"))
     w2 = dx * u
     w3 = dx * u
     w1 = dt * Scalar.of(1)

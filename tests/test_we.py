@@ -6,7 +6,7 @@ import pytest
 import sympy as sp
 
 from prolong.cli import main
-from prolong.coeff import ETA, Scalar, ZERO
+from prolong.coeff import ETA, Scalar, ZERO, sym
 from prolong.dsl import parse
 from prolong.jets import EvolutionSystem, jet
 from prolong.we import (
@@ -28,7 +28,7 @@ U, Q, P, BETA, LAM = (sp.Symbol(n) for n in ("u", "q", "p", "beta", "lam"))
 
 
 def _with_beta(ideal: ExteriorIdeal, value) -> ExteriorIdeal:
-    subs = {BETA: Scalar.of(value)}
+    subs = {"beta": Scalar.of(value)}
     return ExteriorIdeal(
         ctx=ideal.ctx,
         names=ideal.names,
@@ -132,10 +132,10 @@ def test_closure_failure_reported_when_generator_missing(ch_ideal):
 
 def test_section_raw_equations(ch_ideal):
     result = section(ch_ideal)
-    u_x, p, p_x, q = jet("u", 1), jet("p"), jet("p", 1), jet("q")
+    u_x, p, p_x, q = sym(jet("u", 1)), sym(jet("p")), sym(jet("p", 1)), sym(jet("q"))
     assert result.raw[0] == Scalar(u_x - p)
     assert result.raw[1] == Scalar(p_x - q)
-    u, u_t, q_t, q_x = jet("u"), jet("u", 0, 1), jet("q", 0, 1), jet("q", 1)
+    u, u_t, q_t, q_x = sym(jet("u")), sym(jet("u", 0, 1)), sym(jet("q", 0, 1)), sym(jet("q", 1))
     expected = Scalar(u_t - q_t + u * (u_x - q_x) + BETA * (u - q) * u_x)
     assert result.raw[2] == expected
 
@@ -147,8 +147,8 @@ def test_section_elimination_chain(ch_model, ch_ideal):
         ("q", "u_xx"),
     ]
     assert len(result.reduced) == 1
-    u, ux, uxx, uxxx = jet("u"), jet("u", 1), jet("u", 2), jet("u", 3)
-    ut, uxxt = jet("u", 0, 1), jet("u", 2, 1)
+    u, ux, uxx, uxxx = sym(jet("u")), sym(jet("u", 1)), sym(jet("u", 2)), sym(jet("u", 3))
+    ut, uxxt = sym(jet("u", 0, 1)), sym(jet("u", 2, 1))
     target = Scalar(
         (ut - uxxt) + u * (ux - uxxx) + BETA * (u - uxx) * ux
     )
@@ -157,7 +157,7 @@ def test_section_elimination_chain(ch_model, ch_ideal):
 
 def test_section_cyclic_elimination_rejected(ch_ideal):
     with pytest.raises(ValueError):
-        section(ch_ideal, [("p", Scalar(jet("p", 1)))])
+        section(ch_ideal, [("p", sym(jet("p", 1)))])
 
 
 def test_section_generator_order_irrelevant(ch_model, ch_ideal):
@@ -276,7 +276,7 @@ def test_prolongation_3x3_matches_hand_curvature():
 
 
 def test_curvature_matrix_3x3_matches_hand_curvature():
-    u, ux, uxx, ut, uxt = jet("u"), jet("u", 1), jet("u", 2), jet("u", 0, 1), jet("u", 1, 1)
+    u, ux, uxx, ut, uxt = (sp.Symbol(jet("u", *k)) for k in ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1)))
 
     def d_x(e):  # chain rule over the jet variables that occur
         return sp.diff(e, u) * ux + sp.diff(e, ux) * uxx
@@ -285,7 +285,7 @@ def test_curvature_matrix_3x3_matches_hand_curvature():
         return sp.diff(e, u) * ut + sp.diff(e, ux) * uxt
 
     f = sp.Matrix([[u, ux, 0], [0, u**2, 1], [ux, 0, -u]])
-    g = sp.Matrix([[0, 1, u], [u * ux, 0, 0], [0, ETA, 1]])
+    g = sp.Matrix([[0, 1, u], [u * ux, 0, 0], [0, sp.Symbol(ETA), 1]])
     expected = f.applyfunc(d_x) - g.applyfunc(d_t) + f * g - g * f
     raw = curvature_matrix(_connection(f, g), ("u",))
     for i in range(3):
@@ -298,7 +298,7 @@ def test_curvature_matrix_3x3_matches_hand_curvature():
 
 
 def test_zero_curvature_trivial_cases():
-    sys = EvolutionSystem.of({"u": Scalar(jet("u", 1))})
+    sys = EvolutionSystem.of({"u": sym(jet("u", 1))})
     zero = ((ZERO, ZERO), (ZERO, ZERO))
     res = zero_curvature_residual(ConnectionData(F=zero, G=zero), sys)
     assert all(c.is_zero for row in res for c in row)
@@ -313,7 +313,7 @@ def test_zero_curvature_kdv_cross_module(kdv_ideal_model):
     chain = kdv_ideal_model.sections["kdv"]
     sec = section(ideal, chain)
     sys = extract_section_evolution(sec)
-    u, ux, uxxx = jet("u"), jet("u", 1), jet("u", 3)
+    u, ux, uxxx = sym(jet("u")), sym(jet("u", 1)), sym(jet("u", 3))
     assert sys.rhs("u") == Scalar(-uxxx - 6 * u * ux)
     conn = kdv_ideal_model.connections["lax"].map_entries(
         lambda c: apply_eliminations(c, sec.eliminations, sys.deps)
@@ -326,7 +326,7 @@ def test_zero_curvature_akns_connection(kdv_spec, kdv_system):
     from prolong.su2 import theta_components
 
     a, b, c = kdv_spec.A, kdv_spec.B, kdv_spec.C
-    eta = Scalar(ETA)
+    eta = sym(ETA)
     conn = ConnectionData(
         F=((a, b), (c, -a)),
         G=((eta, kdv_spec.q), (kdv_spec.r, -eta)),
@@ -372,12 +372,12 @@ def test_mixed_degree_ideal_closure_verb(tmp_path, capsys):
 def test_mixed_degree_ideal_sections():
     ideal = parse(MIXED_DEGREE_MODEL).ideals["contact"]
     result = section(ideal)
-    p, u = jet("p"), jet("u")
+    p, u = sym(jet("p")), sym(jet("u"))
     assert result.names == ("th-dx", "th-dt", "om")
     assert result.raw == (
-        Scalar(-p + jet("u", 1)),
-        Scalar(jet("u", 0, 1)),
-        Scalar(-jet("p", 0, 1) * u),
+        -p + sym(jet("u", 1)),
+        sym(jet("u", 0, 1)),
+        -sym(jet("p", 0, 1)) * u,
     )
 
 
