@@ -7,25 +7,32 @@ symbols.  No floating point enters anywhere.
 A generator is its text: a symbol's name, or ``exp(<exponent>)`` for an
 atom.  A Scalar stores a canonical pair ``num/den`` of sparse
 polynomials, each a dict ``{monomial: coefficient}`` of nonzero Gaussian
-integers (``ZZ_I`` elements), a monomial being the sorted tuple of the
-``(generator, exponent)`` pairs it holds.  A monomial names only its own
-generators, so no value changes when a generator is registered.  The two
-share no factor, not even a Gaussian-integer content, and the leading
-coefficient of ``den`` lies in the first quadrant (its canonical unit),
-the leading term taken in lex order over the generators ranked by their
-text with the key sympy's polynomial constructors sort generators by
-(``_sort_gens``).  The pair is unique, so equality compares the stored
-pairs.  When ``den`` is a single term, which is every symbolic
-denominator the bundled workloads produce, reducing needs no polynomial
-gcd: dividing out the minimum exponent of each variable and the content
-gcd suffices.  Any other ``den`` goes through sympy's ``cofactors``.
+integers (immutable ``(x, y)`` pairs standing for x + y*i), a monomial
+being the sorted tuple of the ``(generator, exponent)`` pairs it holds.
+A monomial names only its own generators, so no value changes when a
+generator is registered.  The two share no factor, not even a
+Gaussian-integer content, and the leading coefficient of ``den`` lies in
+the first quadrant (its canonical unit), the leading term taken in lex
+order over the generators ranked by their text, with the key sympy's
+polynomial constructors sort generators by: first the text without its
+trailing digits (the single letters x, y, z, then p to w, then a to o,
+then any other text in text order), then the trailing-digit index
+(``y2`` before ``y10``), then the whole text (``y1`` before ``y01``).
+The pair is unique, so equality compares the stored pairs.  When ``den``
+is a single term, as nearly every denominator the bundled workloads
+produce is, reducing needs no polynomial gcd: dividing out the minimum
+exponent of each variable and the content gcd suffices.  Any other
+``den`` goes through a polynomial gcd on dense exponent vectors: the
+heuristic gcd of Char, Geddes and Gonnet (1989) on Python integers when
+no coefficient has an imaginary part, else the subresultant polynomial
+remainder sequence (Brown and Traub 1971), recursive in the variables.
 
 Each exponential atom is a generator ``E`` standing for exp(b) with
 dE/dz = E * db/dz.  exp(s) splits into one factor per term of s, each an
 integer power of an atom whose exponent b has primitive, sign-normalised
 coefficients, so exp(-y5) is the monomial denominator 1/E and exp(y5)
 and exp(2*y5) share one generator.  A symbol may not share its name with
-an atom's text.  Only ``.expr`` maps an atom back to sympy's exp(b).
+an atom's text.
 
 The generator table (texts, atoms and the rank of each text) is one per
 process, not one per context, because values cross contexts (generator
@@ -40,10 +47,14 @@ Gaussian-integer coefficient ``a``, ``b*i`` or ``(a + b*i)`` times the
 generators' texts, as ``num/den`` with parentheses only where a sum or a
 product needs them (see the printing section).  The model reader reads
 the text back to the same Scalar.  Reports, error messages and ``repr``
-all use that one text.  ``.expr``, the sympy expression num/den, and
-``Scalar(expr)``, which converts an expression once, are the boundary to
-sympy, mapping names to and from sympy symbols: no engine code reads
-``.expr``; tests and callers outside the engine do.
+all use that one text.
+
+sympy is the boundary, and the engine never imports it: ``Scalar(expr)``
+converts a sympy expression once, ``.expr`` gives the sympy expression
+num/den (an atom as sympy's exp(b)), and a sympy expression is accepted
+as an arithmetic operand.  Each imports sympy on first use; no verb of
+the command line reaches any of them, so the command line runs without
+sympy.  Tests and callers outside the engine use them.
 
 Scalar is the one scalar type: a spectral-family coefficient is a Scalar
 too, and :func:`eta_coefficients` reads it as a Laurent polynomial in the
@@ -52,14 +63,14 @@ spectral parameter eta.
 
 from __future__ import annotations
 
+import re
+import sys
+from collections import namedtuple
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
+from operator import add
 from typing import Mapping, Union
-
-import sympy as sp
-from sympy.polys.domains import ZZ_I
-from sympy.polys.polyutils import _sort_gens
 
 __all__ = [
     "Scalar",
@@ -76,11 +87,57 @@ __all__ = [
 
 ETA = "eta"
 
-ScalarLike = Union["Scalar", int, sp.Expr]
+ScalarLike = Union["Scalar", int, "sympy.Expr"]
 
-_BAD_ATOMS = (sp.zoo, sp.nan, sp.oo, -sp.oo)
-_UNIT = ZZ_I.one
+
+class _Gaussian(namedtuple("_Gaussian", "x y")):
+    """The Gaussian integer x + y*i, x and y Python ints.  A tuple, so it
+    is immutable and hashes and compares by value; only the ring
+    operations are its own."""
+
+    __slots__ = ()
+
+    def __bool__(self) -> bool:
+        return bool(self[0] or self[1])
+
+    def __neg__(self) -> "_Gaussian":
+        return _new(_Gaussian, (-self[0], -self[1]))
+
+    def __add__(self, other: "_Gaussian") -> "_Gaussian":
+        return _new(_Gaussian, (self[0] + other[0], self[1] + other[1]))
+
+    def __sub__(self, other: "_Gaussian") -> "_Gaussian":
+        return _new(_Gaussian, (self[0] - other[0], self[1] - other[1]))
+
+    def __mul__(self, other: "_Gaussian") -> "_Gaussian":
+        a, b = self
+        c, d = other
+        return _new(_Gaussian, (a * c - b * d, a * d + b * c))
+
+    __rmul__ = __mul__  # an int times a Gaussian raises instead of repeating the tuple
+
+    def __pow__(self, k: int) -> "_Gaussian":
+        out = _UNIT
+        for _ in range(k):
+            out = out * self
+        return out
+
+
+_new = tuple.__new__
+_UNIT = _Gaussian(1, 0)
 _ONE = {(): _UNIT}  # the polynomial 1
+
+# The rank of a one-letter text in sympy's generator order; any other text
+# ranks after them.
+_LETTERS = {letter: k for k, letter in enumerate("xyzpqrstuvwabcdefghijklmno")}
+_INDEXED = re.compile(r"(.*?)(\d*)")
+
+
+def _generator_key(text: str) -> tuple:
+    """The key sympy's ``_sort_gens`` sorts a generator of this text by,
+    then the text itself."""
+    name, index = _INDEXED.fullmatch(text).groups()
+    return _LETTERS.get(name, len(_LETTERS)), name, int(index or 0), text
 
 
 class _Generators:
@@ -112,11 +169,11 @@ class _Generators:
         return known
 
     def rank(self) -> dict:
-        """{text: position} in the order sympy's polynomial constructors
-        sort generators with these texts; texts that key alike (y1 and
-        y01) go in text order, so no rank depends on registration."""
+        """{text: position} in the generator order; texts that key alike
+        (y1 and y01) go in text order, so no rank depends on
+        registration."""
         if self._rank is None:
-            self._rank = {text: k for k, text in enumerate(_sort_gens(sorted(self.texts)))}
+            self._rank = {text: k for k, text in enumerate(sorted(self.texts, key=_generator_key))}
         return self._rank
 
 
@@ -126,9 +183,8 @@ _GENS = _Generators()
 # -- sparse polynomials ------------------------------------------------------
 
 
-def _ground(value) -> dict:
-    c = ZZ_I.convert(value)
-    return {(): c} if c else {}
+def _ground(value: int) -> dict:
+    return {(): _Gaussian(int(value), 0)} if value else {}
 
 
 def _is_one(poly: dict) -> bool:
@@ -172,11 +228,11 @@ def _monomial_product(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(exponents.items()))
 
 
-def _times(p: dict, q: dict) -> dict:
+def _times(p: dict, q: dict, product=_monomial_product) -> dict:
     out: dict = {}
     for m, a in p.items():
         for n, b in q.items():
-            k = _monomial_product(m, n)
+            k = product(m, n)
             out[k] = out[k] + a * b if k in out else a * b
     return {m: c for m, c in out.items() if c}
 
@@ -196,7 +252,7 @@ def _derivative(poly: dict, g: str) -> dict:
     for m, c in poly.items():
         for k, (h, e) in enumerate(m):
             if h == g:
-                out[m[:k] + (((h, e - 1),) if e > 1 else ()) + m[k + 1:]] = c * e
+                out[m[:k] + (((h, e - 1),) if e > 1 else ()) + m[k + 1:]] = _Gaussian(c.x * e, c.y * e)
                 break
     return out
 
@@ -227,16 +283,39 @@ def _is_unit(c) -> bool:
 
 
 def _gcd(a, b):
-    """Gaussian-integer gcd, by the integer gcd when both are real."""
+    """Gaussian-integer gcd, up to a unit: Euclid's algorithm with the
+    nearest quotient, or the integer gcd when both are real."""
     if not a.y and not b.y:
-        return ZZ_I(gcd(int(a.x), int(b.x)))
-    return ZZ_I.gcd(a, b)
+        return _Gaussian(gcd(a.x, b.x), 0)
+    while b:
+        norm = b.x * b.x + b.y * b.y
+        x, y = a * _Gaussian(b.x, -b.y)
+        a, b = b, a - b * _Gaussian((2 * x + norm) // (2 * norm), (2 * y + norm) // (2 * norm))
+    return a
+
+
+def _gaussian_quotient(a, b):
+    """a/b when the Gaussian integer b divides a, else None."""
+    norm = b.x * b.x + b.y * b.y
+    x, y = a * _Gaussian(b.x, -b.y)
+    return None if x % norm or y % norm else _Gaussian(x // norm, y // norm)
 
 
 def _exquo(a, b):
+    """a/b, b dividing a."""
     if not b.y:
-        return ZZ_I(a.x // b.x, a.y // b.x)
-    return ZZ_I.exquo(a, b)
+        return _Gaussian(a.x // b.x, a.y // b.x)
+    return _gaussian_quotient(a, b)
+
+
+def _canonical_unit(c):
+    """The unit u that puts u*c in the first quadrant: x > 0 and y >= 0."""
+    x, y = c
+    if y > 0:
+        return _UNIT if x > 0 else _Gaussian(0, -1)
+    if y < 0:
+        return _Gaussian(-1, 0) if x < 0 else _Gaussian(0, 1)
+    return _UNIT if x >= 0 else _Gaussian(-1, 0)
 
 
 def _leading_coeff(den: dict):
@@ -247,7 +326,7 @@ def _leading_coeff(den: dict):
 
 
 def _normal_unit(num: dict, den: dict) -> tuple:
-    unit = ZZ_I.canonical_unit(_leading_coeff(den))
+    unit = _canonical_unit(_leading_coeff(den))
     if unit == _UNIT:
         return num, den
     return _scaled(num, unit), _scaled(den, unit)
@@ -281,31 +360,231 @@ def _reduce(num: dict, den: dict) -> "Scalar":
     return _make(*_normal_unit(num, den))
 
 
+# -- polynomial gcd ----------------------------------------------------------
+#
+# On dense polynomials: dicts {exponent vector: coefficient}, every vector
+# over one list of generators, so tuple order is lex order.
+
+
 def _cofactors(num: dict, den: dict) -> tuple:
-    """num and den divided by their gcd.
-
-    sympy's gcd is dense in every generator of its ring and slow over
-    ZZ_I, so it runs in a ring of only the generators that occur, over ZZ
-    when no coefficient has an imaginary part.
-    """
-    from sympy.polys.domains import ZZ
-    from sympy.polys.orderings import lex
-    from sympy.polys.rings import PolyRing
-
+    """num and den divided by their gcd, up to a unit (den has more than
+    one term): the heuristic gcd when every coefficient is real, else, or
+    when the heuristic fails, the subresultant remainder sequence."""
     gens = sorted(_used(num, den))
-    real = all(not c.y for poly in (num, den) for c in poly.values())
-    ring = PolyRing([sp.Symbol(g) for g in gens], ZZ if real else ZZ_I, lex)
+    f = {tuple(_exponents(m, gens)): c for m, c in num.items()}
+    g = {tuple(_exponents(m, gens)): c for m, c in den.items()}
 
-    def down(poly: dict):
-        return ring.from_dict({tuple(_exponents(m, gens)): (c.x if real else c)
-                               for m, c in poly.items()})
+    def sparse(poly: dict) -> dict:
+        return {tuple((x, e) for x, e in zip(gens, m) if e): c for m, c in poly.items()}
 
-    def up(poly) -> dict:
-        return {tuple((g, e) for g, e in zip(gens, m) if e): (ZZ_I(c) if real else c)
-                for m, c in poly.items()}
+    if not any(c.y for poly in (f, g) for c in poly.values()):
+        found = _heugcd({m: c.x for m, c in f.items()}, {m: c.x for m, c in g.items()})
+        if found is not None:
+            return tuple(sparse({m: _Gaussian(c, 0) for m, c in p.items()}) for p in found[1:])
+    h = _prs_gcd(f, g)
+    return sparse(_poly_quotient(f, h, _gaussian_quotient)), sparse(_poly_quotient(g, h, _gaussian_quotient))
 
-    _, p, q = down(num).cofactors(down(den))
-    return up(p), up(q)
+
+def _add_exponents(a: tuple, b: tuple) -> tuple:
+    return tuple(map(add, a, b))
+
+
+def _int_quotient(a: int, b: int):
+    """a/b when b divides a, else None."""
+    q, r = divmod(a, b)
+    return None if r else q
+
+
+def _poly_quotient(f: dict, h: dict, quotient) -> dict | None:
+    """f/h when h divides f, else None, by division in lex order with
+    quotient dividing coefficients.  A quotient term whose degree in some
+    variable exceeds f's less h's shows that h does not divide f."""
+    lead = max(h)
+    room = [a - b for a, b in zip(_degrees(f), _degrees(h))]
+    rest, out = f, {}
+    while rest:
+        top = max(rest)
+        m = tuple(a - b for a, b in zip(top, lead))
+        if not all(0 <= e <= r for e, r in zip(m, room)):
+            return None
+        c = quotient(rest[top], h[lead])
+        if c is None:
+            return None
+        out[m] = c
+        rest = _plus(rest, _negated(_times({m: c}, h, _add_exponents)))
+    return out
+
+
+def _degrees(f: dict) -> list:
+    """f's degree in each variable."""
+    return [max(column) for column in zip(*f)]
+
+
+def _heugcd(f: dict, g: dict):
+    """(h, f/h, g/h) for h the gcd of the nonzero integer polynomials f and
+    g in one or more variables, or None when the heuristic fails.
+
+    sympy's ``heugcd`` (Char, Geddes and Gonnet 1989, GCDHEU) on Python
+    ints: evaluate the first variable at an integer x, take the gcd of the
+    images (recursively), read the balanced base-x digits of the gcd and
+    of either cofactor back as polynomials, and keep a candidate gcd only
+    when it divides f and g.  Six growing points are tried.
+    """
+    common = gcd(*f.values(), *g.values())
+    f = {m: c // common for m, c in f.items()}
+    g = {m: c // common for m, c in g.items()}
+    f_norm, g_norm = max(map(abs, f.values())), max(map(abs, g.values()))
+    bound = 2 * min(f_norm, g_norm) + 29
+    x = max(min(bound, 99 * isqrt(bound)),
+            2 * min(f_norm // abs(f[max(f)]), g_norm // abs(g[max(g)])) + 4)
+
+    def divides(h: dict | None):
+        p = h and _poly_quotient(f, h, _int_quotient)
+        q = p and _poly_quotient(g, h, _int_quotient)
+        return q and ({m: c * common for m, c in h.items()}, p, q)
+
+    for _ in range(6):
+        ff, gg = _evaluate_first(f, x), _evaluate_first(g, x)
+        if ff and gg:
+            if len(next(iter(f))) == 1:
+                a, b = ff[()], gg[()]
+                h = gcd(a, b)
+                images = {(): h}, {(): a // h}, {(): b // h}
+            else:
+                images = _heugcd(ff, gg)
+                if images is None:
+                    return None
+            h, cff, cfg = images
+            h = _interpolate(h, x)
+            content = gcd(*h.values())
+            found = (divides({m: c // content for m, c in h.items()})
+                     or divides(_poly_quotient(f, _interpolate(cff, x), _int_quotient))
+                     or divides(_poly_quotient(g, _interpolate(cfg, x), _int_quotient)))
+            if found:
+                return found
+        x = 73794 * x * isqrt(isqrt(x)) // 27011
+    return None
+
+
+def _evaluate_first(f: dict, x: int) -> dict:
+    """f with its first variable set to x, over the other variables."""
+    out: dict = {}
+    for m, c in f.items():
+        out[m[1:]] = out.get(m[1:], 0) + c * x ** m[0]
+    return {m: c for m, c in out.items() if c}
+
+
+def _interpolate(h: dict, x: int) -> dict:
+    """The polynomial in a new first variable whose coefficient of its
+    i-th power is the i-th balanced base-x digit of h, with the sign that
+    makes its leading coefficient positive."""
+    out, i = {}, 0
+    while h:
+        digits = {}
+        for m, c in h.items():
+            d = c % x
+            if d > x // 2:
+                d -= x
+            if d:
+                digits[m] = d
+        h = {m: r for m, c in h.items() if (r := (c - digits.get(m, 0)) // x)}
+        out.update(((i, *m), d) for m, d in digits.items())
+        i += 1
+    return out if out[max(out)] > 0 else _negated(out)
+
+
+def _prs_gcd(f: dict, g: dict) -> dict:
+    """The gcd of the nonzero polynomials f and g, up to a unit: the
+    subresultant polynomial remainder sequence (Brown and Traub 1971) in
+    one variable, the gcd of the contents found recursively in the
+    others."""
+    while True:
+        if len(g) == 1:
+            f, g = g, f
+        if len(f) == 1:
+            # the gcd with one term: the gcd of the coefficients times the
+            # least power of each variable
+            [(m, c)] = f.items()
+            for n, d in g.items():
+                m, c = tuple(map(min, m, n)), _gcd(c, d)
+            return {m: c}
+        vf, vg = _variables(f), _variables(g)
+        if vf == vg:
+            break
+        # a variable in only one of f and g is not in their gcd
+        for j in vf - vg:
+            f = _content(f, j)
+        for j in vg - vf:
+            g = _content(g, j)
+    df, dg = _degrees(f), _degrees(g)
+    j = min(vf, key=lambda j: max(df[j], dg[j]))
+    cf, cg = _content(f, j), _content(g, j)
+    common = _prs_gcd(cf, cg)
+    f, g = _poly_quotient(f, cf, _gaussian_quotient), _poly_quotient(g, cg, _gaussian_quotient)
+    if _degrees(f)[j] < _degrees(g)[j]:
+        f, g = g, f
+    # The subresultant remainder sequence of the primitive f and g: each
+    # pseudo-remainder divided exactly by a factor known in advance keeps
+    # the coefficients small without a content gcd at every step.  The
+    # last nonzero member is a multiple of the gcd.
+    m = _degrees(g)[j]
+    d = _degrees(f)[j] - m
+    h = _pseudo_remainder(f, g, j)
+    h = h if d % 2 else _negated(h)
+    lead = _part(g, j, m, 0)
+    c = _negated(_dense_power(lead, d))
+    while h:
+        k = _degrees(h)[j]
+        if not k:
+            return common
+        f, g, m, d = g, h, k, m - k
+        b = _negated(_times(lead, _dense_power(c, d), _add_exponents))
+        h = _poly_quotient(_pseudo_remainder(f, g, j), b, _gaussian_quotient)
+        lead = _part(g, j, m, 0)
+        c = (_poly_quotient(_dense_power(_negated(lead), d), _dense_power(c, d - 1), _gaussian_quotient)
+             if d > 1 else _negated(lead))
+    return _times(common, _poly_quotient(g, _content(g, j), _gaussian_quotient), _add_exponents)
+
+
+def _variables(f: dict) -> set:
+    """The positions of the variables that occur in f."""
+    return {j for m in f for j, e in enumerate(m) if e}
+
+
+def _part(f: dict, j: int, k: int, to: int) -> dict:
+    """The coefficient of the k-th power of variable j in f, times that
+    variable to the power to."""
+    return {m[:j] + (to,) + m[j + 1:]: c for m, c in f.items() if m[j] == k}
+
+
+def _content(f: dict, j: int) -> dict:
+    """The gcd of f's coefficients as a polynomial in variable j."""
+    # smallest first, so that the gcd shrinks early
+    parts = sorted((_part(f, j, k, 0) for k in {m[j] for m in f}), key=len)
+    out = parts[0]
+    for part in parts[1:]:
+        out = _prs_gcd(out, part)
+    return out
+
+
+def _pseudo_remainder(f: dict, g: dict, j: int) -> dict:
+    """The remainder of lc(g)**(deg f - deg g + 1) * f by g, as polynomials
+    in variable j."""
+    d = _degrees(g)[j]
+    lead = _part(g, j, d, 0)
+    steps = _degrees(f)[j] - d + 1
+    while f and (k := _degrees(f)[j]) >= d:
+        top = _part(f, j, k, k - d)
+        f = _plus(_times(lead, f, _add_exponents), _negated(_times(top, g, _add_exponents)))
+        steps -= 1
+    return _times(f, _dense_power(lead, steps), _add_exponents)
+
+
+def _dense_power(f: dict, k: int) -> dict:
+    out = {tuple(0 for _ in next(iter(f))): _UNIT}
+    for _ in range(k):
+        out = _times(out, f, _add_exponents)
+    return out
 
 
 def _make(num: dict, den: dict) -> "Scalar":
@@ -346,11 +625,8 @@ class Scalar:
 
     @staticmethod
     def of(value: ScalarLike) -> "Scalar":
-        if isinstance(value, Scalar):
-            return value
-        if isinstance(value, int):
-            return _make(_ground(value), _ONE)
-        return Scalar(value)
+        found = _operand(value)
+        return Scalar(value) if found is None else found
 
     @staticmethod
     def rational(p: int, q: int = 1) -> "Scalar":
@@ -373,26 +649,29 @@ class Scalar:
         return _reduce(_plus(_times(a, d), _times(c, b)), _times(b, d))
 
     def __add__(self, other: ScalarLike) -> "Scalar":
-        if not isinstance(other, _OPERANDS):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        return self._add(Scalar.of(other), 1)
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
-        if not isinstance(other, _OPERANDS):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        return self._add(Scalar.of(other), -1)
+        return self._add(other, -1)
 
     def __rsub__(self, other: ScalarLike) -> "Scalar":
-        if not isinstance(other, _OPERANDS):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        return Scalar.of(other)._add(self, -1)
+        return other._add(self, -1)
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
-        if not isinstance(other, _OPERANDS):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        other = Scalar.of(other)
         for unit, s in ((_unit_of(other), self), (_unit_of(self), other)):
             if unit is not None:
                 # a product by 1, -1, i or -i keeps the pair canonical
@@ -404,17 +683,18 @@ class Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "Scalar":
-        if not isinstance(other, _OPERANDS):
+        divisor = _operand(other)
+        if divisor is None:
             return NotImplemented
-        divisor = Scalar.of(other)
         if divisor.is_zero:
             raise ZeroDivisionError("division by a scalar that normalizes to zero")
         return _reduce(_times(self.num, divisor.den), _times(self.den, divisor.num))
 
     def __rtruediv__(self, other: ScalarLike) -> "Scalar":
-        if not isinstance(other, _OPERANDS):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        return Scalar.of(other) / self
+        return other / self
 
     def __pow__(self, n: int) -> "Scalar":
         if not isinstance(n, int):
@@ -432,7 +712,7 @@ class Scalar:
     # -- structure ----------------------------------------------------------
 
     @property
-    def expr(self) -> sp.Expr:
+    def expr(self) -> "sympy.Expr":
         """The sympy expression num/den, converted once on first use."""
         expr = self.__dict__.get("_expr")
         if expr is None:
@@ -501,9 +781,9 @@ class Scalar:
         return substitute(self, mapping)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, _OPERANDS):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        other = Scalar.of(other)
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
@@ -520,13 +800,25 @@ class Scalar:
         return "0" if self.is_zero else _print(self.num, self.den)
 
 
-# What Scalar arithmetic accepts; for anything else (a Form, say) the
-# operators return NotImplemented, so Python tries the other operand.
-_OPERANDS = (Scalar, int, sp.Expr)
+
+def _operand(value) -> Scalar | None:
+    """value as a Scalar, for a Scalar, an int or a sympy expression.  For
+    anything else (a Form, say) the operators return NotImplemented, so
+    Python tries the other operand.  Only a caller that imported sympy
+    can hold a sympy expression, so sympy is looked up, not imported."""
+    if isinstance(value, Scalar):
+        return value
+    if isinstance(value, int):
+        return _make(_ground(value), _ONE)
+    sympy = sys.modules.get("sympy")
+    if sympy is not None and isinstance(value, sympy.Expr):
+        return Scalar(value)
+    return None
+
 
 ZERO = Scalar.of(0)
 ONE = Scalar.of(1)
-I = _make({(): ZZ_I(0, 1)}, _ONE)
+I = _make({(): _Gaussian(0, 1)}, _ONE)
 
 
 def _accumulate(terms: dict, key, coeff: Scalar) -> None:
@@ -549,14 +841,16 @@ def sym(name: str) -> Scalar:
     return _make(_generator(name), _ONE)
 
 
-def _as_expr(poly: dict) -> sp.Expr:
+def _as_expr(poly: dict) -> "sympy.Expr":
     """poly as a sympy expression: a name as its Symbol, an atom as
     sympy's exp(b)."""
+    import sympy as sp
+
     def gen(g: str) -> sp.Expr:
         atom = _GENS.exponents.get(g)
         return sp.Symbol(g) if atom is None else sp.exp(atom.expr)
 
-    return sp.Add(*(ZZ_I.to_sympy(c) * sp.Mul(*(gen(g) ** e for g, e in m))
+    return sp.Add(*((c.x + sp.I * c.y) * sp.Mul(*(gen(g) ** e for g, e in m))
                     for m, c in poly.items()))
 
 
@@ -567,8 +861,10 @@ def _convert(value) -> tuple:
     if isinstance(value, str):
         raise TypeError(f"a Scalar is not read from text: sym({value!r}) is the symbol "
                         "of that name, and the model reader reads expressions")
+    import sympy as sp
+
     expr = sp.sympify(value)
-    if expr.has(*_BAD_ATOMS):
+    if expr.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
         raise ZeroDivisionError(f"scalar normalizes to an undefined value: {expr}")
     atoms = {a: exp_atom(Scalar(a.args[0])) for a in expr.atoms(sp.exp)}
     if expr.has(sp.E):  # sympy evaluates exp(1) to E, which is no exp
@@ -582,7 +878,7 @@ def _convert(value) -> tuple:
         if e.is_Rational:
             return _ground(e.p), _ground(e.q)
         if e is sp.I:
-            return {(): ZZ_I(0, 1)}, _ONE
+            return I.num, _ONE
         if e in atoms:
             return atoms[e].num, atoms[e].den
         if e.is_Add:
@@ -628,16 +924,16 @@ def exp_atom(s: ScalarLike) -> Scalar:
     for monom, coeff in s.num.items():
         term = _reduce({monom: coeff}, s.den)
         [(tm, tc)] = term.num.items()
-        top = gcd(int(tc.x), int(tc.y))
+        top = gcd(tc.x, tc.y)
         if tc.x < 0 or (tc.x == 0 and tc.y < 0):
             top = -top
         bottom = 0
         for c in term.den.values():
-            bottom = gcd(bottom, int(c.x), int(c.y))
+            bottom = gcd(bottom, c.x, c.y)
         power = Fraction(top, bottom)
         direction = _make(
-            {tm: _exquo(tc, ZZ_I(top))},
-            {m: _exquo(c, ZZ_I(bottom)) for m, c in term.den.items()},
+            {tm: _exquo(tc, _Gaussian(top, 0))},
+            {m: _exquo(c, _Gaussian(bottom, 0)) for m, c in term.den.items()},
         )
         out = out * _atom(direction, power.denominator) ** power.numerator
     return out

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 import sympy as sp
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from sympy.polys.domains import ZZ, ZZ_I
+from sympy.polys.orderings import lex
+from sympy.polys.polyutils import _sort_gens
+from sympy.polys.rings import PolyRing
 
 from prolong.coeff import (
     ETA,
@@ -13,6 +19,10 @@ from prolong.coeff import (
     ONE,
     Scalar,
     ZERO,
+    _Gaussian,
+    _cofactors,
+    _generator_key,
+    _times,
     eta_coefficients,
     exp_atom,
     substitute,
@@ -270,3 +280,140 @@ def test_eta_coefficients_rejects_non_laurent():
         eta_coefficients(1 / (sym(ETA) + 1))
     with pytest.raises(LaurentError):
         eta_coefficients(exp_atom(sym(ETA)))
+
+
+# -- the polynomial gcd and the generator order, against sympy ---------------
+
+
+def _pair(num: dict, den: dict) -> tuple:
+    """A num/den pair of sparse polynomials written with int or (x, y)
+    coefficients, as the engine stores it."""
+    def poly(terms: dict) -> dict:
+        return {m: _Gaussian(*c) if isinstance(c, tuple) else _Gaussian(c, 0)
+                for m, c in terms.items()}
+
+    return poly(num), poly(den)
+
+
+# Every _cofactors call the benchmark verbs make at seed 7: the section
+# verbs' real cases and the one Gaussian case of surface --fixture kdv.
+_WORKLOAD_REAL = [_pair(*case) for case in (
+    # section --fixture ch
+    ({(("u_t", 1),): 1, (("u", 1), ("u_x", 1)): 1, (("beta", 1), ("u", 1), ("u_x", 1)): 1,
+      (("u_xxt", 1),): -1, (("beta", 1), ("u_x", 1), ("u_xx", 1)): -1, (("u", 1), ("u_xxx", 1)): -1},
+     {(("u_t", 1),): 1, (("u_xxt", 1),): -1, (("u", 1), ("u_x", 1)): 3, (("u", 1), ("u_xxx", 1)): -1,
+      (("u_x", 1), ("u_xx", 1)): -2}),
+    ({(("u_t", 1),): 1, (("u", 1), ("u_x", 1)): 1, (("beta", 1), ("u", 1), ("u_x", 1)): 1,
+      (("u_xxt", 1),): -1, (("beta", 1), ("u_x", 1), ("u_xx", 1)): -1, (("u", 1), ("u_xxx", 1)): -1},
+     {(("u_t", 1),): 1, (("u_xxt", 1),): -1, (("u", 1), ("u_x", 1)): 4, (("u", 1), ("u_xxx", 1)): -1,
+      (("u_x", 1), ("u_xx", 1)): -3}),
+    # section --fixture kdv_ideal
+    ({(("u", 1), ("u_x", 1)): 6, (("u_t", 1),): 1, (("u_xxx", 1),): 1},
+     {(("u_t", 1),): 1, (("u_xxt", 1),): -1, (("u", 1), ("u_x", 1)): 3, (("u", 1), ("u_xxx", 1)): -1,
+      (("u_x", 1), ("u_xx", 1)): -2}),
+    ({(("u", 1), ("u_x", 1)): 6, (("u_t", 1),): 1, (("u_xxx", 1),): 1},
+     {(("u_t", 1),): 1, (("u_xxt", 1),): -1, (("u", 1), ("u_x", 1)): 4, (("u", 1), ("u_xxx", 1)): -1,
+      (("u_x", 1), ("u_xx", 1)): -3}),
+    # section --fixture ch --beta 2
+    ({(("u_t", 1),): 1, (("u", 1), ("u_x", 1)): 3, (("u_xxt", 1),): -1, (("u", 1), ("u_xxx", 1)): -1,
+      (("u_x", 1), ("u_xx", 1)): -2},
+     {(("u_t", 1),): 1, (("u_xxt", 1),): -1, (("u", 1), ("u_x", 1)): 3, (("u", 1), ("u_xxx", 1)): -1,
+      (("u_x", 1), ("u_xx", 1)): -2}),
+    # section --fixture ch --beta 5/8
+    ({(("u_t", 1),): 8, (("u", 1), ("u_x", 1)): 13, (("u_xxt", 1),): -8, (("u", 1), ("u_xxx", 1)): -8,
+      (("u_x", 1), ("u_xx", 1)): -5},
+     {(("u_t", 1),): 8, (("u_xxt", 1),): -8, (("u", 1), ("u_x", 1)): 24, (("u", 1), ("u_xxx", 1)): -8,
+      (("u_x", 1), ("u_xx", 1)): -16}),
+    ({(("u_t", 1),): 8, (("u", 1), ("u_x", 1)): 13, (("u_xxt", 1),): -8, (("u", 1), ("u_xxx", 1)): -8,
+      (("u_x", 1), ("u_xx", 1)): -5},
+     {(("u_t", 1),): 8, (("u_xxt", 1),): -8, (("u", 1), ("u_x", 1)): 32, (("u", 1), ("u_xxx", 1)): -8,
+      (("u_x", 1), ("u_xx", 1)): -24}),
+    # section --fixture ch --beta 2/3
+    ({(("u_t", 1),): 3, (("u", 1), ("u_x", 1)): 5, (("u_xxt", 1),): -3, (("u", 1), ("u_xxx", 1)): -3,
+      (("u_x", 1), ("u_xx", 1)): -2},
+     {(("u_t", 1),): 3, (("u_xxt", 1),): -3, (("u", 1), ("u_x", 1)): 9, (("u", 1), ("u_xxx", 1)): -3,
+      (("u_x", 1), ("u_xx", 1)): -6}),
+    ({(("u_t", 1),): 3, (("u", 1), ("u_x", 1)): 5, (("u_xxt", 1),): -3, (("u", 1), ("u_xxx", 1)): -3,
+      (("u_x", 1), ("u_xx", 1)): -2},
+     {(("u_t", 1),): 3, (("u_xxt", 1),): -3, (("u", 1), ("u_x", 1)): 12, (("u", 1), ("u_xxx", 1)): -3,
+      (("u_x", 1), ("u_xx", 1)): -9}),
+)]
+_WORKLOAD_GAUSSIAN = [_pair(*case) for case in (
+    # surface --fixture kdv
+    ({(("q", 1), ("q_x", 1)): (0, 1), (("eta", 1), ("q_xx", 1)): (0, -1), (("q_xx", 1),): 1,
+      (("q_x", 1),): (0, -1), (("eta", 2), ("q_x", 1)): (0, -2), (("eta", 1), ("q_x", 1)): 2},
+     {(("eta", 1), ("q_x", 1)): (0, 2), (("q_xx", 1),): (0, 1), (("eta", 2), ("q_x", 1)): 2,
+      (("eta", 1), ("q_xx", 1)): 1, (("q_x", 1),): 1, (("q", 1), ("q_x", 1)): -1}),
+)]
+
+_GCD_GENERATORS = ("u", "u_x", "q", "eta", "beta", "y1", "exp(y2)")
+
+
+def _gcd_inputs(coefficient):
+    """num = a*h and den = b*h for sparse polynomials a, b and h of 1-3
+    terms, each a product of 0-2 of the first 1-7 generators to the power
+    1 or 2; den has more than one term."""
+    @st.composite
+    def draw(draw):
+        gens = sorted(_GCD_GENERATORS[:draw(st.integers(1, len(_GCD_GENERATORS)))])
+        powers = [(g, e) for g in gens for e in (1, 2)]
+        monomials = [()] + [(p,) for p in powers] + [
+            (p, q) for p, q in combinations(powers, 2) if p[0] < q[0]]
+        poly = st.lists(st.tuples(st.sampled_from(monomials), coefficient), min_size=1, max_size=3)
+        a, b, h = (dict(draw(poly)) for _ in range(3))
+        num, den = _times(a, h), _times(b, h)
+        assume(num and len(den) > 1)
+        return num, den
+
+    return draw()
+
+
+def _assert_cofactors_as_sympys(num: dict, den: dict) -> None:
+    """_cofactors agrees with sympy's ``PolyElement.cofactors``, over ZZ
+    for real inputs and over ZZ_I otherwise, up to a unit."""
+    real = not any(c.y for poly in (num, den) for c in poly.values())
+    gens = sorted({g for poly in (num, den) for m in poly for g, _ in m})
+    ring = PolyRing([sp.Symbol(g) for g in gens], ZZ if real else ZZ_I, lex)
+
+    def lift(poly: dict):
+        return ring.from_dict({
+            tuple(dict(m).get(g, 0) for g in gens): c.x if real else ZZ_I(c.x, c.y)
+            for m, c in poly.items()})
+
+    p, q = _cofactors(num, den)
+    _, want_p, want_q = lift(num).cofactors(lift(den))
+    units = (1, -1) if real else ZZ_I.units
+    assert any(lift(p) * u == want_p and lift(q) * u == want_q for u in units)
+
+
+def _examples(cases):
+    def decorate(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+
+    return decorate
+
+
+@settings(max_examples=500)
+@given(_gcd_inputs(st.integers(-6, 6).filter(bool).map(lambda x: _Gaussian(x, 0))))
+@_examples(_WORKLOAD_REAL)
+def test_cofactors_of_real_polynomials_as_sympys(pair):
+    _assert_cofactors_as_sympys(*pair)
+
+
+@settings(max_examples=500)
+@given(_gcd_inputs(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any).map(
+    lambda xy: _Gaussian(*xy))))
+@_examples(_WORKLOAD_GAUSSIAN)
+def test_cofactors_of_gaussian_polynomials_as_sympys(pair):
+    _assert_cofactors_as_sympys(*pair)
+
+
+@settings(max_examples=500)
+@given(st.lists(st.tuples(st.sampled_from(["x", "y", "z", "p", "w", "a", "o", "eta", "u_x", "exp(y)"]),
+                          st.sampled_from(["", "0", "1", "2", "01", "10"])).map("".join),
+                unique=True))
+def test_generator_order_is_sympys(texts):
+    # ties of sympy's key (y1, y01) go in text order
+    assert sorted(texts, key=_generator_key) == list(_sort_gens(sorted(texts)))

@@ -1,10 +1,14 @@
 """The engine is exact: no module of ``prolong`` holds a float literal,
 calls ``float`` or ``complex``, or reads ``math.e`` or ``cmath``.  And
-sympy stays behind the scalar core: only ``coeff`` imports it."""
+sympy stays at the scalar core's boundary: only functions of ``coeff``
+import it, on first use."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import prolong
@@ -50,5 +54,44 @@ def test_no_module_uses_floating_point():
     assert _offending(_inexact) == []
 
 
+def _at_import(tree: ast.AST):
+    """The nodes of tree that run when the module is imported: all but
+    the bodies of functions."""
+    for node in ast.iter_child_nodes(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield node
+            yield from _at_import(node)
+
+
 def test_only_the_scalar_core_imports_sympy():
     assert _offending(_imports_sympy, skip="coeff.py") == []
+    core = ast.parse((SOURCE / "coeff.py").read_text(encoding="utf-8"))
+    assert [ast.unparse(node) for node in _at_import(core) if _imports_sympy(node)] == []
+
+
+# prolong is imported before sympy, so the boundary finds sympy only once
+# the caller has imported it.
+_BOUNDARY = """
+import sys
+
+from prolong import Scalar, exp_atom
+from prolong.coeff import sym
+
+assert "sympy" not in sys.modules
+import sympy as sp
+
+assert Scalar(sp.Symbol("x") + sp.E) == sym("x") + exp_atom(1)
+assert Scalar.of(2) * sp.Integer(3) == Scalar.of(6) == sp.Integer(3) * Scalar.of(2)
+value = (sym("x") + 2 * exp_atom(sym("y") / 3)) / (sym("x") ** 2 - sym("z"))
+assert Scalar(value.expr) == value
+assert value.expr == (sp.Symbol("x") + 2 * sp.exp(sp.Symbol("y") / 3)) / (
+    sp.Symbol("x") ** 2 - sp.Symbol("z"))
+"""
+
+
+def test_the_boundary_imports_sympy_on_first_use():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SOURCE.parent), os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", _BOUNDARY], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
