@@ -369,7 +369,10 @@ def _reduce(num: dict, den: dict) -> "Scalar":
 def _cofactors(num: dict, den: dict) -> tuple:
     """num and den divided by their gcd, up to a unit (den has more than
     one term): the heuristic gcd when every coefficient is real, else, or
-    when the heuristic fails, the subresultant remainder sequence."""
+    when the heuristic fails, the subresultant remainder sequence.  The
+    remainder sequence alone handles real inputs too, but on real gcds
+    of 3-5 variables and 15-25 terms it takes seconds where the heuristic
+    takes milliseconds."""
     gens = sorted(_used(num, den))
     f = {tuple(_exponents(m, gens)): c for m, c in num.items()}
     g = {tuple(_exponents(m, gens)): c for m, c in den.items()}
@@ -798,7 +801,6 @@ class Scalar:
 
     def __str__(self) -> str:
         return "0" if self.is_zero else _print(self.num, self.den)
-
 
 
 def _operand(value) -> Scalar | None:
