@@ -34,11 +34,13 @@ coefficients, so exp(-y5) is the monomial denominator 1/E and exp(y5)
 and exp(2*y5) share one generator.  A symbol may not share its name with
 an atom's text.
 
-The generator table (texts, atoms and the rank of each text) is one per
-process, not one per context, because values cross contexts (generator
-pullbacks, jet substitutions, parameter bindings).  It grows as symbols
-and atoms appear (jet symbols such as ``u_xxxxx`` appear while a verb
-runs).
+The generator table (the registered texts and the exponential atoms) is
+one per process, not one per context, because values cross contexts
+(generator pullbacks, jet substitutions, parameter bindings).  It grows
+as symbols and atoms appear (jet symbols such as ``u_xxxxx`` appear while
+a verb runs).  The generator order needs no table: it is the sort key of
+each text, which ends with the text itself, so no two texts tie and no
+order depends on what was registered.
 
 A Scalar prints its stored pair itself, with exact comparisons only:
 ``str`` writes the terms of ``num``, then of ``den``, in descending lex
@@ -141,19 +143,16 @@ def _generator_key(text: str) -> tuple:
 
 
 class _Generators:
-    """The texts of every registered generator, the exponential atoms, and
-    each text's rank in the generator order."""
+    """The texts of every registered generator and the exponential atoms."""
 
     def __init__(self):
         self.texts: set = set()
         self.exponents: dict = {}  # atom text -> exponent b of exp(b)
         self.atoms: dict = {}  # primitive exponent -> (denominator, atom text)
-        self._rank: dict | None = {}
 
     def add_symbol(self, name: str) -> None:
         if name not in self.texts:
             self.texts.add(name)
-            self._rank = None
         elif name in self.exponents:
             raise ValueError(f"{name} is the text of an exponential atom, not a symbol")
 
@@ -165,16 +164,7 @@ class _Generators:
         self.texts.add(text)
         self.exponents[text] = exponent
         self.atoms[direction] = known = (denominator, text)
-        self._rank = None
         return known
-
-    def rank(self) -> dict:
-        """{text: position} in the generator order; texts that key alike
-        (y1 and y01) go in text order, so no rank depends on
-        registration."""
-        if self._rank is None:
-            self._rank = {text: k for k, text in enumerate(sorted(self.texts, key=_generator_key))}
-        return self._rank
 
 
 _GENS = _Generators()
@@ -266,7 +256,7 @@ def _quotient(monom: tuple, divisor: tuple) -> tuple:
 def _order(*polys: dict) -> list:
     """The generators of polys, greatest first in lex order: the order
     that fixes the canonical unit and the printed order."""
-    return sorted(_used(*polys), key=_GENS.rank().__getitem__)
+    return sorted(_used(*polys), key=_generator_key)
 
 
 def _exponents(monom: tuple, gens: list) -> list:
@@ -620,7 +610,8 @@ class Scalar:
     den: dict = field(init=False)
 
     def __post_init__(self, value):
-        canon = _reduce(*_convert(value))
+        # a Scalar is canonical already and an int needs no reducing
+        canon = _operand(value) if isinstance(value, (Scalar, int)) else _reduce(*_convert(value))
         object.__setattr__(self, "num", canon.num)
         object.__setattr__(self, "den", canon.den)
 
@@ -823,15 +814,6 @@ ONE = Scalar.of(1)
 I = _make({(): _Gaussian(0, 1)}, _ONE)
 
 
-def _accumulate(terms: dict, key, coeff: Scalar) -> None:
-    """Add coeff under key.  Scalars are canonical by construction, so a
-    coefficient is only moved unless another already sits under its key."""
-    if key in terms:
-        terms[key] = terms[key] + coeff
-    else:
-        terms[key] = coeff
-
-
 def _generator(name: str) -> dict:
     """The polynomial of the symbol named name, registering it."""
     _GENS.add_symbol(name)
@@ -857,9 +839,7 @@ def _as_expr(poly: dict) -> "sympy.Expr":
 
 
 def _convert(value) -> tuple:
-    """(num, den) of an expression, not yet reduced."""
-    if isinstance(value, Scalar):
-        return value.num, value.den
+    """(num, den) of a sympy expression, not yet reduced."""
     if isinstance(value, str):
         raise TypeError(f"a Scalar is not read from text: sym({value!r}) is the symbol "
                         "of that name, and the model reader reads expressions")

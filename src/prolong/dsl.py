@@ -475,31 +475,26 @@ class _Parser:
         raise DslError(f"unexpected {_describe(tok)}", tok.line, tok.col)
 
     def matrix(self):
-        self.expect("op", "[")
-        rows = []
-        while True:
-            rows.append(self._matrix_row())
-            if not self.at_op(","):
-                break
-            self.advance()
-        self.expect("op", "]")
+        rows = self._bracketed(lambda: self._bracketed(self._matrix_entry))
         if len({len(r) for r in rows}) != 1:
             raise self.error("matrix rows must have equal length")
-        return tuple(rows)
+        return rows
 
-    def _matrix_row(self):
+    def _matrix_entry(self):
+        value = self.expression()
+        if isinstance(value, Form):
+            raise self.error("matrix entries must be scalars")
+        return value
+
+    def _bracketed(self, read) -> tuple:
+        """The comma-separated items between '[' and ']', each taken by read."""
         self.expect("op", "[")
-        row = []
-        while True:
-            value = self.expression()
-            if isinstance(value, Form):
-                raise self.error("matrix entries must be scalars")
-            row.append(value)
-            if not self.at_op(","):
-                break
+        items = [read()]
+        while self.at_op(","):
             self.advance()
+            items.append(read())
         self.expect("op", "]")
-        return tuple(row)
+        return tuple(items)
 
     def _resolve(self, tok: Token):
         m = self.model

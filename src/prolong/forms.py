@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .coeff import I, Scalar, ZERO, ONE, _accumulate
+from .coeff import I, Scalar, ZERO, ONE
 from . import jets
 
 __all__ = [
@@ -63,12 +63,12 @@ class DerivationContext:
 
     def __init__(self):
         self._gens: list[Generator] = []
+        self._degrees: list[int] = []  # each generator's degree, by index
         self._index: dict[str, int] = {}
         self._rules: dict[str, "Form"] = {}
         self._scalars: list[tuple[str, str | None]] = []
         self._scalar_names: set[str] = set()
         self._jet_deps: tuple[str, ...] = ()
-        self._base_pair: tuple[str, str] | None = None
         self._frozen = False
 
     # -- declaration ---------------------------------------------------------
@@ -83,6 +83,7 @@ class DerivationContext:
         gen = Generator(name, degree)
         self._index[name] = len(self._gens)
         self._gens.append(gen)
+        self._degrees.append(degree)
         return gen
 
     def add_generator(self, name: str, degree: int) -> Generator:
@@ -113,13 +114,12 @@ class DerivationContext:
         if "dx" not in self._index or "dt" not in self._index:
             raise ContextError("jet mode needs coordinates x and t declared first")
         self._jet_deps = tuple(deps)
-        self._base_pair = ("dx", "dt")
 
     def set_rule(self, name: str, form: "Form") -> None:
         self._check_open()
         if name not in self._index:
             raise ContextError(f"unknown generator {name!r}")
-        expected = self._gens[self._index[name]].degree + 1
+        expected = self._degrees[self._index[name]] + 1
         if form.degree != expected:
             raise ContextError(f"rule for {name} must have degree {expected}")
         self._rules[name] = form
@@ -157,10 +157,6 @@ class DerivationContext:
     def generators(self) -> tuple:
         return tuple(self._gens)
 
-    @property
-    def scalars(self) -> tuple:
-        return tuple(self._scalars)
-
     def index_of(self, name: str) -> int:
         try:
             return self._index[name]
@@ -173,11 +169,10 @@ class DerivationContext:
     def rule(self, name: str) -> "Form":
         if name in self._rules:
             return self._rules[name]
-        degree = self._gens[self._index[name]].degree
-        return self.zero(degree + 1)
+        return self.zero(self._degrees[self._index[name]] + 1)
 
     def one_form_indices(self) -> tuple:
-        return tuple(i for i, g in enumerate(self._gens) if g.degree == 1)
+        return tuple(i for i, degree in enumerate(self._degrees) if degree == 1)
 
     # -- form construction -------------------------------------------------------
 
@@ -190,7 +185,7 @@ class DerivationContext:
 
     def gen(self, name: str) -> "Form":
         idx = self.index_of(name)
-        return Form(self, self._gens[idx].degree, {(idx,): ONE})
+        return Form(self, self._degrees[idx], {(idx,): ONE})
 
     def d_scalar(self, value) -> "Form":
         """Differential of a degree-0 coefficient as a one-form."""
@@ -201,13 +196,10 @@ class DerivationContext:
         """Pairs (generator index, scalar part) forming d of a coefficient."""
         out = []
         if self._jet_deps:
-            dx, dt = self._base_pair
-            cx = jets.total_derivative(c, "x", self._jet_deps)
-            ct = jets.total_derivative(c, "t", self._jet_deps)
-            if not cx.is_zero:
-                out.append((self._index[dx], cx))
-            if not ct.is_zero:
-                out.append((self._index[dt], ct))
+            for direction in ("x", "t"):
+                part = jets.total_derivative(c, direction, self._jet_deps)
+                if not part.is_zero:
+                    out.append((self._index[f"d{direction}"], part))
             return out
         for name, diff_name in self._scalars:
             if diff_name is None:
@@ -216,6 +208,15 @@ class DerivationContext:
             if not part.is_zero:
                 out.append((self._index[diff_name], part))
         return out
+
+
+def _accumulate(terms: dict, key, coeff: Scalar) -> None:
+    """Add coeff under key.  Scalars are canonical by construction, so a
+    coefficient is only moved unless another already sits under its key."""
+    if key in terms:
+        terms[key] = terms[key] + coeff
+    else:
+        terms[key] = coeff
 
 
 def _sorted_monomial(degrees: Sequence[int], mono: tuple) -> tuple | None:
@@ -249,7 +250,7 @@ class Form:
     terms: Mapping[tuple, Scalar]
 
     def __post_init__(self):
-        degrees = [g.degree for g in self.ctx.generators]
+        degrees = self.ctx._degrees
         cleaned: dict = {}
         for mono, coeff in self.terms.items():
             coeff = Scalar.of(coeff)
@@ -304,10 +305,11 @@ class Form:
 
     def wedge(self, other: "Form") -> "Form":
         self._require_same(other)
-        degrees = [g.degree for g in self.ctx.generators]
+        degrees = self.ctx._degrees
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
+                # sorting here lets a vanishing monomial skip its coefficient product
                 packed = _sorted_monomial(degrees, m1 + m2)
                 if packed is None:
                     continue
@@ -324,7 +326,7 @@ class Form:
         of the degree before it.  Unsorted monomials are sorted, with their
         signs, by the one Form built at the end."""
         ctx = self.ctx
-        degrees = [g.degree for g in ctx.generators]
+        degrees = ctx._degrees
         out: dict = {}
         for mono, coeff in self.terms.items():
             for idx, part in ctx.coefficient_differential(coeff):
@@ -347,9 +349,8 @@ class Form:
         return not self.terms
 
     def coefficient(self, *names: str) -> Scalar:
-        degrees = [g.degree for g in self.ctx.generators]
         mono = tuple(self.ctx.index_of(n) for n in names)
-        packed = _sorted_monomial(degrees, mono)
+        packed = _sorted_monomial(self.ctx._degrees, mono)
         if packed is None:
             return ZERO
         sign, key = packed
@@ -452,18 +453,6 @@ class MatrixForm:
     @property
     def size(self) -> int:
         return len(self.entries)
-
-    @property
-    def ctx(self) -> DerivationContext:
-        return self.entries[0][0].ctx
-
-    @property
-    def degree(self) -> int:
-        for row in self.entries:
-            for f in row:
-                if not f.is_zero:
-                    return f.degree
-        return self.entries[0][0].degree
 
     def entry(self, i: int, j: int) -> Form:
         return self.entries[i][j]

@@ -126,9 +126,7 @@ class EvolutionSystem:
     def of(rules) -> "EvolutionSystem":
         if isinstance(rules, EvolutionSystem):
             return rules
-        if isinstance(rules, dict):
-            return EvolutionSystem(tuple(rules.items()))
-        return EvolutionSystem(tuple(rules))
+        return EvolutionSystem(tuple(dict(rules).items()))
 
     @property
     def deps(self) -> tuple:

@@ -349,11 +349,9 @@ def _stated_rhs(sc: Su2Context, forms: Su2Forms, name: str) -> Form:
     return stated[name]()
 
 
-def verify_identity(sc: Su2Context, name: str, forms: Su2Forms | None = None) -> IdentityResult:
+def verify_identity(sc: Su2Context, name: str, forms: Su2Forms) -> IdentityResult:
     if name not in IDENTITY_NAMES:
         raise ValueError(f"unknown identity {name!r}; choose from {IDENTITY_NAMES}")
-    if forms is None:
-        forms = build_forms(sc)
 
     if name == "bianchi":
         omega = sc.omega_matrix()

@@ -182,14 +182,6 @@ class SectionResult:
     eliminations: tuple  # (variable, substituted jet expression) as applied
 
 
-def _apply_elimination(e: Scalar, var: str, replacement: Scalar, deps: tuple) -> Scalar:
-    """Replace each jet var_(x^nx t^nt) of e by D_x^nx D_t^nt replacement."""
-    return substitute_jets(
-        e,
-        lambda v, nx, nt: total_derivatives(replacement, nx, nt, deps) if v == var else None,
-    )
-
-
 def section(ideal: ExteriorIdeal, eliminations: Sequence[tuple] = ()) -> SectionResult:
     """Pull the generators back to the transversal integral manifold over
     (x, t) and present the equations after the declared elimination chain.
@@ -359,10 +351,14 @@ def zero_curvature_residual(conn: ConnectionData, sys: EvolutionSystem) -> tuple
 
 
 def apply_eliminations(e: Scalar, chain: Sequence[tuple], deps: Sequence[str]) -> Scalar:
-    """Apply an already-staged elimination chain to a jet expression."""
+    """Apply an already-staged elimination chain to a jet expression: each
+    step replaces every jet var_(x^nx t^nt) by D_x^nx D_t^nt replacement."""
     out = Scalar.of(e)
     for var, replacement in chain:
-        out = _apply_elimination(out, var, Scalar.of(replacement), tuple(deps))
+        out = substitute_jets(
+            out,
+            lambda v, nx, nt: total_derivatives(replacement, nx, nt, deps) if v == var else None,
+        )
     return out
 
 

@@ -168,6 +168,11 @@ def test_substitute_examples():
     assert substitute(q * r**2, {"q": r, "r": q}) == r * q**2
 
 
+def test_substitute_into_an_exponential_atom():
+    z, y = sym("z"), sym("y")
+    assert substitute(z * exp_atom(y), {"y": 2 * z}) == z * exp_atom(2 * z)
+
+
 def test_substitute_is_single_pass():
     # a self-referencing binding is applied once, never re-expanded
     assert substitute(q, {"q": q + 1}) == q + 1

@@ -199,6 +199,26 @@ def test_fuzzed_inputs_fail_cleanly():
             pass  # structured failure is acceptable; crashes are not
 
 
+def test_let_and_form_names_and_division_by_a_degree_0_form():
+    model = parse(
+        "chart x t u\n"
+        "let k = u + 1\n"
+        "form s = 2*k\n"
+        "form a = k*dx ^ dt/s\n"
+        "let h = u/s\n"
+    )
+    ctx, u = model.ctx, sym("u")
+    assert model.forms["s"] == ctx.scalar_form(2 * u + 2)
+    assert model.forms["a"] == ctx.gen("dx").wedge(ctx.gen("dt")) * Scalar.rational(1, 2)
+    assert model.lets["h"] == u / (2 * u + 2)
+
+
+def test_division_by_a_one_form_is_refused_at_its_statement():
+    with pytest.raises(DslError, match="division by a form") as err:
+        parse("chart x t u\nform a = dx ^ dt\nform b = a/dx\n")
+    assert (err.value.line, err.value.col) == (3, 1)
+
+
 def test_print_form_signs():
     model = parse("chart x t u\nform a = -du ^ dt - 2*dx ^ dt\n")
     printed = print_form(model.forms["a"])

@@ -1,7 +1,8 @@
 """The engine is exact: no module of ``prolong`` holds a float literal,
 calls ``float`` or ``complex``, or reads ``math.e`` or ``cmath``.  And
 sympy stays at the scalar core's boundary: only functions of ``coeff``
-import it, on first use."""
+import it, on first use.  No module imports another module's private
+(``_``-prefixed) names."""
 
 from __future__ import annotations
 
@@ -54,6 +55,16 @@ def test_no_module_uses_floating_point():
     assert _offending(_inexact) == []
 
 
+def _imports_a_private_name(node: ast.AST) -> bool:
+    return (isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "prolong")
+            and any(alias.name.startswith("_") for alias in node.names))
+
+
+def test_no_module_imports_a_private_name_of_another():
+    assert _offending(_imports_a_private_name) == []
+
+
 def _at_import(tree: ast.AST):
     """The nodes of tree that run when the module is imported: all but
     the bodies of functions."""
@@ -89,9 +100,27 @@ assert value.expr == (sp.Symbol("x") + 2 * sp.exp(sp.Symbol("y") / 3)) / (
 """
 
 
-def test_the_boundary_imports_sympy_on_first_use():
+def _run_fresh(code: str) -> None:
+    """Run code in a fresh interpreter that finds this prolong first on its
+    path, and require it to exit cleanly."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SOURCE.parent), os.environ.get("PYTHONPATH")) if p))
-    result = subprocess.run([sys.executable, "-c", _BOUNDARY], env=env,
+    result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_the_boundary_imports_sympy_on_first_use():
+    _run_fresh(_BOUNDARY)
+
+
+def test_scalar_of_an_int_or_a_scalar_needs_no_sympy():
+    _run_fresh("""
+import sys
+
+from prolong.coeff import Scalar, sym
+
+x = sym("x")
+assert Scalar(3) == Scalar.of(3) and Scalar(x) == x and Scalar(1 / (x + 1)) == 1 / (x + 1)
+assert "sympy" not in sys.modules
+""")

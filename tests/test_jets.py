@@ -54,6 +54,16 @@ def test_reduce_prolonged_rule():
     assert got == -(ux**2) - u * uxx
 
 
+def test_reduce_second_t_derivative():
+    # u_tt = D_t(u*u_x) = u_t*u_x + u*u_xt, each t-derivative reduced again
+    sys = EvolutionSystem.of({"u": u * ux})
+    assert reduce_mod_evolution(sym(jet("u", 0, 2)), sys) == u**2 * uxx + 2 * u * ux**2
+
+
+def test_evolution_system_of_pairs_or_a_dict():
+    assert EvolutionSystem.of((("u", u * ux),)) == EvolutionSystem.of({"u": u * ux})
+
+
 def test_reduce_no_t_derivatives_is_identity():
     sys = EvolutionSystem.of({"u": uxx})
     assert reduce_mod_evolution(ux, sys) == ux

@@ -12,6 +12,7 @@ from prolong.su2 import (
     AKNSSpec,
     IDENTITY_NAMES,
     build_jet_context,
+    decompose_over_ring,
     extract_evolution,
     gauge_transform,
     q_diag,
@@ -68,6 +69,25 @@ def test_decompositions_reexpand_exactly(sc, su2_forms):
         assert dec is not None and dec.ok
         lhs = su2_forms.xi[int(name[2:])].d()
         assert (dec.expand(sc, su2_forms) - lhs).is_zero
+
+
+def test_decomposition_reports_a_target_outside_the_ring(sc, su2_forms):
+    target = sc.w[0].wedge(sc.w[1])
+    dec = decompose_over_ring(sc, su2_forms, target)
+    basis = dec.obstruction.ctx
+    assert not dec.ok
+    assert dec.obstruction == basis.gen("w1").wedge(basis.gen("w2"))
+    assert dec.theta_coeffs == (ZERO, ZERO, ZERO)
+    assert dec.multipliers == {}
+
+
+def test_decomposition_flips_a_partner_that_sorts_after_its_xi(sc, su2_forms):
+    target = su2_forms.xi[1].wedge(sc.df)
+    dec = decompose_over_ring(sc, su2_forms, target)
+    assert dec.ok
+    assert list(dec.multipliers) == [1]
+    assert dec.multipliers[1] == -dec.multipliers[1].ctx.gen("df")
+    assert dec.expand(sc, su2_forms) == target
 
 
 def test_exchange_symmetry_xi3_xi4(sc, su2_forms):
