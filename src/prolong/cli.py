@@ -14,7 +14,7 @@ import time
 from importlib import resources
 
 from . import conservation, dsl, su2, we
-from .coeff import ETA, Scalar, sym
+from .coeff import Scalar
 from .forms import check_dd_zero
 from .jets import EvolutionSystem, jet_order
 
@@ -58,10 +58,7 @@ def _item(name: str, status: str, **extra) -> dict:
 def _witness_payload(witness: we.MembershipWitness | None) -> dict | None:
     if witness is None:
         return None
-    return {
-        name: dsl.print_form(mult)
-        for name, mult in zip(witness.ideal.names, witness.multipliers)
-    }
+    return {name: dsl.print_form(mult) for name, mult in witness.multipliers.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +82,11 @@ def _cmd_verify_su2(args) -> tuple:
             _item(
                 label,
                 "verified" if report_dd.ok else "failed",
-                residual=[f"{n}: {dsl.print_form(f)}" for n, f in report_dd.nonzero()],
+                residual=[
+                    f"{n}: {dsl.print_form(f)}"
+                    for n, f in report_dd.residuals.items()
+                    if not f.is_zero
+                ],
             )
         )
     wanted = su2.IDENTITY_NAMES if args.all or not args.name else tuple(args.name)
@@ -150,13 +151,9 @@ def _cmd_theta(args) -> tuple:
         _item("plus", "computed", coefficient=dsl.print_scalar(comps.plus_coeff)),
         _item("third", "computed", coefficient=dsl.print_scalar(comps.third_coeff)),
     ]
-    for var, _ in extraction.system.rules:
+    for var, rhs in extraction.system.rules.items():
         items.append(
-            _item(
-                f"evolution-{var}",
-                "extracted",
-                rule=f"{var}_t = {dsl.print_scalar(extraction.system.rhs(var))}",
-            )
+            _item(f"evolution-{var}", "extracted", rule=f"{var}_t = {dsl.print_scalar(rhs)}")
         )
     for k, c in enumerate(extraction.constraints):
         items.append(
@@ -209,7 +206,7 @@ def _cmd_conserve(args) -> tuple:
         )
         if not cert.ok:
             payload["witness"] = {
-                var: dsl.print_scalar(w) for var, w in cert.witnesses
+                var: dsl.print_scalar(w) for var, w in cert.witnesses.items()
             }
         items.append(payload)
     return items, peak
@@ -219,10 +216,9 @@ def _cmd_closure(args) -> tuple:
     _, ideal = _pick(_load_model(args).ideals, "ideal")
     result = we.closure_check(ideal)
     items = []
-    for name, witness in result.witnesses:
+    for name, witness in result.witnesses.items():
         if witness is None:
-            d_form = dict(result.failures)[name]
-            items.append(_item(name, "failed", residual=dsl.print_form(d_form)))
+            items.append(_item(name, "failed", residual=dsl.print_form(result.failures[name])))
         else:
             items.append(_item(name, "closed", witness=_witness_payload(witness)))
     return items, None
@@ -244,7 +240,7 @@ def _cmd_section(args) -> tuple:
     if args.beta is not None:
         subs["beta"] = _beta_scalar(args.beta)
     items = []
-    for name, raw in zip(result.names, result.raw):
+    for name, raw in result.raw.items():
         items.append(_item(f"raw-{name}", "sectioned", equation=dsl.print_scalar(raw)))
     for var, replacement in result.eliminations:
         items.append(
@@ -266,17 +262,18 @@ def _cmd_prolong(args) -> tuple:
     _, conn = _pick(model.connections, "connection")
     if args.beta is not None:
         substitution = {"beta": _beta_scalar(args.beta)}
-        ideal = dataclasses.replace(ideal, generators=tuple(
-            g.map_coefficients(lambda c: c.subs(substitution)) for g in ideal.generators))
+        ideal = dataclasses.replace(ideal, generators={
+            n: g.map_coefficients(lambda c: c.subs(substitution))
+            for n, g in ideal.generators.items()})
     closure = we.closure_check(ideal)
     if not closure.ok:
         raise CliError("ideal is not closed; prolongation condition undefined")
     result = we.prolongation_residual(conn, ideal)
     items = []
-    for i, j, witness, z in result.entries:
+    for (i, j), witness in result.witnesses.items():
         if witness is None:
             items.append(
-                _item(f"entry-{i}{j}", "failed", residual=dsl.print_form(z))
+                _item(f"entry-{i}{j}", "failed", residual=dsl.print_form(result.residuals[i, j]))
             )
         else:
             items.append(
@@ -285,18 +282,8 @@ def _cmd_prolong(args) -> tuple:
     return items, None
 
 
-def _akns_connection(spec: su2.AKNSSpec) -> we.ConnectionData:
-    """Read the linear pair off the family: dt side [[A, B], [C, -A]],
-    dx side [[eta, q], [r, -eta]]."""
-    eta = sym(ETA)
-    return we.ConnectionData(
-        F=((spec.A, spec.B), (spec.C, -spec.A)),
-        G=((eta, spec.q), (spec.r, -eta)),
-    )
-
-
-def _zero_curvature_item(conn: we.ConnectionData, system: EvolutionSystem) -> dict:
-    residual = we.zero_curvature_residual(conn, system)
+def _zero_curvature_item(raw: tuple, system: EvolutionSystem) -> dict:
+    residual = we.zero_curvature_residual(raw, system)
     flat = [c for row in residual for c in row]
     return _item(
         "zero-curvature",
@@ -309,11 +296,10 @@ def _cmd_laxcheck(args) -> tuple:
     model = _load_model(args)
     if model.akns:
         _, spec = _pick(model.akns, "spectral family")
-        conn = _akns_connection(spec)
         extraction = su2.extract_evolution(spec)
         comps = extraction.components
-        items = [_zero_curvature_item(conn, extraction.system)]
-        raw = we.curvature_matrix(conn, spec.deps)
+        raw = we.curvature_matrix(spec.connection, spec.deps)
+        items = [_zero_curvature_item(raw, extraction.system)]
         agreement = (
             (raw[0][0] - comps.third_coeff).is_zero
             and (raw[0][1] - comps.minus_coeff).is_zero
@@ -329,7 +315,7 @@ def _cmd_laxcheck(args) -> tuple:
         jet_conn = conn.map_entries(
             lambda c: we.apply_eliminations(c, sec.eliminations, sys.deps)
         )
-        items = [_zero_curvature_item(jet_conn, sys)]
+        items = [_zero_curvature_item(we.curvature_matrix(jet_conn, sys.deps), sys)]
     else:
         raise CliError("laxcheck needs either a spectral family or ideal+connection")
     return items, None

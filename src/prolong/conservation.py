@@ -133,11 +133,8 @@ class ConservationCertificate:
         return self.exactness.peak_jet_order
 
     @property
-    def witnesses(self) -> tuple:
+    def witnesses(self) -> dict:
         return self.exactness.witnesses
-
-    def witness(self, var: str) -> Scalar:
-        return self.exactness.witness(var)
 
 
 def verify_conservation(pair: ConservedPair, sys: EvolutionSystem) -> ConservationCertificate:

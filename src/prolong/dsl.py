@@ -345,16 +345,17 @@ class _Parser:
         m = self.model
         if m.kind != "chart":
             raise self.error("ideals need a chart context")
-        gen_names, gens = [], []
+        gens = {}
         for gname, sep in self._items():
             if sep != "=":
                 raise self.error(f"ideal {name}: use '=' for generators")
+            if gname in gens:
+                raise self.error(f"ideal {name}: generator {gname} is given twice")
             value = self._operand()
             if not isinstance(value, Form) or value.degree < 1:
                 raise self.error(f"ideal generator {gname} must be a form")
-            gen_names.append(gname)
-            gens.append(value)
-        return ExteriorIdeal(ctx=m.ctx, names=tuple(gen_names), generators=tuple(gens),
+            gens[gname] = value
+        return ExteriorIdeal(ctx=m.ctx, generators=gens,
                              coordinates=m.coordinates, parameters=m.params)
 
     def _akns(self, name: str) -> AKNSSpec:
@@ -582,7 +583,7 @@ def print_model(m: ModelFile) -> str:
         lines.append(f"form {name} = {print_form(value)}")
     for name, ideal in m.ideals.items():
         lines.append(f"ideal {name} {{")
-        for gname, gen in zip(ideal.names, ideal.generators):
+        for gname, gen in ideal.generators.items():
             lines.append(f"  {gname} = {print_form(gen)}")
         lines.append("}")
     for name, spec in m.akns.items():

@@ -541,20 +541,13 @@ def build_jet_context(deps: Sequence[str]) -> DerivationContext:
 
 @dataclass(frozen=True)
 class DdReport:
-    residuals: tuple  # ((generator name, Form), ...)
+    residuals: dict  # generator name -> d(d(generator)), in generator order
 
     @property
     def ok(self) -> bool:
-        return all(f.is_zero for _, f in self.residuals)
-
-    def nonzero(self) -> tuple:
-        return tuple((n, f) for n, f in self.residuals if not f.is_zero)
+        return all(f.is_zero for f in self.residuals.values())
 
 
 def check_dd_zero(ctx: DerivationContext) -> DdReport:
     """d(d(g)) for every generator; consistency certificate of the rules."""
-    out = []
-    for g in ctx.generators:
-        dd = ctx.gen(g.name).d().d()
-        out.append((g.name, dd))
-    return DdReport(tuple(out))
+    return DdReport({g.name: ctx.gen(g.name).d().d() for g in ctx.generators})

@@ -109,34 +109,26 @@ class EvolutionSystem:
     """Evolution rules u_t = rhs, one per dependent variable; right-hand
     sides are x-jet expressions free of t-derivatives."""
 
-    rules: tuple  # ((var, Scalar), ...)
+    rules: dict  # var -> Scalar; built from a dict or from (var, rhs) pairs
 
     def __post_init__(self):
-        frozen = []
+        frozen = {}
         for var, rhs in dict(self.rules).items():
             rhs = Scalar.of(rhs)
             for s in rhs.free_symbols():
                 parts = split_jet(s)
                 if parts and parts[2] > 0:
                     raise ValueError(f"evolution rhs for {var} contains a t-derivative: {s}")
-            frozen.append((var, rhs))
-        object.__setattr__(self, "rules", tuple(frozen))
+            frozen[var] = rhs
+        object.__setattr__(self, "rules", frozen)
 
     @staticmethod
     def of(rules) -> "EvolutionSystem":
-        if isinstance(rules, EvolutionSystem):
-            return rules
-        return EvolutionSystem(tuple(dict(rules).items()))
+        return rules if isinstance(rules, EvolutionSystem) else EvolutionSystem(rules)
 
     @property
     def deps(self) -> tuple:
-        return tuple(var for var, _ in self.rules)
-
-    def rhs(self, var: str) -> Scalar:
-        for v, r in self.rules:
-            if v == var:
-                return r
-        raise KeyError(var)
+        return tuple(self.rules)
 
 
 def solve_for_t_derivative(e: Scalar) -> tuple | None:
@@ -174,7 +166,7 @@ def reduce_mod_evolution(e: Scalar, sys: EvolutionSystem) -> Scalar:
         key = (var, nx, nt)
         if key not in cache:
             if nt == 1:
-                cache[key] = total_derivatives(sys.rhs(var), nx, 0, deps)
+                cache[key] = total_derivatives(sys.rules[var], nx, 0, deps)
             else:
                 bumped = total_derivative(image(var, nx, nt - 1), "t", deps)
                 cache[key] = reduce_mod_evolution(bumped, sys)
@@ -219,23 +211,17 @@ class TotalDerivativeCertificate:
     vanishes; otherwise the offending nonzero derivatives are kept."""
 
     ok: bool
-    witnesses: tuple  # ((var, Scalar), ...) nonzero variational derivatives
+    witnesses: dict  # var -> its nonzero variational derivative
     peak_jet_order: int
-
-    def witness(self, var: str) -> Scalar:
-        for v, w in self.witnesses:
-            if v == var:
-                return w
-        return ZERO
 
 
 def is_total_x_derivative(e: Scalar, deps: Sequence[str]) -> TotalDerivativeCertificate:
     e = Scalar.of(e)
-    bad = []
+    bad = {}
     for var in deps:
         w = euler_operator(e, var, deps)
         if not w.is_zero:
-            bad.append((var, w))
+            bad[var] = w
     return TotalDerivativeCertificate(
-        ok=not bad, witnesses=tuple(bad), peak_jet_order=jet_order(e, deps)
+        ok=not bad, witnesses=bad, peak_jet_order=jet_order(e, deps)
     )

@@ -28,10 +28,12 @@ from .forms import (
     build_jet_context,
     epsilon,
     pauli_compose,
+    pauli_decompose,
 )
 from . import jets
 # split_jet is re-exported: bench/check_tracing.py checks the su2 binding by name.
 from .jets import EvolutionSystem, split_jet  # noqa: F401
+from .we import ConnectionData
 
 __all__ = [
     "Su2Context",
@@ -320,11 +322,6 @@ class IdentityResult:
     corrected: bool
     note: str
 
-    @property
-    def ok(self) -> bool:
-        # A corrected identity passes through its certified decomposition.
-        return self.stated_ok or self.corrected
-
 
 def _stated_rhs(sc: Su2Context, forms: Su2Forms, name: str) -> Form:
     """The stated right side of identity ``name`` (xi1 .. xi8)."""
@@ -475,8 +472,9 @@ class AKNSSpec:
     r and q are jet expressions (free of the spectral parameter); A, B, C
     are Scalars that must be Laurent polynomials in the spectral parameter
     (:func:`coeff.eta_coefficients` reads their coefficients, and refuses
-    anything else with LaurentError).  The associated one-forms are
-    w1 + i w2 = r dx + C dt, w1 - i w2 = q dx + B dt, w3 = eta dx + A dt.
+    anything else with LaurentError).  The associated one-forms, the Pauli
+    components of :attr:`connection`, are w1 + i w2 = r dx + C dt,
+    w1 - i w2 = q dx + B dt, w3 = eta dx + A dt.
     """
 
     name: str
@@ -497,18 +495,20 @@ class AKNSSpec:
             if ETA in getattr(self, label).free_symbols():
                 raise ValueError(f"{label} must not contain the spectral parameter")
 
+    @property
+    def connection(self) -> ConnectionData:
+        """The linear pair y_t = F y, y_x = G y of the family: dt side
+        F = [[A, B], [C, -A]], dx side G = [[eta, q], [r, -eta]]."""
+        eta = sym(ETA)
+        return ConnectionData(
+            F=((self.A, self.B), (self.C, -self.A)),
+            G=((eta, self.q), (self.r, -eta)),
+        )
+
 
 def akns_forms(spec: AKNSSpec) -> tuple:
     """The three connection one-forms w1, w2, w3 of the family over (dx, dt)."""
-    ctx = build_jet_context(spec.deps)
-    dx, dt = ctx.gen("dx"), ctx.gen("dt")
-    w_plus = dx * spec.r + dt * spec.C
-    w_minus = dx * spec.q + dt * spec.B
-    w3 = dx * sym(ETA) + dt * spec.A
-    half = Scalar.rational(1, 2)
-    w1 = (w_plus + w_minus) * half
-    w2 = (w_plus - w_minus) * (half / I)
-    return w1, w2, w3
+    return pauli_decompose(spec.connection.one_form(build_jet_context(spec.deps)))
 
 
 @dataclass(frozen=True)

@@ -66,22 +66,17 @@ class ExteriorIdeal:
     """Generating forms over a chart, with optional named parameters."""
 
     ctx: DerivationContext
-    names: tuple
-    generators: tuple  # Forms, same order as names
+    generators: dict  # generator name -> Form, in declaration order
     coordinates: tuple
     parameters: tuple = ()
 
     def __post_init__(self):
-        for f in self.generators:
+        object.__setattr__(self, "generators", dict(self.generators))
+        for f in self.generators.values():
             if f.ctx is not self.ctx:
                 raise ContextError("ideal generators must share one context")
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "coordinates", tuple(self.coordinates))
         object.__setattr__(self, "parameters", tuple(self.parameters))
-
-    def generator(self, name: str) -> Form:
-        return self.generators[self.names.index(name)]
 
 
 @dataclass(frozen=True)
@@ -89,20 +84,14 @@ class MembershipWitness:
     """phi = sum_j multipliers[j] ^ generators[j]; exact by construction."""
 
     ideal: ExteriorIdeal
-    multipliers: tuple  # Forms aligned with ideal.names (may be degree 0)
+    multipliers: dict  # generator name -> Form (may be degree 0), as in the ideal
 
     def expand(self) -> Form:
-        degree = next(
-            (m.degree + g.degree for m, g in zip(self.multipliers, self.ideal.generators)),
-            0,
-        )
-        out = self.ideal.ctx.zero(degree)
-        for mult, gen in zip(self.multipliers, self.ideal.generators):
-            out = out + mult.wedge(gen)
+        products = [m.wedge(self.ideal.generators[n]) for n, m in self.multipliers.items()]
+        out = self.ideal.ctx.zero(products[0].degree if products else 0)
+        for product in products:
+            out = out + product
         return out
-
-    def multiplier(self, name: str) -> Form:
-        return self.multipliers[self.ideal.names.index(name)]
 
 
 def ideal_membership(phi: Form, ideal: ExteriorIdeal) -> MembershipWitness | None:
@@ -113,28 +102,26 @@ def ideal_membership(phi: Form, ideal: ExteriorIdeal) -> MembershipWitness | Non
     over all wedge monomials is solved exactly with deterministic pivoting
     and zero free unknowns (minimal support under the declared order).
     """
-    if phi.is_zero:
-        return MembershipWitness(
-            ideal, tuple(ideal.ctx.zero(0) for _ in ideal.generators)
-        )
     ctx = ideal.ctx
+    multipliers = {name: ctx.zero(0) for name in ideal.generators}
+    if phi.is_zero:
+        return MembershipWitness(ideal, multipliers)
     candidates: list[Form] = []
-    layout: list[tuple[int, Form]] = []  # (generator slot, basis monomial)
-    for slot, gen in enumerate(ideal.generators):
+    layout: list[tuple[str, Form]] = []  # (generator name, basis monomial)
+    for name, gen in ideal.generators.items():
         mult_degree = phi.degree - gen.degree
         if mult_degree < 0:
             continue
         for mono in itertools.combinations(ctx.one_form_indices(), mult_degree):
             basis_form = Form(ctx, mult_degree, {mono: ONE})
             candidates.append(basis_form.wedge(gen))
-            layout.append((slot, basis_form))
+            layout.append((name, basis_form))
     solution = express_in_basis(phi, candidates)
     if solution is None:
         return None
-    multipliers = [ctx.zero(0)] * len(ideal.generators)
-    for coeff, (slot, basis_form) in zip(solution, layout):
-        multipliers[slot] = multipliers[slot] + basis_form * coeff
-    witness = MembershipWitness(ideal, tuple(multipliers))
+    for coeff, (name, basis_form) in zip(solution, layout):
+        multipliers[name] = multipliers[name] + basis_form * coeff
+    witness = MembershipWitness(ideal, multipliers)
     if not (witness.expand() - phi).is_zero:
         return None
     return witness
@@ -143,30 +130,23 @@ def ideal_membership(phi: Form, ideal: ExteriorIdeal) -> MembershipWitness | Non
 @dataclass(frozen=True)
 class ClosureResult:
     ideal: ExteriorIdeal
-    witnesses: tuple  # (name, MembershipWitness | None)
-    failures: tuple  # (name, d-form) for generators without a witness
+    witnesses: dict  # generator name -> MembershipWitness | None
+    failures: dict  # generator name -> d-form, for generators without a witness
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
-    def witness(self, name: str) -> MembershipWitness | None:
-        for n, w in self.witnesses:
-            if n == name:
-                return w
-        return None
-
 
 def closure_check(ideal: ExteriorIdeal) -> ClosureResult:
-    witnesses = []
-    failures = []
-    for name, gen in zip(ideal.names, ideal.generators):
+    witnesses = {}
+    failures = {}
+    for name, gen in ideal.generators.items():
         d_gen = gen.d()
-        witness = ideal_membership(d_gen, ideal)
-        witnesses.append((name, witness))
-        if witness is None:
-            failures.append((name, d_gen))
-    return ClosureResult(ideal=ideal, witnesses=tuple(witnesses), failures=tuple(failures))
+        witnesses[name] = ideal_membership(d_gen, ideal)
+        if witnesses[name] is None:
+            failures[name] = d_gen
+    return ClosureResult(ideal=ideal, witnesses=witnesses, failures=failures)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +156,7 @@ def closure_check(ideal: ExteriorIdeal) -> ClosureResult:
 
 @dataclass(frozen=True)
 class SectionResult:
-    names: tuple  # generator name, suffixed -dx or -dt for a one-form's parts
-    raw: tuple  # pulled-back coefficients aligned with names, jet expressions
+    raw: dict  # pulled-back jet coefficients by generator name, -dx/-dt for a one-form
     reduced: tuple  # the same after the elimination chain, trivial ones dropped
     eliminations: tuple  # (variable, substituted jet expression) as applied
 
@@ -198,12 +177,12 @@ def section(ideal: ExteriorIdeal, eliminations: Sequence[tuple] = ()) -> Section
         else dx * sym(jet(c, 1, 0)) + dt * sym(jet(c, 0, 1))
         for c in ideal.coordinates
     }
-    names, raw = [], []
-    for name, gen in zip(ideal.names, ideal.generators):
+    raw = {}
+    for name, gen in ideal.generators.items():
         pulled = gen.substitute_generators(images)
         for base in itertools.combinations(("dx", "dt"), gen.degree):
-            names.append(f"{name}-{base[0]}" if gen.degree == 1 else name)
-            raw.append(pulled.coefficient(*base))
+            key = f"{name}-{base[0]}" if gen.degree == 1 else name
+            raw[key] = pulled.coefficient(*base)
     applied = []
     for var, replacement in eliminations:
         replacement = apply_eliminations(replacement, applied, deps)
@@ -213,11 +192,10 @@ def section(ideal: ExteriorIdeal, eliminations: Sequence[tuple] = ()) -> Section
                 raise ValueError(f"cyclic elimination for {var}: {replacement}")
         applied.append((var, replacement))
     reduced = [
-        e for e in (apply_eliminations(e, applied, deps) for e in raw) if not e.is_zero
+        e for e in (apply_eliminations(e, applied, deps) for e in raw.values()) if not e.is_zero
     ]
     return SectionResult(
-        names=tuple(names),
-        raw=tuple(raw),
+        raw=raw,
         reduced=tuple(reduced),
         eliminations=tuple(applied),
     )
@@ -298,23 +276,12 @@ class ConnectionData:
 class ProlongationResult:
     """Per-entry membership of the prolongation two-form in the ideal."""
 
-    entries: tuple  # ((i, j, MembershipWitness | None, Form), ...)
+    residuals: dict  # (i, j) -> curvature entry Form, row by row
+    witnesses: dict  # (i, j) -> MembershipWitness | None
 
     @property
     def ok(self) -> bool:
-        return all(w is not None for _, _, w, _ in self.entries)
-
-    def witness(self, i: int, j: int) -> MembershipWitness | None:
-        for a, b, w, _ in self.entries:
-            if (a, b) == (i, j):
-                return w
-        raise KeyError((i, j))
-
-    def residual(self, i: int, j: int) -> Form:
-        for a, b, w, form in self.entries:
-            if (a, b) == (i, j):
-                return form
-        raise KeyError((i, j))
+        return all(w is not None for w in self.witnesses.values())
 
 
 def prolongation_residual(conn: ConnectionData, ideal: ExteriorIdeal) -> ProlongationResult:
@@ -322,12 +289,13 @@ def prolongation_residual(conn: ConnectionData, ideal: ExteriorIdeal) -> Prolong
     dF/du_j du_j^dt + dG/du_j du_j^dx + [F,G] dx^dt, tested for ideal
     membership; an empty witness set means failure."""
     curvature = conn.one_form(ideal.ctx).curvature()
-    results = []
-    for i in range(conn.size):
-        for j in range(conn.size):
-            z = curvature.entry(i, j)
-            results.append((i, j, ideal_membership(z, ideal), z))
-    return ProlongationResult(entries=tuple(results))
+    residuals = {
+        (i, j): curvature.entry(i, j) for i in range(conn.size) for j in range(conn.size)
+    }
+    return ProlongationResult(
+        residuals=residuals,
+        witnesses={key: ideal_membership(z, ideal) for key, z in residuals.items()},
+    )
 
 
 def curvature_matrix(conn: ConnectionData, deps: Sequence[str]) -> tuple:
@@ -340,11 +308,11 @@ def curvature_matrix(conn: ConnectionData, deps: Sequence[str]) -> tuple:
     )
 
 
-def zero_curvature_residual(conn: ConnectionData, sys: EvolutionSystem) -> tuple:
-    """reduce(D_x F - D_t G + [F, G]); zero certifies the linear pair
+def zero_curvature_residual(raw: tuple, sys: EvolutionSystem) -> tuple:
+    """reduce(D_x F - D_t G + [F, G]) from the unreduced matrix that
+    :func:`curvature_matrix` returns; zero certifies the linear pair
     y_t = F y, y_x = G y compatible on solutions."""
     sys = EvolutionSystem.of(sys)
-    raw = curvature_matrix(conn, sys.deps)
     return tuple(
         tuple(reduce_mod_evolution(entry, sys) for entry in row) for row in raw
     )

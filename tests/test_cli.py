@@ -39,12 +39,12 @@ def test_verify_su2_with_fixture(capsys):
 
 
 def test_spectral_verbs_compute_the_curvature_once(monkeypatch, capsys):
-    from prolong import su2
+    from prolong import su2, we
 
     calls = []
 
-    def counted(name):
-        original = getattr(su2, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls.append(name)
@@ -52,12 +52,13 @@ def test_spectral_verbs_compute_the_curvature_once(monkeypatch, capsys):
 
         return wrapper
 
-    for name in ("theta_components", "akns_forms"):
-        monkeypatch.setattr(su2, name, counted(name))
-    for verb in ("theta", "laxcheck", "surface"):
+    for module, name in ((su2, "theta_components"), (su2, "akns_forms"),
+                         (we, "curvature_matrix")):
+        monkeypatch.setattr(module, name, counted(module, name))
+    for verb, matrix in (("theta", []), ("laxcheck", ["curvature_matrix"]), ("surface", [])):
         calls.clear()
         run([verb, "--fixture", "kdv"], capsys)
-        assert calls == ["theta_components", "akns_forms"], verb
+        assert calls == ["theta_components", "akns_forms", *matrix], verb
 
 
 def test_gauge(capsys):
@@ -159,6 +160,13 @@ def test_laxcheck_akns(capsys):
     code, out, _ = run(["laxcheck", "--fixture", "kdv"], capsys)
     assert code == 0
     assert "curvature-agreement" in out
+
+
+def test_laxcheck_on_a_family_without_rules_is_exit_2(capsys):
+    # the generic family's curvature holds q_t, and no evolution rule covers it
+    code, _, err = run(["laxcheck", "--fixture", "akns_generic"], capsys)
+    assert code == 2
+    assert "not covered by the evolution system" in err
 
 
 def test_laxcheck_ideal(capsys):

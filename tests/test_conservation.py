@@ -113,7 +113,7 @@ def test_verify_failure_carries_witness():
     pair = ConservedPair(n=1, density=Scalar(u**3), current=ZERO, eta_trace=())
     cert = verify_conservation(pair, sys)
     assert not cert.ok
-    assert cert.witnesses and not cert.witness("u").is_zero
+    assert cert.witnesses and not cert.witnesses["u"].is_zero
 
 
 def test_current_perturbation_cannot_flip_certification(kdv_spec, kdv_system):
@@ -155,7 +155,7 @@ def test_kdv_seed_defect_at_five(kdv_spec, kdv_system):
     cert = verify_conservation(pair, kdv_system)
     assert not cert.ok
     qx, qxx = sym(jet("q", 1)), sym(jet("q", 2))
-    assert cert.witness("q") == Scalar(sp.Rational(-9, 2) * qx * qxx)
+    assert cert.witnesses["q"] == Scalar(sp.Rational(-9, 2) * qx * qxx)
 
 
 def test_halved_seed_restores_conservation(kdv_spec, kdv_system):

@@ -24,7 +24,7 @@ def test_parse_two_form_generator():
         "  xi1 = du ^ dt - p * dx ^ dt\n"
         "}\n"
     )
-    gen = model.ideals["a"].generator("xi1")
+    gen = model.ideals["a"].generators["xi1"]
     assert gen.degree == 2
     ctx = model.ctx
     expected = ctx.gen("du").wedge(ctx.gen("dt")) - ctx.gen("dx").wedge(ctx.gen("dt")) * Scalar(
@@ -149,8 +149,9 @@ def test_fixture_roundtrip_semantics(name):
         assert all((a[key] - b[key]).is_zero for key in a)
     assert set(first.ideals) == set(second.ideals)
     for key in first.ideals:
-        assert first.ideals[key].names == second.ideals[key].names
-        for a, b in zip(first.ideals[key].generators, second.ideals[key].generators):
+        a_gens, b_gens = first.ideals[key].generators, second.ideals[key].generators
+        assert a_gens.keys() == b_gens.keys()
+        for a, b in zip(a_gens.values(), b_gens.values()):
             assert (a - b).is_zero
     for key in first.akns:
         sa, sb = first.akns[key], second.akns[key]
@@ -219,6 +220,12 @@ def test_division_by_a_one_form_is_refused_at_its_statement():
     assert (err.value.line, err.value.col) == (3, 1)
 
 
+def test_a_generator_name_given_twice_is_refused_at_its_item():
+    with pytest.raises(DslError, match="generator xi is given twice") as err:
+        parse("chart x t u\nideal a {\n  xi = du ^ dt\n  xi = dx ^ dt\n}\n")
+    assert (err.value.line, err.value.col) == (4, 3)
+
+
 def test_print_form_signs():
     model = parse("chart x t u\nform a = -du ^ dt - 2*dx ^ dt\n")
     printed = print_form(model.forms["a"])
@@ -240,7 +247,7 @@ def test_form_coefficient_between_parentheses_reads_back():
 def test_str_of_a_form_is_its_printed_text(name):
     model = parse(fixture_text(name))
     forms = [*model.forms.values(), *model.rules.values(),
-             *(g for ideal in model.ideals.values() for g in ideal.generators)]
+             *(g for ideal in model.ideals.values() for g in ideal.generators.values())]
     assert len(forms) >= 3
     for f in forms:
         assert str(f) == print_form(f)

@@ -2,12 +2,13 @@
 calls ``float`` or ``complex``, or reads ``math.e`` or ``cmath``.  And
 sympy stays at the scalar core's boundary: only functions of ``coeff``
 import it, on first use.  No module imports another module's private
-(``_``-prefixed) names."""
+(``_``-prefixed) names.  The README's library sketch runs as printed."""
 
 from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from pathlib import Path
 import prolong
 
 SOURCE = Path(prolong.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _inexact(node: ast.AST) -> bool:
@@ -101,11 +103,11 @@ assert value.expr == (sp.Symbol("x") + 2 * sp.exp(sp.Symbol("y") / 3)) / (
 
 
 def _run_fresh(code: str) -> None:
-    """Run code in a fresh interpreter that finds this prolong first on its
-    path, and require it to exit cleanly."""
+    """Run code in a fresh interpreter, from the repository root, that finds
+    this prolong first on its path, and require it to exit cleanly."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SOURCE.parent), os.environ.get("PYTHONPATH")) if p))
-    result = subprocess.run([sys.executable, "-c", code], env=env,
+    result = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
 
@@ -124,3 +126,10 @@ x = sym("x")
 assert Scalar(3) == Scalar.of(3) and Scalar(x) == x and Scalar(1 / (x + 1)) == 1 / (x + 1)
 assert "sympy" not in sys.modules
 """)
+
+
+def test_the_readme_library_sketch_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    _run_fresh(blocks[0])

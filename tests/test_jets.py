@@ -102,7 +102,7 @@ def test_total_derivative_certificate():
     assert is_total_x_derivative(u * ux, ["u"]).ok
     cert = is_total_x_derivative(ux**2, ["u"])
     assert not cert.ok
-    assert cert.witness("u") == -2 * uxx
+    assert cert.witnesses["u"] == -2 * uxx
     assert is_total_x_derivative(ZERO, ["u"]).ok
 
 

@@ -169,13 +169,13 @@ def test_kdv_extraction(kdv_spec):
     extraction = extract_evolution(kdv_spec)
     assert extraction.consistent
     q, qx, qxxx = sym(jet("q")), sym(jet("q", 1)), sym(jet("q", 3))
-    assert extraction.system.rhs("q") == Scalar(-qxxx - 6 * q * qx)
+    assert extraction.system.rules["q"] == Scalar(-qxxx - 6 * q * qx)
 
 
 def test_generic_family_extracts_no_rule(generic_spec):
     # every channel keeps the spectral parameter in its solved right side
     extraction = extract_evolution(generic_spec)
-    assert extraction.system.rules == ()
+    assert extraction.system.rules == {}
     assert len(extraction.constraints) == 3
     assert not extraction.consistent
 
@@ -188,7 +188,7 @@ def test_channel_with_a_higher_t_derivative_is_a_constraint():
         A=sym(jet("r", 1, 1)), B=ZERO, C=ZERO,
     )
     extraction = extract_evolution(spec)
-    assert extraction.system.rules == ()
+    assert extraction.system.rules == {}
     assert len(extraction.constraints) == 3
 
 

@@ -8,7 +8,7 @@ import sympy as sp
 from prolong.cli import main
 from prolong.coeff import ETA, Scalar, ZERO, sym
 from prolong.dsl import parse
-from prolong.jets import EvolutionSystem, jet
+from prolong.jets import EvolutionSystem, is_total_x_derivative, jet
 from prolong.we import (
     ConnectionData,
     ExteriorIdeal,
@@ -31,8 +31,9 @@ def _with_beta(ideal: ExteriorIdeal, value) -> ExteriorIdeal:
     subs = {"beta": Scalar.of(value)}
     return ExteriorIdeal(
         ctx=ideal.ctx,
-        names=ideal.names,
-        generators=tuple(g.map_coefficients(lambda c: c.subs(subs)) for g in ideal.generators),
+        generators={
+            n: g.map_coefficients(lambda c: c.subs(subs)) for n, g in ideal.generators.items()
+        },
         coordinates=ideal.coordinates,
         parameters=ideal.parameters,
     )
@@ -40,18 +41,18 @@ def _with_beta(ideal: ExteriorIdeal, value) -> ExteriorIdeal:
 
 def test_membership_contact_pair(ch_ideal):
     ctx = ch_ideal.ctx
-    phi = ctx.gen("dx").wedge(ch_ideal.generator("xi2"))
+    phi = ctx.gen("dx").wedge(ch_ideal.generators["xi2"])
     witness = ideal_membership(phi, ch_ideal)
     assert witness is not None
-    assert witness.multiplier("xi2") == ctx.gen("dx")
-    assert witness.multiplier("xi1").is_zero
+    assert witness.multipliers["xi2"] == ctx.gen("dx")
+    assert witness.multipliers["xi1"].is_zero
     assert (witness.expand() - phi).is_zero
 
 
 def test_membership_of_zero_is_empty(ch_ideal):
     witness = ideal_membership(ch_ideal.ctx.zero(3), ch_ideal)
     assert witness is not None
-    assert all(m.is_zero for m in witness.multipliers)
+    assert all(m.is_zero for m in witness.multipliers.values())
 
 
 def test_membership_generic_two_form_fails(ch_ideal):
@@ -64,8 +65,7 @@ def test_trivial_ideal_is_closed():
     ctx = chart_context(["x", "t", "u"])
     ideal = ExteriorIdeal(
         ctx=ctx,
-        names=("xi",),
-        generators=(ctx.gen("du").wedge(ctx.gen("dt")),),
+        generators={"xi": ctx.gen("du").wedge(ctx.gen("dt"))},
         coordinates=("x", "t", "u"),
     )
     assert closure_check(ideal).ok
@@ -74,17 +74,17 @@ def test_trivial_ideal_is_closed():
 def test_peakon_ideal_closure_with_symbolic_beta(ch_ideal):
     result = closure_check(ch_ideal)
     assert result.ok
-    for name, witness in result.witnesses:
-        d_gen = ch_ideal.generator(name).d()
+    for name, witness in result.witnesses.items():
+        d_gen = ch_ideal.generators[name].d()
         assert (witness.expand() - d_gen).is_zero
 
 
 def test_first_generator_witness_matches_tabulated_form(ch_ideal):
     result = closure_check(ch_ideal)
-    witness = result.witness("xi1")
-    assert witness.multiplier("xi2") == ch_ideal.ctx.gen("dx")
-    assert witness.multiplier("xi1").is_zero
-    assert witness.multiplier("xi3").is_zero
+    witness = result.witnesses["xi1"]
+    assert witness.multipliers["xi2"] == ch_ideal.ctx.gen("dx")
+    assert witness.multipliers["xi1"].is_zero
+    assert witness.multipliers["xi3"].is_zero
 
 
 def test_second_generator_witness_ideal_equivalent_to_tabulated(ch_ideal):
@@ -93,10 +93,10 @@ def test_second_generator_witness_ideal_equivalent_to_tabulated(ch_ideal):
     ctx = ch_ideal.ctx
     dx = ctx.gen("dx")
     u, q, beta = Scalar(U), Scalar(Q), Scalar(BETA)
-    tabulated = dx.wedge(ch_ideal.generator("xi3")) * (-(1 / u)) + dx.wedge(
-        ch_ideal.generator("xi1")
+    tabulated = dx.wedge(ch_ideal.generators["xi3"]) * (-(1 / u)) + dx.wedge(
+        ch_ideal.generators["xi1"]
     ) * ((1 + beta) * u - q)
-    difference = tabulated - ch_ideal.generator("xi2").d()
+    difference = tabulated - ch_ideal.generators["xi2"].d()
     witness = ideal_membership(difference, ch_ideal)
     assert witness is not None
     assert (witness.expand() - difference).is_zero
@@ -109,35 +109,33 @@ def test_third_generator_tabulated_witness_is_exact(ch_ideal):
     p, beta = Scalar(P), Scalar(BETA)
     one_minus = Scalar.of(1) - beta
     tabulated = (
-        (dq - dx * p).wedge(ch_ideal.generator("xi1"))
-        + dt.wedge(ch_ideal.generator("xi3")) * p
+        (dq - dx * p).wedge(ch_ideal.generators["xi1"])
+        + dt.wedge(ch_ideal.generators["xi3"]) * p
     ) * one_minus
-    assert (tabulated - ch_ideal.generator("xi3").d()).is_zero
+    assert (tabulated - ch_ideal.generators["xi3"].d()).is_zero
 
 
 def test_closure_failure_reported_when_generator_missing(ch_ideal):
     broken = ExteriorIdeal(
         ctx=ch_ideal.ctx,
-        names=("xi1", "xi3"),
-        generators=(ch_ideal.generator("xi1"), ch_ideal.generator("xi3")),
+        generators={"xi1": ch_ideal.generators["xi1"], "xi3": ch_ideal.generators["xi3"]},
         coordinates=ch_ideal.coordinates,
         parameters=ch_ideal.parameters,
     )
     result = closure_check(broken)
     assert not result.ok
-    assert [n for n, _ in result.failures] == ["xi1"]
-    name, residual = result.failures[0]
-    assert residual == ch_ideal.generator("xi1").d()
+    assert list(result.failures) == ["xi1"]
+    assert result.failures["xi1"] == ch_ideal.generators["xi1"].d()
 
 
 def test_section_raw_equations(ch_ideal):
     result = section(ch_ideal)
     u_x, p, p_x, q = sym(jet("u", 1)), sym(jet("p")), sym(jet("p", 1)), sym(jet("q"))
-    assert result.raw[0] == Scalar(u_x - p)
-    assert result.raw[1] == Scalar(p_x - q)
+    assert result.raw["xi1"] == Scalar(u_x - p)
+    assert result.raw["xi2"] == Scalar(p_x - q)
     u, u_t, q_t, q_x = sym(jet("u")), sym(jet("u", 0, 1)), sym(jet("q", 0, 1)), sym(jet("q", 1))
     expected = Scalar(u_t - q_t + u * (u_x - q_x) + BETA * (u - q) * u_x)
-    assert result.raw[2] == expected
+    assert result.raw["xi3"] == expected
 
 
 def test_section_elimination_chain(ch_model, ch_ideal):
@@ -163,8 +161,7 @@ def test_section_cyclic_elimination_rejected(ch_ideal):
 def test_section_generator_order_irrelevant(ch_model, ch_ideal):
     shuffled = ExteriorIdeal(
         ctx=ch_ideal.ctx,
-        names=tuple(reversed(ch_ideal.names)),
-        generators=tuple(reversed(ch_ideal.generators)),
+        generators=dict(reversed(ch_ideal.generators.items())),
         coordinates=ch_ideal.coordinates,
         parameters=ch_ideal.parameters,
     )
@@ -199,8 +196,8 @@ def test_prolongation_zero_connection(ch_ideal):
     zero = ((ZERO, ZERO), (ZERO, ZERO))
     result = prolongation_residual(ConnectionData(F=zero, G=zero), ch_ideal)
     assert result.ok
-    for _, _, witness, _ in result.entries:
-        assert all(m.is_zero for m in witness.multipliers)
+    for witness in result.witnesses.values():
+        assert all(m.is_zero for m in witness.multipliers.values())
 
 
 def test_prolongation_constant_commuting(ch_ideal):
@@ -213,11 +210,11 @@ def test_prolongation_peakon_connection(ch_model, ch_ideal):
     conn = ch_model.connections["lax"]
     result = prolongation_residual(conn, _with_beta(ch_ideal, 2))
     assert result.ok
-    witness = result.witness(1, 0)
+    witness = result.witnesses[1, 0]
     lam = Scalar(LAM)
     u, q = Scalar(U), Scalar(Q)
-    assert witness.multiplier("xi3").as_scalar() == -lam
-    assert witness.multiplier("xi1").as_scalar() == lam * (u - q) + Scalar.of(sp.Rational(1, 4))
+    assert witness.multipliers["xi3"].as_scalar() == -lam
+    assert witness.multipliers["xi1"].as_scalar() == lam * (u - q) + Scalar.of(sp.Rational(1, 4))
 
 
 def test_prolongation_fails_off_the_member(ch_model, ch_ideal):
@@ -245,8 +242,7 @@ def test_prolongation_3x3_matches_hand_curvature():
     du, dx, dt = ctx.gen("du"), ctx.gen("dx"), ctx.gen("dt")
     ideal = ExteriorIdeal(
         ctx=ctx,
-        names=("a", "b"),
-        generators=(du.wedge(dx), du.wedge(dt)),
+        generators={"a": du.wedge(dx), "b": du.wedge(dt)},
         coordinates=("x", "t", "u"),
     )
     f = sp.Matrix([[U, 1, 0], [0, U**2, 1], [1, 0, -U]])
@@ -260,7 +256,7 @@ def test_prolongation_3x3_matches_hand_curvature():
                 + du.wedge(dx) * Scalar(sp.diff(g[i, j], U))
                 + dx.wedge(dt) * Scalar(comm[i, j])
             )
-            assert result.residual(i, j) == expected
+            assert result.residuals[i, j] == expected
     assert not result.ok  # [F, G] has dx^dt parts outside the ideal
     # commuting u-dependent pair: every entry lies in the ideal
     n = sp.Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -269,10 +265,10 @@ def test_prolongation_3x3_matches_hand_curvature():
     e12 = sp.Matrix(3, 3, lambda i, j: int((i, j) == (0, 1)))
     constant = prolongation_residual(_connection(e12, e12.T), ideal)
     assert not constant.ok
-    assert constant.witness(0, 0) is None
-    assert constant.residual(0, 0) == dx.wedge(dt)
-    assert constant.residual(1, 1) == -dx.wedge(dt)
-    assert constant.witness(0, 1) is not None
+    assert constant.witnesses[0, 0] is None
+    assert constant.residuals[0, 0] == dx.wedge(dt)
+    assert constant.residuals[1, 1] == -dx.wedge(dt)
+    assert constant.witnesses[0, 1] is not None
 
 
 def test_curvature_matrix_3x3_matches_hand_curvature():
@@ -300,11 +296,13 @@ def test_curvature_matrix_3x3_matches_hand_curvature():
 def test_zero_curvature_trivial_cases():
     sys = EvolutionSystem.of({"u": sym(jet("u", 1))})
     zero = ((ZERO, ZERO), (ZERO, ZERO))
-    res = zero_curvature_residual(ConnectionData(F=zero, G=zero), sys)
+    raw = curvature_matrix(ConnectionData(F=zero, G=zero), sys.deps)
+    res = zero_curvature_residual(raw, sys)
     assert all(c.is_zero for row in res for c in row)
     a = ((Scalar.of(2), ZERO), (ZERO, Scalar.of(5)))
     b = ((Scalar.of(1), ZERO), (ZERO, Scalar.of(7)))
-    res = zero_curvature_residual(ConnectionData(F=a, G=b), sys)
+    raw = curvature_matrix(ConnectionData(F=a, G=b), sys.deps)
+    res = zero_curvature_residual(raw, sys)
     assert all(c.is_zero for row in res for c in row)
 
 
@@ -314,11 +312,11 @@ def test_zero_curvature_kdv_cross_module(kdv_ideal_model):
     sec = section(ideal, chain)
     sys = extract_section_evolution(sec)
     u, ux, uxxx = sym(jet("u")), sym(jet("u", 1)), sym(jet("u", 3))
-    assert sys.rhs("u") == Scalar(-uxxx - 6 * u * ux)
+    assert sys.rules["u"] == Scalar(-uxxx - 6 * u * ux)
     conn = kdv_ideal_model.connections["lax"].map_entries(
         lambda c: apply_eliminations(c, sec.eliminations, sys.deps)
     )
-    res = zero_curvature_residual(conn, sys)
+    res = zero_curvature_residual(curvature_matrix(conn, sys.deps), sys)
     assert all(c.is_zero for row in res for c in row)
 
 
@@ -331,11 +329,12 @@ def test_zero_curvature_akns_connection(kdv_spec, kdv_system):
         F=((a, b), (c, -a)),
         G=((eta, kdv_spec.q), (kdv_spec.r, -eta)),
     )
-    res = zero_curvature_residual(conn, kdv_system)
+    raw = curvature_matrix(conn, kdv_spec.deps)
+    res = zero_curvature_residual(raw, kdv_system)
     assert all(x.is_zero for row in res for x in row)
+    assert kdv_spec.connection == conn
     # unreduced curvature entries agree with the curvature coefficients
     comps = theta_components(kdv_spec)
-    raw = curvature_matrix(conn, kdv_spec.deps)
     assert raw[0][0] == comps.third_coeff
     assert raw[0][1] == comps.minus_coeff
     assert raw[1][0] == comps.plus_coeff
@@ -356,10 +355,10 @@ def test_mixed_degree_ideal_closes():
     result = closure_check(ideal)
     assert result.ok
     for name in ("th", "om"):
-        witness = result.witness(name)
-        assert (witness.expand() - ideal.generator(name).d()).is_zero
+        witness = result.witnesses[name]
+        assert (witness.expand() - ideal.generators[name].d()).is_zero
     # d(om) needs a two-form multiplier on the one-form th
-    assert result.witness("om").multiplier("th").degree == 2
+    assert result.witnesses["om"].multipliers["th"].degree == 2
 
 
 def test_mixed_degree_ideal_closure_verb(tmp_path, capsys):
@@ -373,8 +372,8 @@ def test_mixed_degree_ideal_sections():
     ideal = parse(MIXED_DEGREE_MODEL).ideals["contact"]
     result = section(ideal)
     p, u = sym(jet("p")), sym(jet("u"))
-    assert result.names == ("th-dx", "th-dt", "om")
-    assert result.raw == (
+    assert tuple(result.raw) == ("th-dx", "th-dt", "om")
+    assert tuple(result.raw.values()) == (
         -p + sym(jet("u", 1)),
         sym(jet("u", 0, 1)),
         -sym(jet("p", 0, 1)) * u,
@@ -387,6 +386,29 @@ def test_mixed_degree_ideal_section_verb(tmp_path, capsys):
     assert main(["section", str(path)]) == 0
     out = capsys.readouterr().out
     assert "raw-th-dx" in out and "raw-th-dt" in out and "raw-om" in out
+
+
+def test_an_unknown_name_raises_key_error(ch_ideal):
+    closure = closure_check(ch_ideal)
+    assert closure.witnesses["xi1"].multipliers["xi2"] == ch_ideal.ctx.gen("dx")
+    with pytest.raises(KeyError):
+        closure.witnesses["xi9"]
+    zero = ((ZERO, ZERO), (ZERO, ZERO))
+    prolonged = prolongation_residual(ConnectionData(F=zero, G=zero), ch_ideal)
+    assert prolonged.residuals[1, 1].is_zero and prolonged.witnesses[1, 1] is not None
+    with pytest.raises(KeyError):
+        prolonged.witnesses[5, 5]
+    with pytest.raises(KeyError):
+        prolonged.residuals[5, 5]
+    u_x, u_xx = sym(jet("u", 1)), sym(jet("u", 2))
+    certificate = is_total_x_derivative(u_x * u_x, ["u"])
+    assert certificate.witnesses["u"] == -2 * u_xx
+    with pytest.raises(KeyError):
+        certificate.witnesses["nope"]
+    system = EvolutionSystem.of({"u": u_xx})
+    assert system.rules["u"] == u_xx
+    with pytest.raises(KeyError):
+        system.rules["v"]
 
 
 def test_section_evolution_refuses_a_second_t_derivative(ch_model, ch_ideal):
