@@ -58,7 +58,10 @@ def _item(name: str, status: str, **extra) -> dict:
 def _witness_payload(witness: we.MembershipWitness | None) -> dict | None:
     if witness is None:
         return None
-    return {name: dsl.print_form(mult) for name, mult in witness.multipliers.items()}
+    return {
+        name: dsl.print_form(mult)
+        for name, mult in witness.multipliers.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +156,11 @@ def _cmd_theta(args) -> tuple:
     ]
     for var, rhs in extraction.system.rules.items():
         items.append(
-            _item(f"evolution-{var}", "extracted", rule=f"{var}_t = {dsl.print_scalar(rhs)}")
+            _item(
+                f"evolution-{var}",
+                "extracted",
+                rule=f"{var}_t = {dsl.print_scalar(rhs)}",
+            )
         )
     for k, c in enumerate(extraction.constraints):
         items.append(
@@ -218,7 +225,8 @@ def _cmd_closure(args) -> tuple:
     items = []
     for name, witness in result.witnesses.items():
         if witness is None:
-            items.append(_item(name, "failed", residual=dsl.print_form(result.failures[name])))
+            d_form = result.failures[name]
+            items.append(_item(name, "failed", residual=dsl.print_form(d_form)))
         else:
             items.append(_item(name, "closed", witness=_witness_payload(witness)))
     return items, None
@@ -272,8 +280,9 @@ def _cmd_prolong(args) -> tuple:
     items = []
     for (i, j), witness in result.witnesses.items():
         if witness is None:
+            z = result.residuals[i, j]
             items.append(
-                _item(f"entry-{i}{j}", "failed", residual=dsl.print_form(result.residuals[i, j]))
+                _item(f"entry-{i}{j}", "failed", residual=dsl.print_form(z))
             )
         else:
             items.append(

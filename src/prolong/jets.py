@@ -124,7 +124,9 @@ class EvolutionSystem:
 
     @staticmethod
     def of(rules) -> "EvolutionSystem":
-        return rules if isinstance(rules, EvolutionSystem) else EvolutionSystem(rules)
+        if isinstance(rules, EvolutionSystem):
+            return rules
+        return EvolutionSystem(rules)
 
     @property
     def deps(self) -> tuple:

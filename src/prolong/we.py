@@ -87,7 +87,10 @@ class MembershipWitness:
     multipliers: dict  # generator name -> Form (may be degree 0), as in the ideal
 
     def expand(self) -> Form:
-        products = [m.wedge(self.ideal.generators[n]) for n, m in self.multipliers.items()]
+        products = [
+            mult.wedge(self.ideal.generators[name])
+            for name, mult in self.multipliers.items()
+        ]
         out = self.ideal.ctx.zero(products[0].degree if products else 0)
         for product in products:
             out = out + product
@@ -192,7 +195,9 @@ def section(ideal: ExteriorIdeal, eliminations: Sequence[tuple] = ()) -> Section
                 raise ValueError(f"cyclic elimination for {var}: {replacement}")
         applied.append((var, replacement))
     reduced = [
-        e for e in (apply_eliminations(e, applied, deps) for e in raw.values()) if not e.is_zero
+        e
+        for e in (apply_eliminations(e, applied, deps) for e in raw.values())
+        if not e.is_zero
     ]
     return SectionResult(
         raw=raw,

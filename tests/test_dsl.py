@@ -150,7 +150,7 @@ def test_fixture_roundtrip_semantics(name):
     assert set(first.ideals) == set(second.ideals)
     for key in first.ideals:
         a_gens, b_gens = first.ideals[key].generators, second.ideals[key].generators
-        assert a_gens.keys() == b_gens.keys()
+        assert list(a_gens) == list(b_gens)
         for a, b in zip(a_gens.values(), b_gens.values()):
             assert (a - b).is_zero
     for key in first.akns:
