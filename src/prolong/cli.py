@@ -14,7 +14,7 @@ import time
 from importlib import resources
 
 from . import conservation, dsl, su2, we
-from .coeff import Scalar
+from .coeff import Scalar, substitute
 from .forms import check_dd_zero
 from .jets import EvolutionSystem, jet_order
 
@@ -255,7 +255,7 @@ def _cmd_section(args) -> tuple:
             _item(f"eliminate-{var}", "applied", rule=f"{var} -> {dsl.print_scalar(replacement)}")
         )
     for k, eq in enumerate(result.reduced):
-        final = eq.subs(subs) if subs else eq
+        final = substitute(eq, subs) if subs else eq
         label = we.named_equation(final)
         payload = _item(f"equation-{k}", "presented", equation=dsl.print_scalar(final))
         if label:
@@ -271,7 +271,7 @@ def _cmd_prolong(args) -> tuple:
     if args.beta is not None:
         substitution = {"beta": _beta_scalar(args.beta)}
         ideal = dataclasses.replace(ideal, generators={
-            n: g.map_coefficients(lambda c: c.subs(substitution))
+            n: g.map_coefficients(lambda c: substitute(c, substitution))
             for n, g in ideal.generators.items()})
     closure = we.closure_check(ideal)
     if not closure.ok:

@@ -51,13 +51,6 @@ product needs them (see the printing section).  The model reader reads
 the text back to the same Scalar.  Reports, error messages and ``repr``
 all use that one text.
 
-sympy is the boundary, and the engine never imports it: ``Scalar(expr)``
-converts a sympy expression once, ``.expr`` gives the sympy expression
-num/den (an atom as sympy's exp(b)), and a sympy expression is accepted
-as an arithmetic operand.  Each imports sympy on first use; no verb of
-the command line reaches any of them, so the command line runs without
-sympy.  Tests and callers outside the engine use them.
-
 Scalar is the one scalar type: a spectral-family coefficient is a Scalar
 too, and :func:`eta_coefficients` reads it as a Laurent polynomial in the
 spectral parameter eta.
@@ -66,9 +59,8 @@ spectral parameter eta.
 from __future__ import annotations
 
 import re
-import sys
 from collections import namedtuple
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import add
@@ -89,7 +81,7 @@ __all__ = [
 
 ETA = "eta"
 
-ScalarLike = Union["Scalar", int, "sympy.Expr"]
+ScalarLike = Union["Scalar", int]
 
 
 class _Gaussian(namedtuple("_Gaussian", "x y")):
@@ -596,31 +588,29 @@ def _unit_of(s: "Scalar"):
     return None
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class Scalar:
     """Immutable exact coefficient, stored as a canonical pair num/den.
 
-    ``Scalar(expr)`` converts a sympy expression (or an int, or a Scalar)
-    once; arithmetic stays on the stored pair.  A name is not an
-    expression: :func:`sym` gives the Scalar of a symbol.
+    ``Scalar(value)`` takes an int, or a Scalar, which it returns as it
+    is; arithmetic stays on the stored pair.  A name is not an
+    expression: :func:`sym` gives the Scalar of a symbol, and the model
+    reader reads expressions.
     """
 
-    value: InitVar[ScalarLike]
-    num: dict = field(init=False)
-    den: dict = field(init=False)
-
-    def __post_init__(self, value):
-        # a Scalar is canonical already and an int needs no reducing
-        canon = _operand(value) if isinstance(value, (Scalar, int)) else _reduce(*_convert(value))
-        object.__setattr__(self, "num", canon.num)
-        object.__setattr__(self, "den", canon.den)
+    num: dict
+    den: dict
 
     # -- construction -----------------------------------------------------
 
-    @staticmethod
-    def of(value: ScalarLike) -> "Scalar":
+    def __new__(cls, value: ScalarLike) -> "Scalar":
         found = _operand(value)
-        return Scalar(value) if found is None else found
+        if found is not None:
+            return found
+        if isinstance(value, str):
+            raise TypeError(f"a Scalar is not read from text: sym({value!r}) is the symbol "
+                            "of that name, and the model reader reads expressions")
+        raise TypeError(f"a Scalar is made from an int or a Scalar, not {value!r}")
 
     @staticmethod
     def rational(p: int, q: int = 1) -> "Scalar":
@@ -706,19 +696,6 @@ class Scalar:
     # -- structure ----------------------------------------------------------
 
     @property
-    def expr(self) -> "sympy.Expr":
-        """The sympy expression num/den, converted once on first use."""
-        expr = self.__dict__.get("_expr")
-        if expr is None:
-            expr = _as_expr(self.num)
-            if not _is_one(self.den):
-                expr = expr / _as_expr(self.den)
-                if self.den.keys() == {()} and self.num.keys() == {()}:
-                    expr = expr.expand()  # a Gaussian rational, as a + b*I
-            object.__setattr__(self, "_expr", expr)
-        return expr
-
-    @property
     def is_zero(self) -> bool:
         return not self.num
 
@@ -771,9 +748,6 @@ class Scalar:
         p, q = _make(num, _ONE), _make(den, _ONE)
         return (derivative(num) * q - p * derivative(den)) / (q * q)
 
-    def subs(self, mapping: Mapping[str, ScalarLike]) -> "Scalar":
-        return substitute(self, mapping)
-
     def __eq__(self, other) -> bool:
         other = _operand(other)
         if other is None:
@@ -783,7 +757,12 @@ class Scalar:
     def __hash__(self) -> int:
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((frozenset(self.num.items()), frozenset(self.den.items())))
+            num = self.num
+            if _is_one(self.den) and num.keys() <= {()} and not num.get((), _UNIT).y:
+                # an integer hashes as the int it equals
+                h = hash(num[()].x if num else 0)
+            else:
+                h = hash((frozenset(num.items()), frozenset(self.den.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -795,100 +774,25 @@ class Scalar:
 
 
 def _operand(value) -> Scalar | None:
-    """value as a Scalar, for a Scalar, an int or a sympy expression.  For
-    anything else (a Form, say) the operators return NotImplemented, so
-    Python tries the other operand.  Only a caller that imported sympy
-    can hold a sympy expression, so sympy is looked up, not imported."""
+    """value as a Scalar, for a Scalar or an int.  For anything else (a
+    Form, say) the operators return NotImplemented, so Python tries the
+    other operand."""
     if isinstance(value, Scalar):
         return value
     if isinstance(value, int):
         return _make(_ground(value), _ONE)
-    sympy = sys.modules.get("sympy")
-    if sympy is not None and isinstance(value, sympy.Expr):
-        return Scalar(value)
     return None
 
 
-ZERO = Scalar.of(0)
-ONE = Scalar.of(1)
+ZERO = Scalar(0)
+ONE = Scalar(1)
 I = _make({(): _Gaussian(0, 1)}, _ONE)
 
 
-def _generator(name: str) -> dict:
-    """The polynomial of the symbol named name, registering it."""
-    _GENS.add_symbol(name)
-    return {((name, 1),): _UNIT}
-
-
 def sym(name: str) -> Scalar:
-    """The Scalar of the symbol named name."""
-    return _make(_generator(name), _ONE)
-
-
-def _as_expr(poly: dict) -> "sympy.Expr":
-    """poly as a sympy expression: a name as its Symbol, an atom as
-    sympy's exp(b)."""
-    import sympy as sp
-
-    def gen(g: str) -> sp.Expr:
-        atom = _GENS.exponents.get(g)
-        return sp.Symbol(g) if atom is None else sp.exp(atom.expr)
-
-    return sp.Add(*((c.x + sp.I * c.y) * sp.Mul(*(gen(g) ** e for g, e in m))
-                    for m, c in poly.items()))
-
-
-def _convert(value) -> tuple:
-    """(num, den) of a sympy expression, not yet reduced."""
-    if isinstance(value, str):
-        raise TypeError(f"a Scalar is not read from text: sym({value!r}) is the symbol "
-                        "of that name, and the model reader reads expressions")
-    import sympy as sp
-
-    expr = sp.sympify(value)
-    if expr.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
-        raise ZeroDivisionError(f"scalar normalizes to an undefined value: {expr}")
-    atoms = {a: exp_atom(Scalar(a.args[0])) for a in expr.atoms(sp.exp)}
-    if expr.has(sp.E):  # sympy evaluates exp(1) to E, which is no exp
-        atoms[sp.E] = exp_atom(1)
-
-    def walk(e) -> tuple:
-        if e.is_Symbol:
-            return _generator(e.name), _ONE
-        if e.is_Integer:
-            return _ground(int(e)), _ONE
-        if e.is_Rational:
-            return _ground(e.p), _ground(e.q)
-        if e is sp.I:
-            return I.num, _ONE
-        if e in atoms:
-            return atoms[e].num, atoms[e].den
-        if e.is_Add:
-            num, den = {}, _ONE
-            for arg in e.args:
-                n, d = walk(arg)
-                if d == den:
-                    num = _plus(num, n)
-                else:
-                    num, den = _plus(_times(num, d), _times(n, den)), _times(den, d)
-            return num, den
-        if e.is_Mul:
-            num, den = _ONE, _ONE
-            for arg in e.args:
-                n, d = walk(arg)
-                num, den = _times(num, n), _times(den, d)
-            return num, den
-        if e.is_Pow and e.exp.is_Integer:
-            n, d = walk(e.base)
-            k = int(e.exp)
-            if k < 0:
-                if not n:
-                    raise ZeroDivisionError(f"scalar normalizes to an undefined value: {expr}")
-                n, d, k = d, n, -k
-            return _power(n, k), _power(d, k)
-        raise ValueError(f"not an exact rational scalar: {expr}")
-
-    return walk(expr)
+    """The Scalar of the symbol named name, registering it."""
+    _GENS.add_symbol(name)
+    return _make({((name, 1),): _UNIT}, _ONE)
 
 
 def exp_atom(s: ScalarLike) -> Scalar:
@@ -901,7 +805,7 @@ def exp_atom(s: ScalarLike) -> Scalar:
     refused, since its relation to E is not polynomial: exp(y/3) after
     exp(y), or exp(y/3) after exp(y/2).
     """
-    s = Scalar.of(s)
+    s = Scalar(s)
     out = ONE
     for monom, coeff in s.num.items():
         term = _reduce({monom: coeff}, s.den)
@@ -946,13 +850,13 @@ def substitute(e: ScalarLike, bindings: Mapping[str, ScalarLike]) -> Scalar:
     """
     if not all(isinstance(name, str) for name in bindings):
         raise TypeError(f"substitute binds symbols by name: {list(bindings)}")
-    e = Scalar.of(e)
+    e = Scalar(e)
     images = {}
     for g in _used(e.num, e.den):
         atom = _GENS.exponents.get(g)
         if atom is None:
             if g in bindings:
-                images[g] = Scalar.of(bindings[g])
+                images[g] = Scalar(bindings[g])
         elif not atom._symbols().isdisjoint(bindings):
             images[g] = exp_atom(substitute(atom, bindings))
     if not images:
@@ -993,7 +897,7 @@ def eta_coefficients(e: ScalarLike) -> dict:
     The coefficients are nonzero eta-free Scalars; zero gives {}.  The
     denominator must be a monomial in eta times an eta-free part.
     """
-    e = Scalar.of(e)
+    e = Scalar(e)
     if e.is_zero:
         return {}
     used = _used(e.num, e.den)

@@ -457,7 +457,7 @@ class _Parser:
     def atom(self):
         tok = self.advance()
         if tok.kind == "int":
-            return Scalar.of(int(tok.text))
+            return Scalar(int(tok.text))
         if tok.kind == "op" and tok.text == "(":
             value = self.expression()
             self.expect("op", ")")
@@ -552,7 +552,7 @@ def parse_path(path) -> ModelFile:
 
 def print_scalar(value: Scalar) -> str:
     """The text of a scalar (``str`` of a Scalar)."""
-    return str(Scalar.of(value))
+    return str(Scalar(value))
 
 
 def print_form(f: Form) -> str:

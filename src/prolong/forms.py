@@ -180,7 +180,7 @@ class DerivationContext:
         return Form(self, degree, {})
 
     def scalar_form(self, value) -> "Form":
-        c = Scalar.of(value)
+        c = Scalar(value)
         return Form(self, 0, {(): c} if not c.is_zero else {})
 
     def gen(self, name: str) -> "Form":
@@ -189,7 +189,7 @@ class DerivationContext:
 
     def d_scalar(self, value) -> "Form":
         """Differential of a degree-0 coefficient as a one-form."""
-        parts = self.coefficient_differential(Scalar.of(value))
+        parts = self.coefficient_differential(Scalar(value))
         return Form(self, 1, {(idx,): part for idx, part in parts})
 
     def coefficient_differential(self, c: Scalar):
@@ -253,7 +253,7 @@ class Form:
         degrees = self.ctx._degrees
         cleaned: dict = {}
         for mono, coeff in self.terms.items():
-            coeff = Scalar.of(coeff)
+            coeff = Scalar(coeff)
             if coeff.is_zero:
                 continue
             total = sum(degrees[i] for i in mono)
@@ -298,7 +298,7 @@ class Form:
     def __mul__(self, scalar) -> "Form":
         if isinstance(scalar, Form):
             return self.wedge(scalar)
-        c = Scalar.of(scalar)
+        c = Scalar(scalar)
         return Form(self.ctx, self.degree, {m: v * c for m, v in self.terms.items()})
 
     __rmul__ = __mul__

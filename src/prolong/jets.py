@@ -59,7 +59,7 @@ def split_jet(name: str) -> tuple | None:
 def jet_order(e: Scalar, deps: Sequence[str]) -> int:
     """Highest derivative count appearing for any of the given variables."""
     peak = 0
-    for s in Scalar.of(e).free_symbols():
+    for s in Scalar(e).free_symbols():
         parts = split_jet(s)
         if parts and parts[0] in deps:
             peak = max(peak, parts[1] + parts[2])
@@ -70,7 +70,7 @@ def total_derivative(e: Scalar, direction: str, deps: Sequence[str]) -> Scalar:
     """Chain-rule total derivative D_x or D_t, promoting jet symbols."""
     if direction not in ("x", "t"):
         raise ValueError(f"direction must be 'x' or 't', got {direction!r}")
-    e = Scalar.of(e)
+    e = Scalar(e)
     out = e.diff(X if direction == "x" else T)
     for s in e.free_symbols():
         parts = split_jet(s)
@@ -84,7 +84,7 @@ def total_derivative(e: Scalar, direction: str, deps: Sequence[str]) -> Scalar:
 
 def total_derivatives(e: Scalar, nx: int, nt: int, deps: Sequence[str]) -> Scalar:
     """D_x^nx D_t^nt e."""
-    out = Scalar.of(e)
+    out = Scalar(e)
     for _ in range(nx):
         out = total_derivative(out, "x", deps)
     for _ in range(nt):
@@ -95,7 +95,7 @@ def total_derivatives(e: Scalar, nx: int, nt: int, deps: Sequence[str]) -> Scala
 def substitute_jets(e: Scalar, image) -> Scalar:
     """Replace every jet symbol of e by image(var, nx, nt) in one
     simultaneous substitution; a symbol whose image is None stays."""
-    e = Scalar.of(e)
+    e = Scalar(e)
     bindings = {}
     for s in e.free_symbols():
         parts = split_jet(s)
@@ -114,7 +114,7 @@ class EvolutionSystem:
     def __post_init__(self):
         frozen = {}
         for var, rhs in dict(self.rules).items():
-            rhs = Scalar.of(rhs)
+            rhs = Scalar(rhs)
             for s in rhs.free_symbols():
                 parts = split_jet(s)
                 if parts and parts[2] > 0:
@@ -140,7 +140,7 @@ def solve_for_t_derivative(e: Scalar) -> tuple | None:
     is a first t-derivative var_t, and e is linear in it with a nonzero
     slope free of it.
     """
-    e = Scalar.of(e)
+    e = Scalar(e)
     t_syms = [(s, parts) for s in e.free_symbols() if (parts := split_jet(s)) and parts[2] > 0]
     if len(t_syms) != 1:
         return None
@@ -189,7 +189,7 @@ def euler_operator(e: Scalar, var: str, deps: Sequence[str] | None = None) -> Sc
 
     Annihilates exactly the total x-derivatives on the polynomial fragment.
     """
-    e = Scalar.of(e)
+    e = Scalar(e)
     if deps is None:
         deps = sorted({p[0] for s in e.free_symbols() if (p := split_jet(s))})
     if var not in deps:
@@ -218,7 +218,7 @@ class TotalDerivativeCertificate:
 
 
 def is_total_x_derivative(e: Scalar, deps: Sequence[str]) -> TotalDerivativeCertificate:
-    e = Scalar.of(e)
+    e = Scalar(e)
     bad = {}
     for var in deps:
         w = euler_operator(e, var, deps)

@@ -23,7 +23,7 @@ def solve_linear(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]):
     """Solve A z = b exactly; returns a list of Scalars or None if
     inconsistent.  Free unknowns are set to zero."""
     ncols = len(matrix[0]) if matrix else 0
-    rows = [[Scalar.of(c) for c in row] + [Scalar.of(b)] for row, b in zip(matrix, rhs)]
+    rows = [[Scalar(c) for c in row] + [Scalar(b)] for row, b in zip(matrix, rhs)]
     pivots: list = []
     for col in range(ncols + 1):
         top = len(pivots)

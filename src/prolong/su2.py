@@ -488,7 +488,7 @@ class AKNSSpec:
     def __post_init__(self):
         object.__setattr__(self, "deps", tuple(self.deps))
         for label in ("r", "q", "A", "B", "C"):
-            object.__setattr__(self, label, Scalar.of(getattr(self, label)))
+            object.__setattr__(self, label, Scalar(getattr(self, label)))
         for label in ("A", "B", "C"):
             eta_coefficients(getattr(self, label))
         for label in ("r", "q"):

@@ -247,8 +247,8 @@ class ConnectionData:
     G: tuple  # rows of Scalars, the dx side
 
     def __post_init__(self):
-        f_rows = tuple(tuple(Scalar.of(c) for c in row) for row in self.F)
-        g_rows = tuple(tuple(Scalar.of(c) for c in row) for row in self.G)
+        f_rows = tuple(tuple(Scalar(c) for c in row) for row in self.F)
+        g_rows = tuple(tuple(Scalar(c) for c in row) for row in self.G)
         n = len(f_rows)
         for rows in (f_rows, g_rows):
             if len(rows) != n or any(len(r) != n for r in rows):
@@ -326,7 +326,7 @@ def zero_curvature_residual(raw: tuple, sys: EvolutionSystem) -> tuple:
 def apply_eliminations(e: Scalar, chain: Sequence[tuple], deps: Sequence[str]) -> Scalar:
     """Apply an already-staged elimination chain to a jet expression: each
     step replaces every jet var_(x^nx t^nt) by D_x^nx D_t^nt replacement."""
-    out = Scalar.of(e)
+    out = Scalar(e)
     for var, replacement in chain:
         out = substitute_jets(
             out,

@@ -40,14 +40,14 @@ def _random_monomial(rng, symbols, atoms) -> Scalar:
 def _random_polynomial(rng, terms: int, symbols, atoms) -> Scalar:
     p = ZERO
     for _ in range(terms):
-        c = _random_gaussian(rng) if rng.random() < 0.3 else Scalar.of(rng.randint(-5, 5))
+        c = _random_gaussian(rng) if rng.random() < 0.3 else Scalar(rng.randint(-5, 5))
         p = p + c * _random_monomial(rng, symbols, atoms)
     return p
 
 
 def _denominator(rng, shape: str, symbols, atoms) -> Scalar:
     if shape == "integer":
-        return Scalar.of(rng.randint(2, 7))
+        return Scalar(rng.randint(2, 7))
     if shape == "gaussian":
         return _random_gaussian(rng)
     if shape == "monomial":

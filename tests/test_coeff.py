@@ -30,13 +30,16 @@ from prolong.coeff import (
 )
 from prolong.dsl import parse, print_scalar
 
+from scalar_corpus import NAMES, corpus, exponents
+from sympy_bridge import from_sympy, to_sympy
+
 y1, y2, y3, y5 = sym("y1"), sym("y2"), sym("y3"), sym("y5")
 q, r = sym("q"), sym("r")
 
 
 def test_imaginary_unit_squares_to_minus_one():
     assert I * I + 1 == ZERO
-    assert (I * I).expr == -1
+    assert I * I == from_sympy(-1)
 
 
 def test_repr_and_str_write_the_printed_text():
@@ -49,7 +52,7 @@ def test_gcd_cancellation():
 
 
 def test_exponential_inverse_pair():
-    assert exp_atom(y5) * exp_atom(-y5) == Scalar.of(1)
+    assert exp_atom(y5) * exp_atom(-y5) == Scalar(1)
 
 
 def test_exponential_inverse_pair_is_one_and_hashes_as_one():
@@ -63,7 +66,7 @@ def test_exponential_atoms_share_a_generator():
     assert exp_atom(-y5).denominator == exp_atom(y5)
     assert exp_atom(2 * y5) == exp_atom(y5) ** 2
     assert exp_atom(y5 + y1) == exp_atom(y5) * exp_atom(y1)
-    assert exp_atom(-y5).expr == sp.exp(-sp.Symbol("y5"))
+    assert exp_atom(-y5) == from_sympy(sp.exp(-sp.Symbol("y5")))
 
 
 # Atoms are registered process-wide, so each order test uses symbols of its own.
@@ -74,7 +77,7 @@ def test_exponential_atom_after_a_finer_one_is_its_power():
     third = exp_atom(c / 3)
     assert exp_atom(c) == third**3
     assert exp_atom(-2 * c) == third**-6
-    assert exp_atom(c).expr == sp.exp(sp.Symbol("c_fine_first"))
+    assert exp_atom(c) == from_sympy(sp.exp(sp.Symbol("c_fine_first")))
     assert exp_atom(c).diff("c_fine_first") == exp_atom(c)
     assert exp_atom(2 * c / 3) == third**2
 
@@ -105,18 +108,17 @@ def test_normalize_idempotent_on_samples():
         (y1 / y2 + y2 / y1),
     ]
     for s in samples:
-        assert Scalar.of(s) == Scalar.of(Scalar.of(s))
-        assert Scalar.of(s).expr == Scalar.of(Scalar.of(s)).expr
+        assert Scalar(s) is s and Scalar(Scalar(s)) is s
         # the canonical form is a fixed point, so stored scalars can be
         # moved between containers without canonicalising them again
-        assert Scalar(s.expr).expr == s.expr
+        assert from_sympy(to_sympy(s)) == s
 
 
 def test_non_monomial_denominator_reduces():
     s = (y1**2 - y2**2) / (y1 - y2)
     assert s == y1 + y2
     assert s.denominator == ONE
-    assert s.expr == sp.Symbol("y1") + sp.Symbol("y2")
+    assert s == from_sympy(sp.Symbol("y1") + sp.Symbol("y2"))
 
 
 @pytest.mark.parametrize(
@@ -126,16 +128,38 @@ def test_non_monomial_denominator_reduces():
 )
 def test_gaussian_rational_constant_prints_as_cancel_gives(value, printed):
     # the text is the stored pair, its denominator in the first quadrant;
-    # .expr expands it to a + b*i, the form sympy's cancel gives
+    # sympy's cancel gives the same value as a + b*i
     assert print_scalar(value) == printed
     assert parse(f"scalars y\nlet v = {printed}\n").lets["v"] == value
-    assert value.expr == sp.cancel(value.expr)
+    assert from_sympy(sp.cancel(to_sympy(value))) == value
 
 
-def test_boundary_reads_sympys_e_as_the_atom_exp_1():
+def test_the_bridge_reads_sympys_e_as_the_atom_exp_1():
     # sympy evaluates exp(1) to E, which is not an exp
-    assert Scalar(exp_atom(1).expr) == exp_atom(1)
-    assert Scalar(2 * sp.E / y1.expr) == 2 * exp_atom(1) / y1
+    assert to_sympy(exp_atom(1)) is sp.E
+    assert from_sympy(to_sympy(exp_atom(1))) == exp_atom(1)
+    assert from_sympy(2 * sp.E / to_sympy(y1)) == 2 * exp_atom(1) / y1
+
+
+@pytest.mark.parametrize("expr", [sp.zoo, sp.nan, sp.oo, -sp.oo, sp.sqrt(sp.Symbol("y1")),
+                                  sp.Float(1.5)])
+def test_the_bridge_refuses_what_is_not_an_exact_rational_scalar(expr):
+    with pytest.raises(ValueError, match="not an exact rational scalar"):
+        from_sympy(expr)
+
+
+def test_the_bridge_binds_every_name_sympy_would_capture():
+    names = [sym(n) for n in ("beta", "E", "I", "S", "N")]
+    value = sum(names[1:], names[0] * exp_atom(1)) / (1 + 2 * I)
+    assert {str(s) for s in to_sympy(value).free_symbols} == {"beta", "E", "I", "S", "N"}
+    assert from_sympy(to_sympy(value)) == value
+
+
+_CORPUS = corpus(5, 300, [sym(n) for n in NAMES], [exp_atom(e) for e in exponents()])
+
+
+def test_the_bridge_round_trips_the_seeded_corpus():
+    assert [s for s in _CORPUS if from_sympy(to_sympy(s)) != s] == []
 
 
 def test_value_built_before_ring_growth_equals_value_built_after():
@@ -185,10 +209,27 @@ def test_substitute_zero_denominator():
 
 
 def test_a_name_is_not_read_as_an_expression():
-    # sympify would evaluate the text, a call included
-    for build in (Scalar, Scalar.of):
-        with pytest.raises(TypeError, match=r"sym\('__import__"):
-            build('__import__("os").getcwd()')
+    with pytest.raises(TypeError, match=r"sym\('__import__"):
+        Scalar('__import__("os").getcwd()')
+
+
+def test_a_scalar_is_made_from_an_int_or_a_scalar_only():
+    for value in (sp.Symbol("x"), sp.Integer(3), 1.5, None):
+        with pytest.raises(TypeError, match="an int or a Scalar"):
+            Scalar(value)
+    with pytest.raises(TypeError):
+        q + sp.Symbol("q")
+    with pytest.raises(AttributeError):
+        q.num = {}
+
+
+@given(st.integers())
+@example(0)
+@example(-1)
+@example(-2)
+def test_a_scalar_equal_to_an_int_hashes_as_the_int(n):
+    assert Scalar(n) == n and hash(Scalar(n)) == hash(n)
+    assert n in {Scalar(n)} and Scalar(n) in {n}
 
 
 def test_a_symbol_is_named_by_its_name_not_a_sympy_symbol():
@@ -222,7 +263,7 @@ def _scalars(*atoms):
     def total(terms) -> Scalar:
         out = ZERO
         for c, factors in terms:
-            term = Scalar.of(c)
+            term = Scalar(c)
             for factor in factors:
                 term = term * factor
             out = out + term
@@ -243,7 +284,7 @@ def test_ring_axioms_randomized(a, b, c):
 @given(_scalars(y1, y2, q))
 def test_inverse_of_nonzero_randomized(e):
     assume(not e.is_zero)
-    assert e * (1 / e) == Scalar.of(1)
+    assert e * (1 / e) == Scalar(1)
 
 
 @settings(max_examples=500)
@@ -251,12 +292,20 @@ def test_inverse_of_nonzero_randomized(e):
 def test_two_evaluation_orders_same_canonical_form(parts):
     left = ((parts[0] + parts[1]) + parts[2]) + parts[3]
     right = parts[0] + (parts[1] + (parts[2] + parts[3]))
-    assert left.expr == right.expr
+    assert to_sympy(left) == to_sympy(right)
     assert (left.num, left.den) == (right.num, right.den)
     prod_left = ((parts[0] * parts[1]) * parts[2]) * parts[3]
     prod_right = parts[0] * ((parts[1] * parts[2]) * parts[3])
-    assert prod_left.expr == prod_right.expr
+    assert to_sympy(prod_left) == to_sympy(prod_right)
     assert (prod_left.num, prod_left.den) == (prod_right.num, prod_right.den)
+
+
+@settings(max_examples=300)
+@given(_scalars(y1, y2, q, I, exp_atom(y5)), _scalars(y1, q, I, exp_atom(-y5)))
+def test_the_bridge_round_trips_drawn_scalars(a, b):
+    assume(not b.is_zero)
+    assert from_sympy(to_sympy(a)) == a
+    assert from_sympy(to_sympy(a / b)) == a / b
 
 
 def test_eta_coefficients_roundtrip():
@@ -264,7 +313,7 @@ def test_eta_coefficients_roundtrip():
     value = 4 * eta**2 + q * eta + y1 + y2 / eta
     coeffs = eta_coefficients(value)
     assert list(coeffs) == [-1, 0, 1, 2]
-    assert coeffs[2] == Scalar.of(4)
+    assert coeffs[2] == Scalar(4)
     assert coeffs[-1] == y2
     assert 7 not in coeffs
     total = ZERO

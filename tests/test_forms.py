@@ -143,7 +143,7 @@ _ONE_FORMS = st.lists(
 def _one_form(sc, recipe) -> Form:
     out = sc.ctx.zero(1)
     for c, y, gen in recipe:
-        out = out + sc.ctx.gen(gen) * (Scalar.of(c) if y is None else c * sc.y[y])
+        out = out + sc.ctx.gen(gen) * (Scalar(c) if y is None else c * sc.y[y])
     return out
 
 

@@ -158,7 +158,6 @@ def test_golden_without_cancel_or_powsimp(argv, problems_without_sympy):
     """The engine reduces, solves, takes gcds and prints on its own stored
     polynomial pairs, so a verb run reproduces its golden report with
     sympy never imported: not by ``import prolong.cli``, not by any verb
-    (which leaves no room for sympy's cancel, powsimp, printer or
-    ``Scalar.expr``)."""
+    (which leaves no room for sympy's cancel, powsimp or printer)."""
     assert golden_path(argv).stem not in problems_without_sympy, (
         problems_without_sympy[golden_path(argv).stem])

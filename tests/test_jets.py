@@ -114,7 +114,7 @@ def _polys(*symbols):
     def total(terms) -> Scalar:
         out = ZERO
         for c, factors in terms:
-            term = Scalar.of(c)
+            term = Scalar(c)
             for factor in factors:
                 term = term * factor
             out = out + term

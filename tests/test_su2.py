@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import pytest
-import sympy as sp
 
-from prolong.coeff import ETA, I, Scalar, ZERO, sym
+from prolong.coeff import ETA, I, Scalar, ZERO, substitute, sym
 from prolong.forms import MatrixForm
 from prolong.jets import jet
 from prolong.su2 import (
@@ -100,7 +99,7 @@ def test_exchange_symmetry_xi3_xi4(sc, su2_forms):
             "dy1": sc.dy[2],
             "dy2": sc.dy[1],
         }
-    ).map_coefficients(lambda c: c.subs(swap))
+    ).map_coefficients(lambda c: substitute(c, swap))
     assert mapped == su2_forms.xi[4]
 
 
@@ -161,7 +160,7 @@ def test_theta_generic_components(generic_spec):
 def test_theta_substitution_example(generic_spec):
     # dropping the r and B channels leaves the pure derivative part
     comps = theta_components(generic_spec)
-    reducedv = comps.third_coeff.subs({jet("r"): ZERO, jet("B"): ZERO})
+    reducedv = substitute(comps.third_coeff, {jet("r"): ZERO, jet("B"): ZERO})
     assert reducedv == sym(jet("A", 1)) - sym(jet("q")) * sym(jet("C"))
 
 
@@ -210,7 +209,7 @@ def test_surface_zero_rotation_gives_flat():
     u = sym(jet("u"))
     w2 = dx * u
     w3 = dx * u
-    w1 = dt * Scalar.of(1)
+    w1 = dt * Scalar(1)
     data = surface_data(w1, w2, w3)
     assert not data.degenerate
     assert data.curvature == ZERO
