@@ -4,52 +4,55 @@ Scalars are rational functions of declared symbols over the Gaussian
 rationals, optionally containing exponential atoms exp(s) of degree-0
 symbols.  No floating point enters anywhere.
 
-A generator is its text: a symbol's name, or ``exp(<exponent>)`` for an
-atom.  A Scalar stores a canonical pair ``num/den`` of sparse
-polynomials, each a dict ``{monomial: coefficient}`` of nonzero Gaussian
-integers (immutable ``(x, y)`` pairs standing for x + y*i), a monomial
-being the sorted tuple of the ``(generator, exponent)`` pairs it holds.
-A monomial names only its own generators, so no value changes when a
-generator is registered.  The two share no factor, not even a
-Gaussian-integer content, and the leading coefficient of ``den`` lies in
-the first quadrant (its canonical unit), the leading term taken in lex
-order over the generators ranked by their text, with the key sympy's
-polynomial constructors sort generators by: first the text without its
-trailing digits (the single letters x, y, z, then p to w, then a to o,
-then any other text in text order), then the trailing-digit index
-(``y2`` before ``y10``), then the whole text (``y1`` before ``y01``).
-The pair is unique, so equality compares the stored pairs.  When ``den``
-is a single term, as nearly every denominator the bundled workloads
-produce is, reducing needs no polynomial gcd: dividing out the minimum
-exponent of each variable and the content gcd suffices.  Any other
-``den`` goes through a polynomial gcd on dense exponent vectors: the
-heuristic gcd of Char, Geddes and Gonnet (1989) on Python integers when
-no coefficient has an imaginary part, else the subresultant polynomial
-remainder sequence (Brown and Traub 1971), recursive in the variables.
+A generator is its text: a symbol's name, an identifier, or
+``exp(<exponent>)`` for an atom, so no symbol shares an atom's text.  A
+Scalar stores a canonical pair ``num/den`` of sparse polynomials, each a
+dict ``{monomial: coefficient}`` of nonzero Gaussian integers (immutable
+``(x, y)`` pairs standing for x + y*i), a monomial being the sorted tuple
+of the ``(generator, exponent)`` pairs it holds, a symbol's exponent a
+positive int and an atom's a positive rational.  The two share no
+factor, not even a Gaussian-integer content, and the leading coefficient
+of ``den`` lies in the first quadrant (its canonical unit), the leading
+term taken in lex order over the generators ranked by their text, with
+the key sympy's polynomial constructors sort generators by: first the
+text without its trailing digits (the single letters x, y, z, then p to
+w, then a to o, then any other text in text order), then the
+trailing-digit index (``y2`` before ``y10``), then the whole text
+(``y1`` before ``y01``).  The pair is unique, so equality compares the
+stored pairs.  When ``den`` is a single term, as nearly every
+denominator the bundled workloads produce is, reducing needs no
+polynomial gcd: dividing out the minimum exponent of each variable and
+the content gcd suffices.  Any other ``den`` goes through a polynomial
+gcd on dense exponent vectors: the heuristic gcd of Char, Geddes and
+Gonnet (1989) on Python integers when no coefficient has an imaginary
+part, else the subresultant polynomial remainder sequence (Brown and
+Traub 1971), recursive in the variables.
 
-Each exponential atom is a generator ``E`` standing for exp(b) with
-dE/dz = E * db/dz.  exp(s) splits into one factor per term of s, each an
-integer power of an atom whose exponent b has primitive, sign-normalised
-coefficients, so exp(-y5) is the monomial denominator 1/E and exp(y5)
-and exp(2*y5) share one generator.  A symbol may not share its name with
-an atom's text.
+There is one exponential atom E = exp(p) for each direction p, an
+exponent whose coefficients are primitive and sign-normalised, and
+dE/dz = E * dp/dz.  exp(s) splits into one factor per term of s, each
+term r*p with r rational giving the power E**r, so exp(-y5) is the
+monomial denominator 1/E, and exp(y5), exp(2*y5) and exp(y5/3) are
+powers of one generator, whatever order they appear in.  The polynomial
+gcd reads an atom's powers as the integer powers of E**(1/L), L the lcm
+of their denominators; substituting F**L for E maps gcds to gcds, so
+that is exact.
 
-The generator table (the registered texts and the exponential atoms) is
-one per process, not one per context, because values cross contexts
-(generator pullbacks, jet substitutions, parameter bindings).  It grows
-as symbols and atoms appear (jet symbols such as ``u_xxxxx`` appear while
-a verb runs).  The generator order needs no table: it is the sort key of
-each text, which ends with the text itself, so no two texts tie and no
-order depends on what was registered.
+The one table maps an atom's text to its exponent p.  It caches a pure
+function of its key, since ``str`` is injective on canonical Scalars, so
+no value or order depends on what it holds.  The generator order is the
+sort key of each text, which ends with the text itself, so no two texts
+tie.
 
 A Scalar prints its stored pair itself, with exact comparisons only:
 ``str`` writes the terms of ``num``, then of ``den``, in descending lex
 order over the generator order that fixes the canonical unit, each a
 Gaussian-integer coefficient ``a``, ``b*i`` or ``(a + b*i)`` times the
-generators' texts, as ``num/den`` with parentheses only where a sum or a
-product needs them (see the printing section).  The model reader reads
-the text back to the same Scalar.  Reports, error messages and ``repr``
-all use that one text.
+generators' texts (the power E**r of the atom exp(p) as ``exp(p)**r``
+for an integer r, else as ``exp(<r*p>)``), as ``num/den`` with
+parentheses only where a sum or a product needs them (see the printing
+section).  The model reader reads the text back to the same Scalar.
+Reports, error messages and ``repr`` all use that one text.
 
 Scalar is the one scalar type: a spectral-family coefficient is a Scalar
 too, and :func:`eta_coefficients` reads it as a Laurent polynomial in the
@@ -62,7 +65,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import add
 from typing import Mapping, Union
 
@@ -111,10 +114,10 @@ class _Gaussian(namedtuple("_Gaussian", "x y")):
     __rmul__ = __mul__  # an int times a Gaussian raises instead of repeating the tuple
 
     def __pow__(self, k: int) -> "_Gaussian":
-        out = _UNIT
-        for _ in range(k):
-            out = out * self
-        return out
+        if k < 2:
+            return self if k else _UNIT
+        half = self ** (k // 2)  # by squaring, so a large k costs about log(k) products
+        return half * half * self if k & 1 else half * half
 
 
 _new = tuple.__new__
@@ -134,32 +137,8 @@ def _generator_key(text: str) -> tuple:
     return _LETTERS.get(name, len(_LETTERS)), name, int(index or 0), text
 
 
-class _Generators:
-    """The texts of every registered generator and the exponential atoms."""
-
-    def __init__(self):
-        self.texts: set = set()
-        self.exponents: dict = {}  # atom text -> exponent b of exp(b)
-        self.atoms: dict = {}  # primitive exponent -> (denominator, atom text)
-
-    def add_symbol(self, name: str) -> None:
-        if name not in self.texts:
-            self.texts.add(name)
-        elif name in self.exponents:
-            raise ValueError(f"{name} is the text of an exponential atom, not a symbol")
-
-    def add_atom(self, direction: "Scalar", denominator: int) -> tuple:
-        exponent = direction / Scalar.rational(denominator)
-        text = f"exp({exponent})"
-        if text in self.texts:
-            raise ValueError(f"the exponential atom {text} has the name of a symbol")
-        self.texts.add(text)
-        self.exponents[text] = exponent
-        self.atoms[direction] = known = (denominator, text)
-        return known
-
-
-_GENS = _Generators()
+# atom text -> its exponent p, the direction of the atom exp(p)
+_EXPONENTS: dict = {}
 
 
 # -- sparse polynomials ------------------------------------------------------
@@ -237,6 +216,16 @@ def _derivative(poly: dict, g: str) -> dict:
                 out[m[:k] + (((h, e - 1),) if e > 1 else ()) + m[k + 1:]] = _Gaussian(c.x * e, c.y * e)
                 break
     return out
+
+
+def _weighted(poly: dict, g: str) -> "Scalar":
+    """E * d(poly)/dE for the atom E of text g: each term of poly times
+    its power of E."""
+    powers = {m: dict(m).get(g, 0) for m in poly}
+    scale = lcm(*(r.denominator for r in powers.values()))
+    out = _make({m: _Gaussian(c.x * k, c.y * k) for m, c in poly.items()
+                 if (k := int(powers[m] * scale))}, _ONE)
+    return out if scale == 1 else out / scale
 
 
 def _quotient(monom: tuple, divisor: tuple) -> tuple:
@@ -356,11 +345,19 @@ def _cofactors(num: dict, den: dict) -> tuple:
     of 3-5 variables and 15-25 terms it takes seconds where the heuristic
     takes milliseconds."""
     gens = sorted(_used(num, den))
-    f = {tuple(_exponents(m, gens)): c for m, c in num.items()}
-    g = {tuple(_exponents(m, gens)): c for m, c in den.items()}
+    # an atom's rational powers as the integer powers of E**(1/L), L the
+    # lcm of their denominators
+    scales = [lcm(*{e.denominator for m in (*num, *den) for h, e in m if h == x}) for x in gens]
+
+    def dense(poly: dict) -> dict:
+        return {tuple(int(e * L) for e, L in zip(_exponents(m, gens), scales)): c
+                for m, c in poly.items()}
 
     def sparse(poly: dict) -> dict:
-        return {tuple((x, e) for x, e in zip(gens, m) if e): c for m, c in poly.items()}
+        return {tuple((x, e // L if e % L == 0 else Fraction(e, L))
+                      for x, e, L in zip(gens, m, scales) if e): c for m, c in poly.items()}
+
+    f, g = dense(num), dense(den)
 
     if not any(c.y for poly in (f, g) for c in poly.values()):
         found = _heugcd({m: c.x for m, c in f.items()}, {m: c.x for m, c in g.items()})
@@ -713,24 +710,24 @@ class Scalar:
         if found is None:
             found = set()
             for g in _used(self.num, self.den):
-                atom = _GENS.exponents.get(g)
-                found |= atom._symbols() if atom is not None else {g}
+                exponent = _EXPONENTS.get(g)
+                found |= exponent._symbols() if exponent is not None else {g}
             found = frozenset(found)
             object.__setattr__(self, "_free", found)
         return found
 
     def diff(self, name: str) -> "Scalar":
         """Partial derivative by the symbol name: the quotient rule on the
-        stored pair, and the chain rule dE/dz = E * db/dz through every
-        exponential atom."""
+        stored pair, and the chain rule d(E**r)/dz = r * E**r * dp/dz
+        through every power of an exponential atom E = exp(p)."""
         if not isinstance(name, str):
             raise TypeError(f"diff takes a symbol's name, not {name!r}")
         if name not in self._symbols():
             return ZERO
         num, den = self.num, self.den
         chain = [
-            (g, dexp) for g in _used(num, den) if g in _GENS.exponents
-            and not (dexp := _GENS.exponents[g].diff(name)).is_zero
+            (g, dexp) for g in _used(num, den) if g in _EXPONENTS
+            and not (dexp := _EXPONENTS[g].diff(name)).is_zero
         ]
         if not chain:
             dnum = _derivative(num, name)
@@ -742,7 +739,7 @@ class Scalar:
         def derivative(poly: dict) -> Scalar:
             out = _make(_derivative(poly, name), _ONE)
             for g, dexp in chain:
-                out = out + _make(_times(_derivative(poly, g), {((g, 1),): _UNIT}), _ONE) * dexp
+                out = out + _weighted(poly, g) * dexp
             return out
 
         p, q = _make(num, _ONE), _make(den, _ONE)
@@ -790,20 +787,19 @@ I = _make({(): _Gaussian(0, 1)}, _ONE)
 
 
 def sym(name: str) -> Scalar:
-    """The Scalar of the symbol named name, registering it."""
-    _GENS.add_symbol(name)
+    """The Scalar of the symbol named name, an identifier."""
+    if not (isinstance(name, str) and name.isidentifier()):
+        raise ValueError(f"a symbol's name is an identifier, not {name!r}")
     return _make({((name, 1),): _UNIT}, _ONE)
 
 
 def exp_atom(s: ScalarLike) -> Scalar:
-    """Exponential exp(s), as a product of integer powers of atoms.
+    """Exponential exp(s), as a product of rational powers of atoms.
 
-    Each term t of s gives one factor: t = (a/b) * p with p's coefficients
-    primitive and sign-normalised, and exp(t) = E**a for the atom E =
-    exp(p/b).  Once exp(p/b) is registered, exp(p/c) with c dividing b is
-    the power E**(b/c) (exp(y) after exp(y/3) is E**3).  Any other c is
-    refused, since its relation to E is not polynomial: exp(y/3) after
-    exp(y), or exp(y/3) after exp(y/2).
+    Each term t of s gives one factor: t = r * p with r rational and p's
+    coefficients primitive and sign-normalised, and exp(t) = E**r for the
+    atom E = exp(p), so exp(y/3) is E**(1/3) and exp(y) is E, whichever
+    comes first.
     """
     s = Scalar(s)
     out = ONE
@@ -816,27 +812,16 @@ def exp_atom(s: ScalarLike) -> Scalar:
         bottom = 0
         for c in term.den.values():
             bottom = gcd(bottom, c.x, c.y)
-        power = Fraction(top, bottom)
         direction = _make(
             {tm: _exquo(tc, _Gaussian(top, 0))},
             {m: _exquo(c, _Gaussian(bottom, 0)) for m, c in term.den.items()},
         )
-        out = out * _atom(direction, power.denominator) ** power.numerator
+        text = f"exp({direction})"
+        _EXPONENTS.setdefault(text, direction)
+        power = Fraction(top, bottom)
+        root = Fraction(1, power.denominator) if power.denominator > 1 else 1
+        out = out * _make({((text, root),): _UNIT}, _ONE) ** power.numerator
     return out
-
-
-def _atom(direction: Scalar, denominator: int) -> Scalar:
-    """exp(direction/denominator) as a power of the one atom registered for
-    direction, registering it on first use."""
-    known = _GENS.atoms.get(direction)
-    if known is None:
-        known = _GENS.add_atom(direction, denominator)
-    if known[0] % denominator:
-        wanted = direction / Scalar.rational(denominator)
-        raise ValueError(
-            f"exponential atoms {known[1]} and exp({wanted}) differ by a non-integer factor"
-        )
-    return _make({((known[1], known[0] // denominator),): _UNIT}, _ONE)
 
 
 def substitute(e: ScalarLike, bindings: Mapping[str, ScalarLike]) -> Scalar:
@@ -845,20 +830,20 @@ def substitute(e: ScalarLike, bindings: Mapping[str, ScalarLike]) -> Scalar:
 
     All bindings are applied in one pass, so swaps and rescalings like
     r -> lam*r are well defined; nothing is re-substituted afterwards.
-    An exponential atom whose exponent holds a bound symbol becomes the
-    exponential of the substituted exponent.
+    The power E**r of an exponential atom E = exp(p) whose exponent holds
+    a bound symbol becomes exp(r * p'), p' the substituted exponent.
     """
     if not all(isinstance(name, str) for name in bindings):
         raise TypeError(f"substitute binds symbols by name: {list(bindings)}")
     e = Scalar(e)
     images = {}
     for g in _used(e.num, e.den):
-        atom = _GENS.exponents.get(g)
-        if atom is None:
+        exponent = _EXPONENTS.get(g)
+        if exponent is None:
             if g in bindings:
                 images[g] = Scalar(bindings[g])
-        elif not atom._symbols().isdisjoint(bindings):
-            images[g] = exp_atom(substitute(atom, bindings))
+        elif not exponent._symbols().isdisjoint(bindings):
+            images[g] = substitute(exponent, bindings)
     if not images:
         return e
     top, bottom = _evaluate(e.num, images), _evaluate(e.den, images)
@@ -868,7 +853,8 @@ def substitute(e: ScalarLike, bindings: Mapping[str, ScalarLike]) -> Scalar:
 
 
 def _evaluate(poly: dict, images: dict) -> Scalar:
-    """poly with generator g replaced by images[g], every other kept."""
+    """poly with symbol g replaced by images[g], and the power E**r of an
+    atom g by exp(r * images[g]); every other generator kept."""
     groups: dict = {}
     for monom, coeff in poly.items():
         bound = tuple((g, e) for g, e in monom if g in images)
@@ -880,7 +866,9 @@ def _evaluate(poly: dict, images: dict) -> Scalar:
         term = _make(rest, _ONE)
         for g, k in bound:
             if (g, k) not in powers:
-                powers[(g, k)] = images[g] ** k
+                image = images[g]
+                powers[(g, k)] = (image**k if g not in _EXPONENTS
+                                  else exp_atom(image * Scalar.rational(k.numerator, k.denominator)))
             term = term * powers[(g, k)]
         out = out + term
     return out
@@ -902,8 +890,8 @@ def eta_coefficients(e: ScalarLike) -> dict:
         return {}
     used = _used(e.num, e.den)
     for g in used:
-        atom = _GENS.exponents.get(g)
-        if atom is not None and ETA in atom._symbols():
+        exponent = _EXPONENTS.get(g)
+        if exponent is not None and ETA in exponent._symbols():
             raise LaurentError(f"not a Laurent polynomial in eta: {e}")
     if ETA not in used:
         return {0: e}
@@ -959,12 +947,20 @@ def _terms(poly: dict) -> list:
     for monom in sorted(poly, key=lambda m: _exponents(m, order), reverse=True):
         c = poly[monom]
         held = dict(monom)
-        gens = [g + (f"**{held[g]}" if held[g] > 1 else "") for g in order if g in held]
+        gens = [_power_text(g, held[g]) for g in order if g in held]
         parts = [(c.x, 0), (0, c.y)] if not gens and c.x and c.y else [(c.x, c.y)]
         for a, b in parts:
             negative, factors = _coefficient(a, b)
             out.append((negative, factors + gens))
     return out
+
+
+def _power_text(g: str, e) -> str:
+    """The text of the generator g to the power e: ``g``, ``g**k``, or
+    ``exp(<r*p>)`` for a non-integer power r of the atom exp(p)."""
+    if e.denominator != 1:
+        return f"exp({_EXPONENTS[g] * Scalar.rational(e.numerator, e.denominator)})"
+    return g if e == 1 else f"{g}**{e}"
 
 
 def _coefficient(a, b) -> tuple:

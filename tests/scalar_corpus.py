@@ -1,8 +1,5 @@
-"""A seeded corpus of scalars for the printing tests.
-
-Nothing is registered on import: the caller passes the symbols and atoms
-the corpus draws from, so it decides the order they are registered in.
-"""
+"""A seeded corpus of scalars for the printing tests, drawn from the
+symbols and atoms the caller passes."""
 
 from __future__ import annotations
 
@@ -16,11 +13,11 @@ SHAPES = ("one", "integer", "gaussian", "monomial", "gaussian monomial", "polyno
 
 
 def exponents() -> list:
-    """The exponents of the corpus's atoms.  Only exp(1/3) and exp(1) are
-    related (exp(1) is the cube of exp(1/3)), so exp(1/3) comes first."""
+    """The exponents of the corpus's atoms; exp(1) and exp(1/3) are powers
+    of one atom."""
     x, y, z = (sym(name) for name in NAMES[:3])
     return [sym("pc_y5"), sym("pc_y6") / 3, I * x, x / y, z / (x + y), x * (1 + 2 * I),
-            exp_atom(z), Scalar.rational(1, 3), ONE, 1 + I]
+            exp_atom(z), ONE, Scalar.rational(1, 3), 1 + I]
 
 
 def _random_gaussian(rng) -> Scalar:

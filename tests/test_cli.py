@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -144,16 +148,55 @@ def test_beta_with_zero_denominator_is_a_usage_error(verb, capsys):
 
 
 def test_exponential_atom_after_a_finer_one_closes(tmp_path, capsys):
-    # exp(z) = exp(z/3)**3; atoms are process-wide, so z is used nowhere else
+    # exp(zfine/3) and exp(zfine) are powers of the one atom exp(zfine)
     model = tmp_path / "fine-first.eds"
     model.write_text("chart x zfine\nideal e {\n  a = exp(zfine/3)*dx + exp(zfine)*dzfine\n}\n")
     code, out, _ = run(["closure", str(model)], capsys)
     assert code == 0
-    # the witness is -exp(-2*zfine/3)/3 times dx, written with the finer atom
-    text = "-1/(3*exp(zfine/3)**2)"
+    # the witness is -exp(-2*zfine/3)/3 times dx
+    text = "-1/(3*exp(2*zfine/3))"
     assert f"({text})*dx" in out
     witness = parse(f"chart x zfine\nlet w = {text}\n").lets["w"]
     assert witness == -exp_atom(-2 * sym("zfine") / 3) / 3
+
+
+# Reads a model whose lets exp(y) and exp(y/3) come in the order given on
+# the command line and prints them, then runs closure on the zfine ideal
+# with its two terms in that order.
+_IN_ORDER = """
+import sys
+from pathlib import Path
+
+from prolong.cli import main
+from prolong.dsl import parse, print_scalar
+
+order, path = sys.argv[1], Path(sys.argv[2])
+lets = ["let a = exp(y)", "let b = exp(y/3)"]
+terms = ["exp(zfine/3)*dx", "exp(zfine)*dzfine"]
+if order == "reverse":
+    lets, terms = lets[::-1], terms[::-1]
+model = parse("scalars y\\n" + "\\n".join(lets) + "\\n")
+print(print_scalar(model.lets["a"]), print_scalar(model.lets["b"]))
+path.write_text("chart x zfine\\nideal e {\\n  a = " + " + ".join(terms) + "\\n}\\n")
+print("exit", main(["closure", str(path)]))
+"""
+
+
+def test_exponentials_do_not_depend_on_statement_order_in_a_fresh_process(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    printed = []
+    for order in ("forward", "reverse"):
+        result = subprocess.run([sys.executable, "-c", _IN_ORDER, order, str(tmp_path / "zfine.eds")],
+                                env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        printed.append(result.stdout)
+    assert printed[0] == printed[1]
+    lines = printed[0].splitlines()
+    assert lines[0] == "exp(y) exp(y/3)"
+    assert '{"witness": {"a": "(-1/(3*exp(2*zfine/3)))*dx"}}' in printed[0]
+    assert lines[-1] == "exit 0"
 
 
 def test_laxcheck_akns(capsys):

@@ -69,34 +69,28 @@ def test_exponential_atoms_share_a_generator():
     assert exp_atom(-y5) == from_sympy(sp.exp(-sp.Symbol("y5")))
 
 
-# Atoms are registered process-wide, so each order test uses symbols of its own.
-
-
-def test_exponential_atom_after_a_finer_one_is_its_power():
-    c = sym("c_fine_first")
-    third = exp_atom(c / 3)
-    assert exp_atom(c) == third**3
-    assert exp_atom(-2 * c) == third**-6
-    assert exp_atom(c) == from_sympy(sp.exp(sp.Symbol("c_fine_first")))
-    assert exp_atom(c).diff("c_fine_first") == exp_atom(c)
-    assert exp_atom(2 * c / 3) == third**2
-
-
-def test_exponential_atom_finer_than_a_registered_one_is_refused():
-    c = sym("c_coarse_first")
-    exp_atom(c)
-    with pytest.raises(ValueError, match=r"atoms exp\(c_coarse_first\) and exp\(c_coarse_first/3\) "
-                       "differ by a non-integer factor"):
-        exp_atom(c / 3)
-    half = sym("c_half_first")
-    exp_atom(half / 2)
-    with pytest.raises(ValueError, match="differ by a non-integer factor"):
-        exp_atom(half / 3)
+def test_exponentials_of_one_direction_agree_in_either_order():
+    # exp(c/3) is E**(1/3) and exp(c) is E, for the one atom E = exp(c)
+    texts = []
+    for name, fine_first in (("c_fine_first", True), ("c_coarse_first", False)):
+        c = sym(name)
+        if fine_first:
+            third, whole = exp_atom(c / 3), exp_atom(c)
+        else:
+            whole, third = exp_atom(c), exp_atom(c / 3)
+        assert whole == third**3
+        assert exp_atom(-2 * c) == third**-6
+        assert exp_atom(2 * c / 3) == third**2
+        assert whole == from_sympy(sp.exp(sp.Symbol(name)))
+        assert whole.diff(name) == whole
+        texts.append([str(v).replace(name, "c") for v in (third, whole, third**2, third**-6)])
+    assert texts == [["exp(c/3)", "exp(c)", "exp(2*c/3)", "1/exp(c)**2"]] * 2
 
 
 def test_exponential_derivative():
     e = exp_atom(y5)
     assert e.diff("y5") == e
+    assert exp_atom(y5 / 3).diff("y5") == exp_atom(y5 / 3) / 3
 
 
 def test_normalize_idempotent_on_samples():
@@ -163,14 +157,14 @@ def test_the_bridge_round_trips_the_seeded_corpus():
 
 
 def test_value_built_before_ring_growth_equals_value_built_after():
-    # a monomial names only the generators it holds, so registering new
-    # ones, as jet calculus does, changes no stored value
+    # a monomial names only the generators it holds, so new symbols, as jet
+    # calculus makes, and new atoms change no stored value
     before = (y1 * y2 + I) / y1
     unhashed = y2 / (y1 * y2 + 3)
     hashed = hash(before)
     pair = (dict(before.num), dict(before.den))
     for k in range(100):
-        sym(f"ring_growth_{k}")
+        exp_atom(sym(f"ring_growth_{k}"))
     after = (sym("y1") * sym("y2") + I) / sym("y1")
     assert (before.num, before.den) == pair
     assert before == after and after == before
@@ -195,6 +189,7 @@ def test_substitute_examples():
 def test_substitute_into_an_exponential_atom():
     z, y = sym("z"), sym("y")
     assert substitute(z * exp_atom(y), {"y": 2 * z}) == z * exp_atom(2 * z)
+    assert substitute(exp_atom(y / 3), {"y": 3 * z}) == exp_atom(z)
 
 
 def test_substitute_is_single_pass():
@@ -242,12 +237,9 @@ def test_a_symbol_is_named_by_its_name_not_a_sympy_symbol():
 
 
 def test_a_symbol_and_an_atom_never_share_a_text():
-    exp_atom(sym("clash_y"))
-    with pytest.raises(ValueError, match="text of an exponential atom"):
-        sym("exp(clash_y)")
-    sym("exp(clash_z)")
-    with pytest.raises(ValueError, match="has the name of a symbol"):
-        exp_atom(sym("clash_z"))
+    # a symbol's name is an identifier; an atom's text is exp(...)
+    with pytest.raises(ValueError, match="identifier"):
+        sym("exp(y)")
 
 
 def test_division_by_zero_scalar():
@@ -298,6 +290,25 @@ def test_two_evaluation_orders_same_canonical_form(parts):
     prod_right = parts[0] * ((parts[1] * parts[2]) * parts[3])
     assert to_sympy(prod_left) == to_sympy(prod_right)
     assert (prod_left.num, prod_left.den) == (prod_right.num, prod_right.den)
+
+
+@given(*[st.fractions(max_denominator=12)] * 2)
+def test_exponentials_multiply_as_their_exponents_add(a, b):
+    y = sym("y")
+    a, b = (Scalar.rational(f.numerator, f.denominator) for f in (a, b))
+    product, total = exp_atom(a * y) * exp_atom(b * y), exp_atom((a + b) * y)
+    assert product == total and hash(product) == hash(total)
+    assert print_scalar(product) == print_scalar(total)
+    assert parse(f"scalars y\nlet v = {print_scalar(product)}\n").lets["v"] == total
+
+
+def test_fractional_atom_powers_reduce_through_the_polynomial_gcd():
+    y = sym("y")
+    root = exp_atom(y / 2)
+    # the real gcd, then the Gaussian one
+    assert (exp_atom(y) - 1) / (root - 1) == root + 1
+    assert (exp_atom(y) + 1) / (root - I) == root + I
+    assert str(root + I) == "exp(y/2) + i"
 
 
 @settings(max_examples=300)
