@@ -7,7 +7,6 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -270,9 +269,9 @@ def _cmd_prolong(args) -> tuple:
     _, conn = _pick(model.connections, "connection")
     if args.beta is not None:
         substitution = {"beta": _beta_scalar(args.beta)}
-        ideal = dataclasses.replace(ideal, generators={
+        ideal = we.ExteriorIdeal(ideal.ctx, {
             n: g.map_coefficients(lambda c: substitute(c, substitution))
-            for n, g in ideal.generators.items()})
+            for n, g in ideal.generators.items()}, ideal.coordinates, ideal.parameters)
     closure = we.closure_check(ideal)
     if not closure.ok:
         raise CliError("ideal is not closed; prolongation condition undefined")

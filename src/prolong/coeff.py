@@ -4,8 +4,9 @@ Scalars are rational functions of declared symbols over the Gaussian
 rationals, optionally containing exponential atoms exp(s) of degree-0
 symbols.  No floating point enters anywhere.
 
-A generator is its text: a symbol's name, an identifier, or
-``exp(<exponent>)`` for an atom, so no symbol shares an atom's text.  A
+A generator is its text: a symbol's name, an identifier other than
+``i`` (the imaginary unit's text), or ``exp(<exponent>)`` for an atom, so
+no symbol shares an atom's text or the unit's.  A
 Scalar stores a canonical pair ``num/den`` of sparse polynomials, each a
 dict ``{monomial: coefficient}`` of nonzero Gaussian integers (immutable
 ``(x, y)`` pairs standing for x + y*i), a monomial being the sorted tuple
@@ -63,11 +64,12 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import add
 from typing import Mapping, Union
+
+from .record import Record
 
 __all__ = [
     "Scalar",
@@ -585,8 +587,7 @@ def _unit_of(s: "Scalar"):
     return None
 
 
-@dataclass(frozen=True, eq=False, repr=False, init=False)
-class Scalar:
+class Scalar(Record):
     """Immutable exact coefficient, stored as a canonical pair num/den.
 
     ``Scalar(value)`` takes an int, or a Scalar, which it returns as it
@@ -595,8 +596,10 @@ class Scalar:
     reader reads expressions.
     """
 
-    num: dict
-    den: dict
+    # _free and _hash cache the free symbols and the hash once asked for
+    __slots__ = ("num", "den", "_free", "_hash")
+    # __new__ returns the finished value
+    __init__ = object.__init__
 
     # -- construction -----------------------------------------------------
 
@@ -706,7 +709,7 @@ class Scalar:
         return set(self._symbols())
 
     def _symbols(self) -> frozenset:
-        found = self.__dict__.get("_free")
+        found = getattr(self, "_free", None)
         if found is None:
             found = set()
             for g in _used(self.num, self.den):
@@ -752,7 +755,7 @@ class Scalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
+        h = getattr(self, "_hash", None)
         if h is None:
             num = self.num
             if _is_one(self.den) and num.keys() <= {()} and not num.get((), _UNIT).y:
@@ -787,9 +790,10 @@ I = _make({(): _Gaussian(0, 1)}, _ONE)
 
 
 def sym(name: str) -> Scalar:
-    """The Scalar of the symbol named name, an identifier."""
-    if not (isinstance(name, str) and name.isidentifier()):
-        raise ValueError(f"a symbol's name is an identifier, not {name!r}")
+    """The Scalar of the symbol named name, an identifier other than i,
+    which is the imaginary unit's text."""
+    if not (isinstance(name, str) and name.isidentifier()) or name == "i":
+        raise ValueError(f"a symbol's name is an identifier other than i, not {name!r}")
     return _make({((name, 1),): _UNIT}, _ONE)
 
 

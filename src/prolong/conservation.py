@@ -13,17 +13,15 @@ evolution system, is a total x-derivative (variational-derivative test).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coeff import Scalar, ZERO, eta_coefficients
 from .jets import (
     EvolutionSystem,
-    TotalDerivativeCertificate,
     is_total_x_derivative,
     jet_order,
     reduce_mod_evolution,
     total_derivative,
 )
+from .record import Record
 from .su2 import AKNSSpec
 
 __all__ = [
@@ -37,11 +35,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DensitySequence:
-    spec: AKNSSpec
-    order: int
-    densities: tuple  # W_1 .. W_order
+class DensitySequence(Record):
+    __slots__ = ("spec", "order", "densities")  # densities: W_1 .. W_order
 
     def w(self, n: int) -> Scalar:
         if n == 0:
@@ -82,12 +77,13 @@ def recursion_residual(seq: DensitySequence, n: int) -> Scalar:
     )
 
 
-@dataclass(frozen=True)
-class ConservedPair:
-    n: int
-    density: Scalar
-    current: Scalar
-    eta_trace: tuple  # (eta exponent of the family coefficient, density index)
+class ConservedPair(Record):
+    __slots__ = (
+        "n",
+        "density",
+        "current",
+        "eta_trace",  # (eta exponent of the family coefficient, density index)
+    )
 
 
 def conserved_pairs(spec: AKNSSpec, order: int) -> tuple:
@@ -118,11 +114,12 @@ def conserved_pairs(spec: AKNSSpec, order: int) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ConservationCertificate:
-    pair: ConservedPair
-    residual: Scalar  # reduced D_t(density) - D_x(current)
-    exactness: TotalDerivativeCertificate
+class ConservationCertificate(Record):
+    __slots__ = (
+        "pair",  # a ConservedPair
+        "residual",  # reduced D_t(density) - D_x(current)
+        "exactness",  # a TotalDerivativeCertificate
+    )
 
     @property
     def ok(self) -> bool:

@@ -21,11 +21,11 @@ the stored polynomial pairs (see ``coeff``), and ``print_scalar`` and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .coeff import I, ONE, Scalar, exp_atom, sym
 from .forms import ContextError, DerivationContext, Form
 from .jets import jet, split_jet
+from .record import Record
 from .su2 import AKNSSpec
 from .we import ConnectionData, ExteriorIdeal
 
@@ -55,12 +55,14 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+class Token(Record):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "col", col)
 
 
 def tokenize(text: str) -> list:
@@ -108,25 +110,25 @@ def _integer(value) -> int | None:
     return None if c.y else int(c.x)
 
 
-@dataclass
 class ModelFile:
-    """Parsed model: one context plus the named objects defined over it."""
+    """Parsed model: one context plus the named objects defined over it.
+    The reader fills it in as it reads, so it is not immutable."""
 
-    kind: str | None = None  # 'chart' | 'jet' | 'dga'
-    coordinates: tuple = ()
-    jet_fields: tuple = ()
-    scalars: tuple = ()
-    params: tuple = ()
-    oneforms: tuple = ()
-    twoforms: tuple = ()
-    rules: dict = field(default_factory=dict)  # name -> Form
-    ctx: DerivationContext | None = None
-    lets: dict = field(default_factory=dict)  # name -> Scalar
-    forms: dict = field(default_factory=dict)  # name -> Form
-    ideals: dict = field(default_factory=dict)  # name -> ExteriorIdeal
-    akns: dict = field(default_factory=dict)  # name -> AKNSSpec
-    connections: dict = field(default_factory=dict)  # name -> ConnectionData
-    sections: dict = field(default_factory=dict)  # ideal name -> ((var, Scalar), ...)
+    __slots__ = ("kind", "coordinates", "jet_fields", "scalars", "params", "oneforms", "twoforms",
+                 "rules", "ctx", "lets", "forms", "ideals", "akns", "connections", "sections")
+
+    def __init__(self):
+        self.kind = None  # 'chart' | 'jet' | 'dga'
+        self.coordinates = self.jet_fields = self.scalars = self.params = ()
+        self.oneforms = self.twoforms = ()
+        self.rules = {}  # name -> Form
+        self.ctx = None  # the DerivationContext, built when the declarations end
+        self.lets = {}  # name -> Scalar
+        self.forms = {}  # name -> Form
+        self.ideals = {}  # name -> ExteriorIdeal
+        self.akns = {}  # name -> AKNSSpec
+        self.connections = {}  # name -> ConnectionData
+        self.sections = {}  # ideal name -> ((var, Scalar), ...)
 
 
 # Statement keyword -> (stage, context kind it declares, ModelFile field it
@@ -289,7 +291,10 @@ class _Parser:
             m.kind = kind  # repeated declarations of the same kind extend it
         names = []
         while self.peek().kind == "name":
-            names.append(self.advance().text)
+            tok = self.advance()
+            if tok.text == "i":
+                raise DslError("i is the imaginary unit and cannot be declared", tok.line, tok.col)
+            names.append(tok.text)
         self.end_statement()
         if not names:
             raise DslError("expected at least one name", self.peek().line, self.peek().col)
@@ -307,8 +312,11 @@ class _Parser:
         return target, rule
 
     def _definition(self, keyword: str) -> tuple:
-        name = self.expect("name").text
+        tok = self.expect("name")
+        name = tok.text
         if keyword == "let" or keyword == "form":
+            if name == "i":
+                raise DslError("i is the imaginary unit and cannot be defined", tok.line, tok.col)
             self.expect("op", "=")
             value = self._operand()
             if keyword == "form":

@@ -13,11 +13,11 @@ square to zero; even-degree generators commute with everything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .coeff import I, Scalar, ZERO, ONE
 from . import jets
+from .record import Record
 
 __all__ = [
     "LEVI_CIVITA",
@@ -44,10 +44,8 @@ def epsilon(l: int, m: int, n: int) -> int:
     return LEVI_CIVITA.get((l, m, n), 0)
 
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    degree: int
+class Generator(Record):
+    __slots__ = ("name", "degree")
 
 
 class ContextError(ValueError):
@@ -241,31 +239,30 @@ def _sorted_monomial(degrees: Sequence[int], mono: tuple) -> tuple | None:
     return (sign, tuple(items))
 
 
-@dataclass(frozen=True)
-class Form:
+class Form(Record):
     """Homogeneous exterior form: monomial -> coefficient, canonical."""
 
-    ctx: DerivationContext
-    degree: int
-    terms: Mapping[tuple, Scalar]
+    __slots__ = ("ctx", "degree", "terms")  # terms: sorted monomial -> nonzero Scalar
 
-    def __post_init__(self):
-        degrees = self.ctx._degrees
+    def __init__(self, ctx: DerivationContext, degree: int, terms: Mapping[tuple, Scalar]):
+        degrees = ctx._degrees
         cleaned: dict = {}
-        for mono, coeff in self.terms.items():
+        for mono, coeff in terms.items():
             coeff = Scalar(coeff)
             if coeff.is_zero:
                 continue
             total = sum(degrees[i] for i in mono)
-            if total != self.degree:
+            if total != degree:
                 raise ContextError(
-                    f"monomial {mono} has degree {total}, form declared degree {self.degree}"
+                    f"monomial {mono} has degree {total}, form declared degree {degree}"
                 )
             packed = _sorted_monomial(degrees, mono)
             if packed is None:
                 continue
             sign, key = packed
             _accumulate(cleaned, key, coeff if sign == 1 else -coeff)
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(
             self, "terms", {k: c for k, c in sorted(cleaned.items()) if not c.is_zero}
         )
@@ -435,20 +432,19 @@ def _coeff_prefix(coeff: Scalar) -> str:
     return f"{text}*"
 
 
-@dataclass(frozen=True)
-class MatrixForm:
+class MatrixForm(Record):
     """Square n x n matrix of forms of equal degree."""
 
-    entries: tuple  # rows of Forms
+    __slots__ = ("entries",)  # rows of Forms
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.entries)
+    def __init__(self, entries):
+        rows = tuple(tuple(row) for row in entries)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ContextError("a matrix of forms must be square")
         degs = {f.degree for row in rows for f in row if not f.is_zero}
         if len(degs) > 1:
             raise ContextError("matrix entries must share one degree")
-        object.__setattr__(self, "entries", rows)
+        super().__init__(rows)
 
     @property
     def size(self) -> int:
@@ -539,9 +535,8 @@ def build_jet_context(deps: Sequence[str]) -> DerivationContext:
     return ctx.freeze()
 
 
-@dataclass(frozen=True)
-class DdReport:
-    residuals: dict  # generator name -> d(d(generator)), in generator order
+class DdReport(Record):
+    __slots__ = ("residuals",)  # generator name -> d(d(generator)), in generator order
 
     @property
     def ok(self) -> bool:

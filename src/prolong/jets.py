@@ -11,10 +11,10 @@ elimination chain of :mod:`we`, runs through :func:`substitute_jets`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Sequence
 
 from .coeff import Scalar, ZERO, substitute, sym
+from .record import Record
 
 __all__ = [
     "X",
@@ -104,23 +104,22 @@ def substitute_jets(e: Scalar, image) -> Scalar:
     return substitute(e, bindings) if bindings else e
 
 
-@dataclass(frozen=True)
-class EvolutionSystem:
+class EvolutionSystem(Record):
     """Evolution rules u_t = rhs, one per dependent variable; right-hand
     sides are x-jet expressions free of t-derivatives."""
 
-    rules: dict  # var -> Scalar; built from a dict or from (var, rhs) pairs
+    __slots__ = ("rules",)  # var -> Scalar; built from a dict or from (var, rhs) pairs
 
-    def __post_init__(self):
+    def __init__(self, rules):
         frozen = {}
-        for var, rhs in dict(self.rules).items():
+        for var, rhs in dict(rules).items():
             rhs = Scalar(rhs)
             for s in rhs.free_symbols():
                 parts = split_jet(s)
                 if parts and parts[2] > 0:
                     raise ValueError(f"evolution rhs for {var} contains a t-derivative: {s}")
             frozen[var] = rhs
-        object.__setattr__(self, "rules", frozen)
+        super().__init__(frozen)
 
     @staticmethod
     def of(rules) -> "EvolutionSystem":
@@ -207,14 +206,15 @@ def euler_operator(e: Scalar, var: str, deps: Sequence[str] | None = None) -> Sc
     return out
 
 
-@dataclass(frozen=True)
-class TotalDerivativeCertificate:
+class TotalDerivativeCertificate(Record):
     """Outcome of the exactness test: true iff every variational derivative
     vanishes; otherwise the offending nonzero derivatives are kept."""
 
-    ok: bool
-    witnesses: dict  # var -> its nonzero variational derivative
-    peak_jet_order: int
+    __slots__ = (
+        "ok",
+        "witnesses",  # var -> its nonzero variational derivative
+        "peak_jet_order",
+    )
 
 
 def is_total_x_derivative(e: Scalar, deps: Sequence[str]) -> TotalDerivativeCertificate:

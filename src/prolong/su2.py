@@ -17,8 +17,7 @@ induced surface data with its Gaussian curvature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .coeff import ETA, I, ONE, Scalar, ZERO, eta_coefficients, exp_atom, sym
 from .forms import (
@@ -33,6 +32,7 @@ from .forms import (
 from . import jets
 # split_jet is re-exported: bench/check_tracing.py checks the su2 binding by name.
 from .jets import EvolutionSystem, split_jet  # noqa: F401
+from .record import Record
 from .we import ConnectionData
 
 __all__ = [
@@ -67,23 +67,21 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Su2Context:
+class Su2Context(Record):
     """Frozen free-DGA context with named handles for its pieces."""
 
-    ctx: DerivationContext
-    w: tuple  # (w1, w2, w3) one-forms
-    th: tuple  # (th1, th2, th3) two-forms
-    y: Mapping[int, Scalar]  # y1, y2, y5..y8 and gauge scalars by index
-    dy: Mapping[int, Form]
-    y3: Scalar  # y2/y1
-    y4: Scalar  # y1/y2
-    e5: Scalar  # exp(y5)
-    e6: Scalar  # exp(y6)
-    f: Scalar
-    g: Scalar
-    df: Form
-    dg: Form
+    __slots__ = (
+        "ctx",
+        "w",  # (w1, w2, w3) one-forms
+        "th",  # (th1, th2, th3) two-forms
+        "y",  # index -> Scalar: y1, y2, y5..y8 and gauge scalars
+        "dy",  # index -> Form
+        "y3",  # y2/y1
+        "y4",  # y1/y2
+        "e5",  # exp(y5)
+        "e6",  # exp(y6)
+        "f", "g", "df", "dg",  # the gauge scalars and their differentials
+    )
 
     @property
     def w_plus(self) -> Form:
@@ -167,11 +165,8 @@ def build_su2_context() -> Su2Context:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Su2Forms:
-    xi: Mapping[int, Form]  # xi1 .. xi8
-    beta1: Form
-    beta2: Form
+class Su2Forms(Record):
+    __slots__ = ("xi", "beta1", "beta2")  # xi: index -> Form, xi1 .. xi8
 
 
 def _connection_parts(sc: Su2Context, w: Sequence[Form]) -> dict:
@@ -207,8 +202,7 @@ def build_forms(sc: Su2Context) -> Su2Forms:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Target = sum_l theta_coeffs[l] * th_l + sum_i multipliers[i] ^ xi_i.
 
     Multipliers live in a basis context whose one-form generators are the
@@ -216,9 +210,11 @@ class Decomposition:
     collects anything outside the ring (zero when the target decomposes).
     """
 
-    theta_coeffs: tuple  # three Scalars
-    multipliers: Mapping[int, Form]  # ring one-forms keyed by xi index
-    obstruction: Form
+    __slots__ = (
+        "theta_coeffs",  # three Scalars
+        "multipliers",  # xi index -> ring one-form
+        "obstruction",
+    )
 
     @property
     def ok(self) -> bool:
@@ -313,14 +309,15 @@ IDENTITY_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class IdentityResult:
-    name: str
-    residuals: tuple  # Forms, one per checked component
-    stated_ok: bool
-    decomposition: Decomposition | None
-    corrected: bool
-    note: str
+class IdentityResult(Record):
+    __slots__ = (
+        "name",
+        "residuals",  # Forms, one per checked component
+        "stated_ok",
+        "decomposition",  # a Decomposition, or None
+        "corrected",
+        "note",
+    )
 
 
 def _stated_rhs(sc: Su2Context, forms: Su2Forms, name: str) -> Form:
@@ -414,10 +411,11 @@ def verify_identity(sc: Su2Context, name: str, forms: Su2Forms) -> IdentityResul
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaugeResult:
-    omega_prime: MatrixForm
-    residual: MatrixForm  # d(omega') - omega'^omega' - Q theta Q^-1
+class GaugeResult(Record):
+    __slots__ = (
+        "omega_prime",
+        "residual",  # d(omega') - omega'^omega' - Q theta Q^-1
+    )
 
     @property
     def ok(self) -> bool:
@@ -465,8 +463,7 @@ def q_diag(sc: Su2Context) -> MatrixForm:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AKNSSpec:
+class AKNSSpec(Record):
     """One-parameter family of connection coefficients over jet fields.
 
     r and q are jet expressions (free of the spectral parameter); A, B, C
@@ -477,18 +474,10 @@ class AKNSSpec:
     w1 - i w2 = q dx + B dt, w3 = eta dx + A dt.
     """
 
-    name: str
-    deps: tuple
-    r: Scalar
-    q: Scalar
-    A: Scalar
-    B: Scalar
-    C: Scalar
+    __slots__ = ("name", "deps", "r", "q", "A", "B", "C")
 
-    def __post_init__(self):
-        object.__setattr__(self, "deps", tuple(self.deps))
-        for label in ("r", "q", "A", "B", "C"):
-            object.__setattr__(self, label, Scalar(getattr(self, label)))
+    def __init__(self, name: str, deps, r, q, A, B, C):
+        super().__init__(name, tuple(deps), *(Scalar(v) for v in (r, q, A, B, C)))
         for label in ("A", "B", "C"):
             eta_coefficients(getattr(self, label))
         for label in ("r", "q"):
@@ -511,15 +500,16 @@ def akns_forms(spec: AKNSSpec) -> tuple:
     return pauli_decompose(spec.connection.one_form(build_jet_context(spec.deps)))
 
 
-@dataclass(frozen=True)
-class ThetaComponents:
+class ThetaComponents(Record):
     """Curvature components of the family, each a multiple of dx^dt."""
 
-    w: tuple  # the family's connection one-forms w1, w2, w3
-    coeffs: tuple  # dx^dt coefficients of th1, th2, th3
-    plus_coeff: Scalar  # of th1 + i th2
-    minus_coeff: Scalar  # of th1 - i th2
-    third_coeff: Scalar
+    __slots__ = (
+        "w",  # the family's connection one-forms w1, w2, w3
+        "coeffs",  # dx^dt coefficients of th1, th2, th3
+        "plus_coeff",  # of th1 + i th2
+        "minus_coeff",  # of th1 - i th2
+        "third_coeff",
+    )
 
 
 def theta_components(spec: AKNSSpec) -> ThetaComponents:
@@ -537,15 +527,16 @@ def theta_components(spec: AKNSSpec) -> ThetaComponents:
     )
 
 
-@dataclass(frozen=True)
-class Extraction:
+class Extraction(Record):
     """Evolution rules solved out of the vanishing curvature, plus the
     leftover constraints that must vanish identically for a consistent
     concrete family."""
 
-    components: ThetaComponents  # the curvature the rules were solved from
-    system: EvolutionSystem
-    constraints: tuple  # Scalars
+    __slots__ = (
+        "components",  # the ThetaComponents the rules were solved from
+        "system",  # an EvolutionSystem
+        "constraints",  # Scalars
+    )
 
     @property
     def consistent(self) -> bool:
@@ -575,11 +566,12 @@ def extract_evolution(spec: AKNSSpec) -> Extraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurfaceData:
-    curvature: Scalar | None
-    degenerate: bool
-    residuals: tuple  # three Scalars: the structure-equation residuals
+class SurfaceData(Record):
+    __slots__ = (
+        "curvature",  # a Scalar, or None
+        "degenerate",
+        "residuals",  # three Scalars: the structure-equation residuals
+    )
 
 
 def surface_data(w1: Form, w2: Form, w3: Form, sys: EvolutionSystem | None = None) -> SurfaceData:

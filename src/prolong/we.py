@@ -17,12 +17,12 @@ the ideal (membership of each entry) or against an evolution system
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 from .coeff import Scalar, ONE, sym
 from .forms import ContextError, DerivationContext, Form, MatrixForm, build_jet_context
 from .linsolve import express_in_basis
+from .record import Record
 from .jets import (
     EvolutionSystem,
     jet,
@@ -61,30 +61,31 @@ def chart_context(coordinates: Sequence[str]) -> DerivationContext:
     return ctx.freeze()
 
 
-@dataclass(frozen=True)
-class ExteriorIdeal:
+class ExteriorIdeal(Record):
     """Generating forms over a chart, with optional named parameters."""
 
-    ctx: DerivationContext
-    generators: dict  # generator name -> Form, in declaration order
-    coordinates: tuple
-    parameters: tuple = ()
+    __slots__ = (
+        "ctx",
+        "generators",  # generator name -> Form, in declaration order
+        "coordinates",
+        "parameters",
+    )
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", dict(self.generators))
-        for f in self.generators.values():
-            if f.ctx is not self.ctx:
+    def __init__(self, ctx: DerivationContext, generators, coordinates, parameters=()):
+        generators = dict(generators)
+        for f in generators.values():
+            if f.ctx is not ctx:
                 raise ContextError("ideal generators must share one context")
-        object.__setattr__(self, "coordinates", tuple(self.coordinates))
-        object.__setattr__(self, "parameters", tuple(self.parameters))
+        super().__init__(ctx, generators, tuple(coordinates), tuple(parameters))
 
 
-@dataclass(frozen=True)
-class MembershipWitness:
+class MembershipWitness(Record):
     """phi = sum_j multipliers[j] ^ generators[j]; exact by construction."""
 
-    ideal: ExteriorIdeal
-    multipliers: dict  # generator name -> Form (may be degree 0), as in the ideal
+    __slots__ = (
+        "ideal",
+        "multipliers",  # generator name -> Form (may be degree 0), as in the ideal
+    )
 
     def expand(self) -> Form:
         products = [
@@ -130,11 +131,12 @@ def ideal_membership(phi: Form, ideal: ExteriorIdeal) -> MembershipWitness | Non
     return witness
 
 
-@dataclass(frozen=True)
-class ClosureResult:
-    ideal: ExteriorIdeal
-    witnesses: dict  # generator name -> MembershipWitness | None
-    failures: dict  # generator name -> d-form, for generators without a witness
+class ClosureResult(Record):
+    __slots__ = (
+        "ideal",
+        "witnesses",  # generator name -> MembershipWitness | None
+        "failures",  # generator name -> d-form, for generators without a witness
+    )
 
     @property
     def ok(self) -> bool:
@@ -157,11 +159,12 @@ def closure_check(ideal: ExteriorIdeal) -> ClosureResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SectionResult:
-    raw: dict  # pulled-back jet coefficients by generator name, -dx/-dt for a one-form
-    reduced: tuple  # the same after the elimination chain, trivial ones dropped
-    eliminations: tuple  # (variable, substituted jet expression) as applied
+class SectionResult(Record):
+    __slots__ = (
+        "raw",  # pulled-back jet coefficients by generator name, -dx/-dt for a one-form
+        "reduced",  # the same after the elimination chain, trivial ones dropped
+        "eliminations",  # (variable, substituted jet expression) as applied
+    )
 
 
 def section(ideal: ExteriorIdeal, eliminations: Sequence[tuple] = ()) -> SectionResult:
@@ -235,26 +238,23 @@ def named_equation(e: Scalar) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConnectionData:
+class ConnectionData(Record):
     """Linear connection dy^k - sum_i F[k][i] y^i dt - sum_i G[k][i] y^i dx.
 
     On integral manifolds y_t = F y and y_x = G y; entries are functions of
     the chart (or jet) variables only, never of the fiber variables.
     """
 
-    F: tuple  # rows of Scalars, the dt side
-    G: tuple  # rows of Scalars, the dx side
+    __slots__ = ("F", "G")  # rows of Scalars: F the dt side, G the dx side
 
-    def __post_init__(self):
-        f_rows = tuple(tuple(Scalar(c) for c in row) for row in self.F)
-        g_rows = tuple(tuple(Scalar(c) for c in row) for row in self.G)
+    def __init__(self, F, G):
+        f_rows = tuple(tuple(Scalar(c) for c in row) for row in F)
+        g_rows = tuple(tuple(Scalar(c) for c in row) for row in G)
         n = len(f_rows)
         for rows in (f_rows, g_rows):
             if len(rows) != n or any(len(r) != n for r in rows):
                 raise ValueError("connection matrices must be square and same size")
-        object.__setattr__(self, "F", f_rows)
-        object.__setattr__(self, "G", g_rows)
+        super().__init__(f_rows, g_rows)
 
     @property
     def size(self) -> int:
@@ -277,12 +277,13 @@ class ConnectionData:
         )
 
 
-@dataclass(frozen=True)
-class ProlongationResult:
+class ProlongationResult(Record):
     """Per-entry membership of the prolongation two-form in the ideal."""
 
-    residuals: dict  # (i, j) -> curvature entry Form, row by row
-    witnesses: dict  # (i, j) -> MembershipWitness | None
+    __slots__ = (
+        "residuals",  # (i, j) -> curvature entry Form, row by row
+        "witnesses",  # (i, j) -> MembershipWitness | None
+    )
 
     @property
     def ok(self) -> bool:

@@ -241,6 +241,17 @@ def test_parse_error_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_a_model_that_declares_i_is_usage_error(tmp_path, capsys):
+    # undeclared, i is the imaginary unit, and d(du^dt - i*dx^dt) = 0 closes
+    ideal = "ideal a {\n  xi1 = du^dt - i*dx^dt\n}\n"
+    for chart, exit_code in (("chart x t u", 0), ("chart x t u i", 2)):
+        model = tmp_path / "unit.eds"
+        model.write_text(f"{chart}\n{ideal}", encoding="utf-8")
+        code, _, err = run(["closure", str(model)], capsys)
+        assert code == exit_code, err
+    assert "line 1, column 13: i is the imaginary unit" in err
+
+
 @pytest.mark.parametrize("a_text", ("1/(eta + 1)", "exp(eta)"))
 def test_family_not_laurent_in_eta_is_usage_error(a_text, tmp_path, capsys):
     bad = tmp_path / "not_laurent.eds"

@@ -242,6 +242,13 @@ def test_a_symbol_and_an_atom_never_share_a_text():
         sym("exp(y)")
 
 
+def test_the_imaginary_unit_is_not_a_symbol():
+    # i is the unit's text: a symbol named i would print as I and differ from it
+    with pytest.raises(ValueError, match="other than i"):
+        sym("i")
+    assert str(I) == "i" and str(sym("ii")) == "ii"
+
+
 def test_division_by_zero_scalar():
     with pytest.raises(ZeroDivisionError):
         y1 / (y2 - y2)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 import sympy as sp
 
@@ -163,7 +161,8 @@ def test_kdv_seed_defect_at_five(kdv_spec, kdv_system):
 def test_halved_seed_restores_conservation(kdv_spec, kdv_system):
     # rerunning the same recursion from r/2 (the seed that actually solves
     # the x-part of the projective flow) certifies all five densities
-    halved = replace(kdv_spec, r=kdv_spec.r * from_sympy(sp.Rational(1, 2)))
+    s = kdv_spec
+    halved = AKNSSpec(s.name, s.deps, s.r * from_sympy(sp.Rational(1, 2)), s.q, s.A, s.B, s.C)
     seq = recursion_densities(halved, 5)
     for n in range(1, 6):
         pair = ConservedPair(

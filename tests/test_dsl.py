@@ -34,6 +34,40 @@ def test_parse_two_form_generator():
     assert gen == expected
 
 
+def test_model_values_refuse_assignment_and_deletion(kdv_spec):
+    ideal = parse(fixture_text("ch")).ideals["ch"]
+    generators, r = dict(ideal.generators), kdv_spec.r
+    for value, field in ((ideal, "generators"), (ideal, "coordinates"), (kdv_spec, "r"),
+                         (kdv_spec, "deps"), (kdv_spec.connection, "F")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert ideal.generators == generators and kdv_spec.r is r
+
+
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        ("chart x t u i\n", 1, 13),
+        ("chart x t u\nparams beta i\n", 2, 13),
+        ("scalars y1 i\n", 1, 12),
+        ("oneform i w2\n", 1, 9),
+        ("oneform w1\ntwoform i\n", 2, 9),
+        ("jet q i\n", 1, 7),
+        ("chart x t u\nlet i = u\n", 2, 5),
+        ("chart x t u\nform i = du\n", 2, 6),
+    ],
+    ids=["coordinate", "parameter", "scalar", "oneform", "twoform", "jet-field", "let", "form"],
+)
+def test_the_imaginary_unit_is_not_a_name_to_declare(text, line, col):
+    with pytest.raises(DslError, match="i is the imaginary unit") as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    # negative control: any other name reads
+    parse(text.replace(" i", " j"))
+
+
 def test_dangling_wedge_is_syntax_error():
     with pytest.raises(DslError):
         parse("chart x t u\nform a = dx ^\n")

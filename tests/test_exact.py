@@ -1,7 +1,8 @@
 """The engine is exact: no module of ``prolong`` holds a float literal,
 calls ``float`` or ``complex``, or reads ``math.e`` or ``cmath``.  No
 module imports sympy, which only the tests use, as their oracle.  No
-module imports another module's private (``_``-prefixed) names.  The
+module imports another module's private (``_``-prefixed) names, or
+``dataclasses``, whose decorators cost the command line's start-up.  The
 README's library sketch runs as printed where sympy cannot be
 imported."""
 
@@ -66,6 +67,17 @@ def _imports_a_private_name(node: ast.AST) -> bool:
 
 def test_no_module_imports_a_private_name_of_another():
     assert _offending(_imports_a_private_name) == []
+
+
+def _imports_dataclasses(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name == "dataclasses" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+
+
+def test_no_module_imports_dataclasses():
+    # its decorators generate each class's methods with exec at import time
+    assert _offending(_imports_dataclasses) == []
 
 
 def test_no_module_imports_sympy():

@@ -10,6 +10,7 @@ from prolong.forms import (
     ContextError,
     DerivationContext,
     Form,
+    Generator,
     MatrixForm,
     check_dd_zero,
     epsilon,
@@ -223,6 +224,48 @@ def test_equal_forms_hash_equal():
     # the zero forms of every degree are equal
     assert a.ctx.zero(1) == a.ctx.zero(2)
     assert hash(a.ctx.zero(1)) == hash(a.ctx.zero(2))
+
+
+@pytest.fixture(scope="module")
+def alike():
+    """A second su(2) context, built like the session's."""
+    return build_su2_context()
+
+
+@settings(max_examples=60)
+@given(_ONE_FORMS, _ONE_FORMS)
+def test_equal_forms_hash_equal_randomized(sc, alike, left, right):
+    a, b = _one_form(sc, left), _one_form(sc, right)
+    # each pair is one form built two ways: terms in another order, in an
+    # alike context, or a zero form of another degree
+    equal = [(a + b, b + a), (a.wedge(b), -(b.wedge(a))),
+             (a, _one_form(alike, left[::-1])), (a - a, sc.ctx.zero(2))]
+    for f, g in equal:
+        assert f == g and hash(f) == hash(g)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_forms_refuse_assignment_and_deletion(sc):
+    form, matrix = sc.w[0], pauli_compose(*sc.w)
+    for value, field in ((form, "terms"), (form, "degree"), (form, "ctx"), (matrix, "entries")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    with pytest.raises(AttributeError):
+        form.label = "w1"
+    assert form == sc.ctx.gen("w1") and matrix == pauli_compose(*sc.w)
+
+
+def test_a_record_takes_each_field_once_by_position_or_keyword():
+    g = Generator("dx", 1)
+    assert g == Generator(name="dx", degree=1) == Generator("dx", degree=1) != Generator("dx", 2)
+    assert hash(g) == hash(Generator("dx", 1)) and repr(g) == "Generator(name='dx', degree=1)"
+    for args, named in ((("dx",), {}), (("dx", 1, 2), {}), (("dx", 1), {"name": "dt"}),
+                        (("dx",), {"label": 1})):
+        with pytest.raises(TypeError, match="takes the fields name, degree"):
+            Generator(*args, **named)
 
 
 def test_form_degree_mismatch_rejected(sc):
