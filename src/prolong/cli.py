@@ -91,7 +91,8 @@ def _cmd_verify_su2(args) -> tuple:
                 ],
             )
         )
-    wanted = su2.IDENTITY_NAMES if args.all or not args.name else tuple(args.name)
+    # a repeated --name runs once, where it was first given
+    wanted = su2.IDENTITY_NAMES if args.all or not args.name else tuple(dict.fromkeys(args.name))
     for name in wanted:
         result = su2.verify_identity(sc, name, forms)
         status = "verified" if result.stated_ok else ("corrected" if result.corrected else "failed")

@@ -704,17 +704,14 @@ class Scalar(Record):
         """The stored denominator, as a polynomial Scalar."""
         return _make(self.den, _ONE)
 
-    def free_symbols(self) -> set:
+    def free_symbols(self) -> frozenset:
         """The names of the symbols this depends on, inside atoms too."""
-        return set(self._symbols())
-
-    def _symbols(self) -> frozenset:
         found = getattr(self, "_free", None)
         if found is None:
             found = set()
             for g in _used(self.num, self.den):
                 exponent = _EXPONENTS.get(g)
-                found |= exponent._symbols() if exponent is not None else {g}
+                found |= exponent.free_symbols() if exponent is not None else {g}
             found = frozenset(found)
             object.__setattr__(self, "_free", found)
         return found
@@ -725,7 +722,7 @@ class Scalar(Record):
         through every power of an exponential atom E = exp(p)."""
         if not isinstance(name, str):
             raise TypeError(f"diff takes a symbol's name, not {name!r}")
-        if name not in self._symbols():
+        if name not in self.free_symbols():
             return ZERO
         num, den = self.num, self.den
         chain = [
@@ -846,7 +843,7 @@ def substitute(e: ScalarLike, bindings: Mapping[str, ScalarLike]) -> Scalar:
         if exponent is None:
             if g in bindings:
                 images[g] = Scalar(bindings[g])
-        elif not exponent._symbols().isdisjoint(bindings):
+        elif not exponent.free_symbols().isdisjoint(bindings):
             images[g] = substitute(exponent, bindings)
     if not images:
         return e
@@ -895,7 +892,7 @@ def eta_coefficients(e: ScalarLike) -> dict:
     used = _used(e.num, e.den)
     for g in used:
         exponent = _EXPONENTS.get(g)
-        if exponent is not None and ETA in exponent._symbols():
+        if exponent is not None and ETA in exponent.free_symbols():
             raise LaurentError(f"not a Laurent polynomial in eta: {e}")
     if ETA not in used:
         return {0: e}

@@ -5,8 +5,8 @@ A model file declares one context (a coordinate chart, a jet family over
 differential rules of a free algebra, then defines named forms, exterior
 ideals, spectral families, linear connections, and section (elimination)
 chains.  The reader makes one pass: each statement is evaluated as it is
-read, the context is built at the first rule or definition and frozen at
-the first definition, and a statement out of that order is a DslError
+read, the context is rebuilt at each declaration and frozen at the first
+definition, and a statement out of that order is a DslError
 with its line and column.  The expression grammar is infix with `+ - * /`,
 wedge `^` (same precedence as `*`, left associative), integer powers
 `**` (binding tighter than unary minus, so `-x**2` is `-(x**2)`),
@@ -122,7 +122,7 @@ class ModelFile:
         self.coordinates = self.jet_fields = self.scalars = self.params = ()
         self.oneforms = self.twoforms = ()
         self.rules = {}  # name -> Form
-        self.ctx = None  # the DerivationContext, built when the declarations end
+        self.ctx = None  # the DerivationContext, rebuilt at each declaration
         self.lets = {}  # name -> Scalar
         self.forms = {}  # name -> Form
         self.ideals = {}  # name -> ExteriorIdeal
@@ -133,8 +133,8 @@ class ModelFile:
 
 # Statement keyword -> (stage, context kind it declares, ModelFile field it
 # fills).  Statements come in stage order: declarations, then rules, then
-# definitions; the context is built when the declarations end and frozen
-# when the rules end.
+# definitions; the context is rebuilt at each declaration and frozen when
+# the rules end.
 _DECLARATION, _RULE, _DEFINITION = range(3)
 _STAGE_NAMES = ("declaration", "rule", "definition")
 _STATEMENTS = {
@@ -253,35 +253,10 @@ class _Parser:
     def _enter(self, stage: int):
         m = self.model
         if stage > _DECLARATION and m.ctx is None:
-            m.ctx = self._context()
+            raise self.error("definitions require a context declaration first")
         if stage > _RULE:
             m.ctx.freeze()
         self.stage = stage
-
-    def _context(self) -> DerivationContext:
-        m = self.model
-        ctx = DerivationContext()
-        if m.kind == "chart":
-            for name in m.coordinates:
-                ctx.add_scalar(name)
-            for name in m.params:
-                ctx.add_parameter(name)
-        elif m.kind == "jet":
-            ctx.add_scalar("x")
-            ctx.add_scalar("t")
-            ctx.set_jet_mode(m.jet_fields)
-        elif m.kind == "dga":
-            for name in m.oneforms:
-                ctx.add_generator(name, 1)
-            for name in m.scalars:
-                ctx.add_scalar(name)
-            for name in m.params:
-                ctx.add_parameter(name)
-            for name in m.twoforms:
-                ctx.add_generator(name, 2)
-        else:
-            raise self.error("definitions require a context declaration first")
-        return ctx
 
     def _declaration(self, keyword: str, kind: str | None, field_name: str):
         m = self.model
@@ -301,6 +276,11 @@ class _Parser:
         if keyword == "chart" and len(names) < 2:
             raise self.error("chart needs the base pair plus fields")
         setattr(m, field_name, getattr(m, field_name) + tuple(names))
+        if m.kind is not None:
+            # rebuilt at each declaration, so a name declared twice is refused where it repeats
+            scalars = ("x", "t") if m.kind == "jet" else m.coordinates + m.scalars
+            m.ctx = DerivationContext(one_forms=m.oneforms, scalars=scalars, params=m.params,
+                                      two_forms=m.twoforms, jet_fields=m.jet_fields)
 
     def _rule(self) -> tuple:
         self.expect("name", "d")

@@ -53,70 +53,44 @@ class ContextError(ValueError):
 
 
 class DerivationContext:
-    """Ordered generators plus a differential-rule table.
+    """Generators declared in one call, plus a differential-rule table.
 
-    Mutating methods are only allowed before :meth:`freeze`; afterwards the
-    context is immutable and safe to share.
+    The constructor declares every name once: scalars are degree-0 symbols,
+    each with the degree-1 differential d<name>; parameters are constants;
+    jet fields make coefficients jet expressions over the scalars x and t,
+    so d of a coefficient is D_x dx + D_t dt with total derivatives.  The
+    generators are the one-forms, the scalars' differentials and the
+    two-forms, in that order.  :meth:`set_rule` gives a one-form or
+    two-form its differential until :meth:`freeze`; afterwards the context
+    is immutable and safe to share.
     """
 
-    def __init__(self):
-        self._gens: list[Generator] = []
-        self._degrees: list[int] = []  # each generator's degree, by index
-        self._index: dict[str, int] = {}
+    def __init__(self, one_forms=(), scalars=(), params=(), two_forms=(), jet_fields=()):
+        gens = ([Generator(name, 1) for name in one_forms]
+                + [Generator(f"d{name}", 1) for name in scalars]
+                + [Generator(name, 2) for name in two_forms])
+        seen: set = set()
+        for name in (*scalars, *params, *jet_fields, *(g.name for g in gens)):
+            if name in seen:
+                raise ContextError(f"{name!r} is declared twice")
+            seen.add(name)
+        if jet_fields and not {"x", "t"} <= set(scalars):
+            raise ContextError("jet fields need the scalars x and t")
+        self._gens = tuple(gens)
+        self._degrees = tuple(g.degree for g in gens)  # each generator's degree, by index
+        self._index = {g.name: i for i, g in enumerate(gens)}
+        self._rule_targets = frozenset((*one_forms, *two_forms))
+        # (name, index of d<name>) for each scalar
+        self._scalars = tuple((name, self._index[f"d{name}"]) for name in scalars)
+        self._jet_deps = tuple(jet_fields)
         self._rules: dict[str, "Form"] = {}
-        self._scalars: list[tuple[str, str | None]] = []
-        self._scalar_names: set[str] = set()
-        self._jet_deps: tuple[str, ...] = ()
         self._frozen = False
 
-    # -- declaration ---------------------------------------------------------
-
-    def _check_open(self):
+    def set_rule(self, name: str, form: "Form") -> None:
         if self._frozen:
             raise ContextError("context is frozen")
-
-    def _register_gen(self, name: str, degree: int) -> Generator:
-        if name in self._index or name in self._scalar_names:
-            raise ContextError(f"duplicate generator name {name!r}")
-        gen = Generator(name, degree)
-        self._index[name] = len(self._gens)
-        self._gens.append(gen)
-        self._degrees.append(degree)
-        return gen
-
-    def add_generator(self, name: str, degree: int) -> Generator:
-        self._check_open()
-        if degree not in (1, 2):
-            raise ContextError("free generators must have degree 1 or 2")
-        return self._register_gen(name, degree)
-
-    def add_scalar(self, name: str, constant: bool = False) -> str:
-        """Degree-0 symbol; unless constant, its differential d<name> is a
-        fresh degree-1 generator."""
-        self._check_open()
-        diff_name = None
-        if not constant:
-            diff_name = f"d{name}"
-            self._register_gen(diff_name, 1)
-        self._scalars.append((name, diff_name))
-        self._scalar_names.add(name)
-        return name
-
-    def add_parameter(self, name: str) -> str:
-        return self.add_scalar(name, constant=True)
-
-    def set_jet_mode(self, deps: Sequence[str]) -> None:
-        """Coefficients become jet expressions of (x, t); d on a coefficient
-        is D_x dx + D_t dt with total derivatives."""
-        self._check_open()
-        if "dx" not in self._index or "dt" not in self._index:
-            raise ContextError("jet mode needs coordinates x and t declared first")
-        self._jet_deps = tuple(deps)
-
-    def set_rule(self, name: str, form: "Form") -> None:
-        self._check_open()
-        if name not in self._index:
-            raise ContextError(f"unknown generator {name!r}")
+        if name not in self._rule_targets:
+            raise ContextError(f"rules apply to declared one-forms and two-forms, not {name!r}")
         expected = self._degrees[self._index[name]] + 1
         if form.degree != expected:
             raise ContextError(f"rule for {name} must have degree {expected}")
@@ -141,7 +115,7 @@ class DerivationContext:
         )
         signature = (
             tuple((g.name, g.degree) for g in self._gens),
-            tuple(self._scalars),
+            self._scalars,
             self._jet_deps,
             rules,
         )
@@ -153,7 +127,7 @@ class DerivationContext:
 
     @property
     def generators(self) -> tuple:
-        return tuple(self._gens)
+        return self._gens
 
     def index_of(self, name: str) -> int:
         try:
@@ -199,12 +173,10 @@ class DerivationContext:
                 if not part.is_zero:
                     out.append((self._index[f"d{direction}"], part))
             return out
-        for name, diff_name in self._scalars:
-            if diff_name is None:
-                continue
+        for name, idx in self._scalars:
             part = c.diff(name)
             if not part.is_zero:
-                out.append((self._index[diff_name], part))
+                out.append((idx, part))
         return out
 
 
@@ -528,11 +500,7 @@ def pauli_compose(f1: Form, f2: Form, f3: Form) -> MatrixForm:
 
 
 def build_jet_context(deps: Sequence[str]) -> DerivationContext:
-    ctx = DerivationContext()
-    ctx.add_scalar("x")
-    ctx.add_scalar("t")
-    ctx.set_jet_mode(deps)
-    return ctx.freeze()
+    return DerivationContext(scalars=("x", "t"), jet_fields=deps).freeze()
 
 
 class DdReport(Record):

@@ -117,6 +117,10 @@ def _epsilon_wedge(l: int, a: Sequence[Form], b: Sequence[Form]) -> Form:
     return out
 
 
+_W = ("w1", "w2", "w3")
+_TH = ("th1", "th2", "th3")
+
+
 def _structure_rules(ctx: DerivationContext, w: Sequence[Form], th: Sequence[Form]):
     """dw_l = th_l + i eps_{lmn} w_m w_n and the induced curvature rule
     dth_l = 2 i eps_{mnl} w_m th_n (eps_{mnl} = eps_{lmn})."""
@@ -127,18 +131,11 @@ def _structure_rules(ctx: DerivationContext, w: Sequence[Form], th: Sequence[For
 
 
 def build_su2_context() -> Su2Context:
-    ctx = DerivationContext()
-    for l in (1, 2, 3):
-        ctx.add_generator(f"w{l}", 1)
     indices = (1, 2, 5, 6, 7, 8)
-    for k in indices:
-        ctx.add_scalar(f"y{k}")
-    ctx.add_scalar("f")
-    ctx.add_scalar("g")
-    for l in (1, 2, 3):
-        ctx.add_generator(f"th{l}", 2)
-    w = tuple(ctx.gen(f"w{l}") for l in (1, 2, 3))
-    th = tuple(ctx.gen(f"th{l}") for l in (1, 2, 3))
+    ctx = DerivationContext(one_forms=_W, scalars=(*(f"y{k}" for k in indices), "f", "g"),
+                            two_forms=_TH)
+    w = tuple(ctx.gen(name) for name in _W)
+    th = tuple(ctx.gen(name) for name in _TH)
     _structure_rules(ctx, w, th)
     ctx.freeze()
     y = {k: sym(f"y{k}") for k in indices}
@@ -166,7 +163,15 @@ def build_su2_context() -> Su2Context:
 
 
 class Su2Forms(Record):
-    __slots__ = ("xi", "beta1", "beta2")  # xi: index -> Form, xi1 .. xi8
+    """The pseudopotential one-forms, with the change of basis to the ring
+    basis context (one-forms w's, xi's, df, dg; two-forms th's) and back."""
+
+    __slots__ = (
+        "xi",  # index -> Form, xi1 .. xi8
+        "beta1", "beta2",
+        "to_ring",  # su(2) generator name -> ring form; dy_i -> xi_i + part_i
+        "from_ring",  # ring generator name -> su(2) form
+    )
 
 
 def _connection_parts(sc: Su2Context, w: Sequence[Form]) -> dict:
@@ -194,7 +199,15 @@ def build_forms(sc: Su2Context) -> Su2Forms:
     xi = {i: sc.dy[i] - part for i, part in parts.items()}
     xi[3] = ctx.d_scalar(y3) - wp + w3 * (2 * y3) + wm * (y3**2)
     xi[4] = ctx.d_scalar(y4) - wm - w3 * (2 * y4) + wp * (y4**2)
-    return Su2Forms(xi=xi, beta1=parts[5], beta2=parts[6])
+    ring = DerivationContext(one_forms=(*_W, *(f"xi{i}" for i in range(1, 9)), "df", "dg"),
+                             two_forms=_TH).freeze()
+    shared = (*_W, *_TH, "df", "dg")
+    to_ring = {name: ring.gen(name) for name in shared}
+    ring_parts = _connection_parts(sc, [ring.gen(name) for name in _W])
+    to_ring.update({f"dy{i}": ring.gen(f"xi{i}") + part for i, part in ring_parts.items()})
+    from_ring = {name: ctx.gen(name) for name in shared}
+    from_ring.update({f"xi{i}": xi[i] for i in range(1, 9)})
+    return Su2Forms(xi=xi, beta1=parts[5], beta2=parts[6], to_ring=to_ring, from_ring=from_ring)
 
 
 # ---------------------------------------------------------------------------
@@ -225,26 +238,9 @@ class Decomposition(Record):
         out = sc.ctx.zero(2)
         for l, c in enumerate(self.theta_coeffs):
             out = out + sc.th[l] * c
-        back = {f"w{l}": sc.w[l - 1] for l in (1, 2, 3)}
-        back.update({f"th{l}": sc.th[l - 1] for l in (1, 2, 3)})
-        back.update({f"xi{i}": forms.xi[i] for i in range(1, 9)})
-        back.update({"df": sc.df, "dg": sc.dg})
         for i, mult in self.multipliers.items():
-            out = out + mult.substitute_generators(back).wedge(forms.xi[i])
+            out = out + mult.substitute_generators(forms.from_ring).wedge(forms.xi[i])
         return out
-
-
-def _ring_basis_context() -> DerivationContext:
-    ctx = DerivationContext()
-    for l in (1, 2, 3):
-        ctx.add_generator(f"w{l}", 1)
-    for i in range(1, 9):
-        ctx.add_generator(f"xi{i}", 1)
-    ctx.add_generator("df", 1)
-    ctx.add_generator("dg", 1)
-    for l in (1, 2, 3):
-        ctx.add_generator(f"th{l}", 2)
-    return ctx.freeze()
 
 
 def decompose_over_ring(sc: Su2Context, forms: Su2Forms, target: Form) -> Decomposition:
@@ -254,12 +250,8 @@ def decompose_over_ring(sc: Su2Context, forms: Su2Forms, target: Form) -> Decomp
     transporting to the basis context the multipliers are read off monomial
     by monomial; a two-xi monomial is assigned to the higher xi index.
     """
-    basis = _ring_basis_context()
-    names = ("w1", "w2", "w3", "th1", "th2", "th3", "df", "dg")
-    gen_map = {name: basis.gen(name) for name in names}
-    parts = _connection_parts(sc, [gen_map[f"w{l}"] for l in (1, 2, 3)])
-    gen_map.update({f"dy{i}": basis.gen(f"xi{i}") + part for i, part in parts.items()})
-    transported = target.substitute_generators(gen_map)
+    transported = target.substitute_generators(forms.to_ring)
+    basis = transported.ctx
 
     th_idx = {basis.index_of(f"th{l}"): l for l in (1, 2, 3)}
     xi_idx = {basis.index_of(f"xi{i}"): i for i in range(1, 9)}

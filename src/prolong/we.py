@@ -35,7 +35,6 @@ from .jets import (
 
 __all__ = [
     "ExteriorIdeal",
-    "chart_context",
     "MembershipWitness",
     "ideal_membership",
     "ClosureResult",
@@ -51,14 +50,6 @@ __all__ = [
     "apply_eliminations",
     "extract_section_evolution",
 ]
-
-
-def chart_context(coordinates: Sequence[str]) -> DerivationContext:
-    """Coordinate context; d of a coefficient is its coordinate differential."""
-    ctx = DerivationContext()
-    for name in coordinates:
-        ctx.add_scalar(name)
-    return ctx.freeze()
 
 
 class ExteriorIdeal(Record):
@@ -175,6 +166,8 @@ def section(ideal: ExteriorIdeal, eliminations: Sequence[tuple] = ()) -> Section
     dx^dt coefficient; a higher form pulls back to zero on the
     two-dimensional base and gives no equation.
     """
+    if not {"x", "t"} <= set(ideal.coordinates):
+        raise ValueError("section needs the coordinates x and t")
     deps = tuple(c for c in ideal.coordinates if c not in ("x", "t"))
     jet_ctx = build_jet_context(deps)
     dx, dt = jet_ctx.gen("dx"), jet_ctx.gen("dt")

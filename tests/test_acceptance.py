@@ -34,7 +34,6 @@ from prolong.su2 import (
 from prolong.we import (
     ConnectionData,
     ExteriorIdeal,
-    chart_context,
     closure_check,
     curvature_matrix,
     ideal_membership,
@@ -106,11 +105,7 @@ def test_criterion_3_dd_zero(sc, ch_ideal, kdv_spec):
         check_dd_zero(ch_ideal.ctx).ok,
         check_dd_zero(build_jet_context(kdv_spec.deps)).ok,
     ]
-    corrupted = DerivationContext()
-    for l in (1, 2, 3):
-        corrupted.add_generator(f"w{l}", 1)
-    for l in (1, 2, 3):
-        corrupted.add_generator(f"th{l}", 2)
+    corrupted = DerivationContext(one_forms=("w1", "w2", "w3"), two_forms=("th1", "th2", "th3"))
     w = [corrupted.gen(f"w{l}") for l in (1, 2, 3)]
     th = [corrupted.gen(f"th{l}") for l in (1, 2, 3)]
     corrupted.set_rule("w1", th[0])  # structure term dropped
@@ -321,7 +316,7 @@ def _random_form(rng: random.Random, ctx, degree: int, symbols) -> Form:
 
 def test_criterion_9_wedge_antisymmetry():
     rng = random.Random(SEED)
-    ctx = chart_context(["x", "t", "u", "p", "q"])
+    ctx = DerivationContext(scalars=("x", "t", "u", "p", "q")).freeze()
     symbols = [from_sympy(sp.Symbol(n)) for n in ("u", "p", "q")]
     for _ in range(N_INSTANCES):
         p = rng.choice((0, 1, 1, 2))

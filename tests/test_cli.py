@@ -36,6 +36,15 @@ def test_verify_su2_single_identity(capsys):
     assert "bianchi" in out
 
 
+def test_verify_su2_runs_a_repeated_name_once(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    argv = ["verify-su2", "--name", "xi3", "--name", "xi1", "--name", "xi3", "--json", str(report)]
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    items = json.loads(report.read_text(encoding="utf-8"))["items"]
+    assert [item["name"] for item in items] == ["dd-zero", "xi3", "xi1"]
+
+
 def test_verify_su2_with_fixture(capsys):
     code, out, _ = run(["verify-su2", "--fixture", "su2_dga"], capsys)
     assert code == 0
@@ -250,6 +259,16 @@ def test_a_model_that_declares_i_is_usage_error(tmp_path, capsys):
         code, _, err = run(["closure", str(model)], capsys)
         assert code == exit_code, err
     assert "line 1, column 13: i is the imaginary unit" in err
+
+
+def test_a_name_declared_twice_is_usage_error(tmp_path, capsys):
+    ideal = "ideal a {\n  xi1 = du^dt\n}\n"
+    for declared, exit_code in (("chart x t u\nparams v", 0), ("chart x t u\nparams u", 2)):
+        model = tmp_path / "twice.eds"
+        model.write_text(f"{declared}\n{ideal}", encoding="utf-8")
+        code, _, err = run(["closure", str(model)], capsys)
+        assert code == exit_code, err
+    assert "line 2, column 1: 'u' is declared twice" in err
 
 
 @pytest.mark.parametrize("a_text", ("1/(eta + 1)", "exp(eta)"))

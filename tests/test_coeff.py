@@ -51,6 +51,13 @@ def test_gcd_cancellation():
     assert (y1 * y2) / y1 == y2
 
 
+def test_free_symbols_are_the_cached_frozenset():
+    value = y1 * exp_atom(y5 / 3) / (q + 1)
+    found = value.free_symbols()
+    assert found == frozenset({"y1", "y5", "q"}) and isinstance(found, frozenset)
+    assert value.free_symbols() is found  # cached, not copied per call
+
+
 def test_exponential_inverse_pair():
     assert exp_atom(y5) * exp_atom(-y5) == Scalar(1)
 

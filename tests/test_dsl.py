@@ -68,6 +68,28 @@ def test_the_imaginary_unit_is_not_a_name_to_declare(text, line, col):
     parse(text.replace(" i", " j"))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("chart x t u\nrule d du = dx^dt\n", "not 'du'"),
+        ("jet q\nrule d dx = dx^dt\n", "not 'dx'"),
+        ("oneform y1\nscalars y1\n", "'y1' is declared twice"),
+        ("chart x t u\nparams u\n", "'u' is declared twice"),
+        ("jet x\n", "'x' is declared twice"),
+        ("jet q\nparams x\n", "'x' is declared twice"),
+        ("jet q\nparams q\n", "'q' is declared twice"),
+        ("scalars y\nparams y\n", "'y' is declared twice"),
+    ],
+    ids=["rule-on-a-coordinate", "rule-on-a-jet-base", "oneform-and-scalar", "coordinate-and-param",
+         "jet-field-x", "jet-base-and-param", "jet-field-and-param", "scalar-and-param"],
+)
+def test_a_name_declared_twice_or_a_rule_on_a_differential_is_refused(text, message):
+    with pytest.raises(DslError, match=message) as err:
+        parse(text)
+    # reported at the statement that repeats the name or gives the rule
+    assert err.value.line == text.count("\n")
+
+
 def test_dangling_wedge_is_syntax_error():
     with pytest.raises(DslError):
         parse("chart x t u\nform a = dx ^\n")

@@ -18,12 +18,11 @@ from prolong.forms import (
     pauli_decompose,
 )
 from prolong.su2 import build_su2_context
-from prolong.we import chart_context
 
 
 @pytest.fixture(scope="module")
 def chart():
-    return chart_context(["x", "t", "u", "p", "q"])
+    return DerivationContext(scalars=("x", "t", "u", "p", "q")).freeze()
 
 
 def test_levi_civita_table():
@@ -75,11 +74,7 @@ def test_dd_zero_su2(sc):
 
 
 def test_dd_zero_corrupted_rule():
-    ctx = DerivationContext()
-    for l in (1, 2, 3):
-        ctx.add_generator(f"w{l}", 1)
-    for l in (1, 2, 3):
-        ctx.add_generator(f"th{l}", 2)
+    ctx = DerivationContext(one_forms=("w1", "w2", "w3"), two_forms=("th1", "th2", "th3"))
     w = [ctx.gen(f"w{l}") for l in (1, 2, 3)]
     th = [ctx.gen(f"th{l}") for l in (1, 2, 3)]
     ctx.set_rule("w1", th[0])  # structure term dropped
@@ -92,6 +87,46 @@ def test_dd_zero_corrupted_rule():
     report = check_dd_zero(ctx)
     assert not report.ok
     assert not report.residuals["w1"].is_zero
+
+
+@pytest.mark.parametrize(
+    "declared",
+    [
+        {"scalars": ("x", "x")},
+        {"one_forms": ("w1",), "two_forms": ("w1",)},
+        {"scalars": ("y",), "one_forms": ("dy",)},
+        {"scalars": ("x", "t"), "params": ("x",)},
+        {"scalars": ("x", "t"), "jet_fields": ("t",)},
+    ],
+    ids=["scalar", "oneform-and-twoform", "differential", "param", "jet-field"],
+)
+def test_a_name_declared_twice_is_refused(declared):
+    with pytest.raises(ContextError, match="is declared twice"):
+        DerivationContext(**declared)
+
+
+def test_jet_fields_need_the_scalars_x_and_t():
+    for scalars in ((), ("x",), ("a", "b")):
+        with pytest.raises(ContextError, match="jet fields need the scalars x and t"):
+            DerivationContext(scalars=scalars, jet_fields=("q",))
+    ctx = DerivationContext(scalars=("x", "t"), jet_fields=("q",))
+    assert [g.name for g in ctx.generators] == ["dx", "dt"]
+
+
+def test_generators_are_one_forms_then_differentials_then_two_forms():
+    ctx = DerivationContext(one_forms=("w",), scalars=("y",), params=("c",), two_forms=("th",))
+    assert ctx.generators == (Generator("w", 1), Generator("dy", 1), Generator("th", 2))
+
+
+def test_a_rule_applies_only_to_a_declared_one_form_or_two_form():
+    ctx = DerivationContext(scalars=("x", "t", "u"))
+    with pytest.raises(ContextError, match="not 'du'"):
+        ctx.set_rule("du", ctx.gen("dx").wedge(ctx.gen("dt")))
+    free = DerivationContext(one_forms=("w",), scalars=("y",), two_forms=("th",))
+    free.set_rule("w", free.gen("th"))
+    with pytest.raises(ContextError, match="not 'dy'"):
+        free.set_rule("dy", free.gen("th"))
+    assert free.gen("w").d() == free.gen("th")
 
 
 def test_matrix_wedge_pauli_product(sc):
@@ -204,7 +239,7 @@ def test_substitute_generators(sc):
 
 
 def test_substitute_generators_into_another_context(chart):
-    line = chart_context(["s"])
+    line = DerivationContext(scalars=("s",)).freeze()
     ds = line.gen("ds")
     images = {name: ds * k for k, name in enumerate(("dx", "dt", "du", "dp", "dq"), 1)}
     form = chart.gen("dx") * sym("u") + chart.gen("dq")

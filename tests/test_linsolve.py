@@ -6,7 +6,7 @@ import itertools
 
 from prolong.coeff import I, ONE, ZERO, Scalar, sym
 from prolong.linsolve import express_in_basis, solve_linear
-from prolong.we import chart_context
+from prolong.forms import DerivationContext
 
 beta, q, u = sym("beta"), sym("q"), sym("u")
 
@@ -87,7 +87,7 @@ def test_row_order_does_not_change_the_solution():
 
 
 def test_express_in_basis():
-    ctx = chart_context(["x", "t", "u", "q"])
+    ctx = DerivationContext(scalars=("x", "t", "u", "q")).freeze()
     dx, dt = ctx.gen("dx"), ctx.gen("dt")
     target = dx * q + dt * (u + 1)
     assert express_in_basis(target, [dx, dt, dx + dt]) == [q, u + 1, ZERO]

@@ -8,12 +8,12 @@ import sympy as sp
 from prolong.cli import main
 from prolong.coeff import ETA, Scalar, ZERO, substitute, sym
 from prolong.dsl import parse
+from prolong.forms import DerivationContext
 from prolong.jets import EvolutionSystem, is_total_x_derivative, jet
 from prolong.we import (
     ConnectionData,
     ExteriorIdeal,
     apply_eliminations,
-    chart_context,
     closure_check,
     curvature_matrix,
     extract_section_evolution,
@@ -64,7 +64,7 @@ def test_membership_generic_two_form_fails(ch_ideal):
 
 
 def test_trivial_ideal_is_closed():
-    ctx = chart_context(["x", "t", "u"])
+    ctx = DerivationContext(scalars=("x", "t", "u")).freeze()
     ideal = ExteriorIdeal(
         ctx=ctx,
         generators={"xi": ctx.gen("du").wedge(ctx.gen("dt"))},
@@ -238,7 +238,7 @@ def _connection(f: sp.Matrix, g: sp.Matrix) -> ConnectionData:
 
 
 def test_prolongation_3x3_matches_hand_curvature():
-    ctx = chart_context(("x", "t", "u"))
+    ctx = DerivationContext(scalars=("x", "t", "u")).freeze()
     du, dx, dt = ctx.gen("du"), ctx.gen("dx"), ctx.gen("dt")
     ideal = ExteriorIdeal(
         ctx=ctx,
@@ -387,6 +387,21 @@ def test_mixed_degree_ideal_section_verb(tmp_path, capsys):
     assert main(["section", str(path)]) == 0
     out = capsys.readouterr().out
     assert "raw-th-dx" in out and "raw-th-dt" in out and "raw-om" in out
+
+
+def test_section_needs_the_coordinates_x_and_t(tmp_path, capsys):
+    text = "chart a b u\nideal e {\n  xi = du^db - u*da^db\n}\n"
+    ideal = parse(text).ideals["e"]
+    with pytest.raises(ValueError, match="section needs the coordinates x and t"):
+        section(ideal)
+    assert closure_check(ideal).ok  # closure needs no base pair
+    path = tmp_path / "ab.eds"
+    path.write_text(text, encoding="utf-8")
+    assert main(["section", str(path)]) == 2
+    assert "section needs the coordinates x and t" in capsys.readouterr().err
+    # negative control: the same ideal over (x, t) sections
+    path.write_text("chart x t u\nideal e {\n  xi = du^dt - u*dx^dt\n}\n", encoding="utf-8")
+    assert main(["section", str(path)]) == 0
 
 
 def test_an_unknown_name_raises_key_error(ch_ideal):
