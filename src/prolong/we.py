@@ -97,29 +97,41 @@ def ideal_membership(phi: Form, ideal: ExteriorIdeal) -> MembershipWitness | Non
     over all wedge monomials is solved exactly with deterministic pivoting
     and zero free unknowns (minimal support under the declared order).
     """
+    return _memberships([phi], ideal)[0]
+
+
+def _memberships(targets: Sequence[Form], ideal: ExteriorIdeal) -> list:
+    """ideal_membership of every target, with one elimination per degree;
+    each witness is still re-expanded against its own target."""
     ctx = ideal.ctx
-    multipliers = {name: ctx.zero(0) for name in ideal.generators}
-    if phi.is_zero:
-        return MembershipWitness(ideal, multipliers)
-    candidates: list[Form] = []
-    layout: list[tuple[str, Form]] = []  # (generator name, basis monomial)
-    for name, gen in ideal.generators.items():
-        mult_degree = phi.degree - gen.degree
-        if mult_degree < 0:
-            continue
-        for mono in itertools.combinations(ctx.one_form_indices(), mult_degree):
-            basis_form = Form(ctx, mult_degree, {mono: ONE})
-            candidates.append(basis_form.wedge(gen))
-            layout.append((name, basis_form))
-    solution = express_in_basis(phi, candidates)
-    if solution is None:
-        return None
-    for coeff, (name, basis_form) in zip(solution, layout):
-        multipliers[name] = multipliers[name] + basis_form * coeff
-    witness = MembershipWitness(ideal, multipliers)
-    if not (witness.expand() - phi).is_zero:
-        return None
-    return witness
+    zero = {name: ctx.zero(0) for name in ideal.generators}
+    results = [MembershipWitness(ideal, dict(zero)) if phi.is_zero else None for phi in targets]
+    by_degree: dict = {}
+    for index, phi in enumerate(targets):
+        if not phi.is_zero:
+            by_degree.setdefault(phi.degree, []).append(index)
+    for degree, indices in by_degree.items():
+        candidates: list[Form] = []
+        layout: list[tuple[str, Form]] = []  # (generator name, basis monomial)
+        for name, gen in ideal.generators.items():
+            mult_degree = degree - gen.degree
+            if mult_degree < 0:
+                continue
+            for mono in itertools.combinations(ctx.one_form_indices(), mult_degree):
+                basis_form = Form(ctx, mult_degree, {mono: ONE})
+                candidates.append(basis_form.wedge(gen))
+                layout.append((name, basis_form))
+        solutions = express_in_basis([targets[i] for i in indices], candidates)
+        for index, solution in zip(indices, solutions):
+            if solution is None:
+                continue
+            multipliers = dict(zero)
+            for coeff, (name, basis_form) in zip(solution, layout):
+                multipliers[name] = multipliers[name] + basis_form * coeff
+            witness = MembershipWitness(ideal, multipliers)
+            if (witness.expand() - targets[index]).is_zero:
+                results[index] = witness
+    return results
 
 
 class ClosureResult(Record):
@@ -135,13 +147,9 @@ class ClosureResult(Record):
 
 
 def closure_check(ideal: ExteriorIdeal) -> ClosureResult:
-    witnesses = {}
-    failures = {}
-    for name, gen in ideal.generators.items():
-        d_gen = gen.d()
-        witnesses[name] = ideal_membership(d_gen, ideal)
-        if witnesses[name] is None:
-            failures[name] = d_gen
+    d_gens = {name: gen.d() for name, gen in ideal.generators.items()}
+    witnesses = dict(zip(d_gens, _memberships(list(d_gens.values()), ideal)))
+    failures = {name: d_gens[name] for name, w in witnesses.items() if w is None}
     return ClosureResult(ideal=ideal, witnesses=witnesses, failures=failures)
 
 
@@ -287,13 +295,15 @@ def prolongation_residual(conn: ConnectionData, ideal: ExteriorIdeal) -> Prolong
     """Each entry of the curvature d(Omega) - Omega^Omega over the chart,
     dF/du_j du_j^dt + dG/du_j du_j^dx + [F,G] dx^dt, tested for ideal
     membership; an empty witness set means failure."""
+    if not {"x", "t"} <= set(ideal.coordinates):
+        raise ValueError("prolong needs the coordinates x and t")
     curvature = conn.one_form(ideal.ctx).curvature()
     residuals = {
         (i, j): curvature.entry(i, j) for i in range(conn.size) for j in range(conn.size)
     }
     return ProlongationResult(
         residuals=residuals,
-        witnesses={key: ideal_membership(z, ideal) for key, z in residuals.items()},
+        witnesses=dict(zip(residuals, _memberships(list(residuals.values()), ideal))),
     )
 
 

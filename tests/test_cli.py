@@ -147,6 +147,21 @@ def test_prolong_off_member_fails(capsys):
     assert code == 1
 
 
+def test_prolong_needs_the_coordinates_x_and_t(tmp_path, capsys):
+    model = tmp_path / "ab.eds"
+    model.write_text(
+        "chart a b u\nideal e {\n  xi = du^db - u*da^db\n}\n"
+        "connection c {\n  F = [[u]]\n  G = [[0]]\n}\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(["prolong", str(model)], capsys)
+    assert code == 2 and out == ""
+    assert "prolong needs the coordinates x and t" in err
+    # positive control: closure takes any chart
+    code, out, err = run(["closure", str(model)], capsys)
+    assert code == 0, err
+
+
 @pytest.mark.parametrize("verb", ["section", "prolong"])
 def test_beta_with_zero_denominator_is_a_usage_error(verb, capsys):
     code, out, err = run([verb, "--fixture", "ch", "--beta", "3/0"], capsys)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 import sympy as sp
 
+from prolong import linsolve
 from prolong.cli import main
 from prolong.coeff import ETA, Scalar, ZERO, substitute, sym
 from prolong.dsl import parse
@@ -404,6 +405,14 @@ def test_section_needs_the_coordinates_x_and_t(tmp_path, capsys):
     assert main(["section", str(path)]) == 0
 
 
+def test_prolongation_needs_the_coordinates_x_and_t():
+    ideal = parse("chart a b u\nideal e {\n  xi = du^db - u*da^db\n}\n").ideals["e"]
+    conn = ConnectionData(F=((ZERO,),), G=((ZERO,),))
+    with pytest.raises(ValueError, match="prolong needs the coordinates x and t"):
+        prolongation_residual(conn, ideal)
+    assert closure_check(ideal).ok  # closure needs no base pair
+
+
 def test_an_unknown_name_raises_key_error(ch_ideal):
     closure = closure_check(ch_ideal)
     assert closure.witnesses["xi1"].multipliers["xi2"] == ch_ideal.ctx.gen("dx")
@@ -436,3 +445,66 @@ def test_section_evolution_refuses_a_second_t_derivative(ch_model, ch_ideal):
 def test_laxcheck_on_non_evolutionary_section_is_exit_2(capsys):
     assert main(["laxcheck", "--fixture", "ch"]) == 2
     assert "not evolutionary" in capsys.readouterr().err
+
+
+# d(cl) = 0, a zero target beside the two-form d(th) and the three-form d(om)
+MIXED_WITH_A_CLOSED_GENERATOR = MIXED_DEGREE_MODEL.replace(
+    "  om = u*dp^dx\n", "  om = u*dp^dx\n  cl = du^dx\n"
+)
+
+
+def _without(ideal: ExteriorIdeal, name: str) -> ExteriorIdeal:
+    return ExteriorIdeal(
+        ctx=ideal.ctx,
+        generators={n: g for n, g in ideal.generators.items() if n != name},
+        coordinates=ideal.coordinates,
+        parameters=ideal.parameters,
+    )
+
+
+@pytest.mark.parametrize("case", ["ch-without-xi3", "mixed-degree"])
+def test_batched_closure_matches_one_membership_at_a_time(case, ch_ideal):
+    if case == "ch-without-xi3":
+        ideal = _without(ch_ideal, "xi3")
+    else:
+        ideal = parse(MIXED_WITH_A_CLOSED_GENERATOR).ideals["contact"]
+    result = closure_check(ideal)
+    d_gens = {name: gen.d() for name, gen in ideal.generators.items()}
+    singles = {name: ideal_membership(d, ideal) for name, d in d_gens.items()}
+    assert result.witnesses == singles
+    assert result.failures == {name: d_gens[name] for name, w in singles.items() if w is None}
+    if case == "ch-without-xi3":
+        # one batch holds a closed and a failed generator
+        assert list(result.failures) == ["xi2"] and singles["xi1"] is not None
+    else:
+        assert result.ok and {d.degree for d in d_gens.values()} == {2, 3}
+        assert d_gens["cl"].is_zero
+        assert all(m.is_zero for m in result.witnesses["cl"].multipliers.values())
+
+
+def test_batched_prolongation_matches_one_membership_at_a_time(ch_model, ch_ideal):
+    ideal = _with_beta(ch_ideal, Scalar.rational(5, 8))
+    result = prolongation_residual(ch_model.connections["lax"], ideal)
+    singles = {key: ideal_membership(z, ideal) for key, z in result.residuals.items()}
+    assert result.witnesses == singles
+    assert None in singles.values() and any(w is not None for w in singles.values())
+
+
+def test_one_elimination_per_degree(monkeypatch, ch_model, ch_ideal):
+    """A check solves all its targets of one degree as one system."""
+    right_hand_sides = []
+    solve = linsolve.solve_linear
+
+    def counted(matrix, columns):
+        right_hand_sides.append(len(columns))
+        return solve(matrix, columns)
+
+    monkeypatch.setattr(linsolve, "solve_linear", counted)
+    assert closure_check(ch_ideal).ok
+    assert right_hand_sides == [3]
+    right_hand_sides.clear()
+    prolongation_residual(ch_model.connections["lax"], ch_ideal)
+    assert right_hand_sides == [4]
+    right_hand_sides.clear()
+    assert closure_check(parse(MIXED_WITH_A_CLOSED_GENERATOR).ideals["contact"]).ok
+    assert right_hand_sides == [1, 1]
