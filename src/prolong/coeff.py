@@ -39,6 +39,14 @@ gcd reads an atom's powers as the integer powers of E**(1/L), L the lcm
 of their denominators; substituting F**L for E maps gcds to gcds, so
 that is exact.
 
+Every derivative is the one derivation :func:`derive`, given the image
+of each symbol, a polynomial.  On the stored pair it takes n/d to
+(D(n)*d - n*D(d))/d**2 with one reduction, or to D(n)/d when D(d) is 0;
+the power E**r of an atom exp(p) gives r * E**r * D(p), over the product
+of the denominators of the D(p), and when d and that product are 1, D(n)
+needs no reduction.  ``Scalar.diff`` takes its symbol to 1, a total
+derivative of :mod:`prolong.jets` each jet symbol to the next.
+
 The one table maps an atom's text to its exponent p.  It caches a pure
 function of its key, since ``str`` is injective on canonical Scalars, so
 no value or order depends on what it holds.  The generator order is the
@@ -81,6 +89,7 @@ __all__ = [
     "ONE",
     "sym",
     "exp_atom",
+    "derive",
     "substitute",
 ]
 
@@ -210,24 +219,18 @@ def _power(poly: dict, k: int) -> dict:
     return out
 
 
-def _derivative(poly: dict, g: str) -> dict:
-    out = {}
+def _derivative(poly: dict, images: dict) -> dict:
+    """D(poly), D the derivation taking symbol g to the polynomial images[g]."""
+    out: dict = {}
     for m, c in poly.items():
-        for k, (h, e) in enumerate(m):
-            if h == g:
-                out[m[:k] + (((h, e - 1),) if e > 1 else ()) + m[k + 1:]] = _Gaussian(c.x * e, c.y * e)
-                break
-    return out
-
-
-def _weighted(poly: dict, g: str) -> "Scalar":
-    """E * d(poly)/dE for the atom E of text g: each term of poly times
-    its power of E."""
-    powers = {m: dict(m).get(g, 0) for m in poly}
-    scale = lcm(*(r.denominator for r in powers.values()))
-    out = _make({m: _Gaussian(c.x * k, c.y * k) for m, c in poly.items()
-                 if (k := int(powers[m] * scale))}, _ONE)
-    return out if scale == 1 else out / scale
+        for k, (g, e) in enumerate(m):
+            image = images.get(g)
+            if image is not None:
+                rest = m[:k] + (((g, e - 1),) if e > 1 else ()) + m[k + 1:]
+                for n, d in image.num.items():
+                    key, value = _monomial_product(rest, n), _Gaussian(c.x * e, c.y * e) * d
+                    out[key] = out[key] + value if key in out else value
+    return {m: c for m, c in out.items() if c}
 
 
 def _quotient(monom: tuple, divisor: tuple) -> tuple:
@@ -717,33 +720,13 @@ class Scalar(Record):
         return found
 
     def diff(self, name: str) -> "Scalar":
-        """Partial derivative by the symbol name: the quotient rule on the
-        stored pair, and the chain rule d(E**r)/dz = r * E**r * dp/dz
-        through every power of an exponential atom E = exp(p)."""
+        """Partial derivative by the symbol name: the derivation that takes
+        name to 1 (see :func:`derive`)."""
         if not isinstance(name, str):
             raise TypeError(f"diff takes a symbol's name, not {name!r}")
         if name not in self.free_symbols():
             return ZERO
-        num, den = self.num, self.den
-        chain = [
-            (g, dexp) for g in _used(num, den) if g in _EXPONENTS
-            and not (dexp := _EXPONENTS[g].diff(name)).is_zero
-        ]
-        if not chain:
-            dnum = _derivative(num, name)
-            if _is_one(den):
-                return _make(dnum, den)
-            return _reduce(_plus(_times(dnum, den), _negated(_times(num, _derivative(den, name)))),
-                           _times(den, den))
-
-        def derivative(poly: dict) -> Scalar:
-            out = _make(_derivative(poly, name), _ONE)
-            for g, dexp in chain:
-                out = out + _weighted(poly, g) * dexp
-            return out
-
-        p, q = _make(num, _ONE), _make(den, _ONE)
-        return (derivative(num) * q - p * derivative(den)) / (q * q)
+        return derive(self, {name: ONE})
 
     def __eq__(self, other) -> bool:
         other = _operand(other)
@@ -823,6 +806,42 @@ def exp_atom(s: ScalarLike) -> Scalar:
         root = Fraction(1, power.denominator) if power.denominator > 1 else 1
         out = out * _make({((text, root),): _UNIT}, _ONE) ** power.numerator
     return out
+
+
+def derive(e: ScalarLike, images: Mapping[str, ScalarLike]) -> Scalar:
+    """D(e) for the derivation D that takes each symbol named in images to
+    its image, a polynomial, and every other symbol to 0: the one pass over
+    the stored pair that the module docstring describes."""
+    images = {g: Scalar(v) for g, v in images.items()}
+    if not all(_is_one(v.den) for v in images.values()):
+        raise ValueError(f"a derivation takes symbols to polynomials: {images}")
+    e = Scalar(e)
+    num, den = e.num, e.den
+    # (atom exp(p), lcm L of the denominators of its powers, a) with
+    # a/bottom = D(p)/L, bottom the product of those denominators
+    chain, bottom = [], _ONE
+    for g in _used(num, den):
+        exponent = _EXPONENTS.get(g)
+        if exponent is not None and not exponent.free_symbols().isdisjoint(images):
+            dp = derive(exponent, images)
+            scale = lcm(*{r.denominator for m in (*num, *den) for h, r in m if h == g})
+            b = _scaled(dp.den, _Gaussian(scale, 0))
+            chain = [(h, k, _times(a, b)) for h, k, a in chain] + [(g, scale, _times(dp.num, bottom))]
+            bottom = _times(bottom, b)
+
+    def derivative(poly: dict) -> dict:
+        """bottom * D(poly), an atom's power r in a term adding r*L * term * a."""
+        out = _derivative(poly, images)
+        out = out if _is_one(bottom) else _times(out, bottom)
+        for g, scale, a in chain:
+            out = _plus(out, _times({m: _Gaussian(c.x * k, c.y * k) for m, c in poly.items()
+                                     if (k := int(dict(m).get(g, 0) * scale))}, a))
+        return out
+
+    top, slope = derivative(num), derivative(den)
+    if not slope:
+        return _make(top, _ONE) if _is_one(den) and _is_one(bottom) else _reduce(top, _times(bottom, den))
+    return _reduce(_plus(_times(top, den), _negated(_times(num, slope))), _times(bottom, _times(den, den)))
 
 
 def substitute(e: ScalarLike, bindings: Mapping[str, ScalarLike]) -> Scalar:

@@ -211,6 +211,17 @@ def _sorted_monomial(degrees: Sequence[int], mono: tuple) -> tuple | None:
     return (sign, tuple(items))
 
 
+def _form(ctx: DerivationContext, degree: int, terms: dict, form: "Form" = None) -> "Form":
+    """The Form of terms whose keys are sorted, of the degree and each held
+    once: zeros dropped, keys ordered.  Operations on Forms build here;
+    ``Form(...)``, the one checking constructor, fills itself in here."""
+    form = object.__new__(Form) if form is None else form
+    object.__setattr__(form, "ctx", ctx)
+    object.__setattr__(form, "degree", degree)
+    object.__setattr__(form, "terms", {k: c for k, c in sorted(terms.items()) if not c.is_zero})
+    return form
+
+
 class Form(Record):
     """Homogeneous exterior form: monomial -> coefficient, canonical."""
 
@@ -233,11 +244,7 @@ class Form(Record):
                 continue
             sign, key = packed
             _accumulate(cleaned, key, coeff if sign == 1 else -coeff)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(
-            self, "terms", {k: c for k, c in sorted(cleaned.items()) if not c.is_zero}
-        )
+        _form(ctx, degree, cleaned, self)
 
     # -- linear structure -----------------------------------------------------
 
@@ -256,19 +263,19 @@ class Form(Record):
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             _accumulate(out, mono, coeff)
-        return Form(self.ctx, self.degree, out)
+        return _form(self.ctx, self.degree, out)
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
 
     def __neg__(self) -> "Form":
-        return Form(self.ctx, self.degree, {m: -c for m, c in self.terms.items()})
+        return _form(self.ctx, self.degree, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, scalar) -> "Form":
         if isinstance(scalar, Form):
             return self.wedge(scalar)
         c = Scalar(scalar)
-        return Form(self.ctx, self.degree, {m: v * c for m, v in self.terms.items()})
+        return _form(self.ctx, self.degree, {m: v * c for m, v in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -285,7 +292,7 @@ class Form(Record):
                 sign, key = packed
                 value = c1 * c2
                 _accumulate(out, key, value if sign == 1 else -value)
-        return Form(self.ctx, self.degree + other.degree, out)
+        return _form(self.ctx, self.degree + other.degree, out)
 
     # -- differential -----------------------------------------------------------
 
@@ -332,7 +339,7 @@ class Form(Record):
         return self.terms.get((), ZERO)
 
     def map_coefficients(self, fn: Callable[[Scalar], Scalar]) -> "Form":
-        return Form(self.ctx, self.degree, {m: fn(c) for m, c in self.terms.items()})
+        return _form(self.ctx, self.degree, {m: Scalar(fn(c)) for m, c in self.terms.items()})
 
     def substitute_generators(self, mapping: Mapping[str, "Form"]) -> "Form":
         """Pull back along generator name -> form of the same degree.

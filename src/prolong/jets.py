@@ -6,6 +6,9 @@ first class; t-derivative symbols are transient and are eliminated by
 :func:`reduce_mod_evolution` against an evolution system u_t = rhs.
 Every replacement of jet symbols by expressions, here and in the section
 elimination chain of :mod:`we`, runs through :func:`substitute_jets`.
+Every derivative, total or partial, is the one derivation
+:func:`prolong.coeff.derive` on the stored pair: :func:`total_derivative`
+gives it the image of the independent variable and of each jet symbol.
 """
 
 from __future__ import annotations
@@ -13,12 +16,10 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
-from .coeff import Scalar, ZERO, substitute, sym
+from .coeff import ONE, Scalar, ZERO, derive, substitute, sym
 from .record import Record
 
 __all__ = [
-    "X",
-    "T",
     "jet",
     "split_jet",
     "jet_order",
@@ -32,9 +33,6 @@ __all__ = [
     "is_total_x_derivative",
     "TotalDerivativeCertificate",
 ]
-
-X = "x"
-T = "t"
 
 _JET_RE = re.compile(r"^(?P<var>[A-Za-z][A-Za-z0-9]*)(?:_(?P<ord>x*t*))?$")
 
@@ -67,19 +65,19 @@ def jet_order(e: Scalar, deps: Sequence[str]) -> int:
 
 
 def total_derivative(e: Scalar, direction: str, deps: Sequence[str]) -> Scalar:
-    """Chain-rule total derivative D_x or D_t, promoting jet symbols."""
+    """Total derivative D_x or D_t: the derivation that takes the
+    independent variable to 1 and each jet symbol of deps in e, inside
+    exponential atoms too, to the symbol one derivative higher."""
     if direction not in ("x", "t"):
         raise ValueError(f"direction must be 'x' or 't', got {direction!r}")
     e = Scalar(e)
-    out = e.diff(X if direction == "x" else T)
+    images = {direction: ONE}
     for s in e.free_symbols():
         parts = split_jet(s)
-        if parts is None or parts[0] not in deps:
-            continue
-        var, nx, nt = parts
-        bumped = jet(var, nx + 1, nt) if direction == "x" else jet(var, nx, nt + 1)
-        out = out + e.diff(s) * sym(bumped)
-    return out
+        if parts is not None and parts[0] in deps:
+            var, nx, nt = parts
+            images[s] = sym(jet(var, nx + 1, nt) if direction == "x" else jet(var, nx, nt + 1))
+    return derive(e, images)
 
 
 def total_derivatives(e: Scalar, nx: int, nt: int, deps: Sequence[str]) -> Scalar:

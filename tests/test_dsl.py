@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import random
 import string
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from prolong.coeff import Scalar, eta_coefficients, exp_atom, sym
 from prolong.dsl import DslError, parse, print_form, print_model, print_scalar
@@ -236,25 +236,31 @@ def test_scalar_print_parse_cycle():
         assert model.lets["v"] == s
 
 
-def test_fuzzed_inputs_fail_cleanly():
-    rng = random.Random(79)
-    base = fixture_text("ch")
-    alphabet = string.ascii_letters + string.digits + " ^*+-/()[]{}=_\n#"
-    for _ in range(300):
-        text = list(base)
-        for _ in range(rng.randint(1, 6)):
-            op = rng.random()
-            pos = rng.randrange(len(text))
-            if op < 0.4:
-                text[pos] = rng.choice(alphabet)
-            elif op < 0.7:
-                text.insert(pos, rng.choice(alphabet))
-            else:
-                del text[pos]
-        try:
-            parse("".join(text))
-        except (DslError, ZeroDivisionError):
-            pass  # structured failure is acceptable; crashes are not
+@st.composite
+def _mutated_ch(draw):
+    """ch.eds after 1-6 edits, each replacing, inserting or deleting one
+    character, the new ones drawn from a model-text alphabet."""
+    alphabet = st.sampled_from(string.ascii_letters + string.digits + " ^*+-/()[]{}=_\n#")
+    text = list(fixture_text("ch"))
+    for _ in range(draw(st.integers(1, 6))):
+        edit = draw(st.sampled_from(("replace", "insert", "delete")))
+        pos = draw(st.integers(0, len(text) - 1))
+        if edit == "replace":
+            text[pos] = draw(alphabet)
+        elif edit == "insert":
+            text.insert(pos, draw(alphabet))
+        else:
+            del text[pos]
+    return "".join(text)
+
+
+@settings(max_examples=300)
+@given(_mutated_ch())
+def test_fuzzed_inputs_fail_cleanly(text):
+    try:
+        parse(text)
+    except (DslError, ZeroDivisionError):
+        pass  # structured failure is acceptable; crashes are not
 
 
 def test_let_and_form_names_and_division_by_a_degree_0_form():

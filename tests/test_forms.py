@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prolong.coeff import I, Scalar, sym
+from prolong.coeff import I, ONE, Scalar, exp_atom, sym
 from prolong.forms import (
     ContextError,
     DerivationContext,
@@ -316,3 +316,62 @@ def test_high_degree_wedge_collapses(chart):
         top = top.wedge(g)
     assert not top.is_zero
     assert top.wedge(gens[0]).is_zero
+
+
+_SU2 = build_su2_context()
+_CHART = DerivationContext(scalars=("x", "t", "u", "p", "q"), two_forms=("Th",)).freeze()
+# (context, coefficient factors), an integer in -2..2 times one of them
+_SETTINGS = [
+    (_SU2.ctx, (ONE, I, _SU2.y[1], _SU2.y3, _SU2.e5, 1 / (_SU2.y[1] + _SU2.y[2]))),
+    (_CHART, (ONE, I, sym("u"), sym("p") * sym("q"), exp_atom(sym("u")), 1 / (sym("u") + sym("x")))),
+]
+
+
+@st.composite
+def _forms(draw, ctx, factors, degree=None):
+    """A Form of ctx through the checking constructor: up to four unsorted
+    monomials of 0-3 generators, those of the form's degree kept."""
+    degrees = [g.degree for g in ctx.generators]
+    monomials = draw(st.lists(st.lists(st.integers(0, len(degrees) - 1), max_size=3).map(tuple),
+                              max_size=4))
+    if degree is None:
+        degree = sum(degrees[i] for i in monomials[0]) if monomials else draw(st.integers(0, 2))
+    coefficients = st.builds(lambda k, c: k * c, st.integers(-2, 2), st.sampled_from(factors))
+    return Form(ctx, degree, {m: draw(coefficients) for m in monomials
+                              if sum(degrees[i] for i in m) == degree})
+
+
+def _assert_canonical(f: Form) -> None:
+    """f is what the checking constructor makes of its own terms, with its
+    keys in the same order, and it stores no zero."""
+    rebuilt = Form(f.ctx, f.degree, dict(f.terms))
+    assert f == rebuilt and list(f.terms) == list(rebuilt.terms)
+    assert not any(c.is_zero for c in f.terms.values())
+
+
+@pytest.mark.parametrize("ctx, factors", _SETTINGS, ids=["su2", "chart"])
+@settings(max_examples=100)
+@given(data=st.data())
+def test_form_operations_build_canonical_forms(ctx, factors, data):
+    a, b = data.draw(_forms(ctx, factors)), data.draw(_forms(ctx, factors))
+    k = data.draw(st.integers(-2, 2))
+    # a form of a's degree that cancels a in part, wholly, or not at all
+    alike = a * k + data.draw(_forms(ctx, factors, a.degree))
+    c = k * data.draw(st.sampled_from(factors))
+    results = [a + alike, a - alike, -a, a - a, a + (-a), (a + alike) - a, a * c, c * a, a * 0,
+               a.wedge(b), a * b, a.map_coefficients(lambda v: v * v - 1)]
+    for f in results:
+        _assert_canonical(f)
+    assert (a + alike) - a == alike and (a - a).is_zero
+
+
+def test_operations_on_canonical_forms_skip_the_checking_constructor(monkeypatch, sc):
+    a = sc.w[0] * sc.y[1] + sc.w[1] * sc.e5
+    b = sc.w[2] * sc.y3 - sc.w[0]
+    checked = []
+    init = Form.__init__
+    monkeypatch.setattr(Form, "__init__", lambda *args: checked.append(args) or init(*args))
+    for f in (a + b, a - b, -a, a * sc.y[2], sc.y[2] * a, a.wedge(b), a * b,
+              a.map_coefficients(lambda v: v * 2)):
+        assert not f.is_zero
+    assert checked == []

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from prolong.coeff import Scalar, ZERO, sym
+from prolong.coeff import I, Scalar, ZERO, exp_atom, sym
 from prolong.jets import (
     EvolutionSystem,
     euler_operator,
@@ -17,6 +18,8 @@ from prolong.jets import (
     split_jet,
     total_derivative,
 )
+
+from sympy_bridge import from_sympy, to_sympy
 
 u, ux, uxx, uxxx = sym(jet("u")), sym(jet("u", 1)), sym(jet("u", 2)), sym(jet("u", 3))
 ut, uxt = sym(jet("u", 0, 1)), sym(jet("u", 1, 1))
@@ -157,3 +160,64 @@ def test_solve_for_t_derivative_refuses_a_second_t_derivative():
 def test_solve_for_t_derivative_refuses_nonlinear_slope():
     assert solve_for_t_derivative(ut**2 + ux) is None
     assert solve_for_t_derivative(u * ux) is None
+
+
+x, eta = sym("x"), sym("eta")
+# Jet-dependent denominators, and exponential atoms: one at a rational
+# power, one whose exponent has a denominator.
+_POOL = (u, ux, uxx, q, qx, x, eta, 1 / ux, 1 / (q - I * u), 1 / (u + eta),
+         exp_atom(u), exp_atom(ux / 2), exp_atom(-u), exp_atom(x), exp_atom(ux / x))
+_COEFFICIENTS = st.builds(lambda a, b, c: Scalar.rational(a, c) + b * I,
+                          st.integers(-3, 3), st.integers(-2, 2), st.integers(1, 3))
+
+
+def _expressions():
+    """Sums of 1-3 terms, each a Gaussian rational times 0-3 of _POOL."""
+    terms = st.lists(st.tuples(_COEFFICIENTS, st.lists(st.sampled_from(_POOL), max_size=3)),
+                     min_size=1, max_size=3)
+
+    def total(terms) -> Scalar:
+        out = ZERO
+        for c, factors in terms:
+            for factor in factors:
+                c = c * factor
+            out = out + c
+        return out
+
+    return terms.map(total)
+
+
+@settings(max_examples=300)
+@given(_expressions(), st.sampled_from("xt"))
+def test_total_derivative_matches_sympy(e, direction):
+    """D e = d e/d direction + sum over the jet symbols s of deps in e of
+    d e/d s times s one derivative higher."""
+    deps = ("u", "q")
+    expr = to_sympy(e)
+    expected = sp.diff(expr, sp.Symbol(direction))
+    for s in e.free_symbols():
+        parts = split_jet(s)
+        if parts is not None and parts[0] in deps:
+            var, nx, nt = parts
+            bumped = jet(var, nx + 1, nt) if direction == "x" else jet(var, nx, nt + 1)
+            expected += sp.diff(expr, sp.Symbol(s)) * sp.Symbol(bumped)
+    assert from_sympy(expected) == total_derivative(e, direction, deps)
+
+
+@settings(max_examples=300)
+@given(_expressions(), st.sampled_from(("u", "u_x", "q", "x", "eta", "t")))
+def test_diff_matches_sympy(e, name):
+    assert from_sympy(sp.diff(to_sympy(e), sp.Symbol(name))) == e.diff(name)
+
+
+def test_total_derivative_is_one_derivation(monkeypatch):
+    """D_x takes the stored pair to its derivative in one pass, with no
+    partial derivative and no Scalar product on the way."""
+    e = (u * ux + exp_atom(ux / 2)) / (q - I * u) + exp_atom(ux / x) * qx
+    calls = []
+    for name in ("diff", "__mul__", "__rmul__"):
+        original = getattr(Scalar, name)
+        monkeypatch.setattr(Scalar, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    for direction in "xt":
+        total_derivative(e, direction, ["u", "q"])
+    assert calls == []
