@@ -25,9 +25,9 @@ denominator the bundled workloads produce is, reducing needs no
 polynomial gcd: dividing out the minimum exponent of each variable and
 the content gcd suffices.  Any other ``den`` goes through a polynomial
 gcd on dense exponent vectors: the heuristic gcd of Char, Geddes and
-Gonnet (1989) on Python integers when no coefficient has an imaginary
-part, else the subresultant polynomial remainder sequence (Brown and
-Traub 1971), recursive in the variables.
+Gonnet (1989) over the Gaussian integers, or, when it fails, the
+subresultant polynomial remainder sequence (Brown and Traub 1971),
+recursive in the variables.
 
 There is one exponential atom E = exp(p) for each direction p, an
 exponent whose coefficients are primitive and sign-normalised, and
@@ -73,6 +73,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
 from math import gcd, isqrt, lcm
 from operator import add
 from typing import Mapping, Union
@@ -270,18 +271,22 @@ def _gcd(a, b):
     return a
 
 
-def _gaussian_quotient(a, b):
-    """a/b when the Gaussian integer b divides a, else None."""
-    norm = b.x * b.x + b.y * b.y
-    x, y = a * _Gaussian(b.x, -b.y)
-    return None if x % norm or y % norm else _Gaussian(x // norm, y // norm)
+def _gcd_of(values, c=_Gaussian(0, 0)):
+    """The gcd of c and values, up to a unit, folded until it is a unit."""
+    for v in values:
+        if _is_unit(c):
+            break
+        c = _gcd(c, v)
+    return c
 
 
 def _exquo(a, b):
-    """a/b, b dividing a."""
-    if not b.y:
-        return _Gaussian(a.x // b.x, a.y // b.x)
-    return _gaussian_quotient(a, b)
+    """a/b when the Gaussian integer b divides a, else None."""
+    if b.y:
+        norm = b.x * b.x + b.y * b.y
+        a, b = a * _Gaussian(b.x, -b.y), _Gaussian(norm, 0)
+    (x, r), (y, s) = divmod(a.x, b.x), divmod(a.y, b.x)
+    return None if r or s else _new(_Gaussian, (x, y))
 
 
 def _canonical_unit(c):
@@ -322,12 +327,7 @@ def _reduce(num: dict, den: dict) -> "Scalar":
                 break
             held = dict(m)
             common = tuple((g, min(e, held[g])) for g, e in common if g in held)
-        content = dc
-        if not _is_unit(dc):
-            for c in num.values():
-                content = _gcd(content, c)
-                if _is_unit(content):
-                    break
+        content = _gcd_of(num.values(), dc)
         if common or not _is_unit(content):
             num = {_quotient(m, common): _exquo(c, content) for m, c in num.items()}
             den = {_quotient(dm, common): _exquo(dc, content)}
@@ -344,11 +344,8 @@ def _reduce(num: dict, den: dict) -> "Scalar":
 
 def _cofactors(num: dict, den: dict) -> tuple:
     """num and den divided by their gcd, up to a unit (den has more than
-    one term): the heuristic gcd when every coefficient is real, else, or
-    when the heuristic fails, the subresultant remainder sequence.  The
-    remainder sequence alone handles real inputs too, but on real gcds
-    of 3-5 variables and 15-25 terms it takes seconds where the heuristic
-    takes milliseconds."""
+    one term): the heuristic gcd, or the subresultant remainder sequence
+    when the heuristic fails."""
     gens = sorted(_used(num, den))
     # an atom's rational powers as the integer powers of E**(1/L), L the
     # lcm of their denominators
@@ -363,39 +360,29 @@ def _cofactors(num: dict, den: dict) -> tuple:
                       for x, e, L in zip(gens, m, scales) if e): c for m, c in poly.items()}
 
     f, g = dense(num), dense(den)
-
-    if not any(c.y for poly in (f, g) for c in poly.values()):
-        found = _heugcd({m: c.x for m, c in f.items()}, {m: c.x for m, c in g.items()})
-        if found is not None:
-            return tuple(sparse({m: _Gaussian(c, 0) for m, c in p.items()}) for p in found[1:])
-    h = _prs_gcd(f, g)
-    return sparse(_poly_quotient(f, h, _gaussian_quotient)), sparse(_poly_quotient(g, h, _gaussian_quotient))
+    found = _heugcd(f, g)
+    if found is None:
+        h = _prs_gcd(f, g)
+        found = h, _poly_quotient(f, h), _poly_quotient(g, h)
+    return sparse(found[1]), sparse(found[2])
 
 
 def _add_exponents(a: tuple, b: tuple) -> tuple:
     return tuple(map(add, a, b))
 
 
-def _int_quotient(a: int, b: int):
-    """a/b when b divides a, else None."""
-    q, r = divmod(a, b)
-    return None if r else q
-
-
-def _poly_quotient(f: dict, h: dict, quotient) -> dict | None:
-    """f/h when h divides f, else None, by division in lex order with
-    quotient dividing coefficients.  A quotient term whose degree in some
-    variable exceeds f's less h's shows that h does not divide f."""
+def _poly_quotient(f: dict, h: dict) -> dict | None:
+    """f/h when h divides f, else None, by division in lex order.  A
+    quotient term whose degree in some variable exceeds f's less h's
+    shows that h does not divide f."""
     lead = max(h)
     room = [a - b for a, b in zip(_degrees(f), _degrees(h))]
     rest, out = f, {}
     while rest:
         top = max(rest)
         m = tuple(a - b for a, b in zip(top, lead))
-        if not all(0 <= e <= r for e, r in zip(m, room)):
-            return None
-        c = quotient(rest[top], h[lead])
-        if c is None:
+        c = all(0 <= e <= r for e, r in zip(m, room)) and _exquo(rest[top], h[lead])
+        if not c:
             return None
         out[m] = c
         rest = _plus(rest, _negated(_times({m: c}, h, _add_exponents)))
@@ -408,45 +395,64 @@ def _degrees(f: dict) -> list:
 
 
 def _heugcd(f: dict, g: dict):
-    """(h, f/h, g/h) for h the gcd of the nonzero integer polynomials f and
-    g in one or more variables, or None when the heuristic fails.
+    """(h, f/h, g/h) for h a gcd of the nonzero polynomials f and g over
+    the Gaussian integers, or None when the heuristic fails.
 
-    sympy's ``heugcd`` (Char, Geddes and Gonnet 1989, GCDHEU) on Python
-    ints: evaluate the first variable at an integer x, take the gcd of the
-    images (recursively), read the balanced base-x digits of the gcd and
-    of either cofactor back as polynomials, and keep a candidate gcd only
-    when it divides f and g.  Six growing points are tried.
+    GCDHEU (Char, Geddes and Gonnet 1989): with the shared content out, set
+    the first variable to an integer X, take the gcd G of the images
+    recursively, and read the balanced base-X digits of G's real and
+    imaginary parts back as P, so P(X) = G.  The first candidate to divide f
+    and g is kept: P over its content c, then f and g over the polynomials
+    read back from f(X)/G and g(X)/G (c = 1).  Six growing points X are
+    tried.
+
+    Why it is a gcd.  Let F be f's leading coefficient in the later
+    variables (lex), a polynomial in the first, and R an integer at least
+    the largest modulus of F's coefficients over its leading one's, so F's
+    roots have modulus below 1 + R (Cauchy); f is the one of f and g with
+    the smaller R, and X >= 4*R + 4.  A gcd d of f and g is primitive,
+    their shared content being out, and h divides it: d = h*k.  d(X)
+    divides G = c*h(X), so k(X) divides c: a constant, with |k(X)| <= |c|
+    <= X/sqrt(2), as c divides a digit, whose parts are at most X/2.  A
+    later variable in k would make its leading coefficient in them, a
+    divisor of F, vanish at X, as k(X) is constant; but X > 1 + R.  So k
+    divides F, and if it is not constant, |k(X)| >= prod |X - a| over its
+    roots a, each factor above X - 1 - R >= 3*X/4 > X/sqrt(2).  So k is a
+    constant, a unit as d is primitive.  Only moduli enter, so this holds
+    over Z and Z[i] alike; where c = 1 it needs only |k(X)| = 1.
     """
-    common = gcd(*f.values(), *g.values())
-    f = {m: c // common for m, c in f.items()}
-    g = {m: c // common for m, c in g.items()}
-    f_norm, g_norm = max(map(abs, f.values())), max(map(abs, g.values()))
-    bound = 2 * min(f_norm, g_norm) + 29
-    x = max(min(bound, 99 * isqrt(bound)),
-            2 * min(f_norm // abs(f[max(f)]), g_norm // abs(g[max(g)])) + 4)
+    common = _gcd_of((*f.values(), *g.values()))
+    f = {m: _exquo(c, common) for m, c in f.items()}
+    g = {m: _exquo(c, common) for m, c in g.items()}
+    if not next(iter(f)):  # no variable left: the content is the gcd
+        return {(): common}, f, g
+
+    def root_bound(p: dict) -> int:
+        """R for p, by |x| + |y| >= |x + y*i| >= max(|x|, |y|)."""
+        top = max(m[1:] for m in p)
+        part = [c for m, c in sorted(p.items()) if m[1:] == top]  # the leading coefficient last
+        return max(abs(c.x) + abs(c.y) for c in part) // max(abs(part[-1].x), abs(part[-1].y)) + 1
+
+    bound = 2 * min(max(abs(c.x) + abs(c.y) for c in p.values()) for p in (f, g)) + 29
+    x = max(min(bound, 99 * isqrt(bound)), 4 * min(root_bound(f), root_bound(g)) + 4)
 
     def divides(h: dict | None):
-        p = h and _poly_quotient(f, h, _int_quotient)
-        q = p and _poly_quotient(g, h, _int_quotient)
-        return q and ({m: c * common for m, c in h.items()}, p, q)
+        p = h and _poly_quotient(f, h)
+        q = p and _poly_quotient(g, h)
+        return q and (_scaled(h, common), p, q)
 
     for _ in range(6):
         ff, gg = _evaluate_first(f, x), _evaluate_first(g, x)
         if ff and gg:
-            if len(next(iter(f))) == 1:
-                a, b = ff[()], gg[()]
-                h = gcd(a, b)
-                images = {(): h}, {(): a // h}, {(): b // h}
-            else:
-                images = _heugcd(ff, gg)
-                if images is None:
-                    return None
+            images = _heugcd(ff, gg)
+            if images is None:
+                return None
             h, cff, cfg = images
             h = _interpolate(h, x)
-            content = gcd(*h.values())
-            found = (divides({m: c // content for m, c in h.items()})
-                     or divides(_poly_quotient(f, _interpolate(cff, x), _int_quotient))
-                     or divides(_poly_quotient(g, _interpolate(cfg, x), _int_quotient)))
+            content = _gcd_of(h.values())
+            found = (divides({m: _exquo(c, content) for m, c in h.items()})
+                     or divides(_poly_quotient(f, _interpolate(cff, x)))
+                     or divides(_poly_quotient(g, _interpolate(cfg, x))))
             if found:
                 return found
         x = 73794 * x * isqrt(isqrt(x)) // 27011
@@ -457,27 +463,26 @@ def _evaluate_first(f: dict, x: int) -> dict:
     """f with its first variable set to x, over the other variables."""
     out: dict = {}
     for m, c in f.items():
-        out[m[1:]] = out.get(m[1:], 0) + c * x ** m[0]
+        scale = x ** m[0]
+        value = _new(_Gaussian, (c.x * scale, c.y * scale))
+        out[m[1:]] = out[m[1:]] + value if m[1:] in out else value
     return {m: c for m, c in out.items() if c}
 
 
 def _interpolate(h: dict, x: int) -> dict:
     """The polynomial in a new first variable whose coefficient of its
-    i-th power is the i-th balanced base-x digit of h, with the sign that
-    makes its leading coefficient positive."""
-    out, i = {}, 0
-    while h:
-        digits = {}
-        for m, c in h.items():
-            d = c % x
-            if d > x // 2:
-                d -= x
-            if d:
-                digits[m] = d
-        h = {m: r for m, c in h.items() if (r := (c - digits.get(m, 0)) // x)}
-        out.update(((i, *m), d) for m, d in digits.items())
-        i += 1
-    return out if out[max(out)] > 0 else _negated(out)
+    i-th power has the i-th balanced base-x digits of h's real and
+    imaginary parts as its own."""
+    out, half = {}, x // 2
+    for m, c in h.items():
+        i = 0
+        while c:
+            # c = q*x + d with -x/2 <= d < x/2 in each part
+            (qx, dx), (qy, dy) = divmod(c.x + half, x), divmod(c.y + half, x)
+            if dx != half or dy != half:
+                out[(i, *m)] = _new(_Gaussian, (dx - half, dy - half))
+            c, i = _new(_Gaussian, (qx, qy)), i + 1
+    return out
 
 
 def _prs_gcd(f: dict, g: dict) -> dict:
@@ -492,9 +497,7 @@ def _prs_gcd(f: dict, g: dict) -> dict:
             # the gcd with one term: the gcd of the coefficients times the
             # least power of each variable
             [(m, c)] = f.items()
-            for n, d in g.items():
-                m, c = tuple(map(min, m, n)), _gcd(c, d)
-            return {m: c}
+            return {tuple(map(min, m, *g)): _gcd_of(g.values(), c)}
         vf, vg = _variables(f), _variables(g)
         if vf == vg:
             break
@@ -507,7 +510,7 @@ def _prs_gcd(f: dict, g: dict) -> dict:
     j = min(vf, key=lambda j: max(df[j], dg[j]))
     cf, cg = _content(f, j), _content(g, j)
     common = _prs_gcd(cf, cg)
-    f, g = _poly_quotient(f, cf, _gaussian_quotient), _poly_quotient(g, cg, _gaussian_quotient)
+    f, g = _poly_quotient(f, cf), _poly_quotient(g, cg)
     if _degrees(f)[j] < _degrees(g)[j]:
         f, g = g, f
     # The subresultant remainder sequence of the primitive f and g: each
@@ -526,11 +529,11 @@ def _prs_gcd(f: dict, g: dict) -> dict:
             return common
         f, g, m, d = g, h, k, m - k
         b = _negated(_times(lead, _dense_power(c, d), _add_exponents))
-        h = _poly_quotient(_pseudo_remainder(f, g, j), b, _gaussian_quotient)
+        h = _poly_quotient(_pseudo_remainder(f, g, j), b)
         lead = _part(g, j, m, 0)
-        c = (_poly_quotient(_dense_power(_negated(lead), d), _dense_power(c, d - 1), _gaussian_quotient)
+        c = (_poly_quotient(_dense_power(_negated(lead), d), _dense_power(c, d - 1))
              if d > 1 else _negated(lead))
-    return _times(common, _poly_quotient(g, _content(g, j), _gaussian_quotient), _add_exponents)
+    return _times(common, _poly_quotient(g, _content(g, j)), _add_exponents)
 
 
 def _variables(f: dict) -> set:
@@ -547,11 +550,7 @@ def _part(f: dict, j: int, k: int, to: int) -> dict:
 def _content(f: dict, j: int) -> dict:
     """The gcd of f's coefficients as a polynomial in variable j."""
     # smallest first, so that the gcd shrinks early
-    parts = sorted((_part(f, j, k, 0) for k in {m[j] for m in f}), key=len)
-    out = parts[0]
-    for part in parts[1:]:
-        out = _prs_gcd(out, part)
-    return out
+    return reduce(_prs_gcd, sorted((_part(f, j, k, 0) for k in {m[j] for m in f}), key=len))
 
 
 def _pseudo_remainder(f: dict, g: dict, j: int) -> dict:

@@ -149,15 +149,14 @@ class DerivationContext:
     # -- form construction -------------------------------------------------------
 
     def zero(self, degree: int) -> "Form":
-        return Form(self, degree, {})
+        return _form(self, degree, {})
 
     def scalar_form(self, value) -> "Form":
-        c = Scalar(value)
-        return Form(self, 0, {(): c} if not c.is_zero else {})
+        return _form(self, 0, {(): Scalar(value)})
 
     def gen(self, name: str) -> "Form":
         idx = self.index_of(name)
-        return Form(self, self._degrees[idx], {(idx,): ONE})
+        return _form(self, self._degrees[idx], {(idx,): ONE})
 
     def d_scalar(self, value) -> "Form":
         """Differential of a degree-0 coefficient as a one-form."""
@@ -213,8 +212,8 @@ def _sorted_monomial(degrees: Sequence[int], mono: tuple) -> tuple | None:
 
 def _form(ctx: DerivationContext, degree: int, terms: dict, form: "Form" = None) -> "Form":
     """The Form of terms whose keys are sorted, of the degree and each held
-    once: zeros dropped, keys ordered.  Operations on Forms build here;
-    ``Form(...)``, the one checking constructor, fills itself in here."""
+    once: zeros dropped, keys ordered.  Form operations and zero, gen and
+    scalar_form build here; the checking ``Form(...)`` fills itself in here."""
     form = object.__new__(Form) if form is None else form
     object.__setattr__(form, "ctx", ctx)
     object.__setattr__(form, "degree", degree)
@@ -360,13 +359,14 @@ class Form(Record):
             elif image.degree != gen.degree:
                 raise ContextError(f"replacement for {gen.name} has wrong degree")
             images.append(image)
-        out = target.zero(self.degree)
+        out: dict = {}
         for mono, coeff in self.terms.items():
             piece = target.scalar_form(coeff)
             for gen_idx in mono:
                 piece = piece.wedge(images[gen_idx])
-            out = out + piece
-        return out
+            for key, value in piece.terms.items():
+                _accumulate(out, key, value)
+        return _form(target, self.degree, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Form):

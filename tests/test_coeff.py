@@ -12,6 +12,7 @@ from sympy.polys.orderings import lex
 from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import PolyRing
 
+from prolong import coeff
 from prolong.coeff import (
     ETA,
     I,
@@ -474,19 +475,41 @@ def _examples(cases):
     return decorate
 
 
+_REAL_PAIRS = _gcd_inputs(st.integers(-6, 6).filter(bool).map(lambda x: _Gaussian(x, 0)))
+_GAUSSIAN_PAIRS = _gcd_inputs(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any).map(
+    lambda xy: _Gaussian(*xy)))
+
+
 @settings(max_examples=500)
-@given(_gcd_inputs(st.integers(-6, 6).filter(bool).map(lambda x: _Gaussian(x, 0))))
+@given(_REAL_PAIRS)
 @_examples(_WORKLOAD_REAL)
 def test_cofactors_of_real_polynomials_as_sympys(pair):
     _assert_cofactors_as_sympys(*pair)
 
 
 @settings(max_examples=500)
-@given(_gcd_inputs(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any).map(
-    lambda xy: _Gaussian(*xy))))
+@given(_GAUSSIAN_PAIRS)
 @_examples(_WORKLOAD_GAUSSIAN)
 def test_cofactors_of_gaussian_polynomials_as_sympys(pair):
     _assert_cofactors_as_sympys(*pair)
+
+
+@pytest.mark.parametrize("pairs, cases", [(_REAL_PAIRS, _WORKLOAD_REAL),
+                                          (_GAUSSIAN_PAIRS, _WORKLOAD_GAUSSIAN)],
+                         ids=["real", "gaussian"])
+def test_prs_fallback_cofactors_as_sympys(pairs, cases, monkeypatch):
+    # No input drawn above reaches the heuristic gcd's fallback, the
+    # subresultant remainder sequence, so it is checked with the heuristic
+    # switched off.
+    monkeypatch.setattr(coeff, "_heugcd", lambda f, g: None)
+
+    @settings(max_examples=500)
+    @given(pairs)
+    @_examples(cases)
+    def check(pair):
+        _assert_cofactors_as_sympys(*pair)
+
+    check()
 
 
 @settings(max_examples=500)

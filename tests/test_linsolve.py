@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from prolong import coeff
 from prolong.coeff import I, ONE, ZERO, Scalar, sym
 from prolong.linsolve import express_in_basis, solve_linear
 from prolong.forms import DerivationContext
 
+from gaussian_pool import digest, system as gaussian_system
 from sympy_bridge import to_sympy
 
 beta, q, u = sym("beta"), sym("q"), sym("u")
@@ -141,3 +144,24 @@ def test_each_right_hand_side_solves_as_if_alone(system):
         inconsistent = oracle.extract(range(m), [*range(n), n + k]).rank() > rank
         assert (z is None) == inconsistent
         assert z is None or solves(matrix, b, z)
+
+
+# Digests of the solutions of dense Gaussian systems drawn by
+# tests/gaussian_pool.py; the subresultant remainder sequence alone gives
+# the same ones.  Seed 20 is inconsistent.
+GAUSSIAN_POOL_DIGESTS = {
+    0: "d66bbac55784d4b3", 3: "f693632fe5236f9f", 9: "a121e47afac37daf", 13: "2ac2562d8b5e3c8f",
+    18: "0dc7fcfb9cebb746", 20: "36d191123f58c5e8", 21: "79243bee1e4f97c6",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GAUSSIAN_POOL_DIGESTS))
+def test_dense_gaussian_systems_solve_without_the_prs(seed, monkeypatch):
+    def refuse(f, g):
+        raise AssertionError("the heuristic gcd failed and _cofactors fell back to the PRS")
+
+    monkeypatch.setattr(coeff, "_prs_gcd", refuse)
+    matrix, rhs = gaussian_system(seed)
+    [z] = solve_linear(matrix, [rhs])
+    assert digest(z) == GAUSSIAN_POOL_DIGESTS[seed]
+    assert z is None or solves(matrix, rhs, z)
