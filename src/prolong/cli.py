@@ -1,7 +1,8 @@
 """Batch command line: run the verification verbs over bundled or
 user-supplied model files and emit deterministic text/JSON reports.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 usage or input error.
+Exit codes: 0 all checks passed, 1 a check failed, 2 usage or input error,
+3 an unexpected exception inside a verb (its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ def _cmd_verify_su2(args) -> tuple:
         payload = _item(
             name,
             status,
-            residual=[dsl.print_form(f) for f in result.residuals if not f.is_zero],
+            residual=[dsl.print_form(f) for f in (*result.residuals, *result.reexpansions)
+                      if not f.is_zero],
         )
         if result.note:
             payload["note"] = result.note
@@ -240,13 +242,27 @@ def _beta_scalar(text: str) -> Scalar:
         raise CliError(f"--beta wants an integer or rational, got {text!r}") from None
 
 
+def _at_beta(args):
+    """The map putting ``--beta`` for beta in a scalar, or None without
+    ``--beta``.  A value that makes a denominator vanish is a usage error."""
+    if args.beta is None:
+        return None
+    images = {"beta": _beta_scalar(args.beta)}
+
+    def at_beta(c: Scalar) -> Scalar:
+        try:
+            return substitute(c, images)
+        except ZeroDivisionError as exc:
+            raise CliError(f"--beta {args.beta}: {exc}") from None
+
+    return at_beta
+
+
 def _cmd_section(args) -> tuple:
     model = _load_model(args)
     name, ideal = _pick(model.ideals, "ideal")
     result = we.section(ideal, model.sections.get(name, ()))
-    subs = {}
-    if args.beta is not None:
-        subs["beta"] = _beta_scalar(args.beta)
+    at_beta = _at_beta(args)
     items = []
     for name, raw in result.raw.items():
         items.append(_item(f"raw-{name}", "sectioned", equation=dsl.print_scalar(raw)))
@@ -255,7 +271,7 @@ def _cmd_section(args) -> tuple:
             _item(f"eliminate-{var}", "applied", rule=f"{var} -> {dsl.print_scalar(replacement)}")
         )
     for k, eq in enumerate(result.reduced):
-        final = substitute(eq, subs) if subs else eq
+        final = at_beta(eq) if at_beta else eq
         label = we.named_equation(final)
         payload = _item(f"equation-{k}", "presented", equation=dsl.print_scalar(final))
         if label:
@@ -268,10 +284,10 @@ def _cmd_prolong(args) -> tuple:
     model = _load_model(args)
     _, ideal = _pick(model.ideals, "ideal")
     _, conn = _pick(model.connections, "connection")
-    if args.beta is not None:
-        substitution = {"beta": _beta_scalar(args.beta)}
+    at_beta = _at_beta(args)
+    if at_beta:
         ideal = we.ExteriorIdeal(ideal.ctx, {
-            n: g.map_coefficients(lambda c: substitute(c, substitution))
+            n: g.map_coefficients(at_beta)
             for n, g in ideal.generators.items()}, ideal.coordinates, ideal.parameters)
     closure = we.closure_check(ideal)
     if not closure.ok:
@@ -440,6 +456,11 @@ def main(argv=None) -> int:
     except (CliError, dsl.DslError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # an engine fault, never a failed check
+        import traceback  # only here: it is not worth its import time on every run
+
+        traceback.print_exc()
+        return 3
     ok = not any(item["status"] in FAILING_STATUSES for item in items)
     report = {
         "schema": SCHEMA_VERSION,

@@ -658,10 +658,12 @@ class Scalar(Record):
         other = _operand(other)
         if other is None:
             return NotImplemented
-        for unit, s in ((_unit_of(other), self), (_unit_of(self), other)):
-            if unit is not None:
-                # a product by 1, -1, i or -i keeps the pair canonical
-                return _make(_scaled(s.num, unit) if unit != _UNIT else s.num, s.den)
+        unit, s = _unit_of(other), self
+        if unit is None:  # self is probed only when other is not a unit
+            unit, s = _unit_of(self), other
+        if unit is not None:
+            # a product by 1, -1, i or -i keeps the pair canonical
+            return _make(_scaled(s.num, unit) if unit != _UNIT else s.num, s.den)
         if _is_one(self.den) and _is_one(other.den):
             return _make(_times(self.num, other.num), _ONE)
         return _reduce(_times(self.num, other.num), _times(self.den, other.den))

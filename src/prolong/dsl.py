@@ -456,7 +456,8 @@ class _Parser:
                 inner = self.expression()
                 self.expect("op", ")")
                 if tok.text == "d":
-                    return inner.d() if isinstance(inner, Form) else self.model.ctx.d_scalar(inner)
+                    form = inner if isinstance(inner, Form) else self.model.ctx.scalar_form(inner)
+                    return form.d()
                 if isinstance(inner, Form):
                     raise DslError("exp takes a scalar", tok.line, tok.col)
                 return exp_atom(inner)

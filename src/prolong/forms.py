@@ -8,7 +8,9 @@ differential graded algebras (abstract generators with prescribed rules).
 
 Forms are homogeneous: a canonical map from sorted wedge monomials of
 generators to scalar coefficients.  Odd-degree generators anticommute and
-square to zero; even-degree generators commute with everything.
+square to zero; even-degree generators commute with everything.  Every
+operation, ``d`` included, builds from canonical terms without the
+checking ``Form(...)``; d of a scalar v is ``ctx.scalar_form(v).d()``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "check_dd_zero",
     "pauli_decompose",
     "pauli_compose",
+    "plus_minus",
     "build_jet_context",
 ]
 
@@ -83,7 +86,9 @@ class DerivationContext:
         # (name, index of d<name>) for each scalar
         self._scalars = tuple((name, self._index[f"d{name}"]) for name in scalars)
         self._jet_deps = tuple(jet_fields)
-        self._rules: dict[str, "Form"] = {}
+        # the scalars that d of a coefficient differentiates along, as self._scalars
+        self._directions = tuple(p for p in self._scalars if not jet_fields or p[0] in ("x", "t"))
+        self._rules: list = [None] * len(gens)  # each generator's rule Form, by index
         self._frozen = False
 
     def set_rule(self, name: str, form: "Form") -> None:
@@ -91,10 +96,10 @@ class DerivationContext:
             raise ContextError("context is frozen")
         if name not in self._rule_targets:
             raise ContextError(f"rules apply to declared one-forms and two-forms, not {name!r}")
-        expected = self._degrees[self._index[name]] + 1
-        if form.degree != expected:
-            raise ContextError(f"rule for {name} must have degree {expected}")
-        self._rules[name] = form
+        idx = self._index[name]
+        if form.degree != self._degrees[idx] + 1:
+            raise ContextError(f"rule for {name} must have degree {self._degrees[idx] + 1}")
+        self._rules[idx] = form
 
     def freeze(self) -> "DerivationContext":
         self._frozen = True
@@ -107,12 +112,7 @@ class DerivationContext:
         cached = getattr(self, "_signature", None)
         if cached is not None and self._frozen:
             return cached
-        rules = tuple(
-            sorted(
-                (name, form.degree, tuple(form.terms.items()))
-                for name, form in self._rules.items()
-            )
-        )
+        rules = tuple(None if form is None else tuple(form.terms.items()) for form in self._rules)
         signature = (
             tuple((g.name, g.degree) for g in self._gens),
             self._scalars,
@@ -138,11 +138,6 @@ class DerivationContext:
     def name_of(self, idx: int) -> str:
         return self._gens[idx].name
 
-    def rule(self, name: str) -> "Form":
-        if name in self._rules:
-            return self._rules[name]
-        return self.zero(self._degrees[self._index[name]] + 1)
-
     def one_form_indices(self) -> tuple:
         return tuple(i for i, degree in enumerate(self._degrees) if degree == 1)
 
@@ -157,26 +152,6 @@ class DerivationContext:
     def gen(self, name: str) -> "Form":
         idx = self.index_of(name)
         return _form(self, self._degrees[idx], {(idx,): ONE})
-
-    def d_scalar(self, value) -> "Form":
-        """Differential of a degree-0 coefficient as a one-form."""
-        parts = self.coefficient_differential(Scalar(value))
-        return Form(self, 1, {(idx,): part for idx, part in parts})
-
-    def coefficient_differential(self, c: Scalar):
-        """Pairs (generator index, scalar part) forming d of a coefficient."""
-        out = []
-        if self._jet_deps:
-            for direction in ("x", "t"):
-                part = jets.total_derivative(c, direction, self._jet_deps)
-                if not part.is_zero:
-                    out.append((self._index[f"d{direction}"], part))
-            return out
-        for name, idx in self._scalars:
-            part = c.diff(name)
-            if not part.is_zero:
-                out.append((idx, part))
-        return out
 
 
 def _accumulate(terms: dict, key, coeff: Scalar) -> None:
@@ -210,6 +185,15 @@ def _sorted_monomial(degrees: Sequence[int], mono: tuple) -> tuple | None:
     return (sign, tuple(items))
 
 
+def _add_term(terms: dict, degrees: Sequence[int], mono: tuple, coeff: Scalar) -> None:
+    """Add coeff times the monomial mono, sorted with its sign; a
+    vanishing monomial adds nothing."""
+    packed = _sorted_monomial(degrees, mono)
+    if packed is not None:
+        sign, key = packed
+        _accumulate(terms, key, coeff if sign == 1 else -coeff)
+
+
 def _form(ctx: DerivationContext, degree: int, terms: dict, form: "Form" = None) -> "Form":
     """The Form of terms whose keys are sorted, of the degree and each held
     once: zeros dropped, keys ordered.  Form operations and zero, gen and
@@ -238,11 +222,7 @@ class Form(Record):
                 raise ContextError(
                     f"monomial {mono} has degree {total}, form declared degree {degree}"
                 )
-            packed = _sorted_monomial(degrees, mono)
-            if packed is None:
-                continue
-            sign, key = packed
-            _accumulate(cleaned, key, coeff if sign == 1 else -coeff)
+            _add_term(cleaned, degrees, mono, coeff)
         _form(ctx, degree, cleaned, self)
 
     # -- linear structure -----------------------------------------------------
@@ -298,24 +278,27 @@ class Form(Record):
     def d(self) -> "Form":
         """Graded Leibniz rule in one pass: d(c m) = dc ^ m + c dm, where d
         of the monomial m replaces each generator by its rule, with the sign
-        of the degree before it.  Unsorted monomials are sorted, with their
-        signs, by the one Form built at the end."""
+        of the degree before it.  Each term is sorted with its sign as it
+        is added, so the result builds from canonical terms."""
         ctx = self.ctx
-        degrees = ctx._degrees
+        degrees, rules, deps = ctx._degrees, ctx._rules, ctx._jet_deps
         out: dict = {}
         for mono, coeff in self.terms.items():
-            for idx, part in ctx.coefficient_differential(coeff):
-                _accumulate(out, (idx,) + mono, part)
+            for name, idx in ctx._directions:
+                if idx not in mono:  # else its wedge with mono vanishes
+                    part = jets.total_derivative(coeff, name, deps) if deps else coeff.diff(name)
+                    if not part.is_zero:
+                        _add_term(out, degrees, (idx,) + mono, part)
             prefix_deg = 0
             for j, gen_idx in enumerate(mono):
-                rule = ctx.rule(ctx.name_of(gen_idx))
-                if not rule.is_zero:
+                rule = rules[gen_idx]
+                if rule is not None:
                     sign_coeff = coeff if prefix_deg % 2 == 0 else -coeff
                     for rule_mono, rule_coeff in rule.terms.items():
                         key = mono[:j] + rule_mono + mono[j + 1:]
-                        _accumulate(out, key, rule_coeff * sign_coeff)
+                        _add_term(out, degrees, key, rule_coeff * sign_coeff)
                 prefix_deg += degrees[gen_idx]
-        return Form(ctx, self.degree + 1, out)
+        return _form(ctx, self.degree + 1, out)
 
     # -- structure -----------------------------------------------------------------
 
@@ -503,7 +486,14 @@ def pauli_decompose(m: MatrixForm) -> tuple:
 
 
 def pauli_compose(f1: Form, f2: Form, f3: Form) -> MatrixForm:
-    return MatrixForm(((f3, f1 - f2 * I), (f1 + f2 * I, -f3)))
+    plus, minus = plus_minus(f1, f2)
+    return MatrixForm(((f3, minus), (plus, -f3)))
+
+
+def plus_minus(a, b) -> tuple:
+    """(a + i b, a - i b), of two forms or two scalars."""
+    ib = b * I
+    return (a + ib, a - ib)
 
 
 def build_jet_context(deps: Sequence[str]) -> DerivationContext:

@@ -6,8 +6,9 @@ are equal when they are of one type with equal fields, and hash as the
 tuple of their fields.  A type that validates or normalises its fields
 writes its own ``__init__`` and ends it with ``super().__init__``; one
 built on a hot path (``Form``, ``Token``) sets each field itself with
-``object.__setattr__``, skipping the generic loop, and ``Form``
-operations, whose terms are canonical, skip ``Form.__init__`` too.
+``object.__setattr__``, skipping the generic loop.  Every ``Form``
+operation, ``d`` included, builds from canonical terms and skips
+``Form.__init__`` too.
 """
 
 from __future__ import annotations

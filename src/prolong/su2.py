@@ -6,9 +6,11 @@ w1, w2, w3 (connection components), th1, th2, th3 (curvature components)
 and the pseudopotential differentials dy_i.  Each identity is verified
 exactly: d of the left-hand form is computed from the rule table, the
 stated right-hand side is subtracted, and the residual must cancel to
-zero.  A ring decomposition (one-form multipliers on the xi's, scalar
-multipliers on the curvature components) is derived independently so a
-defective stated form can be corrected and certified.
+zero.  For each xi identity a ring decomposition of d(xi_i) (one-form
+multipliers on the xi's, scalar multipliers on the curvature components)
+is derived independently and re-expanded: the identity passes only if the
+re-expansion is exact, and then it corrects and certifies a defective
+stated form.
 
 Also houses the spectral one-parameter family (AKNS-type data), the PDE
 extraction from the vanishing curvature, gauge transformations, and the
@@ -28,6 +30,7 @@ from .forms import (
     epsilon,
     pauli_compose,
     pauli_decompose,
+    plus_minus,
 )
 from . import jets
 # split_jet is re-exported: bench/check_tracing.py checks the su2 binding by name.
@@ -82,22 +85,6 @@ class Su2Context(Record):
         "e6",  # exp(y6)
         "f", "g", "df", "dg",  # the gauge scalars and their differentials
     )
-
-    @property
-    def w_plus(self) -> Form:
-        return self.w[0] + self.w[1] * I
-
-    @property
-    def w_minus(self) -> Form:
-        return self.w[0] - self.w[1] * I
-
-    @property
-    def th_plus(self) -> Form:
-        return self.th[0] + self.th[1] * I
-
-    @property
-    def th_minus(self) -> Form:
-        return self.th[0] - self.th[1] * I
 
     def omega_matrix(self) -> MatrixForm:
         return pauli_compose(*self.w)
@@ -178,7 +165,7 @@ def _connection_parts(sc: Su2Context, w: Sequence[Form]) -> dict:
     """The connection part of dy_i in xi_i = dy_i - part_i (i = 1, 2, 5..8),
     written in the one-forms w = (w1, w2, w3) of either context."""
     w1, w2, w3 = w
-    wp, wm = w1 + w2 * I, w1 - w2 * I
+    wp, wm = plus_minus(w1, w2)
     y1, y2 = sc.y[1], sc.y[2]
     return {
         1: w3 * y1 + wm * y2,
@@ -192,13 +179,13 @@ def _connection_parts(sc: Su2Context, w: Sequence[Form]) -> dict:
 
 def build_forms(sc: Su2Context) -> Su2Forms:
     w3 = sc.w[2]
-    wp, wm = sc.w_plus, sc.w_minus
+    wp, wm = plus_minus(*sc.w[:2])
     y3, y4 = sc.y3, sc.y4
     ctx = sc.ctx
     parts = _connection_parts(sc, sc.w)
     xi = {i: sc.dy[i] - part for i, part in parts.items()}
-    xi[3] = ctx.d_scalar(y3) - wp + w3 * (2 * y3) + wm * (y3**2)
-    xi[4] = ctx.d_scalar(y4) - wm - w3 * (2 * y4) + wp * (y4**2)
+    xi[3] = ctx.scalar_form(y3).d() - wp + w3 * (2 * y3) + wm * (y3**2)
+    xi[4] = ctx.scalar_form(y4).d() - wm - w3 * (2 * y4) + wp * (y4**2)
     ring = DerivationContext(one_forms=(*_W, *(f"xi{i}" for i in range(1, 9)), "df", "dg"),
                              two_forms=_TH).freeze()
     shared = (*_W, *_TH, "df", "dg")
@@ -304,21 +291,55 @@ IDENTITY_NAMES = (
 class IdentityResult(Record):
     __slots__ = (
         "name",
-        "residuals",  # Forms, one per checked component
-        "stated_ok",
-        "decomposition",  # a Decomposition, or None
-        "corrected",
+        "residuals",  # left side minus stated right side, one Form per component
+        "decomposition",  # the ring decomposition of d(xi_i) for xi<i>, else None
+        "reexpansions",  # the decomposition re-expanded minus d(xi_i); () without one
         "note",
     )
 
+    @property
+    def stated_ok(self) -> bool:
+        """The stated right sides hold and the decomposition re-expands exactly."""
+        return all(f.is_zero for f in (*self.residuals, *self.reexpansions))
 
-def _stated_rhs(sc: Su2Context, forms: Su2Forms, name: str) -> Form:
-    """The stated right side of identity ``name`` (xi1 .. xi8)."""
-    wp, wm = sc.w_plus, sc.w_minus
-    thp, thm = sc.th_plus, sc.th_minus
+    @property
+    def corrected(self) -> bool:
+        """Only the stated right side fails; the exact decomposition stands in."""
+        return bool(self.reexpansions) and self.reexpansions[0].is_zero and not self.stated_ok
+
+
+_NOTES = {
+    "xi-matrix": "matrix packaging with the connection acting from the left",
+    "xi4": (
+        "stated right side omits the third-component curvature term; "
+        "engine decomposition supplies -2*y4*th3 (the printed index 4 "
+        "names a component that does not exist)"
+    ),
+    "bianchi": "curvature derivative stays inside the ring of the th's",
+}
+
+
+def _sides(sc: Su2Context, forms: Su2Forms, name: str) -> tuple:
+    """(left sides, stated right sides) of identity ``name``; the left side
+    of xi<i> is d(xi_i)."""
+    xi = forms.xi
+    if name in ("xi-matrix", "bianchi"):
+        omega, theta = sc.omega_matrix(), sc.theta_matrix()
+        if name == "bianchi":
+            return tuple(
+                tuple(f for row in m.entries for f in row)
+                for m in (theta.d(), omega.wedge(theta) - theta.wedge(omega))
+            )
+        y = (sc.y[1], sc.y[2])
+        return (xi[1].d(), xi[2].d()), tuple(
+            omega.entry(i, 0).wedge(xi[1]) + omega.entry(i, 1).wedge(xi[2])
+            - theta.entry(i, 0) * y[0] - theta.entry(i, 1) * y[1]
+            for i in range(2)
+        )
+    wp, wm = plus_minus(*sc.w[:2])
+    thp, thm = plus_minus(*sc.th[:2])
     w3, th3 = sc.w[2], sc.th[2]
     y1, y2, y3, y4 = sc.y[1], sc.y[2], sc.y3, sc.y4
-    xi = forms.xi
     stated = {
         "xi1": lambda: -(thm * y2) - th3 * y1 + w3.wedge(xi[1]) + wm.wedge(xi[2]),
         "xi2": lambda: -(thp * y1) + th3 * y2 + wp.wedge(xi[1]) - w3.wedge(xi[2]),
@@ -332,69 +353,23 @@ def _stated_rhs(sc: Su2Context, forms: Su2Forms, name: str) -> Form:
         "xi7": lambda: (thm + xi[5].wedge(wm)) * (-sc.e5),
         "xi8": lambda: (thp + xi[6].wedge(wp)) * (-sc.e6),
     }
-    return stated[name]()
+    return (xi[int(name[2:])].d(),), (stated[name](),)
 
 
 def verify_identity(sc: Su2Context, name: str, forms: Su2Forms) -> IdentityResult:
+    """Check identity ``name``: each left side minus its stated right side
+    must vanish.  The left side d(xi_i) of xi<i> is also decomposed over
+    the ring, and the decomposition must re-expand to it exactly."""
     if name not in IDENTITY_NAMES:
         raise ValueError(f"unknown identity {name!r}; choose from {IDENTITY_NAMES}")
-
-    if name == "bianchi":
-        omega = sc.omega_matrix()
-        theta = sc.theta_matrix()
-        residual = theta.d() - (omega.wedge(theta) - theta.wedge(omega))
-        flat = tuple(residual.entry(i, j) for i in range(2) for j in range(2))
-        return IdentityResult(
-            name=name,
-            residuals=flat,
-            stated_ok=all(f.is_zero for f in flat),
-            decomposition=None,
-            corrected=False,
-            note="curvature derivative stays inside the ring of the th's",
-        )
-
-    if name == "xi-matrix":
-        omega = sc.omega_matrix()
-        theta = sc.theta_matrix()
-        y = (sc.y[1], sc.y[2])
-        residuals = []
-        for i in range(2):
-            res = forms.xi[i + 1].d()
-            for j in range(2):
-                res = res + theta.entry(i, j) * y[j]
-                res = res - omega.entry(i, j).wedge(forms.xi[j + 1])
-            residuals.append(res)
-        return IdentityResult(
-            name=name,
-            residuals=tuple(residuals),
-            stated_ok=all(f.is_zero for f in residuals),
-            decomposition=None,
-            corrected=False,
-            note="matrix packaging with the connection acting from the left",
-        )
-
-    index = int(name[2:])
-    lhs = forms.xi[index].d()
-    stated = _stated_rhs(sc, forms, name)
-    residual = lhs - stated
-    decomposition = decompose_over_ring(sc, forms, lhs)
-    exact = decomposition.ok and (decomposition.expand(sc, forms) - lhs).is_zero
-    corrected = False
-    note = ""
-    if name == "xi4":
-        corrected = exact and not residual.is_zero
-        note = (
-            "stated right side omits the third-component curvature term; "
-            "engine decomposition supplies -2*y4*th3 (the printed index 4 "
-            "names a component that does not exist)"
-        )
+    lhs, rhs = _sides(sc, forms, name)
+    decomposition = decompose_over_ring(sc, forms, lhs[0]) if name[2:].isdigit() else None
     return IdentityResult(
         name=name,
-        residuals=(residual,),
-        stated_ok=residual.is_zero,
+        residuals=tuple(a - b for a, b in zip(lhs, rhs)),
         decomposition=decomposition,
-        corrected=corrected,
-        note=note,
+        reexpansions=() if decomposition is None else (decomposition.expand(sc, forms) - lhs[0],),
+        note=_NOTES.get(name, ""),
     )
 
 
@@ -510,11 +485,12 @@ def theta_components(spec: AKNSSpec) -> ThetaComponents:
         (w[l - 1].d() - _epsilon_wedge(l, w, w) * I).coefficient("dx", "dt")
         for l in (1, 2, 3)
     )
+    plus_coeff, minus_coeff = plus_minus(coeffs[0], coeffs[1])
     return ThetaComponents(
         w=w,
         coeffs=coeffs,
-        plus_coeff=coeffs[0] + I * coeffs[1],
-        minus_coeff=coeffs[0] - I * coeffs[1],
+        plus_coeff=plus_coeff,
+        minus_coeff=minus_coeff,
         third_coeff=coeffs[2],
     )
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from prolong import su2
 from prolong.cli import main
 from prolong.coeff import exp_atom, sym
 from prolong.dsl import parse
@@ -171,6 +172,31 @@ def test_beta_with_zero_denominator_is_a_usage_error(verb, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("verb", ["section", "prolong"])
+def test_beta_that_zeroes_a_model_denominator_is_a_usage_error(verb, tmp_path, capsys):
+    text = fixture_text("ch").replace("xi2 = dp^dt - q*dx^dt", "xi2 = dp^dt - (q/beta)*dx^dt")
+    assert "(q/beta)" in text
+    model = tmp_path / "ch-over-beta.eds"
+    model.write_text(text, encoding="utf-8")
+    code, out, err = run([verb, str(model), "--beta", "0"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --beta 0: ") and "denominator" in err
+    assert "Traceback" not in err
+    # positive control: a beta that keeps every denominator runs the check
+    code, out, err = run([verb, str(model), "--beta", "2"], capsys)
+    assert code in (0, 1) and out and err == ""
+
+
+def test_an_exception_inside_a_verb_exits_3_with_its_traceback(monkeypatch, capsys):
+    def broken(*args):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(su2, "gauge_transform", broken)
+    code, out, err = run(["gauge"], capsys)
+    assert code == 3 and out == ""
+    assert "Traceback" in err and "RuntimeError: engine fault" in err
+
+
 def test_exponential_atom_after_a_finer_one_closes(tmp_path, capsys):
     # exp(zfine/3) and exp(zfine) are powers of the one atom exp(zfine)
     model = tmp_path / "fine-first.eds"
@@ -191,6 +217,7 @@ _IN_ORDER = """
 import sys
 from pathlib import Path
 
+from prolong import su2
 from prolong.cli import main
 from prolong.dsl import parse, print_scalar
 

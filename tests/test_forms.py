@@ -13,10 +13,13 @@ from prolong.forms import (
     Generator,
     MatrixForm,
     check_dd_zero,
+    build_jet_context,
     epsilon,
     pauli_compose,
     pauli_decompose,
 )
+from prolong import jets
+from prolong.jets import jet
 from prolong.su2 import build_su2_context
 
 
@@ -155,8 +158,8 @@ def test_flat_connection_curvature_vanishes(chart):
 def test_pauli_layout(sc):
     omega = sc.omega_matrix()
     assert omega.entry(0, 0) == sc.w[2]
-    assert omega.entry(0, 1) == sc.w_minus
-    assert omega.entry(1, 0) == sc.w_plus
+    assert omega.entry(0, 1) == sc.w[0] - sc.w[1] * I
+    assert omega.entry(1, 0) == sc.w[0] + sc.w[1] * I
     assert omega.entry(1, 1) == -sc.w[2]
     assert pauli_decompose(omega) == (sc.w[0], sc.w[1], sc.w[2])
 
@@ -359,19 +362,45 @@ def test_form_operations_build_canonical_forms(ctx, factors, data):
     alike = a * k + data.draw(_forms(ctx, factors, a.degree))
     c = k * data.draw(st.sampled_from(factors))
     results = [a + alike, a - alike, -a, a - a, a + (-a), (a + alike) - a, a * c, c * a, a * 0,
-               a.wedge(b), a * b, a.map_coefficients(lambda v: v * v - 1)]
+               a.wedge(b), a * b, a.map_coefficients(lambda v: v * v - 1), a.d()]
     for f in results:
         _assert_canonical(f)
     assert (a + alike) - a == alike and (a - a).is_zero
 
 
-def test_operations_on_canonical_forms_skip_the_checking_constructor(monkeypatch, sc):
+def test_d_skips_the_directions_already_in_a_monomial(monkeypatch, chart):
+    seen = []
+    total, diff = jets.total_derivative, Scalar.diff
+    monkeypatch.setattr(jets, "total_derivative",
+                        lambda c, to, deps: seen.append(to) or total(c, to, deps))
+    monkeypatch.setattr(Scalar, "diff", lambda c, name: seen.append(name) or diff(c, name))
+    jet_ctx = build_jet_context(("u",))
+    dt_dx = jet_ctx.gen("dt").wedge(jet_ctx.gen("dx"))
+    assert (jet_ctx.gen("dx") * sym(jet("u", 2))).d() == dt_dx * sym(jet("u", 2, 1))
+    assert seen == ["t"]
+    seen.clear()
+    u, x, p = sym("u"), sym("x"), sym("p")
+    dx, du, dp = chart.gen("dx"), chart.gen("du"), chart.gen("dp")
+    assert (dx.wedge(du) * (u * x * p)).d() == dp.wedge(dx).wedge(du) * (u * x)
+    assert seen == ["t", "p", "q"]
+
+
+def test_operations_on_canonical_forms_skip_the_checking_constructor(monkeypatch, sc, chart):
     a = sc.w[0] * sc.y[1] + sc.w[1] * sc.e5
     b = sc.w[2] * sc.y3 - sc.w[0]
+    # d on a chart and on jets, each with a term whose own directions are in its monomial
+    dx, dt, du, dp = (chart.gen(name) for name in ("dx", "dt", "du", "dp"))
+    u, x, p = sym("u"), sym("x"), sym("p")
+    on_chart = dx.wedge(du) * (u * x * p) + dt.wedge(du) * p
+    jet_ctx = build_jet_context(("u",))
+    u_x, u_xx, u_xxt = (sym(jet("u", 1)), sym(jet("u", 2)), sym(jet("u", 2, 1)))
+    on_jets = jet_ctx.gen("dx") * u_xx + jet_ctx.gen("dt") * u_x
     checked = []
     init = Form.__init__
     monkeypatch.setattr(Form, "__init__", lambda *args: checked.append(args) or init(*args))
     for f in (a + b, a - b, -a, a * sc.y[2], sc.y[2] * a, a.wedge(b), a * b,
-              a.map_coefficients(lambda v: v * 2)):
+              a.map_coefficients(lambda v: v * 2), a.d(), on_chart.d(), on_jets.d()):
         assert not f.is_zero
     assert checked == []
+    assert on_chart.d() == dp.wedge(dx).wedge(du) * (u * x) + dp.wedge(dt).wedge(du)
+    assert on_jets.d() == jet_ctx.gen("dx").wedge(jet_ctx.gen("dt")) * (u_xx - u_xxt)

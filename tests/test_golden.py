@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import difflib
+import importlib.util
 import io
 import json
 import os
@@ -109,6 +110,28 @@ def test_report_matches_golden(argv):
 
 def test_every_golden_file_has_a_case():
     assert sorted(GOLDEN.glob("*.json")) == sorted(golden_path(argv) for argv in CASES)
+
+
+def test_update_check_compares_without_writing(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("golden_update", GOLDEN / "update.py")
+    update = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(update)
+    case = ("gauge",)
+    path = tmp_path / golden_path(case).name
+    monkeypatch.setattr(update, "CASES", (case,))
+    monkeypatch.setattr(update, "GOLDEN", tmp_path)
+    monkeypatch.setattr(update, "golden_path", lambda argv: tmp_path / golden_path(argv).name)
+    path.write_text("{}\n", encoding="utf-8")
+    assert update.main(["--check"]) == 1
+    assert capsys.readouterr().out == f"changed {path.name}\n"
+    assert path.read_text(encoding="utf-8") == "{}\n"
+    path.write_text(render(case), encoding="utf-8")
+    assert update.main(["--check"]) == 0
+    assert capsys.readouterr().out == f"same    {path.name}\n"
+    (tmp_path / "stale.json").write_text("{}\n", encoding="utf-8")
+    assert update.main(["--check"]) == 1
+    assert capsys.readouterr().out.startswith("changed stale.json\n")
+    assert (tmp_path / "stale.json").exists()
 
 
 def test_conserve_order_5_golden_stays_red():

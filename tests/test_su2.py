@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from prolong import su2
+from prolong.cli import main
 from prolong.coeff import ETA, I, Scalar, ZERO, substitute, sym
-from prolong.forms import MatrixForm
+from prolong.forms import MatrixForm, plus_minus
 from prolong.jets import jet
 from prolong.su2 import (
     AKNSSpec,
+    Decomposition,
     IDENTITY_NAMES,
     build_jet_context,
     decompose_over_ring,
@@ -25,10 +30,10 @@ from prolong.su2 import (
 
 def test_pseudopotential_forms_as_printed(sc, su2_forms):
     w1, w2, w3 = sc.w
-    wp, wm = sc.w_plus, sc.w_minus
+    wp, wm = plus_minus(*sc.w[:2])
     y1, y2, y3, y4 = sc.y[1], sc.y[2], sc.y3, sc.y4
     assert su2_forms.xi[2] == sc.dy[2] - wp * y1 + w3 * y2
-    assert su2_forms.xi[3] == sc.ctx.d_scalar(y3) - wp + w3 * (2 * y3) + wm * y3**2
+    assert su2_forms.xi[3] == sc.ctx.scalar_form(y3).d() - wp + w3 * (2 * y3) + wm * y3**2
     assert su2_forms.beta1 == -(w3 * 2) - wm * (2 * y3)
     assert su2_forms.beta2 == w3 * 2 - wp * (2 * y4)
     assert su2_forms.xi[5] == sc.dy[5] - su2_forms.beta1
@@ -68,6 +73,29 @@ def test_decompositions_reexpand_exactly(sc, su2_forms):
         assert dec is not None and dec.ok
         lhs = su2_forms.xi[int(name[2:])].d()
         assert (dec.expand(sc, su2_forms) - lhs).is_zero
+
+
+@pytest.mark.parametrize("name", ["xi1", "xi4"])
+def test_an_identity_whose_decomposition_does_not_reexpand_fails(monkeypatch, sc, su2_forms,
+                                                                 name, tmp_path):
+    # negative control: a decomposition with one theta coefficient off by one
+    decompose = su2.decompose_over_ring
+
+    def off_by_one(sc, forms, target):
+        dec = decompose(sc, forms, target)
+        return Decomposition(theta_coeffs=(dec.theta_coeffs[0] + 1, *dec.theta_coeffs[1:]),
+                             multipliers=dec.multipliers, obstruction=dec.obstruction)
+
+    monkeypatch.setattr(su2, "decompose_over_ring", off_by_one)
+    result = verify_identity(sc, name, su2_forms)
+    assert result.reexpansions == (sc.th[0],)
+    assert not result.stated_ok and not result.corrected
+    assert result.residuals[0].is_zero == (name == "xi1")  # the stated side as before
+    report = tmp_path / "report.json"
+    assert main(["verify-su2", "--name", name, "--json", str(report)]) == 1
+    item = json.loads(report.read_text(encoding="utf-8"))["items"][-1]
+    assert item["name"] == name and item["status"] == "failed"
+    assert item["residual"][-1] == "th1"
 
 
 def test_decomposition_reports_a_target_outside_the_ring(sc, su2_forms):
