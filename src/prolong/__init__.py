@@ -26,7 +26,6 @@ from .su2 import (
     extract_evolution,
     gauge_transform,
     surface_data,
-    surface_from_spec,
     theta_components,
     verify_identity,
 )

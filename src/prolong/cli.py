@@ -2,7 +2,9 @@
 user-supplied model files and emit deterministic text/JSON reports.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage or input error,
-3 an unexpected exception inside a verb (its traceback goes to stderr).
+3 an unexpected exception inside a verb (its traceback goes to stderr),
+4 no check failed but one is beyond the engine: an ``unsupported`` item
+names the equations that no evolution rule solves.
 """
 
 from __future__ import annotations
@@ -16,12 +18,14 @@ from importlib import resources
 from . import conservation, dsl, su2, we
 from .coeff import Scalar, substitute
 from .forms import check_dd_zero
-from .jets import EvolutionSystem, jet_order
+from .jets import EvolutionSystem, jet_order, solve_evolution
 
 SCHEMA_VERSION = 1
 
-# Item statuses that fail a report; every other status passes.
+# Item statuses that fail a report; every other status but "unsupported" passes.
 FAILING_STATUSES = frozenset({"failed", "degenerate"})
+# the result line of a report, by exit code
+RESULTS = {0: "ok", 1: "FAILED", 4: "UNSUPPORTED"}
 
 
 class CliError(Exception):
@@ -53,6 +57,14 @@ def _item(name: str, status: str, **extra) -> dict:
     out = {"name": name, "status": status}
     out.update(extra)
     return out
+
+
+def _unsupported(leftovers) -> list:
+    """The report of a check the engine cannot make on-shell: one
+    ``unsupported`` item naming every nonzero equation that no evolution
+    rule solves, or no item when there is none."""
+    unsolved = [dsl.print_scalar(e) for e in leftovers if not e.is_zero]
+    return [_item("evolution", "unsupported", unsolved=unsolved)] if unsolved else []
 
 
 def _witness_payload(witness: we.MembershipWitness | None) -> dict | None:
@@ -197,8 +209,8 @@ def _cmd_densities(args) -> tuple:
 def _cmd_conserve(args) -> tuple:
     _, spec = _pick(_load_model(args).akns, "spectral family")
     extraction = su2.extract_evolution(spec)
-    if not extraction.consistent:
-        raise CliError("family has nonvanishing constraints; cannot reduce on-shell")
+    if unsupported := _unsupported(extraction.constraints):
+        return unsupported, None
     pairs = conservation.conserved_pairs(spec, args.order)
     items = []
     peak = 0
@@ -288,7 +300,7 @@ def _cmd_prolong(args) -> tuple:
     if at_beta:
         ideal = we.ExteriorIdeal(ideal.ctx, {
             n: g.map_coefficients(at_beta)
-            for n, g in ideal.generators.items()}, ideal.coordinates, ideal.parameters)
+            for n, g in ideal.generators.items()}, ideal.coordinates)
     closure = we.closure_check(ideal)
     if not closure.ok:
         raise CliError("ideal is not closed; prolongation condition undefined")
@@ -322,6 +334,8 @@ def _cmd_laxcheck(args) -> tuple:
     if model.akns:
         _, spec = _pick(model.akns, "spectral family")
         extraction = su2.extract_evolution(spec)
+        if unsupported := _unsupported(extraction.constraints):
+            return unsupported, None
         comps = extraction.components
         raw = we.curvature_matrix(spec.connection, spec.deps)
         items = [_zero_curvature_item(raw, extraction.system)]
@@ -335,7 +349,9 @@ def _cmd_laxcheck(args) -> tuple:
     elif model.ideals and model.connections:
         name, ideal = _pick(model.ideals, "ideal")
         sec = we.section(ideal, model.sections.get(name, ()))
-        sys = we.extract_section_evolution(sec)
+        sys, leftovers = solve_evolution(sec.reduced)
+        if unsupported := _unsupported(leftovers):
+            return unsupported, None
         _, conn = _pick(model.connections, "connection")
         jet_conn = conn.map_entries(
             lambda c: we.apply_eliminations(c, sec.eliminations, sys.deps)
@@ -348,7 +364,10 @@ def _cmd_laxcheck(args) -> tuple:
 
 def _cmd_surface(args) -> tuple:
     _, spec = _pick(_load_model(args).akns, "spectral family")
-    data = su2.surface_from_spec(spec)
+    extraction = su2.extract_evolution(spec)
+    if unsupported := _unsupported(extraction.constraints):
+        return unsupported, None
+    data = su2.surface_data(*extraction.components.w, extraction.system)
     if data.degenerate:
         return [_item("curvature", "degenerate")], None
     items = [_item("curvature", "computed", value=dsl.print_scalar(data.curvature))]
@@ -414,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render_text(report: dict) -> str:
+def _render_text(report: dict, result: str) -> str:
     lines = [f"prolong {' '.join(report['command'])}"]
     for item in report["items"]:
         detail = {
@@ -424,7 +443,7 @@ def _render_text(report: dict) -> str:
         }
         suffix = f"  {json.dumps(detail, sort_keys=True)}" if detail else ""
         lines.append(f"  [{item['status']:>9}] {item['name']}{suffix}")
-    lines.append("result: " + ("ok" if report["ok"] else "FAILED"))
+    lines.append(f"result: {result}")
     return "\n".join(lines)
 
 
@@ -461,21 +480,22 @@ def main(argv=None) -> int:
 
         traceback.print_exc()
         return 3
-    ok = not any(item["status"] in FAILING_STATUSES for item in items)
+    statuses = {item["status"] for item in items}
+    code = 1 if statuses & FAILING_STATUSES else 4 if "unsupported" in statuses else 0
     report = {
         "schema": SCHEMA_VERSION,
         "command": _command(args),
         "items": items,
-        "ok": ok,
+        "ok": code == 0,
         "peak_jet_order": peak,
         "wall_ms": round((time.perf_counter() - started) * 1000, 3),
     }
-    print(_render_text(report))
+    print(_render_text(report, RESULTS[code]))
     if getattr(args, "json_path", None):
         with open(args.json_path, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
-    return 0 if ok else 1
+    return code
 
 
 if __name__ == "__main__":

@@ -377,7 +377,7 @@ def _poly_quotient(f: dict, h: dict) -> dict | None:
     shows that h does not divide f."""
     lead = max(h)
     room = [a - b for a, b in zip(_degrees(f), _degrees(h))]
-    rest, out = f, {}
+    rest, out = dict(f), {}
     while rest:
         top = max(rest)
         m = tuple(a - b for a, b in zip(top, lead))
@@ -385,7 +385,14 @@ def _poly_quotient(f: dict, h: dict) -> dict | None:
         if not c:
             return None
         out[m] = c
-        rest = _plus(rest, _negated(_times({m: c}, h, _add_exponents)))
+        for n, b in h.items():  # rest -= c x^m h, in place
+            k, cb = _add_exponents(m, n), c * b
+            if k not in rest:
+                rest[k] = -cb
+            elif left := rest[k] - cb:
+                rest[k] = left
+            else:
+                del rest[k]
     return out
 
 

@@ -48,17 +48,21 @@ class DensitySequence(Record):
         return max(jet_order(w, self.spec.deps) for w in self.densities)
 
 
+def _recursion_terms(w, n: int, spec: AKNSSpec) -> Scalar:
+    """W_{n,x} + q * sum_{k=1}^{n-1} W_{n-k} W_k over w = (W_1, W_2, ...):
+    the recursion's terms besides 2 W_{n+1}, which it sets to minus them."""
+    quad = ZERO
+    for k in range(1, n):
+        quad = quad + w[n - k - 1] * w[k - 1]
+    return total_derivative(w[n - 1], "x", spec.deps) + spec.q * quad
+
+
 def recursion_densities(spec: AKNSSpec, order: int) -> DensitySequence:
     if order < 1:
         raise ValueError("order must be at least 1")
-    deps = spec.deps
     w = [spec.r]
     for n in range(1, order):
-        quad = ZERO
-        for k in range(1, n):
-            quad = quad + w[n - k - 1] * w[k - 1]
-        nxt = (total_derivative(w[n - 1], "x", deps) + spec.q * quad) * Scalar.rational(-1, 2)
-        w.append(nxt)
+        w.append(_recursion_terms(w, n, spec) * Scalar.rational(-1, 2))
     return DensitySequence(spec=spec, order=order, densities=tuple(w))
 
 
@@ -67,14 +71,7 @@ def recursion_residual(seq: DensitySequence, n: int) -> Scalar:
     recursion was applied exactly."""
     if not 1 <= n < seq.order:
         raise ValueError(f"need 1 <= n < {seq.order}")
-    quad = ZERO
-    for k in range(1, n):
-        quad = quad + seq.w(n - k) * seq.w(k)
-    return (
-        total_derivative(seq.w(n), "x", seq.spec.deps)
-        + 2 * seq.w(n + 1)
-        + seq.spec.q * quad
-    )
+    return _recursion_terms(seq.densities, n, seq.spec) + 2 * seq.w(n + 1)
 
 
 class ConservedPair(Record):
@@ -138,7 +135,6 @@ def verify_conservation(pair: ConservedPair, sys: EvolutionSystem) -> Conservati
     """Certify D_t(density) - D_x(current) as a total x-derivative modulo
     the evolution system; a total derivative is accepted, not only zero,
     since currents are fixed only up to exact terms."""
-    sys = EvolutionSystem.of(sys)
     deps = sys.deps
     d_t = total_derivative(pair.density, "t", deps)
     residual = reduce_mod_evolution(d_t, sys) - total_derivative(pair.current, "x", deps)

@@ -343,8 +343,7 @@ class _Parser:
             if not isinstance(value, Form) or value.degree < 1:
                 raise self.error(f"ideal generator {gname} must be a form")
             gens[gname] = value
-        return ExteriorIdeal(ctx=m.ctx, generators=gens,
-                             coordinates=m.coordinates, parameters=m.params)
+        return ExteriorIdeal(ctx=m.ctx, generators=gens, coordinates=m.coordinates)
 
     def _akns(self, name: str) -> AKNSSpec:
         m = self.model

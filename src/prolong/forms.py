@@ -153,6 +153,13 @@ class DerivationContext:
         idx = self.index_of(name)
         return _form(self, self._degrees[idx], {(idx,): ONE})
 
+    def monomial(self, mono: tuple, coeff: Scalar = ONE) -> "Form":
+        """coeff times the wedge of the generators with the indices mono,
+        taken in that order."""
+        terms: dict = {}
+        _add_term(terms, self._degrees, mono, coeff)
+        return _form(self, sum(self._degrees[i] for i in mono), terms)
+
 
 def _accumulate(terms: dict, key, coeff: Scalar) -> None:
     """Add coeff under key.  Scalars are canonical by construction, so a

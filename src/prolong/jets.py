@@ -3,7 +3,8 @@
 Derivative symbols are generated on demand with canonical names like
 ``u_x``, ``u_xx``, ``u_xt`` (all x's before all t's).  Only x-jets are
 first class; t-derivative symbols are transient and are eliminated by
-:func:`reduce_mod_evolution` against an evolution system u_t = rhs.
+:func:`reduce_mod_evolution` against an evolution system u_t = rhs; every
+system read off equations is made by :func:`solve_evolution`.
 Every replacement of jet symbols by expressions, here and in the section
 elimination chain of :mod:`we`, runs through :func:`substitute_jets`.
 Every derivative, total or partial, is the one derivation
@@ -16,7 +17,7 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
-from .coeff import ONE, Scalar, ZERO, derive, substitute, sym
+from .coeff import ETA, ONE, Scalar, ZERO, derive, substitute, sym
 from .record import Record
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "total_derivatives",
     "substitute_jets",
     "solve_for_t_derivative",
+    "solve_evolution",
     "reduce_mod_evolution",
     "euler_operator",
     "is_total_x_derivative",
@@ -119,12 +121,6 @@ class EvolutionSystem(Record):
             frozen[var] = rhs
         super().__init__(frozen)
 
-    @staticmethod
-    def of(rules) -> "EvolutionSystem":
-        if isinstance(rules, EvolutionSystem):
-            return rules
-        return EvolutionSystem(rules)
-
     @property
     def deps(self) -> tuple:
         return tuple(self.rules)
@@ -150,10 +146,24 @@ def solve_for_t_derivative(e: Scalar) -> tuple | None:
     return var, (slope * sym(symbol) - e) / slope
 
 
+def solve_evolution(equations: Sequence[Scalar]) -> tuple:
+    """(EvolutionSystem, leftovers) of the equations e = 0.  An equation
+    gives the rule var_t = rhs when :func:`solve_for_t_derivative` solves
+    it for a variable no earlier equation solved, with rhs free of the
+    spectral parameter; every other equation is left over, in input order."""
+    rules, leftovers = {}, []
+    for e in equations:
+        solved = solve_for_t_derivative(e)
+        if solved is None or solved[0] in rules or ETA in solved[1].free_symbols():
+            leftovers.append(e)
+        else:
+            rules[solved[0]] = solved[1]
+    return EvolutionSystem(rules), tuple(leftovers)
+
+
 def reduce_mod_evolution(e: Scalar, sys: EvolutionSystem) -> Scalar:
     """Eliminate every t-derivative symbol by substituting the prolonged
     evolution rules; the result is t-derivative free."""
-    sys = EvolutionSystem.of(sys)
     deps = sys.deps
     cache: dict = {}
 
@@ -174,30 +184,26 @@ def reduce_mod_evolution(e: Scalar, sys: EvolutionSystem) -> Scalar:
     return substitute_jets(e, image)
 
 
-def _check_polynomial(e: Scalar, deps: Sequence[str]) -> None:
-    for s in e.denominator.free_symbols():
-        parts = split_jet(s)
-        if parts and parts[0] in deps:
-            raise ValueError(f"non-polynomial dependence on jet symbol {s}")
-
-
-def euler_operator(e: Scalar, var: str, deps: Sequence[str] | None = None) -> Scalar:
+def euler_operator(e: Scalar, var: str, deps: Sequence[str]) -> Scalar:
     """Variational derivative sum_k (-D_x)^k d(e)/d(var_k) for x-jets of var.
 
-    Annihilates exactly the total x-derivatives on the polynomial fragment.
+    Annihilates exactly the total x-derivatives on the polynomial fragment,
+    so e must be polynomial in, and free of t-derivatives of, the jets of
+    var and of deps.
     """
-    e = Scalar(e)
-    if deps is None:
-        deps = sorted({p[0] for s in e.free_symbols() if (p := split_jet(s))})
-    if var not in deps:
-        deps = tuple(deps) + (var,)
-    _check_polynomial(e, deps)
+    e, deps = Scalar(e), (*deps, var)
+    below = e.denominator.free_symbols()
+    order = 0
     for s in e.free_symbols():
         parts = split_jet(s)
-        if parts and parts[2] > 0 and parts[0] in deps:
-            raise ValueError(f"euler operator requires a t-derivative-free input, found {s}")
+        if parts and parts[0] in deps:
+            if s in below:
+                raise ValueError(f"non-polynomial dependence on jet symbol {s}")
+            if parts[2] > 0:
+                raise ValueError(f"euler operator requires a t-derivative-free input, found {s}")
+            if parts[0] == var:
+                order = max(order, parts[1])
     out = ZERO
-    order = jet_order(e, [var])
     for k in range(order + 1):
         term = total_derivatives(e.diff(jet(var, k, 0)), k, 0, deps)
         out = out - term if k % 2 else out + term

@@ -61,7 +61,6 @@ __all__ = [
     "extract_evolution",
     "SurfaceData",
     "surface_data",
-    "surface_from_spec",
 ]
 
 
@@ -256,12 +255,12 @@ def decompose_over_ring(sc: Su2Context, forms: Su2Forms, target: Form) -> Decomp
         a, b = mono
         if b in xi_idx:
             # w^xi or xi^xi; a two-xi monomial hangs on the higher index
-            add_multiplier(xi_idx[b], Form(basis, 1, {(a,): coeff}))
+            add_multiplier(xi_idx[b], basis.monomial((a,), coeff))
         elif a in xi_idx:
             # the partner sorts after the xi: flip to multiplier ^ xi
-            add_multiplier(xi_idx[a], Form(basis, 1, {(b,): -coeff}))
+            add_multiplier(xi_idx[a], basis.monomial((b,), -coeff))
         else:
-            obstruction = obstruction + Form(basis, 2, {mono: coeff})
+            obstruction = obstruction + basis.monomial(mono, coeff)
 
     return Decomposition(
         theta_coeffs=tuple(theta_coeffs),
@@ -513,20 +512,9 @@ class Extraction(Record):
 
 def extract_evolution(spec: AKNSSpec) -> Extraction:
     comps = theta_components(spec)
-    rules: dict[str, Scalar] = {}
-    constraints: list[Scalar] = []
-    for expr in (comps.minus_coeff, comps.plus_coeff, comps.third_coeff):
-        solved = jets.solve_for_t_derivative(expr)
-        if solved is None or ETA in solved[1].free_symbols():
-            constraints.append(expr)
-            continue
-        var, rhs = solved
-        rules[var] = rhs
-    return Extraction(
-        components=comps,
-        system=EvolutionSystem.of(rules),
-        constraints=tuple(constraints),
-    )
+    system, constraints = jets.solve_evolution(
+        (comps.minus_coeff, comps.plus_coeff, comps.third_coeff))
+    return Extraction(components=comps, system=system, constraints=constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -542,21 +530,16 @@ class SurfaceData(Record):
     )
 
 
-def surface_data(w1: Form, w2: Form, w3: Form, sys: EvolutionSystem | None = None) -> SurfaceData:
+def surface_data(w1: Form, w2: Form, w3: Form, sys: EvolutionSystem) -> SurfaceData:
+    """The frame alpha1 = w2 + w3, alpha2 = -2 w1 with connection form
+    omega = w2 - w3; each dx^dt coefficient is reduced modulo sys."""
     alpha1 = w2 + w3
     alpha2 = -(w1 * 2)
     omega = w2 - w3
-
-    def reduced(c: Scalar) -> Scalar:
-        return jets.reduce_mod_evolution(c, sys) if sys is not None else c
-
-    d_omega = reduced(omega.d().coefficient("dx", "dt"))
-    area = reduced(alpha1.wedge(alpha2).coefficient("dx", "dt"))
-    res1 = reduced(
-        (alpha1.d() - omega.wedge(alpha2)).coefficient("dx", "dt")
-    )
-    res2 = reduced(
-        (alpha2.d() + omega.wedge(alpha1)).coefficient("dx", "dt")
+    d_omega, area, res1, res2 = (
+        jets.reduce_mod_evolution(f.coefficient("dx", "dt"), sys)
+        for f in (omega.d(), alpha1.wedge(alpha2), alpha1.d() - omega.wedge(alpha2),
+                  alpha2.d() + omega.wedge(alpha1))
     )
     if area.is_zero:
         return SurfaceData(
@@ -571,8 +554,3 @@ def surface_data(w1: Form, w2: Form, w3: Form, sys: EvolutionSystem | None = Non
         degenerate=False,
         residuals=(res1, res2, res3),
     )
-
-
-def surface_from_spec(spec: AKNSSpec) -> SurfaceData:
-    extraction = extract_evolution(spec)
-    return surface_data(*extraction.components.w, sys=extraction.system)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .coeff import Scalar, ONE, sym
+from .coeff import Scalar, sym
 from .forms import ContextError, DerivationContext, Form, MatrixForm, build_jet_context
 from .linsolve import express_in_basis
 from .record import Record
@@ -27,7 +27,6 @@ from .jets import (
     EvolutionSystem,
     jet,
     reduce_mod_evolution,
-    solve_for_t_derivative,
     split_jet,
     substitute_jets,
     total_derivatives,
@@ -48,26 +47,24 @@ __all__ = [
     "curvature_matrix",
     "zero_curvature_residual",
     "apply_eliminations",
-    "extract_section_evolution",
 ]
 
 
 class ExteriorIdeal(Record):
-    """Generating forms over a chart, with optional named parameters."""
+    """Generating forms over a chart."""
 
     __slots__ = (
         "ctx",
         "generators",  # generator name -> Form, in declaration order
         "coordinates",
-        "parameters",
     )
 
-    def __init__(self, ctx: DerivationContext, generators, coordinates, parameters=()):
+    def __init__(self, ctx: DerivationContext, generators, coordinates):
         generators = dict(generators)
         for f in generators.values():
             if f.ctx is not ctx:
                 raise ContextError("ideal generators must share one context")
-        super().__init__(ctx, generators, tuple(coordinates), tuple(parameters))
+        super().__init__(ctx, generators, tuple(coordinates))
 
 
 class MembershipWitness(Record):
@@ -118,7 +115,7 @@ def _memberships(targets: Sequence[Form], ideal: ExteriorIdeal) -> list:
             if mult_degree < 0:
                 continue
             for mono in itertools.combinations(ctx.one_form_indices(), mult_degree):
-                basis_form = Form(ctx, mult_degree, {mono: ONE})
+                basis_form = ctx.monomial(mono)
                 candidates.append(basis_form.wedge(gen))
                 layout.append((name, basis_form))
         solutions = express_in_basis([targets[i] for i in indices], candidates)
@@ -321,7 +318,6 @@ def zero_curvature_residual(raw: tuple, sys: EvolutionSystem) -> tuple:
     """reduce(D_x F - D_t G + [F, G]) from the unreduced matrix that
     :func:`curvature_matrix` returns; zero certifies the linear pair
     y_t = F y, y_x = G y compatible on solutions."""
-    sys = EvolutionSystem.of(sys)
     return tuple(
         tuple(reduce_mod_evolution(entry, sys) for entry in row) for row in raw
     )
@@ -338,15 +334,3 @@ def apply_eliminations(e: Scalar, chain: Sequence[tuple], deps: Sequence[str]) -
         )
     return out
 
-
-def extract_section_evolution(result: SectionResult) -> EvolutionSystem:
-    """Solve the sectioned equations for first t-derivatives; fails when an
-    equation is not evolutionary (see :func:`jets.solve_for_t_derivative`)."""
-    rules: dict[str, Scalar] = {}
-    for eq in result.reduced:
-        solved = solve_for_t_derivative(eq)
-        if solved is None:
-            raise ValueError(f"equation is not evolutionary: {eq}")
-        var, rhs = solved
-        rules[var] = rhs
-    return EvolutionSystem.of(rules)

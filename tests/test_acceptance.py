@@ -7,9 +7,11 @@ no tolerances anywhere.
 
 from __future__ import annotations
 
-import random
+from functools import reduce
+from operator import mul
 
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from prolong import dsl
 from prolong.coeff import ETA, I, Scalar, ZERO, substitute, sym
@@ -43,8 +45,6 @@ from prolong.we import (
 )
 
 from sympy_bridge import from_sympy
-
-SEED = 8271
 
 
 def _report(number: int, ok: bool, summary: str) -> None:
@@ -241,7 +241,6 @@ def test_criterion_7_sectioning(ch_model, ch_ideal):
                 for n, g in ch_ideal.generators.items()
             },
             coordinates=ch_ideal.coordinates,
-            parameters=ch_ideal.parameters,
         )
         reduced_member = section(member, chain).reduced
         labels_ok = labels_ok and tuple(map(named_equation, reduced_member)) == (label,)
@@ -281,100 +280,99 @@ def test_criterion_8_lax_consistency(kdv_spec, kdv_system):
 
 
 # ---------------------------------------------------------------------------
-# 9. randomized property suites (>= 500 instances each, fixed seed)
+# 9. randomized property suites (500 derandomized examples each)
 # ---------------------------------------------------------------------------
 
 N_INSTANCES = 500
 
 
-def _random_scalar(rng: random.Random, symbols) -> Scalar:
-    total = ZERO
-    for _ in range(rng.randint(1, 2)):
-        term = Scalar(rng.randint(-3, 3))
-        if rng.random() < 0.3:
-            term = term * I
-        for _ in range(rng.randint(0, 1)):
-            term = term * Scalar(rng.choice(symbols))
-        total = total + term
-    return total
+def _scalars(symbols) -> st.SearchStrategy:
+    """Sums of 1-2 terms, each an integer in -3..3, times i or not, times
+    0-1 of symbols."""
+    term = st.builds(lambda c, i, factors: reduce(mul, factors, Scalar(c) * (I if i else 1)),
+                     st.integers(-3, 3), st.booleans(), st.lists(st.sampled_from(symbols), max_size=1))
+    return st.lists(term, min_size=1, max_size=2).map(lambda terms: sum(terms, ZERO))
 
 
-def _random_form(rng: random.Random, ctx, degree: int, symbols) -> Form:
-    one_forms = [ctx.name_of(i) for i in ctx.one_form_indices()]
-    out = ctx.zero(degree)
-    for _ in range(rng.randint(1, 2)):
-        if degree == 0:
-            out = out + ctx.scalar_form(_random_scalar(rng, symbols))
-            continue
-        names = rng.sample(one_forms, degree)
-        piece = ctx.gen(names[0])
-        for name in names[1:]:
-            piece = piece.wedge(ctx.gen(name))
-        out = out + piece * _random_scalar(rng, symbols)
-    return out
+def _forms(ctx, degrees, symbols) -> st.SearchStrategy:
+    """Forms of a degree drawn from degrees: sums of 1-2 pieces, each a
+    scalar times the wedge of that many distinct one-forms, in any order."""
+    one_forms = [ctx.gen(ctx.name_of(i)) for i in ctx.one_form_indices()]
+
+    def of_degree(degree: int) -> st.SearchStrategy:
+        piece = st.builds(lambda gens, c: reduce(Form.wedge, gens, ctx.scalar_form(c)),
+                          st.lists(st.sampled_from(one_forms), min_size=degree, max_size=degree,
+                                   unique=True), _scalars(symbols))
+        return st.lists(piece, min_size=1, max_size=2).map(lambda pieces: sum(pieces, ctx.zero(degree)))
+
+    by_degree = {degree: of_degree(degree) for degree in degrees}
+    return st.sampled_from(degrees).flatmap(by_degree.__getitem__)
 
 
 def test_criterion_9_wedge_antisymmetry():
-    rng = random.Random(SEED)
     ctx = DerivationContext(scalars=("x", "t", "u", "p", "q")).freeze()
-    symbols = [from_sympy(sp.Symbol(n)) for n in ("u", "p", "q")]
-    for _ in range(N_INSTANCES):
-        p = rng.choice((0, 1, 1, 2))
-        q = rng.choice((0, 1, 1, 2))
-        a = _random_form(rng, ctx, p, symbols)
-        b = _random_form(rng, ctx, q, symbols)
-        sign = (-1) ** (p * q)
-        assert b.wedge(a) == a.wedge(b) * Scalar(sign)
+    forms = _forms(ctx, (0, 1, 1, 2), [from_sympy(sp.Symbol(n)) for n in ("u", "p", "q")])
+
+    @settings(max_examples=N_INSTANCES)
+    @given(forms, forms)
+    def check(a, b):
+        assert b.wedge(a) == a.wedge(b) * Scalar((-1) ** (a.degree * b.degree))
+
+    check()
     _report(9, True, f"wedge antisymmetry on {N_INSTANCES} random pairs")
 
 
 def test_criterion_9_graded_leibniz(sc):
-    rng = random.Random(SEED + 1)
     symbols = [from_sympy(sp.Symbol(n)) for n in ("y1", "y2", "y5")]
-    for _ in range(N_INSTANCES):
-        p = rng.choice((0, 1, 1))
-        a = _random_form(rng, sc.ctx, p, symbols)
-        b = _random_form(rng, sc.ctx, rng.choice((0, 1)), symbols)
-        lhs = a.wedge(b).d()
-        sign = Scalar((-1) ** p)
-        rhs = a.d().wedge(b) + a.wedge(b.d()) * sign
-        assert lhs == rhs
+
+    @settings(max_examples=N_INSTANCES)
+    @given(_forms(sc.ctx, (0, 1, 1), symbols), _forms(sc.ctx, (0, 1), symbols))
+    def check(a, b):
+        sign = Scalar((-1) ** a.degree)
+        assert a.wedge(b).d() == a.d().wedge(b) + a.wedge(b.d()) * sign
+
+    check()
     _report(9, True, f"graded Leibniz rule on {N_INSTANCES} random pairs")
 
 
 def test_criterion_9_dd_zero(sc):
-    rng = random.Random(SEED + 2)
-    symbols = [from_sympy(sp.Symbol(n)) for n in ("y1", "y2", "y5")]
-    for _ in range(N_INSTANCES):
-        a = _random_form(rng, sc.ctx, rng.choice((0, 1)), symbols)
+    @settings(max_examples=N_INSTANCES)
+    @given(_forms(sc.ctx, (0, 1), [from_sympy(sp.Symbol(n)) for n in ("y1", "y2", "y5")]))
+    def check(a):
         assert a.d().d().is_zero
+
+    check()
     _report(9, True, f"d(d(form)) = 0 on {N_INSTANCES} random forms")
 
 
 def test_criterion_9_euler_annihilates_derivatives():
-    rng = random.Random(SEED + 3)
     symbols = [sym(jet("u")), sym(jet("u", 1)), sym(jet("u", 2)), sym(jet("v")), sym(jet("v", 1))]
-    for _ in range(N_INSTANCES):
-        e = _random_scalar(rng, symbols)
+
+    @settings(max_examples=N_INSTANCES)
+    @given(_scalars(symbols))
+    def check(e):
         dx_e = total_derivative(e, "x", ("u", "v"))
         assert euler_operator(dx_e, "u", ("u", "v")).is_zero
         assert euler_operator(dx_e, "v", ("u", "v")).is_zero
+
+    check()
     _report(9, True, f"euler operator kills D_x images on {N_INSTANCES} random polynomials")
 
 
 def test_criterion_9_parse_print_roundtrip():
-    rng = random.Random(SEED + 4)
     header = "chart x t u p q\nparams beta\n"
-    ctx_model = dsl.parse(header)
-    ctx = ctx_model.ctx
+    ctx = dsl.parse(header).ctx
     symbols = [from_sympy(sp.Symbol(n)) for n in ("u", "p", "q", "beta")]
-    for _ in range(N_INSTANCES):
-        degree = rng.choice((1, 2))
-        form = _random_form(rng, ctx, degree, symbols)
+
+    @settings(max_examples=N_INSTANCES)
+    @given(_forms(ctx, (1, 2), symbols))
+    def check(form):
         if form.is_zero:
-            continue
+            return
         text = dsl.print_form(form)
         model = dsl.parse(header + f"form a = {text}\n")
         assert model.forms["a"] == form
         assert dsl.print_form(model.forms["a"]) == text
+
+    check()
     _report(9, True, f"parse/print identity on {N_INSTANCES} random forms")

@@ -256,11 +256,29 @@ def test_laxcheck_akns(capsys):
     assert "curvature-agreement" in out
 
 
-def test_laxcheck_on_a_family_without_rules_is_exit_2(capsys):
-    # the generic family's curvature holds q_t, and no evolution rule covers it
-    code, _, err = run(["laxcheck", "--fixture", "akns_generic"], capsys)
-    assert code == 2
-    assert "not covered by the evolution system" in err
+@pytest.mark.parametrize("verb", ["laxcheck", "surface", "conserve"])
+def test_a_family_without_rules_is_unsupported(verb, tmp_path, capsys):
+    # the generic family's curvature solves for q_t and r_t only with eta on
+    # the right side, so the engine cannot reduce on-shell: exit 4, not 2
+    report = tmp_path / "report.json"
+    code, out, err = run([verb, "--fixture", "akns_generic", "--json", str(report)], capsys)
+    assert code == 4 and err == ""
+    assert out.endswith("result: UNSUPPORTED\n")
+    [item] = json.loads(report.read_text())["items"]
+    assert item == {"name": "evolution", "status": "unsupported", "unsolved": [
+        "2*q*A - 2*B*eta + B_x - q_t", "-2*r*A + 2*C*eta + C_x - r_t", "-q*C + r*B + A_x"]}
+    assert json.loads(report.read_text())["ok"] is False
+
+
+def test_a_failed_check_beside_an_unsupported_one_exits_1(monkeypatch, capsys):
+    from prolong import cli
+
+    def both(args):
+        return [cli._item("a", "failed"), cli._item("b", "unsupported")], None
+
+    monkeypatch.setattr(cli, "_cmd_gauge", both)
+    code, out, _ = run(["gauge"], capsys)
+    assert code == 1 and out.endswith("result: FAILED\n")
 
 
 def test_laxcheck_ideal(capsys):

@@ -404,3 +404,25 @@ def test_operations_on_canonical_forms_skip_the_checking_constructor(monkeypatch
     assert checked == []
     assert on_chart.d() == dp.wedge(dx).wedge(du) * (u * x) + dp.wedge(dt).wedge(du)
     assert on_jets.d() == jet_ctx.gen("dx").wedge(jet_ctx.gen("dt")) * (u_xx - u_xxt)
+
+
+def test_closure_and_a_ring_decomposition_skip_the_checking_constructor(
+        monkeypatch, sc, su2_forms, ch_ideal):
+    from prolong.su2 import verify_identity
+    from prolong.we import closure_check
+
+    checked = []
+    init = Form.__init__
+    monkeypatch.setattr(Form, "__init__", lambda *args: checked.append(args) or init(*args))
+    assert closure_check(ch_ideal).ok
+    assert verify_identity(sc, "xi3", su2_forms).stated_ok
+    assert checked == []
+
+
+def test_monomial_sorts_its_generators_with_their_sign(chart):
+    dx, dt, du = (chart.gen(name) for name in ("dx", "dt", "du"))
+    index = chart.index_of
+    assert chart.monomial((index("du"), index("dx")), sym("u")) == dx.wedge(du) * -sym("u")
+    assert chart.monomial((index("dx"), index("dt"), index("dx"))).is_zero
+    assert chart.monomial(()) == chart.scalar_form(1)
+    assert chart.monomial((index("dt"),)) == dt

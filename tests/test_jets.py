@@ -14,6 +14,7 @@ from prolong.jets import (
     jet,
     jet_order,
     reduce_mod_evolution,
+    solve_evolution,
     solve_for_t_derivative,
     split_jet,
     total_derivative,
@@ -47,58 +48,65 @@ def test_chain_rule():
 
 
 def test_reduce_direct_rule():
-    sys = EvolutionSystem.of({"u": -u * ux})
+    sys = EvolutionSystem({"u": -u * ux})
     assert reduce_mod_evolution(ut, sys) == -u * ux
 
 
 def test_reduce_prolonged_rule():
-    sys = EvolutionSystem.of({"u": -u * ux})
+    sys = EvolutionSystem({"u": -u * ux})
     got = reduce_mod_evolution(uxt, sys)
     assert got == -(ux**2) - u * uxx
 
 
 def test_reduce_second_t_derivative():
     # u_tt = D_t(u*u_x) = u_t*u_x + u*u_xt, each t-derivative reduced again
-    sys = EvolutionSystem.of({"u": u * ux})
+    sys = EvolutionSystem({"u": u * ux})
     assert reduce_mod_evolution(sym(jet("u", 0, 2)), sys) == u**2 * uxx + 2 * u * ux**2
 
 
 def test_evolution_system_of_pairs_or_a_dict():
-    assert EvolutionSystem.of((("u", u * ux),)) == EvolutionSystem.of({"u": u * ux})
+    assert EvolutionSystem((("u", u * ux),)) == EvolutionSystem({"u": u * ux})
 
 
 def test_reduce_no_t_derivatives_is_identity():
-    sys = EvolutionSystem.of({"u": uxx})
+    sys = EvolutionSystem({"u": uxx})
     assert reduce_mod_evolution(ux, sys) == ux
 
 
 def test_reduce_idempotent():
-    sys = EvolutionSystem.of({"u": uxxx + u * ux})
+    sys = EvolutionSystem({"u": uxxx + u * ux})
     e = ut * uxt + u
     once = reduce_mod_evolution(e, sys)
     assert reduce_mod_evolution(once, sys) == once
 
 
 def test_reduce_uncovered_variable():
-    sys = EvolutionSystem.of({"u": ux})
+    sys = EvolutionSystem({"u": ux})
     with pytest.raises(ValueError):
         reduce_mod_evolution(sym(jet("v", 0, 1)), sys)
 
 
 def test_evolution_rhs_must_be_t_free():
     with pytest.raises(ValueError):
-        EvolutionSystem.of({"u": ut})
+        EvolutionSystem({"u": ut})
 
 
 def test_euler_examples():
-    assert euler_operator(u * ux, "u").is_zero
-    assert euler_operator(u**2, "u") == 2 * u
-    assert euler_operator(ux**2, "u") == -2 * uxx
+    assert euler_operator(u * ux, "u", ["u"]).is_zero
+    assert euler_operator(u**2, "u", ["u"]) == 2 * u
+    assert euler_operator(ux**2, "u", ["u"]) == -2 * uxx
 
 
 def test_euler_rejects_rational_dependence():
     with pytest.raises(ValueError):
-        euler_operator(1 / u, "u")
+        euler_operator(1 / u, "u", ["u"])
+
+
+def test_euler_rejects_t_derivatives_of_deps_only():
+    with pytest.raises(ValueError, match="t-derivative-free input, found u_xt"):
+        euler_operator(u * uxt, "u", ["u"])
+    # a t-derivative of a variable outside deps is a coefficient
+    assert euler_operator(u**2 * sym(jet("v", 0, 1)), "u", ["u"]) == 2 * u * sym(jet("v", 0, 1))
 
 
 def test_total_derivative_certificate():
@@ -138,7 +146,7 @@ def test_mixed_partials_commute_randomized(e):
 @given(_polys(u, ux, uxx))
 def test_euler_annihilates_total_derivatives_randomized(e):
     dx_e = total_derivative(e, "x", ["u"])
-    assert euler_operator(dx_e, "u").is_zero
+    assert euler_operator(dx_e, "u", ["u"]).is_zero
 
 
 def test_jet_order_reporting():
@@ -160,6 +168,26 @@ def test_solve_for_t_derivative_refuses_a_second_t_derivative():
 def test_solve_for_t_derivative_refuses_nonlinear_slope():
     assert solve_for_t_derivative(ut**2 + ux) is None
     assert solve_for_t_derivative(u * ux) is None
+
+
+def test_solve_evolution_leaves_a_second_equation_for_a_solved_variable():
+    # the first rule for u stands; the second equation is left over
+    system, leftovers = solve_evolution((ut - uxxx, 2 * ut - u * ux))
+    assert system.rules == {"u": uxxx}
+    assert leftovers == (2 * ut - u * ux,)
+
+
+def test_solve_evolution_leaves_a_right_side_that_holds_eta():
+    system, leftovers = solve_evolution((ut - sym("eta") * ux,))
+    assert system.rules == {}
+    assert leftovers == (ut - sym("eta") * ux,)
+
+
+def test_solve_evolution_keeps_the_leftovers_in_input_order():
+    vt = sym(jet("v", 0, 1))
+    system, leftovers = solve_evolution((u * ux, ut - uxx, uxt + u, vt - ux, ut + u, qx))
+    assert system.rules == {"u": uxx, "v": ux}
+    assert leftovers == (u * ux, uxt + u, ut + u, qx)
 
 
 x, eta = sym("x"), sym("eta")

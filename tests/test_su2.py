@@ -10,7 +10,7 @@ from prolong import su2
 from prolong.cli import main
 from prolong.coeff import ETA, I, Scalar, ZERO, substitute, sym
 from prolong.forms import MatrixForm, plus_minus
-from prolong.jets import jet
+from prolong.jets import EvolutionSystem, jet
 from prolong.su2 import (
     AKNSSpec,
     Decomposition,
@@ -22,7 +22,6 @@ from prolong.su2 import (
     q_diag,
     q_upper,
     surface_data,
-    surface_from_spec,
     theta_components,
     verify_identity,
 )
@@ -238,7 +237,7 @@ def test_surface_zero_rotation_gives_flat():
     w2 = dx * u
     w3 = dx * u
     w1 = dt * Scalar(1)
-    data = surface_data(w1, w2, w3)
+    data = surface_data(w1, w2, w3, EvolutionSystem({"u": sym(jet("u", 1))}))
     assert not data.degenerate
     assert data.curvature == ZERO
 
@@ -246,13 +245,13 @@ def test_surface_zero_rotation_gives_flat():
 def test_surface_degenerate_when_all_zero():
     ctx = build_jet_context(("u",))
     zero = ctx.zero(1)
-    data = surface_data(zero, zero, zero)
+    data = surface_data(zero, zero, zero, EvolutionSystem({}))
     assert data.degenerate
     assert data.curvature is None
 
 
-def test_surface_kdv_constant_curvature(kdv_spec):
-    data = surface_from_spec(kdv_spec)
+def test_surface_kdv_constant_curvature(kdv_spec, kdv_system):
+    data = surface_data(*theta_components(kdv_spec).w, kdv_system)
     assert not data.degenerate
     assert data.curvature == I
     # the closing structure equation holds by construction

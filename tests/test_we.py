@@ -10,14 +10,13 @@ from prolong.cli import main
 from prolong.coeff import ETA, Scalar, ZERO, substitute, sym
 from prolong.dsl import parse
 from prolong.forms import DerivationContext
-from prolong.jets import EvolutionSystem, is_total_x_derivative, jet
+from prolong.jets import EvolutionSystem, is_total_x_derivative, jet, solve_evolution
 from prolong.we import (
     ConnectionData,
     ExteriorIdeal,
     apply_eliminations,
     closure_check,
     curvature_matrix,
-    extract_section_evolution,
     ideal_membership,
     named_equation,
     prolongation_residual,
@@ -38,7 +37,6 @@ def _with_beta(ideal: ExteriorIdeal, value) -> ExteriorIdeal:
             n: g.map_coefficients(lambda c: substitute(c, subs)) for n, g in ideal.generators.items()
         },
         coordinates=ideal.coordinates,
-        parameters=ideal.parameters,
     )
 
 
@@ -123,7 +121,6 @@ def test_closure_failure_reported_when_generator_missing(ch_ideal):
         ctx=ch_ideal.ctx,
         generators={"xi1": ch_ideal.generators["xi1"], "xi3": ch_ideal.generators["xi3"]},
         coordinates=ch_ideal.coordinates,
-        parameters=ch_ideal.parameters,
     )
     result = closure_check(broken)
     assert not result.ok
@@ -164,7 +161,6 @@ def test_section_generator_order_irrelevant(ch_model, ch_ideal):
         ctx=ch_ideal.ctx,
         generators=dict(reversed(ch_ideal.generators.items())),
         coordinates=ch_ideal.coordinates,
-        parameters=ch_ideal.parameters,
     )
     a = section(ch_ideal, ch_model.sections["ch"])
     b = section(shuffled, ch_model.sections["ch"])
@@ -296,7 +292,7 @@ def test_curvature_matrix_3x3_matches_hand_curvature():
 
 
 def test_zero_curvature_trivial_cases():
-    sys = EvolutionSystem.of({"u": sym(jet("u", 1))})
+    sys = EvolutionSystem({"u": sym(jet("u", 1))})
     zero = ((ZERO, ZERO), (ZERO, ZERO))
     raw = curvature_matrix(ConnectionData(F=zero, G=zero), sys.deps)
     res = zero_curvature_residual(raw, sys)
@@ -312,7 +308,8 @@ def test_zero_curvature_kdv_cross_module(kdv_ideal_model):
     ideal = kdv_ideal_model.ideals["kdv"]
     chain = kdv_ideal_model.sections["kdv"]
     sec = section(ideal, chain)
-    sys = extract_section_evolution(sec)
+    sys, leftovers = solve_evolution(sec.reduced)
+    assert leftovers == ()
     u, ux, uxxx = sym(jet("u")), sym(jet("u", 1)), sym(jet("u", 3))
     assert sys.rules["u"] == Scalar(-uxxx - 6 * u * ux)
     conn = kdv_ideal_model.connections["lax"].map_entries(
@@ -430,7 +427,7 @@ def test_an_unknown_name_raises_key_error(ch_ideal):
     assert certificate.witnesses["u"] == -2 * u_xx
     with pytest.raises(KeyError):
         certificate.witnesses["nope"]
-    system = EvolutionSystem.of({"u": u_xx})
+    system = EvolutionSystem({"u": u_xx})
     assert system.rules["u"] == u_xx
     with pytest.raises(KeyError):
         system.rules["v"]
@@ -438,13 +435,17 @@ def test_an_unknown_name_raises_key_error(ch_ideal):
 
 def test_section_evolution_refuses_a_second_t_derivative(ch_model, ch_ideal):
     sec = section(ch_ideal, ch_model.sections["ch"])
-    with pytest.raises(ValueError, match="not evolutionary"):
-        extract_section_evolution(sec)
+    system, leftovers = solve_evolution(sec.reduced)
+    assert system.rules == {} and leftovers == sec.reduced
 
 
-def test_laxcheck_on_non_evolutionary_section_is_exit_2(capsys):
-    assert main(["laxcheck", "--fixture", "ch"]) == 2
-    assert "not evolutionary" in capsys.readouterr().err
+def test_laxcheck_on_non_evolutionary_section_is_unsupported(capsys):
+    # the engine reduces only modulo u_t = rhs; the peakon equation holds u_xxt
+    assert main(["laxcheck", "--fixture", "ch"]) == 4
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "[unsupported] evolution" in out and "u_xxt" in out
+    assert out.endswith("result: UNSUPPORTED\n")
 
 
 # d(cl) = 0, a zero target beside the two-form d(th) and the three-form d(om)
@@ -458,7 +459,6 @@ def _without(ideal: ExteriorIdeal, name: str) -> ExteriorIdeal:
         ctx=ideal.ctx,
         generators={n: g for n, g in ideal.generators.items() if n != name},
         coordinates=ideal.coordinates,
-        parameters=ideal.parameters,
     )
 
 
