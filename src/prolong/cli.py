@@ -87,7 +87,7 @@ def _cmd_verify_su2(args) -> tuple:
     contexts = [("dd-zero", sc.ctx)]
     if getattr(args, "fixture", None) or getattr(args, "path", None):
         model = _load_model(args)
-        if model.ctx is None or model.kind != "dga":
+        if model.kind != "dga":
             raise CliError("verify-su2 fixture must declare a free DGA context")
         contexts.append(("dd-zero-fixture", model.ctx))
     items = []
@@ -300,7 +300,7 @@ def _cmd_prolong(args) -> tuple:
     if at_beta:
         ideal = we.ExteriorIdeal(ideal.ctx, {
             n: g.map_coefficients(at_beta)
-            for n, g in ideal.generators.items()}, ideal.coordinates)
+            for n, g in ideal.generators.items()})
     closure = we.closure_check(ideal)
     if not closure.ok:
         raise CliError("ideal is not closed; prolongation condition undefined")
@@ -435,6 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _render_text(report: dict, result: str) -> str:
     lines = [f"prolong {' '.join(report['command'])}"]
+    width = max((len(item["status"]) for item in report["items"]), default=0)
     for item in report["items"]:
         detail = {
             k: v
@@ -442,7 +443,7 @@ def _render_text(report: dict, result: str) -> str:
             if k not in ("name", "status") and v not in (None, [], {})
         }
         suffix = f"  {json.dumps(detail, sort_keys=True)}" if detail else ""
-        lines.append(f"  [{item['status']:>9}] {item['name']}{suffix}")
+        lines.append(f"  [{item['status']:>{width}}] {item['name']}{suffix}")
     lines.append(f"result: {result}")
     return "\n".join(lines)
 

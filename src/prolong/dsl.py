@@ -5,11 +5,12 @@ A model file declares one context (a coordinate chart, a jet family over
 differential rules of a free algebra, then defines named forms, exterior
 ideals, spectral families, linear connections, and section (elimination)
 chains.  The reader makes one pass: each statement is evaluated as it is
-read, the context is rebuilt at each declaration and frozen at the first
-definition, and a statement out of that order is a DslError
-with its line and column.  The expression grammar is infix with `+ - * /`,
-wedge `^` (same precedence as `*`, left associative), integer powers
-`**` (binding tighter than unary minus, so `-x**2` is `-(x**2)`),
+read, the context is rebuilt with its names at each declaration and with
+its rule table at each rule, and a statement out of that order is a
+DslError with its line and column.  The context owns the declared names
+and the rules.  The expression grammar is infix with `+ - * /`, wedge
+`^` (same precedence as `*`, left associative), integer powers `**`
+(binding tighter than unary minus, so `-x**2` is `-(x**2)`),
 differentials `d(...)`, exponentials `exp(...)`, the imaginary unit `i`,
 and `#` comments.
 Printing emits canonical text that parses back to the same model: a
@@ -111,18 +112,15 @@ def _integer(value) -> int | None:
 
 
 class ModelFile:
-    """Parsed model: one context plus the named objects defined over it.
-    The reader fills it in as it reads, so it is not immutable."""
+    """Parsed model: one context, which holds the declared names and the
+    rules, plus the named objects defined over it.  The reader fills it in
+    as it reads, so it is not immutable."""
 
-    __slots__ = ("kind", "coordinates", "jet_fields", "scalars", "params", "oneforms", "twoforms",
-                 "rules", "ctx", "lets", "forms", "ideals", "akns", "connections", "sections")
+    __slots__ = ("kind", "ctx", "lets", "forms", "ideals", "akns", "connections", "sections")
 
     def __init__(self):
         self.kind = None  # 'chart' | 'jet' | 'dga'
-        self.coordinates = self.jet_fields = self.scalars = self.params = ()
-        self.oneforms = self.twoforms = ()
-        self.rules = {}  # name -> Form
-        self.ctx = None  # the DerivationContext, rebuilt at each declaration
+        self.ctx = DerivationContext()  # rebuilt at each declaration and rule
         self.lets = {}  # name -> Scalar
         self.forms = {}  # name -> Form
         self.ideals = {}  # name -> ExteriorIdeal
@@ -131,20 +129,20 @@ class ModelFile:
         self.sections = {}  # ideal name -> ((var, Scalar), ...)
 
 
-# Statement keyword -> (stage, context kind it declares, ModelFile field it
-# fills).  Statements come in stage order: declarations, then rules, then
-# definitions; the context is rebuilt at each declaration and frozen when
-# the rules end.
+# Statement keyword -> (stage, context kind it declares, the context's
+# declared names or the ModelFile field it fills), in the order a model
+# prints.  Statements come in stage order: declarations, then rules, then
+# definitions.
 _DECLARATION, _RULE, _DEFINITION = range(3)
 _STAGE_NAMES = ("declaration", "rule", "definition")
 _STATEMENTS = {
-    "chart": (_DECLARATION, "chart", "coordinates"),
+    "chart": (_DECLARATION, "chart", "scalars"),
     "jet": (_DECLARATION, "jet", "jet_fields"),
+    "oneform": (_DECLARATION, "dga", "one_forms"),
     "scalars": (_DECLARATION, "dga", "scalars"),
-    "oneform": (_DECLARATION, "dga", "oneforms"),
-    "twoform": (_DECLARATION, "dga", "twoforms"),
+    "twoform": (_DECLARATION, "dga", "two_forms"),
     "params": (_DECLARATION, None, "params"),
-    "rule": (_RULE, None, "rules"),
+    "rule": (_RULE, None, None),
     "let": (_DEFINITION, None, "lets"),
     "form": (_DEFINITION, None, "forms"),
     "ideal": (_DEFINITION, None, "ideals"),
@@ -219,8 +217,6 @@ class _Parser:
             while self.peek().kind != "eof":
                 self._statement()
                 self.skip_newlines()
-            if self.model.kind is not None:
-                self._enter(_DEFINITION)  # the end of the file ends the rules too
         except DslError:
             raise
         except (ValueError, ZeroDivisionError) as exc:
@@ -239,7 +235,9 @@ class _Parser:
             raise self.error(
                 f"{tok.text} cannot follow a {_STAGE_NAMES[self.stage]}; "
                 "declarations come first, then rules, then definitions")
-        self._enter(stage)
+        if stage > _DECLARATION and self.model.kind is None:
+            raise self.error("definitions require a context declaration first")
+        self.stage = stage
         if stage == _DECLARATION:
             self._declaration(tok.text, kind, field_name)
             return
@@ -247,18 +245,13 @@ class _Parser:
         # chart coordinates stand for jets only where a connection or a
         # section is written in them
         self.allow_jets = m.kind == "jet" or tok.text in ("connection", "section")
-        name, value = self._rule() if stage == _RULE else self._definition(tok.text)
-        getattr(m, field_name)[name] = value
+        if stage == _RULE:
+            self._rule()
+        else:
+            name, value = self._definition(tok.text)
+            getattr(m, field_name)[name] = value
 
-    def _enter(self, stage: int):
-        m = self.model
-        if stage > _DECLARATION and m.ctx is None:
-            raise self.error("definitions require a context declaration first")
-        if stage > _RULE:
-            m.ctx.freeze()
-        self.stage = stage
-
-    def _declaration(self, keyword: str, kind: str | None, field_name: str):
+    def _declaration(self, keyword: str, kind: str | None, key: str):
         m = self.model
         if kind is not None:
             if m.kind not in (None, kind):
@@ -275,21 +268,23 @@ class _Parser:
             raise DslError("expected at least one name", self.peek().line, self.peek().col)
         if keyword == "chart" and len(names) < 2:
             raise self.error("chart needs the base pair plus fields")
-        setattr(m, field_name, getattr(m, field_name) + tuple(names))
-        if m.kind is not None:
-            # rebuilt at each declaration, so a name declared twice is refused where it repeats
-            scalars = ("x", "t") if m.kind == "jet" else m.coordinates + m.scalars
-            m.ctx = DerivationContext(one_forms=m.oneforms, scalars=scalars, params=m.params,
-                                      two_forms=m.twoforms, jet_fields=m.jet_fields)
+        declared = dict(m.ctx.declared)
+        declared[key] += tuple(names)
+        if m.kind == "jet":
+            declared["scalars"] = ("x", "t")
+        # rebuilt at each declaration, so a name declared twice is refused where it repeats
+        m.ctx = DerivationContext(**declared)
 
-    def _rule(self) -> tuple:
+    def _rule(self):
         self.expect("name", "d")
         target = self.expect("name").text
         self.expect("op", "=")
         rule = self._as_form(self._operand())
-        self.model.ctx.set_rule(target, rule)
+        ctx = self.model.ctx
+        # rebuilt at each rule, so a bad rule is refused at its line and d
+        # in a later rule sees the rules before it
+        self.model.ctx = DerivationContext(**ctx.declared, rules={**ctx.rules, target: rule})
         self.end_statement()
-        return target, rule
 
     def _definition(self, keyword: str) -> tuple:
         tok = self.expect("name")
@@ -343,7 +338,7 @@ class _Parser:
             if not isinstance(value, Form) or value.degree < 1:
                 raise self.error(f"ideal generator {gname} must be a form")
             gens[gname] = value
-        return ExteriorIdeal(ctx=m.ctx, generators=gens, coordinates=m.coordinates)
+        return ExteriorIdeal(ctx=m.ctx, generators=gens)
 
     def _akns(self, name: str) -> AKNSSpec:
         m = self.model
@@ -360,7 +355,7 @@ class _Parser:
         missing = set(_AKNS_ENTRIES) - set(entries)
         if missing:
             raise self.error(f"akns {name}: missing {sorted(missing)}")
-        return AKNSSpec(name=name, deps=m.jet_fields, **entries)
+        return AKNSSpec(name=name, deps=m.ctx.declared["jet_fields"], **entries)
 
     def _connection(self, name: str) -> ConnectionData:
         mats = {}
@@ -380,7 +375,7 @@ class _Parser:
         for var, sep in self._items():
             if sep != "->":
                 raise self.error(f"section {name}: use 'var -> expression'")
-            if var not in m.coordinates:
+            if var not in m.ctx.declared["scalars"]:
                 raise self.error(f"section {name}: {var} is not a chart coordinate")
             value = self._operand()
             if isinstance(value, Form):
@@ -498,13 +493,13 @@ class _Parser:
             return m.ctx.gen(name)
         except ContextError:
             pass
-        if (name in m.params or (m.kind == "chart" and name in m.coordinates)
-                or (m.kind == "dga" and name in m.scalars)):
+        declared = m.ctx.declared
+        if name in declared["params"] or (m.kind != "jet" and name in declared["scalars"]):
             return sym(name)
         parts = split_jet(name)
         if parts is not None and self.allow_jets:
             var, nx, nt = parts
-            if var in m.jet_fields or (m.kind == "chart" and var in m.coordinates):
+            if var in declared["jet_fields"] or (m.kind == "chart" and var in declared["scalars"]):
                 return sym(jet(var, nx, nt))
         raise DslError(f"unknown symbol {name!r}", tok.line, tok.col)
 
@@ -550,20 +545,10 @@ def print_form(f: Form) -> str:
 
 def print_model(m: ModelFile) -> str:
     lines: list[str] = []
-    if m.kind == "chart":
-        lines.append("chart " + " ".join(m.coordinates))
-    elif m.kind == "jet":
-        lines.append("jet " + " ".join(m.jet_fields))
-    elif m.kind == "dga":
-        if m.oneforms:
-            lines.append("oneform " + " ".join(m.oneforms))
-        if m.scalars:
-            lines.append("scalars " + " ".join(m.scalars))
-        if m.twoforms:
-            lines.append("twoform " + " ".join(m.twoforms))
-    if m.params:
-        lines.append("params " + " ".join(m.params))
-    for name, rule in m.rules.items():
+    for keyword, (stage, kind, key) in _STATEMENTS.items():
+        if stage == _DECLARATION and kind in (m.kind, None) and m.ctx.declared[key]:
+            lines.append(f"{keyword} {' '.join(m.ctx.declared[key])}")
+    for name, rule in m.ctx.rules.items():
         lines.append(f"rule d {name} = {print_form(rule)}")
     for name, value in m.lets.items():
         lines.append(f"let {name} = {print_scalar(value)}")

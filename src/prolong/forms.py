@@ -1,7 +1,7 @@
 """Graded exterior algebra over a declared generator set.
 
-A DerivationContext declares degree-0 symbols (with their differentials),
-free degree-1/degree-2 generators, and a differential-rule table.  The
+A DerivationContext declares, in its constructor, degree-0 symbols (with
+their differentials), free degree-1/degree-2 generators and their rules.  The
 same machinery drives both coordinate charts (d of a coefficient is its
 partial or total derivative times the coordinate differentials) and free
 differential graded algebras (abstract generators with prescribed rules).
@@ -15,6 +15,7 @@ checking ``Form(...)``; d of a scalar v is ``ctx.scalar_form(v).d()``.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .coeff import I, Scalar, ZERO, ONE
@@ -56,78 +57,81 @@ class ContextError(ValueError):
 
 
 class DerivationContext:
-    """Generators declared in one call, plus a differential-rule table.
+    """Generators and their differential rules, declared in one call.
 
     The constructor declares every name once: scalars are degree-0 symbols,
     each with the degree-1 differential d<name>; parameters are constants;
     jet fields make coefficients jet expressions over the scalars x and t,
     so d of a coefficient is D_x dx + D_t dt with total derivatives.  The
     generators are the one-forms, the scalars' differentials and the
-    two-forms, in that order.  :meth:`set_rule` gives a one-form or
-    two-form its differential until :meth:`freeze`; afterwards the context
-    is immutable and safe to share.
+    two-forms, in that order.  ``rules`` gives a declared one-form or
+    two-form its differential: a form of one degree higher over a context
+    with the same generators.  The context is complete when its constructor
+    returns and immutable: ``declared`` maps each declaring argument to its
+    names, ``rules`` each rule's target to its form over this context.
     """
 
-    def __init__(self, one_forms=(), scalars=(), params=(), two_forms=(), jet_fields=()):
-        gens = ([Generator(name, 1) for name in one_forms]
-                + [Generator(f"d{name}", 1) for name in scalars]
-                + [Generator(name, 2) for name in two_forms])
+    # _signature caches the signature once asked for
+    __slots__ = ("declared", "rules", "_names", "_degrees", "_index", "_scalars", "_directions",
+                 "_rules", "_signature")
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
+
+    def __init__(self, one_forms=(), scalars=(), params=(), two_forms=(), jet_fields=(), rules=()):
+        names = (*one_forms, *(f"d{name}" for name in scalars), *two_forms)  # by index
         seen: set = set()
-        for name in (*scalars, *params, *jet_fields, *(g.name for g in gens)):
+        for name in (*scalars, *params, *jet_fields, *names):
             if name in seen:
                 raise ContextError(f"{name!r} is declared twice")
             seen.add(name)
         if jet_fields and not {"x", "t"} <= set(scalars):
             raise ContextError("jet fields need the scalars x and t")
-        self._gens = tuple(gens)
-        self._degrees = tuple(g.degree for g in gens)  # each generator's degree, by index
-        self._index = {g.name: i for i, g in enumerate(gens)}
-        self._rule_targets = frozenset((*one_forms, *two_forms))
-        # (name, index of d<name>) for each scalar
-        self._scalars = tuple((name, self._index[f"d{name}"]) for name in scalars)
-        self._jet_deps = tuple(jet_fields)
-        # the scalars that d of a coefficient differentiates along, as self._scalars
-        self._directions = tuple(p for p in self._scalars if not jet_fields or p[0] in ("x", "t"))
-        self._rules: list = [None] * len(gens)  # each generator's rule Form, by index
-        self._frozen = False
-
-    def set_rule(self, name: str, form: "Form") -> None:
-        if self._frozen:
-            raise ContextError("context is frozen")
-        if name not in self._rule_targets:
-            raise ContextError(f"rules apply to declared one-forms and two-forms, not {name!r}")
-        idx = self._index[name]
-        if form.degree != self._degrees[idx] + 1:
-            raise ContextError(f"rule for {name} must have degree {self._degrees[idx] + 1}")
-        self._rules[idx] = form
-
-    def freeze(self) -> "DerivationContext":
-        self._frozen = True
-        return self
+        degrees = (1,) * (len(names) - len(two_forms)) + (2,) * len(two_forms)  # by index
+        index = {name: i for i, name in enumerate(names)}
+        by_index: list = [None] * len(names)  # each generator's rule Form, by index
+        rehomed: dict = {}  # each rule's Form over this context, by target
+        for name, form in dict(rules).items():
+            if name not in one_forms and name not in two_forms:
+                raise ContextError(f"rules apply to declared one-forms and two-forms, not {name!r}")
+            idx = index[name]
+            degree = degrees[idx] + 1
+            if form.degree != degree and not form.is_zero:  # a zero form has every degree
+                raise ContextError(f"rule for {name} must have degree {degree}")
+            if form.ctx._names != names or form.ctx._degrees != degrees:
+                raise ContextError(f"rule for {name} is over other generators")
+            by_index[idx] = rehomed[name] = _form(self, degree, form.terms)
+        scalar_pairs = tuple((name, index[f"d{name}"]) for name in scalars)
+        fields = {
+            "declared": MappingProxyType({
+                "one_forms": tuple(one_forms), "scalars": tuple(scalars), "params": tuple(params),
+                "two_forms": tuple(two_forms), "jet_fields": tuple(jet_fields)}),
+            "rules": MappingProxyType(rehomed),
+            "_names": names, "_degrees": degrees, "_index": index, "_rules": tuple(by_index),
+            "_scalars": scalar_pairs,  # (name, index of d<name>) for each scalar
+            # the scalars that d of a coefficient differentiates along, as _scalars
+            "_directions": tuple(p for p in scalar_pairs if not jet_fields or p[0] in ("x", "t")),
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def signature(self) -> tuple:
         """Structural identity: two contexts with equal signatures carry the
         same generators, scalars, and rule table, so their forms commute."""
-        cached = getattr(self, "_signature", None)
-        if cached is not None and self._frozen:
-            return cached
-        rules = tuple(None if form is None else tuple(form.terms.items()) for form in self._rules)
-        signature = (
-            tuple((g.name, g.degree) for g in self._gens),
-            self._scalars,
-            self._jet_deps,
-            rules,
-        )
-        if self._frozen:
-            self._signature = signature
+        signature = getattr(self, "_signature", None)
+        if signature is None:
+            rules = tuple(None if form is None else tuple(form.terms.items())
+                          for form in self._rules)
+            signature = (self._names, self._degrees, self._scalars, self.declared["jet_fields"],
+                         rules)
+            object.__setattr__(self, "_signature", signature)
         return signature
 
     # -- inspection ------------------------------------------------------------
 
     @property
     def generators(self) -> tuple:
-        return self._gens
+        return tuple(map(Generator, self._names, self._degrees))
 
     def index_of(self, name: str) -> int:
         try:
@@ -136,7 +140,7 @@ class DerivationContext:
             raise ContextError(f"unknown generator {name!r}") from None
 
     def name_of(self, idx: int) -> str:
-        return self._gens[idx].name
+        return self._names[idx]
 
     def one_form_indices(self) -> tuple:
         return tuple(i for i, degree in enumerate(self._degrees) if degree == 1)
@@ -288,7 +292,7 @@ class Form(Record):
         of the degree before it.  Each term is sorted with its sign as it
         is added, so the result builds from canonical terms."""
         ctx = self.ctx
-        degrees, rules, deps = ctx._degrees, ctx._rules, ctx._jet_deps
+        degrees, rules, deps = ctx._degrees, ctx._rules, ctx.declared["jet_fields"]
         out: dict = {}
         for mono, coeff in self.terms.items():
             for name, idx in ctx._directions:
@@ -340,14 +344,14 @@ class Form(Record):
             self.ctx.index_of(name)  # raises on a name outside this context
         target = next(iter(mapping.values())).ctx if mapping else self.ctx
         images = []
-        for gen in self.ctx.generators:
-            image = mapping.get(gen.name)
+        for name, degree in zip(self.ctx._names, self.ctx._degrees):
+            image = mapping.get(name)
             if image is None:
                 if target is not self.ctx:
-                    raise ContextError(f"no image for generator {gen.name} in the target context")
-                image = self.ctx.gen(gen.name)
-            elif image.degree != gen.degree:
-                raise ContextError(f"replacement for {gen.name} has wrong degree")
+                    raise ContextError(f"no image for generator {name} in the target context")
+                image = self.ctx.gen(name)
+            elif image.degree != degree:
+                raise ContextError(f"replacement for {name} has wrong degree")
             images.append(image)
         out: dict = {}
         for mono, coeff in self.terms.items():
@@ -504,7 +508,7 @@ def plus_minus(a, b) -> tuple:
 
 
 def build_jet_context(deps: Sequence[str]) -> DerivationContext:
-    return DerivationContext(scalars=("x", "t"), jet_fields=deps).freeze()
+    return DerivationContext(scalars=("x", "t"), jet_fields=deps)
 
 
 class DdReport(Record):

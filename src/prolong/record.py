@@ -5,10 +5,10 @@ keyword; a field cannot be assigned or deleted afterwards.  Two records
 are equal when they are of one type with equal fields, and hash as the
 tuple of their fields.  A type that validates or normalises its fields
 writes its own ``__init__`` and ends it with ``super().__init__``; one
-built on a hot path (``Form``, ``Token``) sets each field itself with
-``object.__setattr__``, skipping the generic loop.  Every ``Form``
-operation, ``d`` included, builds from canonical terms and skips
-``Form.__init__`` too.
+built on a hot path (``Form``, ``Token``) sets each field with
+``object.__setattr__``, and ``Form`` operations skip ``Form.__init__``.
+``DerivationContext`` compares by identity, so it is no record, but it
+takes the record's ``__setattr__`` and ``__delattr__``: it is immutable too.
 """
 
 from __future__ import annotations

@@ -70,7 +70,7 @@ __all__ = [
 
 
 class Su2Context(Record):
-    """Frozen free-DGA context with named handles for its pieces."""
+    """The su(2) free-DGA context, rules included, with named handles for its pieces."""
 
     __slots__ = (
         "ctx",
@@ -107,29 +107,26 @@ _W = ("w1", "w2", "w3")
 _TH = ("th1", "th2", "th3")
 
 
-def _structure_rules(ctx: DerivationContext, w: Sequence[Form], th: Sequence[Form]):
+def _structure_rules(ctx: DerivationContext) -> dict:
     """dw_l = th_l + i eps_{lmn} w_m w_n and the induced curvature rule
-    dth_l = 2 i eps_{mnl} w_m th_n (eps_{mnl} = eps_{lmn})."""
-    for l in range(1, 4):
-        ctx.set_rule(f"w{l}", th[l - 1] + _epsilon_wedge(l, w, w) * I)
-    for l in range(1, 4):
-        ctx.set_rule(f"th{l}", _epsilon_wedge(l, w, th) * (I * 2))
+    dth_l = 2 i eps_{mnl} w_m th_n (eps_{mnl} = eps_{lmn}), by target."""
+    w = tuple(ctx.gen(name) for name in _W)
+    th = tuple(ctx.gen(name) for name in _TH)
+    rules = {f"w{l}": th[l - 1] + _epsilon_wedge(l, w, w) * I for l in range(1, 4)}
+    rules.update({f"th{l}": _epsilon_wedge(l, w, th) * (I * 2) for l in range(1, 4)})
+    return rules
 
 
 def build_su2_context() -> Su2Context:
     indices = (1, 2, 5, 6, 7, 8)
-    ctx = DerivationContext(one_forms=_W, scalars=(*(f"y{k}" for k in indices), "f", "g"),
-                            two_forms=_TH)
-    w = tuple(ctx.gen(name) for name in _W)
-    th = tuple(ctx.gen(name) for name in _TH)
-    _structure_rules(ctx, w, th)
-    ctx.freeze()
+    declared = dict(one_forms=_W, scalars=(*(f"y{k}" for k in indices), "f", "g"), two_forms=_TH)
+    ctx = DerivationContext(**declared, rules=_structure_rules(DerivationContext(**declared)))
     y = {k: sym(f"y{k}") for k in indices}
     dy = {k: ctx.gen(f"dy{k}") for k in indices}
     return Su2Context(
         ctx=ctx,
-        w=w,
-        th=th,
+        w=tuple(ctx.gen(name) for name in _W),
+        th=tuple(ctx.gen(name) for name in _TH),
         y=y,
         dy=dy,
         y3=y[2] / y[1],
@@ -186,7 +183,7 @@ def build_forms(sc: Su2Context) -> Su2Forms:
     xi[3] = ctx.scalar_form(y3).d() - wp + w3 * (2 * y3) + wm * (y3**2)
     xi[4] = ctx.scalar_form(y4).d() - wm - w3 * (2 * y4) + wp * (y4**2)
     ring = DerivationContext(one_forms=(*_W, *(f"xi{i}" for i in range(1, 9)), "df", "dg"),
-                             two_forms=_TH).freeze()
+                             two_forms=_TH)
     shared = (*_W, *_TH, "df", "dg")
     to_ring = {name: ring.gen(name) for name in shared}
     ring_parts = _connection_parts(sc, [ring.gen(name) for name in _W])

@@ -1,7 +1,7 @@
 """Exterior ideals on coordinate charts and their prolongations.
 
-An ExteriorIdeal holds generating forms over a chart (u_1 .. u_m) whose
-first two coordinates are the independent pair (x, t).  Closure is checked
+An ExteriorIdeal holds generating forms over a chart context, whose declared
+scalars (u_1 .. u_m) begin with the independent pair (x, t).  Closure is checked
 by finding multiplier witnesses d(xi_i) = sum_j alpha_ij ^ xi_j through an
 exact linear solve over the rational-function field.  Sectioning pulls the
 generators back along du -> u_x dx + u_t dt and reads off their dx, dt or
@@ -51,20 +51,19 @@ __all__ = [
 
 
 class ExteriorIdeal(Record):
-    """Generating forms over a chart."""
+    """Generating forms over one context; the chart is ``ctx.declared["scalars"]``."""
 
     __slots__ = (
         "ctx",
         "generators",  # generator name -> Form, in declaration order
-        "coordinates",
     )
 
-    def __init__(self, ctx: DerivationContext, generators, coordinates):
+    def __init__(self, ctx: DerivationContext, generators):
         generators = dict(generators)
         for f in generators.values():
             if f.ctx is not ctx:
                 raise ContextError("ideal generators must share one context")
-        super().__init__(ctx, generators, tuple(coordinates))
+        super().__init__(ctx, generators)
 
 
 class MembershipWitness(Record):
@@ -171,15 +170,16 @@ def section(ideal: ExteriorIdeal, eliminations: Sequence[tuple] = ()) -> Section
     dx^dt coefficient; a higher form pulls back to zero on the
     two-dimensional base and gives no equation.
     """
-    if not {"x", "t"} <= set(ideal.coordinates):
+    chart = ideal.ctx.declared["scalars"]
+    if not {"x", "t"} <= set(chart):
         raise ValueError("section needs the coordinates x and t")
-    deps = tuple(c for c in ideal.coordinates if c not in ("x", "t"))
+    deps = tuple(c for c in chart if c not in ("x", "t"))
     jet_ctx = build_jet_context(deps)
     dx, dt = jet_ctx.gen("dx"), jet_ctx.gen("dt")
     images = {
         f"d{c}": jet_ctx.gen(f"d{c}") if c in ("x", "t")
         else dx * sym(jet(c, 1, 0)) + dt * sym(jet(c, 0, 1))
-        for c in ideal.coordinates
+        for c in chart
     }
     raw = {}
     for name, gen in ideal.generators.items():
@@ -292,7 +292,7 @@ def prolongation_residual(conn: ConnectionData, ideal: ExteriorIdeal) -> Prolong
     """Each entry of the curvature d(Omega) - Omega^Omega over the chart,
     dF/du_j du_j^dt + dG/du_j du_j^dx + [F,G] dx^dt, tested for ideal
     membership; an empty witness set means failure."""
-    if not {"x", "t"} <= set(ideal.coordinates):
+    if not {"x", "t"} <= set(ideal.ctx.declared["scalars"]):
         raise ValueError("prolong needs the coordinates x and t")
     curvature = conn.one_form(ideal.ctx).curvature()
     residuals = {

@@ -105,16 +105,17 @@ def test_criterion_3_dd_zero(sc, ch_ideal, kdv_spec):
         check_dd_zero(ch_ideal.ctx).ok,
         check_dd_zero(build_jet_context(kdv_spec.deps)).ok,
     ]
-    corrupted = DerivationContext(one_forms=("w1", "w2", "w3"), two_forms=("th1", "th2", "th3"))
-    w = [corrupted.gen(f"w{l}") for l in (1, 2, 3)]
-    th = [corrupted.gen(f"th{l}") for l in (1, 2, 3)]
-    corrupted.set_rule("w1", th[0])  # structure term dropped
-    corrupted.set_rule("w2", th[1] - w[0].wedge(w[2]) * (2 * I))
-    corrupted.set_rule("w3", th[2] + w[0].wedge(w[1]) * (2 * I))
-    corrupted.set_rule("th1", w[1].wedge(th[2]) * (2 * I) - w[2].wedge(th[1]) * (2 * I))
-    corrupted.set_rule("th2", w[2].wedge(th[0]) * (2 * I) - w[0].wedge(th[2]) * (2 * I))
-    corrupted.set_rule("th3", w[0].wedge(th[1]) * (2 * I) - w[1].wedge(th[0]) * (2 * I))
-    corrupted.freeze()
+    declared = dict(one_forms=("w1", "w2", "w3"), two_forms=("th1", "th2", "th3"))
+    bare = DerivationContext(**declared)
+    w = [bare.gen(f"w{l}") for l in (1, 2, 3)]
+    th = [bare.gen(f"th{l}") for l in (1, 2, 3)]
+    corrupted = DerivationContext(**declared, rules={
+        "w1": th[0],  # structure term dropped
+        "w2": th[1] - w[0].wedge(w[2]) * (2 * I),
+        "w3": th[2] + w[0].wedge(w[1]) * (2 * I),
+        "th1": w[1].wedge(th[2]) * (2 * I) - w[2].wedge(th[1]) * (2 * I),
+        "th2": w[2].wedge(th[0]) * (2 * I) - w[0].wedge(th[2]) * (2 * I),
+        "th3": w[0].wedge(th[1]) * (2 * I) - w[1].wedge(th[0]) * (2 * I)})
     control = check_dd_zero(corrupted)
     ok = all(good) and not control.ok
     _report(3, ok, "rule tables certified, corrupted-rule control rejected")
@@ -240,7 +241,6 @@ def test_criterion_7_sectioning(ch_model, ch_ideal):
                 n: g.map_coefficients(lambda c: substitute(c, {"beta": Scalar(value)}))
                 for n, g in ch_ideal.generators.items()
             },
-            coordinates=ch_ideal.coordinates,
         )
         reduced_member = section(member, chain).reduced
         labels_ok = labels_ok and tuple(map(named_equation, reduced_member)) == (label,)
@@ -310,7 +310,7 @@ def _forms(ctx, degrees, symbols) -> st.SearchStrategy:
 
 
 def test_criterion_9_wedge_antisymmetry():
-    ctx = DerivationContext(scalars=("x", "t", "u", "p", "q")).freeze()
+    ctx = DerivationContext(scalars=("x", "t", "u", "p", "q"))
     forms = _forms(ctx, (0, 1, 1, 2), [from_sympy(sp.Symbol(n)) for n in ("u", "p", "q")])
 
     @settings(max_examples=N_INSTANCES)

@@ -281,6 +281,18 @@ def test_a_failed_check_beside_an_unsupported_one_exits_1(monkeypatch, capsys):
     assert code == 1 and out.endswith("result: FAILED\n")
 
 
+def test_every_status_bracket_lines_up(monkeypatch, capsys):
+    from prolong import cli
+
+    def both(args):
+        return [cli._item("a", "verified"), cli._item("b", "unsupported")], None
+
+    monkeypatch.setattr(cli, "_cmd_gauge", both)
+    _, out, _ = run(["gauge"], capsys)
+    verified, unsupported = out.splitlines()[1:3]
+    assert verified == "  [   verified] a" and unsupported == "  [unsupported] b"
+
+
 def test_laxcheck_ideal(capsys):
     code, out, _ = run(["laxcheck", "--fixture", "kdv_ideal"], capsys)
     assert code == 0

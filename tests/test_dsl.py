@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import string
 
 import pytest
@@ -37,7 +38,7 @@ def test_parse_two_form_generator():
 def test_model_values_refuse_assignment_and_deletion(kdv_spec):
     ideal = parse(fixture_text("ch")).ideals["ch"]
     generators, r = dict(ideal.generators), kdv_spec.r
-    for value, field in ((ideal, "generators"), (ideal, "coordinates"), (kdv_spec, "r"),
+    for value, field in ((ideal, "generators"), (ideal.ctx, "declared"), (kdv_spec, "r"),
                          (kdv_spec, "deps"), (kdv_spec.connection, "F")):
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(value, field))
@@ -88,6 +89,16 @@ def test_a_name_declared_twice_or_a_rule_on_a_differential_is_refused(text, mess
         parse(text)
     # reported at the statement that repeats the name or gives the rule
     assert err.value.line == text.count("\n")
+
+
+def test_each_rule_is_read_over_the_rules_before_it():
+    model = parse("oneform a b\ntwoform th\nrule d a = th\nrule d th = d(a)^b\n")
+    ctx = model.ctx
+    assert ctx.rules["th"] == ctx.gen("th").wedge(ctx.gen("b"))
+    assert ctx.gen("th").d() == ctx.rules["th"] and ctx.rules["a"].ctx is ctx
+    with pytest.raises(DslError, match="rule for b must have degree 2") as err:
+        parse("oneform a b\ntwoform th\nrule d a = th\nrule d b = a\nform f = a\n")
+    assert err.value.line == 4
 
 
 def test_dangling_wedge_is_syntax_error():
@@ -200,8 +211,7 @@ def test_fixture_roundtrip_semantics(name):
     assert first.kind == second.kind
     assert first.lets == second.lets
     assert first.sections == second.sections
-    for block in ("forms", "rules"):
-        a, b = getattr(first, block), getattr(second, block)
+    for a, b in ((first.forms, second.forms), (first.ctx.rules, second.ctx.rules)):
         assert a.keys() == b.keys()
         assert all((a[key] - b[key]).is_zero for key in a)
     assert set(first.ideals) == set(second.ideals)
@@ -219,6 +229,125 @@ def test_fixture_roundtrip_semantics(name):
         ca, cb = first.connections[key], second.connections[key]
         assert all(x == y for ra, rb in zip(ca.F, cb.F) for x, y in zip(ra, rb))
         assert all(x == y for ra, rb in zip(ca.G, cb.G) for x, y in zip(ra, rb))
+
+
+_NUMBERS = ("1", "2", "-3", "1/2", "i", "(1 + i)")
+
+
+def _scalar_texts(names, divisors, exp=True):
+    """Scalar expression texts over names: sums, products, quotients by a
+    divisor or a number, and (with exp) exponentials."""
+    def grow(inner):
+        parts = [st.builds("({} + {})".format, inner, inner),
+                 st.builds("{}*{}".format, inner, inner),
+                 st.builds("{}/{}".format, inner, st.sampled_from((*divisors, "2", "i")))]
+        return st.one_of(*parts, st.builds("exp({})".format, inner)) if exp else st.one_of(*parts)
+    return st.recursive(st.sampled_from((*names, *_NUMBERS)), grow, max_leaves=4)
+
+
+def _monomials(generators) -> dict:
+    """Degree -> the wedges of one to three distinct generators ((name,
+    degree) pairs) of that degree, as texts."""
+    out: dict = {}
+    for k in (1, 2, 3):
+        for mono in itertools.combinations(generators, k):
+            out.setdefault(sum(d for _, d in mono), []).append("^".join(n for n, _ in mono))
+    return out
+
+
+def _form_text(draw, monomials, coefficients):
+    """A sum of one to three of the monomials, each with a coefficient."""
+    chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=3, unique=True))
+    return " + ".join(f"({draw(coefficients)})*{mono}" for mono in chosen)
+
+
+@st.composite
+def _models(draw):
+    """Model text: a chart, jet or free-algebra declaration with params,
+    then rules (free algebra), lets, forms and the blocks of its kind."""
+    kind = draw(st.sampled_from(["chart", "jet", "dga"]))
+    params = draw(st.sampled_from([(), ("beta",), ("beta", "lam")]))
+    if kind == "chart":
+        fields = draw(st.lists(st.sampled_from(["u", "p", "q"]), min_size=1, unique=True))
+        lines = [f"chart x t {' '.join(fields)}"]
+        names = ("x", "t", *fields, *params)
+        jets = [f"{f}_{d}" for f in fields for d in ("x", "xt")]
+        generators = [(f"d{n}", 1) for n in ("x", "t", *fields)]
+    elif kind == "jet":
+        fields = draw(st.lists(st.sampled_from(["q", "r"]), min_size=1, unique=True))
+        params = ("eta", *params)
+        lines = [f"jet {' '.join(fields)}"]
+        jets = [f"{f}_{d}" for f in fields for d in ("x", "xx", "t")]
+        names, generators = (*fields, *jets, *params), [("dx", 1), ("dt", 1)]
+    else:
+        oneforms = draw(st.lists(st.sampled_from(["w1", "w2", "w3"]), min_size=1, unique=True))
+        scalars = draw(st.lists(st.sampled_from(["y1", "y2"]), unique=True))
+        twoforms = draw(st.lists(st.sampled_from(["th1", "th2"]), unique=True))
+        lines = [f"{keyword} {' '.join(declared)}" for keyword, declared in (
+            ("oneform", oneforms), ("scalars", scalars), ("twoform", twoforms)) if declared]
+        names, jets = (*scalars, *params), []
+        generators = ([(n, 1) for n in oneforms] + [(f"d{n}", 1) for n in scalars]
+                      + [(n, 2) for n in twoforms])
+    if params:
+        lines.append(f"params {' '.join(params)}")
+    coefficients = _scalar_texts(names, names)
+    monomials = _monomials(generators)
+    degrees = [d for d in monomials if d <= 2]
+    if kind == "dga":
+        targets = [(n, d + 1) for n, d in generators if not n.startswith("d")]
+        for target, degree in draw(st.lists(st.sampled_from(targets), unique=True)):
+            if degree in monomials:
+                lines.append(f"rule d {target} = "
+                             f"{_form_text(draw, monomials[degree], coefficients)}")
+    for k in range(draw(st.integers(0, 2))):
+        lines.append(f"let a{k} = {draw(coefficients)}")
+    for k in range(draw(st.integers(0, 2))):
+        monos = monomials[draw(st.sampled_from(degrees))]
+        lines.append(f"form f{k} = {_form_text(draw, monos, coefficients)}")
+    entries = _scalar_texts((*names, *jets), names)
+    if kind == "chart":
+        lines.append("ideal I {")
+        for k in range(draw(st.integers(1, 2))):
+            monos = monomials[draw(st.sampled_from(degrees))]
+            lines.append(f"  xi{k} = {_form_text(draw, monos, coefficients)}")
+        lines.append("}")
+        chain = draw(st.lists(st.sampled_from(fields), max_size=2, unique=True))
+        lines += ["section I {", *(f"  {v} -> {draw(entries)}" for v in chain), "}"]
+    if kind == "jet":
+        polynomial = _scalar_texts((*fields, *jets, *params), params, exp=False)
+        free_of_eta = _scalar_texts((*fields, *jets), fields, exp=False)
+        lines.append("akns s {")
+        lines += [f"  {label} = {draw(free_of_eta)}" for label in ("r", "q")]
+        lines += [f"  {label} = {draw(polynomial)}" for label in ("A", "B", "C")]
+        lines.append("}")
+    if draw(st.booleans()):
+        size = draw(st.integers(1, 2))
+        lines.append("connection c {")
+        for label in ("F", "G"):
+            rows = [f"[{', '.join(draw(entries) for _ in range(size))}]" for _ in range(size)]
+            lines.append(f"  {label} = [{', '.join(rows)}]")
+        lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200)
+@given(_models())
+def test_whole_models_print_and_read_back(text):
+    first = parse(text)
+    printed = print_model(first)
+    second = parse(printed)
+    assert print_model(second) == printed
+    assert first.kind == second.kind
+    assert first.ctx.declared == second.ctx.declared
+    assert first.ctx.signature == second.ctx.signature
+    assert first.ctx.rules == second.ctx.rules
+    assert first.lets == second.lets and first.forms == second.forms
+    assert first.akns == second.akns and first.connections == second.connections
+    assert first.sections == second.sections
+    assert first.ideals.keys() == second.ideals.keys()
+    for key in first.ideals:
+        a, b = first.ideals[key].generators, second.ideals[key].generators
+        assert list(a.items()) == list(b.items())
 
 
 def test_scalar_print_parse_cycle():
@@ -309,7 +438,7 @@ def test_form_coefficient_between_parentheses_reads_back():
 @pytest.mark.parametrize("name", ["ch", "su2_dga"])
 def test_str_of_a_form_is_its_printed_text(name):
     model = parse(fixture_text(name))
-    forms = [*model.forms.values(), *model.rules.values(),
+    forms = [*model.forms.values(), *model.ctx.rules.values(),
              *(g for ideal in model.ideals.values() for g in ideal.generators.values())]
     assert len(forms) >= 3
     for f in forms:

@@ -25,7 +25,7 @@ from prolong.su2 import build_su2_context
 
 @pytest.fixture(scope="module")
 def chart():
-    return DerivationContext(scalars=("x", "t", "u", "p", "q")).freeze()
+    return DerivationContext(scalars=("x", "t", "u", "p", "q"))
 
 
 def test_levi_civita_table():
@@ -77,16 +77,17 @@ def test_dd_zero_su2(sc):
 
 
 def test_dd_zero_corrupted_rule():
-    ctx = DerivationContext(one_forms=("w1", "w2", "w3"), two_forms=("th1", "th2", "th3"))
-    w = [ctx.gen(f"w{l}") for l in (1, 2, 3)]
-    th = [ctx.gen(f"th{l}") for l in (1, 2, 3)]
-    ctx.set_rule("w1", th[0])  # structure term dropped
-    ctx.set_rule("w2", th[1] - w[0].wedge(w[2]) * (2 * I))
-    ctx.set_rule("w3", th[2] + w[0].wedge(w[1]) * (2 * I))
-    ctx.set_rule("th1", w[1].wedge(th[2]) * (2 * I) - w[2].wedge(th[1]) * (2 * I))
-    ctx.set_rule("th2", w[2].wedge(th[0]) * (2 * I) - w[0].wedge(th[2]) * (2 * I))
-    ctx.set_rule("th3", w[0].wedge(th[1]) * (2 * I) - w[1].wedge(th[0]) * (2 * I))
-    ctx.freeze()
+    declared = dict(one_forms=("w1", "w2", "w3"), two_forms=("th1", "th2", "th3"))
+    bare = DerivationContext(**declared)
+    w = [bare.gen(f"w{l}") for l in (1, 2, 3)]
+    th = [bare.gen(f"th{l}") for l in (1, 2, 3)]
+    ctx = DerivationContext(**declared, rules={
+        "w1": th[0],  # structure term dropped
+        "w2": th[1] - w[0].wedge(w[2]) * (2 * I),
+        "w3": th[2] + w[0].wedge(w[1]) * (2 * I),
+        "th1": w[1].wedge(th[2]) * (2 * I) - w[2].wedge(th[1]) * (2 * I),
+        "th2": w[2].wedge(th[0]) * (2 * I) - w[0].wedge(th[2]) * (2 * I),
+        "th3": w[0].wedge(th[1]) * (2 * I) - w[1].wedge(th[0]) * (2 * I)})
     report = check_dd_zero(ctx)
     assert not report.ok
     assert not report.residuals["w1"].is_zero
@@ -122,14 +123,55 @@ def test_generators_are_one_forms_then_differentials_then_two_forms():
 
 
 def test_a_rule_applies_only_to_a_declared_one_form_or_two_form():
-    ctx = DerivationContext(scalars=("x", "t", "u"))
+    chart = dict(scalars=("x", "t", "u"))
+    bare = DerivationContext(**chart)
     with pytest.raises(ContextError, match="not 'du'"):
-        ctx.set_rule("du", ctx.gen("dx").wedge(ctx.gen("dt")))
-    free = DerivationContext(one_forms=("w",), scalars=("y",), two_forms=("th",))
-    free.set_rule("w", free.gen("th"))
+        DerivationContext(**chart, rules={"du": bare.gen("dx").wedge(bare.gen("dt"))})
+    declared = dict(one_forms=("w",), scalars=("y",), two_forms=("th",))
+    bare = DerivationContext(**declared)
+    free = DerivationContext(**declared, rules={"w": bare.gen("th")})
     with pytest.raises(ContextError, match="not 'dy'"):
-        free.set_rule("dy", free.gen("th"))
+        DerivationContext(**declared, rules={"dy": bare.gen("th")})
     assert free.gen("w").d() == free.gen("th")
+    assert free.rules["w"].ctx is free and free.declared["scalars"] == ("y",)
+
+
+def test_a_rule_of_the_wrong_degree_or_over_other_generators_is_refused():
+    declared = dict(one_forms=("w",), scalars=("y",), two_forms=("th",))
+    bare = DerivationContext(**declared)
+    with pytest.raises(ContextError, match="rule for w must have degree 2"):
+        DerivationContext(**declared, rules={"w": bare.gen("dy")})
+    with pytest.raises(ContextError, match="rule for th must have degree 3"):
+        DerivationContext(**declared, rules={"th": bare.gen("w").wedge(bare.gen("dy"))})
+    # other names, one more generator, th a one-form: each a degree-2 form
+    others = (DerivationContext(one_forms=("w",), scalars=("z",), two_forms=("th",)).gen("th"),
+              DerivationContext(one_forms=("w",), scalars=("y",), two_forms=("th", "ph")).gen("th"),
+              DerivationContext(one_forms=("w", "dy", "th")).monomial((0, 2)))
+    for other in others:
+        with pytest.raises(ContextError, match="rule for w is over other generators"):
+            DerivationContext(**declared, rules={"w": other})
+    # negative control: the same layout, even declared otherwise, is accepted, and
+    # a zero rule, which prints as 0 and reads back of degree 0, takes the rule's degree
+    DerivationContext(**declared, rules={"w": bare.gen("th")})
+    assert DerivationContext(**declared, rules={"w": bare.zero(0)}).rules["w"].degree == 2
+    DerivationContext(**declared, rules={"w": DerivationContext(one_forms=("w", "dy"),
+                                                                two_forms=("th",)).gen("th")})
+
+
+def test_a_context_is_complete_once_built_and_immutable():
+    ctx = DerivationContext(scalars=("x", "t"))
+    assert not hasattr(ctx, "set_rule") and not hasattr(ctx, "freeze")
+    for name in ("anything", "declared", "rules", "_rules", "_signature"):
+        with pytest.raises(AttributeError):
+            setattr(ctx, name, None)
+    for name in ("declared", "_index"):
+        with pytest.raises(AttributeError):
+            delattr(ctx, name)
+    with pytest.raises(TypeError):
+        ctx.declared["scalars"] = ("x",)
+    signature = ctx.signature
+    assert ctx.signature is signature
+    assert ctx.signature == DerivationContext(scalars=("x", "t")).signature
 
 
 def test_matrix_wedge_pauli_product(sc):
@@ -242,7 +284,7 @@ def test_substitute_generators(sc):
 
 
 def test_substitute_generators_into_another_context(chart):
-    line = DerivationContext(scalars=("s",)).freeze()
+    line = DerivationContext(scalars=("s",))
     ds = line.gen("ds")
     images = {name: ds * k for k, name in enumerate(("dx", "dt", "du", "dp", "dq"), 1)}
     form = chart.gen("dx") * sym("u") + chart.gen("dq")
@@ -322,7 +364,7 @@ def test_high_degree_wedge_collapses(chart):
 
 
 _SU2 = build_su2_context()
-_CHART = DerivationContext(scalars=("x", "t", "u", "p", "q"), two_forms=("Th",)).freeze()
+_CHART = DerivationContext(scalars=("x", "t", "u", "p", "q"), two_forms=("Th",))
 # (context, coefficient factors), an integer in -2..2 times one of them
 _SETTINGS = [
     (_SU2.ctx, (ONE, I, _SU2.y[1], _SU2.y3, _SU2.e5, 1 / (_SU2.y[1] + _SU2.y[2]))),

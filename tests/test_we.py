@@ -36,7 +36,6 @@ def _with_beta(ideal: ExteriorIdeal, value) -> ExteriorIdeal:
         generators={
             n: g.map_coefficients(lambda c: substitute(c, subs)) for n, g in ideal.generators.items()
         },
-        coordinates=ideal.coordinates,
     )
 
 
@@ -63,11 +62,10 @@ def test_membership_generic_two_form_fails(ch_ideal):
 
 
 def test_trivial_ideal_is_closed():
-    ctx = DerivationContext(scalars=("x", "t", "u")).freeze()
+    ctx = DerivationContext(scalars=("x", "t", "u"))
     ideal = ExteriorIdeal(
         ctx=ctx,
         generators={"xi": ctx.gen("du").wedge(ctx.gen("dt"))},
-        coordinates=("x", "t", "u"),
     )
     assert closure_check(ideal).ok
 
@@ -120,7 +118,6 @@ def test_closure_failure_reported_when_generator_missing(ch_ideal):
     broken = ExteriorIdeal(
         ctx=ch_ideal.ctx,
         generators={"xi1": ch_ideal.generators["xi1"], "xi3": ch_ideal.generators["xi3"]},
-        coordinates=ch_ideal.coordinates,
     )
     result = closure_check(broken)
     assert not result.ok
@@ -160,7 +157,6 @@ def test_section_generator_order_irrelevant(ch_model, ch_ideal):
     shuffled = ExteriorIdeal(
         ctx=ch_ideal.ctx,
         generators=dict(reversed(ch_ideal.generators.items())),
-        coordinates=ch_ideal.coordinates,
     )
     a = section(ch_ideal, ch_model.sections["ch"])
     b = section(shuffled, ch_model.sections["ch"])
@@ -235,12 +231,11 @@ def _connection(f: sp.Matrix, g: sp.Matrix) -> ConnectionData:
 
 
 def test_prolongation_3x3_matches_hand_curvature():
-    ctx = DerivationContext(scalars=("x", "t", "u")).freeze()
+    ctx = DerivationContext(scalars=("x", "t", "u"))
     du, dx, dt = ctx.gen("du"), ctx.gen("dx"), ctx.gen("dt")
     ideal = ExteriorIdeal(
         ctx=ctx,
         generators={"a": du.wedge(dx), "b": du.wedge(dt)},
-        coordinates=("x", "t", "u"),
     )
     f = sp.Matrix([[U, 1, 0], [0, U**2, 1], [1, 0, -U]])
     g = sp.Matrix([[0, 1, U], [U, 0, 0], [0, 3, 1]])
@@ -458,7 +453,6 @@ def _without(ideal: ExteriorIdeal, name: str) -> ExteriorIdeal:
     return ExteriorIdeal(
         ctx=ideal.ctx,
         generators={n: g for n, g in ideal.generators.items() if n != name},
-        coordinates=ideal.coordinates,
     )
 
 
