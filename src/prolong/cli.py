@@ -54,9 +54,7 @@ def _load_model(args) -> dsl.ModelFile:
 
 
 def _item(name: str, status: str, **extra) -> dict:
-    out = {"name": name, "status": status}
-    out.update(extra)
-    return out
+    return {"name": name, "status": status, **extra}
 
 
 def _unsupported(leftovers) -> list:
@@ -67,13 +65,8 @@ def _unsupported(leftovers) -> list:
     return [_item("evolution", "unsupported", unsolved=unsolved)] if unsolved else []
 
 
-def _witness_payload(witness: we.MembershipWitness | None) -> dict | None:
-    if witness is None:
-        return None
-    return {
-        name: dsl.print_form(mult)
-        for name, mult in witness.multipliers.items()
-    }
+def _witness_payload(witness: we.MembershipWitness) -> dict:
+    return {name: dsl.print_form(mult) for name, mult in witness.multipliers.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +124,11 @@ def _cmd_verify_su2(args) -> tuple:
 
 def _cmd_gauge(args) -> tuple:
     sc = su2.build_su2_context()
-    families = {
-        "upper": su2.q_upper(sc),
-        "diag": su2.q_diag(sc),
-    }
+    families = {"upper": su2.q_upper, "diag": su2.q_diag}  # only a wanted family is built
     wanted = ("upper", "diag") if args.family == "both" else (args.family,)
     items = []
     for name in wanted:
-        result = su2.gauge_transform(sc, families[name])
+        result = su2.gauge_transform(sc, families[name](sc))
         residual = [
             dsl.print_form(result.residual.entry(i, j))
             for i in range(2)
@@ -389,47 +379,58 @@ def _cmd_surface(args) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _add_model_arguments(parser: argparse.ArgumentParser):
+def _model_flags(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     parser.add_argument("path", nargs="?", help="model file (.eds)")
     parser.add_argument("--fixture", help="bundled fixture name")
     parser.add_argument("--json", dest="json_path", help="write a JSON report here")
+    return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="prolong",
-        description="exact verification of prolongation structures",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _su2_flags(parser: argparse.ArgumentParser):
+    parser.add_argument("--all", action="store_true", help="run every identity (default)")
+    parser.add_argument("--name", action="append", choices=su2.IDENTITY_NAMES)
+    _model_flags(parser)
 
-    p = sub.add_parser("verify-su2", help="verify the su(2) identity suite")
-    p.add_argument("--all", action="store_true", help="run every identity (default)")
-    p.add_argument("--name", action="append", choices=su2.IDENTITY_NAMES)
-    _add_model_arguments(p)
-    p.set_defaults(func=_cmd_verify_su2)
 
-    p = sub.add_parser("gauge", help="gauge covariance of the curvature")
-    p.add_argument("--family", choices=("upper", "diag", "both"), default="both")
-    p.add_argument("--json", dest="json_path")
-    p.set_defaults(func=_cmd_gauge)
+def _gauge_flags(parser: argparse.ArgumentParser):
+    parser.add_argument("--family", choices=("upper", "diag", "both"), default="both")
+    parser.add_argument("--json", dest="json_path")
 
-    for name, func, extra in (
-        ("theta", _cmd_theta, ()),
-        ("densities", _cmd_densities, ("order",)),
-        ("conserve", _cmd_conserve, ("order",)),
-        ("closure", _cmd_closure, ()),
-        ("section", _cmd_section, ("beta",)),
-        ("prolong", _cmd_prolong, ("beta",)),
-        ("laxcheck", _cmd_laxcheck, ()),
-        ("surface", _cmd_surface, ()),
-    ):
-        p = sub.add_parser(name)
-        _add_model_arguments(p)
-        if "order" in extra:
-            p.add_argument("--order", type=int, default=5)
-        if "beta" in extra:
-            p.add_argument("--beta")
-        p.set_defaults(func=func)
+
+def _order_flags(parser: argparse.ArgumentParser):
+    _model_flags(parser).add_argument("--order", type=int, default=5)
+
+
+def _beta_flags(parser: argparse.ArgumentParser):
+    _model_flags(parser).add_argument("--beta")
+
+
+# verb -> (handler, add_parser's keywords, the function that adds its flags)
+VERBS = {
+    "verify-su2": (_cmd_verify_su2, {"help": "verify the su(2) identity suite"}, _su2_flags),
+    "gauge": (_cmd_gauge, {"help": "gauge covariance of the curvature"}, _gauge_flags),
+    "theta": (_cmd_theta, {}, _model_flags),
+    "densities": (_cmd_densities, {}, _order_flags),
+    "conserve": (_cmd_conserve, {}, _order_flags),
+    "closure": (_cmd_closure, {}, _model_flags),
+    "section": (_cmd_section, {}, _beta_flags),
+    "prolong": (_cmd_prolong, {}, _beta_flags),
+    "laxcheck": (_cmd_laxcheck, {}, _model_flags),
+    "surface": (_cmd_surface, {}, _model_flags),
+}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or of verb alone when it names one; the
+    usage line lists every verb either way."""
+    parser = argparse.ArgumentParser(prog="prolong",
+                                     description="exact verification of prolongation structures")
+    # with every verb added, argparse writes the list and names the argument "command" in errors
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{%s}" % ",".join(VERBS) if verb in VERBS else None)
+    for name in [verb] if verb in VERBS else VERBS:
+        _, keywords, add_flags = VERBS[name]
+        add_flags(sub.add_parser(name, **keywords))
     return parser
 
 
@@ -468,11 +469,11 @@ def _command(args) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     started = time.perf_counter()
     try:
-        items, peak = args.func(args)
+        items, peak = VERBS[args.command][0](args)
     except (CliError, dsl.DslError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -92,6 +92,7 @@ __all__ = [
     "exp_atom",
     "derive",
     "substitute",
+    "is_constant_multiple",
 ]
 
 ETA = "eta"
@@ -900,6 +901,23 @@ def _evaluate(poly: dict, images: dict) -> Scalar:
             term = term * powers[(g, k)]
         out = out + term
     return out
+
+
+def is_constant_multiple(a: Scalar, b: Scalar) -> bool:
+    """True when a/b is a nonzero constant, decided without a gcd: a/b = P/Q for
+    P = num(a)*den(b), Q = num(b)*den(a), and over the exponentials of constants
+    P/Q can only be P_m/Q_m for a monomial m of Q, which it is when Q_m*P == P_m*Q."""
+    if a.is_zero or b.is_zero:
+        return False
+    p, q = _times(a.num, b.den), _times(b.num, a.den)
+    fixed = {g for g in _used(p, q) if g in _EXPONENTS and not _EXPONENTS[g].free_symbols()}
+
+    def at(poly: dict, m: tuple) -> dict:
+        return {tuple(f for f in n if f[0] in fixed): c for n, c in poly.items()
+                if tuple(f for f in n if f[0] not in fixed) == m}
+
+    m = tuple(f for f in next(iter(q)) if f[0] not in fixed)
+    return _times(at(q, m), p) == _times(at(p, m), q)
 
 
 class LaurentError(ValueError):

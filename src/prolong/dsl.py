@@ -556,8 +556,11 @@ def print_model(m: ModelFile) -> str:
         lines.append(f"form {name} = {print_form(value)}")
     for name, ideal in m.ideals.items():
         lines.append(f"ideal {name} {{")
+        # a zero generator is 0 times a wedge of its degree: "0" would read back as a scalar
+        ones = [ideal.ctx.name_of(i) for i in ideal.ctx.one_form_indices()]
         for gname, gen in ideal.generators.items():
-            lines.append(f"  {gname} = {print_form(gen)}")
+            zero = gen.is_zero and "0*" + "^".join(ones[k % len(ones)] for k in range(gen.degree))
+            lines.append(f"  {gname} = {zero or print_form(gen)}")
         lines.append("}")
     for name, spec in m.akns.items():
         lines.append(f"akns {name} {{")

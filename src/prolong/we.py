@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .coeff import Scalar, sym
+from .coeff import Scalar, is_constant_multiple, sym
 from .forms import ContextError, DerivationContext, Form, MatrixForm, build_jet_context
 from .linsolve import express_in_basis
 from .record import Record
@@ -207,14 +207,6 @@ def section(ideal: ExteriorIdeal, eliminations: Sequence[tuple] = ()) -> Section
     )
 
 
-def _proportional_to(e: Scalar, target: Scalar) -> bool:
-    """True when e is a nonzero constant multiple of target."""
-    if e.is_zero or target.is_zero:
-        return False
-    ratio = e / target
-    return not ratio.is_zero and not ratio.free_symbols()
-
-
 def _peakon_family(beta: int) -> Scalar:
     """(u - u_xx)_t + u (u - u_xx)_x + beta (u - u_xx) u_x, expanded in jets."""
     u, ux, uxx, uxxx, ut, uxxt = (
@@ -224,9 +216,9 @@ def _peakon_family(beta: int) -> Scalar:
 
 
 def named_equation(e: Scalar) -> str | None:
-    """Recognize the two named members of the peakon family."""
+    """Recognize the two named members of the peakon family, up to a constant factor."""
     for beta, label in ((2, "Camassa-Holm"), (3, "Degasperis-Procesi")):
-        if _proportional_to(e, _peakon_family(beta)):
+        if is_constant_multiple(e, _peakon_family(beta)):
             return label
     return None
 

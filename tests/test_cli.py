@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import argparse
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from prolong import su2
+from prolong import cli, su2
 from prolong.cli import main
 from prolong.coeff import exp_atom, sym
 from prolong.dsl import parse
@@ -270,24 +273,25 @@ def test_a_family_without_rules_is_unsupported(verb, tmp_path, capsys):
     assert json.loads(report.read_text())["ok"] is False
 
 
-def test_a_failed_check_beside_an_unsupported_one_exits_1(monkeypatch, capsys):
-    from prolong import cli
+def _handle_gauge_with(monkeypatch, handler):
+    """Make handler the gauge verb's handler in the verb table."""
+    monkeypatch.setitem(cli.VERBS, "gauge", (handler, *cli.VERBS["gauge"][1:]))
 
+
+def test_a_failed_check_beside_an_unsupported_one_exits_1(monkeypatch, capsys):
     def both(args):
         return [cli._item("a", "failed"), cli._item("b", "unsupported")], None
 
-    monkeypatch.setattr(cli, "_cmd_gauge", both)
+    _handle_gauge_with(monkeypatch, both)
     code, out, _ = run(["gauge"], capsys)
     assert code == 1 and out.endswith("result: FAILED\n")
 
 
 def test_every_status_bracket_lines_up(monkeypatch, capsys):
-    from prolong import cli
-
     def both(args):
         return [cli._item("a", "verified"), cli._item("b", "unsupported")], None
 
-    monkeypatch.setattr(cli, "_cmd_gauge", both)
+    _handle_gauge_with(monkeypatch, both)
     _, out, _ = run(["gauge"], capsys)
     verified, unsupported = out.splitlines()[1:3]
     assert verified == "  [   verified] a" and unsupported == "  [unsupported] b"
@@ -379,3 +383,72 @@ def test_report_command_names_the_input_and_the_check(tmp_path, capsys):
         commands.append(json.loads(report.read_text())["command"])
     assert commands[0] != commands[1]
     assert commands[0] == ["prolong", "--fixture", "ch", "--beta", "4/9"]
+
+
+# ---------------------------------------------------------------------------
+# the parser: a run builds its own verb's subparser only
+# ---------------------------------------------------------------------------
+
+
+_USAGE_CASES = [[], ["-h"], ["--help"], *([verb, "-h"] for verb in cli.VERBS), ["bogus"],
+                ["closure", "--bogus"], ["conserve", "--fixture", "kdv", "--order", "x"]]
+
+
+def _parse_outcome(parse, argv, capsys):
+    """(exit code, stdout, stderr) of parse(argv), which argparse ends."""
+    with pytest.raises(SystemExit) as ended:
+        parse(argv)
+    captured = capsys.readouterr()
+    return ended.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _USAGE_CASES, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_usage_help_and_errors_are_those_of_the_parser_of_every_verb(argv, capsys):
+    every = _parse_outcome(lambda a: cli.build_parser().parse_args(a), argv, capsys)
+    assert _parse_outcome(main, argv, capsys) == every
+    code, out, err = every
+    assert (code, bool(out), bool(err)) in ((0, True, False), (2, False, True))
+
+
+def _counted(monkeypatch, cls, name) -> list:
+    """Patch cls.name to record each call in the returned list."""
+    calls, original = [], getattr(cls, name)
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+def test_a_run_adds_only_its_own_verb(monkeypatch, capsys):
+    added = _counted(monkeypatch, argparse._SubParsersAction, "add_parser")
+    assert main(["closure", "--fixture", "ch"]) == 0
+    assert added == [("closure",)]
+    capsys.readouterr()
+
+
+def test_importing_the_cli_builds_no_parser(monkeypatch):
+    built = _counted(monkeypatch, argparse.ArgumentParser, "__init__")
+    importlib.reload(cli)
+    assert built == []
+
+
+def test_every_run_builds_its_own_parser(monkeypatch, capsys):
+    # the top-level parser and the verb's, on each call: nothing is kept
+    # from one call to the next
+    built = _counted(monkeypatch, argparse.ArgumentParser, "__init__")
+    counts = []
+    for _ in range(2):
+        before = len(built)
+        assert main(["gauge", "--family", "upper"]) == 0
+        counts.append(len(built) - before)
+    assert counts == [2, 2]
+    capsys.readouterr()
+
+
+def test_the_readme_lists_the_verbs_of_the_verb_table_in_order():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| verb ", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"^\| `([^`]+)`", table, re.M) == list(cli.VERBS)

@@ -309,7 +309,11 @@ def _models(draw):
         lines.append("ideal I {")
         for k in range(draw(st.integers(1, 2))):
             monos = monomials[draw(st.sampled_from(degrees))]
-            lines.append(f"  xi{k} = {_form_text(draw, monos, coefficients)}")
+            if draw(st.integers(0, 3)) == 0:  # coefficients that cancel: a zero form of a degree
+                text = f"(1 + 2 + -3)*{draw(st.sampled_from(monos))}"
+            else:
+                text = _form_text(draw, monos, coefficients)
+            lines.append(f"  xi{k} = {text}")
         lines.append("}")
         chain = draw(st.lists(st.sampled_from(fields), max_size=2, unique=True))
         lines += ["section I {", *(f"  {v} -> {draw(entries)}" for v in chain), "}"]
@@ -348,6 +352,7 @@ def test_whole_models_print_and_read_back(text):
     for key in first.ideals:
         a, b = first.ideals[key].generators, second.ideals[key].generators
         assert list(a.items()) == list(b.items())
+        assert [f.degree for f in a.values()] == [f.degree for f in b.values()]
 
 
 def test_scalar_print_parse_cycle():

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from prolong import linsolve
 from prolong.cli import main
-from prolong.coeff import ETA, Scalar, ZERO, substitute, sym
+from prolong.coeff import ETA, I, ONE, Scalar, ZERO, exp_atom, is_constant_multiple, substitute, sym
 from prolong.dsl import parse
 from prolong.forms import DerivationContext
 from prolong.jets import EvolutionSystem, is_total_x_derivative, jet, solve_evolution
@@ -23,7 +24,9 @@ from prolong.we import (
     section,
     zero_curvature_residual,
 )
+from prolong.we import _peakon_family
 
+from scalar_corpus import NAMES, corpus, exponents
 from sympy_bridge import from_sympy
 
 U, Q, P, BETA, LAM = (sp.Symbol(n) for n in ("u", "q", "p", "beta", "lam"))
@@ -173,11 +176,33 @@ def test_named_equation_labels(ch_model, ch_ideal):
 
 
 def test_named_equation_scaling_tolerated():
-    from prolong.we import _peakon_family
+    f2 = _peakon_family(2)
+    for scaled in (f2 * Scalar(-7), f2 * I, f2 / 9):
+        assert named_equation(scaled) == "Camassa-Holm"
+    # another member, a symbol factor, a shifted equation and zero are not named
+    for other in (_peakon_family(5), sym("u") * f2, f2 + sym(jet("u", 1, 0)), ZERO):
+        assert named_equation(other) is None
 
-    doubled = _peakon_family(2) * Scalar(-7)
-    assert named_equation(doubled) == "Camassa-Holm"
-    assert named_equation(_peakon_family(5)) is None
+
+_ATOMS = [exp_atom(e) for e in exponents()]
+_SCALARS = corpus(11, 40, [sym(n) for n in NAMES], _ATOMS)
+# Gaussian rationals, exponentials of constants (exp(1), exp(1/3),
+# exp(1 + i)) and quotients of them, and zero
+_CONSTANTS = [ZERO, ONE, -I / 3, Scalar.rational(7, 2) + I, *_ATOMS[-3:],
+              _ATOMS[-3] / (1 + _ATOMS[-1]), (2 - I) * _ATOMS[-2] ** 2 / 5]
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(_SCALARS), st.sampled_from(_CONSTANTS), st.sampled_from(_SCALARS),
+       st.sampled_from(("multiple", "shifted", "other", "times a symbol")))
+def test_constant_multiples_are_the_quotients_without_free_symbols(target, c, other, how):
+    e = {"multiple": c * target, "shifted": c * target + other, "other": other,
+         "times a symbol": c * target * sym(NAMES[0])}[how]
+    # the definition: e/target is defined, nonzero and free of symbols
+    expected = not e.is_zero and not target.is_zero and not (e / target).free_symbols()
+    assert is_constant_multiple(e, target) == expected
+    if how == "multiple":
+        assert expected == (not c.is_zero and not target.is_zero)
 
 
 # ---------------------------------------------------------------------------
