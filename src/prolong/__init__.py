@@ -16,6 +16,7 @@ from .jets import (
     is_total_x_derivative,
     jet,
     reduce_mod_evolution,
+    solve_evolution,
     total_derivative,
 )
 from .su2 import (

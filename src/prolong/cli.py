@@ -18,7 +18,7 @@ from importlib import resources
 from . import conservation, dsl, su2, we
 from .coeff import Scalar, substitute
 from .forms import check_dd_zero
-from .jets import EvolutionSystem, jet_order, solve_evolution
+from .jets import EvolutionSystem, jet_order, solve_evolution, split_jet
 
 SCHEMA_VERSION = 1
 
@@ -158,12 +158,12 @@ def _cmd_theta(args) -> tuple:
         _item("plus", "computed", coefficient=dsl.print_scalar(comps.plus_coeff)),
         _item("third", "computed", coefficient=dsl.print_scalar(comps.third_coeff)),
     ]
-    for var, rhs in extraction.system.rules.items():
+    for leader, rhs in extraction.system.rules.items():
         items.append(
             _item(
-                f"evolution-{var}",
+                f"evolution-{split_jet(leader)[0]}",
                 "extracted",
-                rule=f"{var}_t = {dsl.print_scalar(rhs)}",
+                rule=f"{leader} = {dsl.print_scalar(rhs)}",
             )
         )
     for k, c in enumerate(extraction.constraints):
@@ -268,7 +268,7 @@ def _cmd_section(args) -> tuple:
     items = []
     for name, raw in result.raw.items():
         items.append(_item(f"raw-{name}", "sectioned", equation=dsl.print_scalar(raw)))
-    for var, replacement in result.eliminations:
+    for var, replacement in result.eliminations.rules.items():
         items.append(
             _item(f"eliminate-{var}", "applied", rule=f"{var} -> {dsl.print_scalar(replacement)}")
         )
@@ -310,13 +310,14 @@ def _cmd_prolong(args) -> tuple:
 
 
 def _zero_curvature_item(raw: tuple, system: EvolutionSystem) -> dict:
-    residual = we.zero_curvature_residual(raw, system)
-    flat = [c for row in residual for c in row]
-    return _item(
-        "zero-curvature",
-        "verified" if all(c.is_zero for c in flat) else "failed",
-        residual=[dsl.print_scalar(c) for c in flat if not c.is_zero],
-    )
+    """Each nonzero entry of the reduced curvature, named by its place."""
+    residual = [
+        f"entry-{i}{j}: {dsl.print_scalar(c)}"
+        for i, row in enumerate(we.zero_curvature_residual(raw, system))
+        for j, c in enumerate(row)
+        if not c.is_zero
+    ]
+    return _item("zero-curvature", "failed" if residual else "verified", residual=residual)
 
 
 def _cmd_laxcheck(args) -> tuple:
@@ -339,14 +340,15 @@ def _cmd_laxcheck(args) -> tuple:
     elif model.ideals and model.connections:
         name, ideal = _pick(model.ideals, "ideal")
         sec = we.section(ideal, model.sections.get(name, ()))
-        sys, leftovers = solve_evolution(sec.reduced)
+        evolution, leftovers = solve_evolution(sec.reduced)
         if unsupported := _unsupported(leftovers):
             return unsupported, None
         _, conn = _pick(model.connections, "connection")
-        jet_conn = conn.map_entries(
-            lambda c: we.apply_eliminations(c, sec.eliminations, sys.deps)
-        )
-        items = [_zero_curvature_item(we.curvature_matrix(jet_conn, sys.deps), sys)]
+        # the curvature over every chart variable, reduced modulo the
+        # section's eliminations and the sectioned equation at once
+        system = EvolutionSystem(
+            (*sec.eliminations.rules.items(), *evolution.rules.items()), sec.eliminations.deps)
+        items = [_zero_curvature_item(we.curvature_matrix(conn, system.deps), system)]
     else:
         raise CliError("laxcheck needs either a spectral family or ideal+connection")
     return items, None

@@ -1,12 +1,13 @@
 """Jet-space calculus for dependent variables of two independents (x, t).
 
 Derivative symbols are generated on demand with canonical names like
-``u_x``, ``u_xx``, ``u_xt`` (all x's before all t's).  Only x-jets are
-first class; t-derivative symbols are transient and are eliminated by
-:func:`reduce_mod_evolution` against an evolution system u_t = rhs; every
-system read off equations is made by :func:`solve_evolution`.
-Every replacement of jet symbols by expressions, here and in the section
-elimination chain of :mod:`we`, runs through :func:`substitute_jets`.
+``u_x``, ``u_xx``, ``u_xt`` (all x's before all t's).  Jets are ranked
+by t-order, then x-order, then name.  An :class:`EvolutionSystem` holds
+at most one rule per variable, solved for its leader: an evolution rule
+``u_t = rhs``, the peakon equation solved for ``u_xxt``, or a section's
+elimination ``p -> u_x``.  :func:`reduce_mod_evolution` is the one
+rewrite modulo such rules, and :func:`solve_evolution` reads every
+system off equations.
 Every derivative, total or partial, is the one derivation
 :func:`prolong.coeff.derive` on the stored pair: :func:`total_derivative`
 gives it the image of the independent variable and of each jet symbol.
@@ -28,7 +29,6 @@ __all__ = [
     "total_derivative",
     "total_derivatives",
     "substitute_jets",
-    "solve_for_t_derivative",
     "solve_evolution",
     "reduce_mod_evolution",
     "euler_operator",
@@ -105,83 +105,100 @@ def substitute_jets(e: Scalar, image) -> Scalar:
 
 
 class EvolutionSystem(Record):
-    """Evolution rules u_t = rhs, one per dependent variable; right-hand
-    sides are x-jet expressions free of t-derivatives."""
+    """Rules leader = rhs, at most one per dependent variable, keyed by the
+    leader's jet name: ``u_t`` for an evolution rule, ``u_xxt`` for the
+    peakon equation, ``p`` for the elimination p -> u_x.  A right side holds
+    no jet of its variable at or above its leader.  deps lists the dependent
+    variables: those given, then the leaders' own."""
 
-    __slots__ = ("rules",)  # var -> Scalar; built from a dict or from (var, rhs) pairs
+    __slots__ = ("rules", "deps")  # rules: leader -> Scalar, from a dict or (leader, rhs) pairs
 
-    def __init__(self, rules):
-        frozen = {}
-        for var, rhs in dict(rules).items():
+    def __init__(self, rules, deps: Sequence[str] = ()):
+        frozen, variables = {}, []
+        for leader, rhs in getattr(rules, "items", lambda: rules)():
+            var, nx, nt = split_jet(leader)
+            if var in variables:
+                raise ValueError(f"a second rule for {var}: {leader}")
             rhs = Scalar(rhs)
             for s in rhs.free_symbols():
                 parts = split_jet(s)
-                if parts and parts[2] > 0:
-                    raise ValueError(f"evolution rhs for {var} contains a t-derivative: {s}")
-            frozen[var] = rhs
-        super().__init__(frozen)
-
-    @property
-    def deps(self) -> tuple:
-        return tuple(self.rules)
-
-
-def solve_for_t_derivative(e: Scalar) -> tuple | None:
-    """(var, rhs) such that e = 0 is the evolution rule var_t = rhs, or None.
-
-    e qualifies when it holds exactly one t-derivative symbol, that symbol
-    is a first t-derivative var_t, and e is linear in it with a nonzero
-    slope free of it.
-    """
-    e = Scalar(e)
-    t_syms = [(s, parts) for s in e.free_symbols() if (parts := split_jet(s)) and parts[2] > 0]
-    if len(t_syms) != 1:
-        return None
-    symbol, (var, nx, nt) = t_syms[0]
-    if (nx, nt) != (0, 1):
-        return None
-    slope = e.diff(symbol)
-    if slope.is_zero or symbol in slope.free_symbols():
-        return None
-    return var, (slope * sym(symbol) - e) / slope
+                if parts and parts[0] == var and parts[1] >= nx and parts[2] >= nt:
+                    raise ValueError(f"the rule for {leader} holds {s} on its right side")
+            frozen[leader] = rhs
+            variables.append(var)
+        super().__init__(frozen, tuple(dict.fromkeys((*deps, *variables))))
 
 
 def solve_evolution(equations: Sequence[Scalar]) -> tuple:
-    """(EvolutionSystem, leftovers) of the equations e = 0.  An equation
-    gives the rule var_t = rhs when :func:`solve_for_t_derivative` solves
-    it for a variable no earlier equation solved, with rhs free of the
-    spectral parameter; every other equation is left over, in input order."""
+    """(EvolutionSystem, leftovers) of the equations e = 0.
+
+    An equation's leader is its highest jet, ranked by t-order, then
+    x-order, then name.  The equation gives the rule leader = rhs when the
+    leader has a t-derivative, its coefficient holds no jet of a variable
+    the equation differentiates (so e is linear in it), every other
+    t-derivative in e is of the leader's variable, rhs is free of the
+    spectral parameter, and no earlier equation gave a rule for that
+    variable.  Every other equation is left over, in input order.
+    """
     rules, leftovers = {}, []
-    for e in equations:
-        solved = solve_for_t_derivative(e)
-        if solved is None or solved[0] in rules or ETA in solved[1].free_symbols():
+    for e in map(Scalar, equations):
+        jets = {s: parts for s in e.free_symbols() if (parts := split_jet(s))}
+        leader = max(jets, key=lambda s: (jets[s][2], jets[s][1], jets[s][0]), default=None)
+        rhs = None
+        if leader is not None and jets[leader][2] > 0:
+            var = jets[leader][0]
+            differentiated = {v for v, nx, nt in jets.values() if nx or nt}
+            slope = e.diff(leader)
+            if (
+                all(v == var for v, _, nt in jets.values() if nt)
+                and not slope.is_zero
+                and all(jets[s][0] not in differentiated for s in slope.free_symbols() if s in jets)
+                and all(split_jet(k)[0] != var for k in rules)
+            ):
+                rhs = (slope * sym(leader) - e) / slope
+        if rhs is None or ETA in rhs.free_symbols():
             leftovers.append(e)
         else:
-            rules[solved[0]] = solved[1]
+            rules[leader] = rhs
     return EvolutionSystem(rules), tuple(leftovers)
 
 
 def reduce_mod_evolution(e: Scalar, sys: EvolutionSystem) -> Scalar:
-    """Eliminate every t-derivative symbol by substituting the prolonged
-    evolution rules; the result is t-derivative free."""
+    """The normal form of e modulo the rules: a jet var_(x^i t^j) at or
+    above its variable's leader var_(x^a t^b) becomes D_x^(i-a) D_t^(j-b)
+    of the right side, itself reduced.  Each image is one total derivative
+    of the image below it, reduced again.  A t-derivative of a variable
+    outside sys.deps raises ValueError."""
     deps = sys.deps
+    leaders = {}
+    for leader, rhs in sys.rules.items():
+        var, nx, nt = split_jet(leader)
+        leaders[var] = (nx, nt, rhs)
     cache: dict = {}
 
+    def normal(e: Scalar) -> Scalar:
+        return substitute_jets(e, image)
+
     def image(var: str, nx: int, nt: int) -> Scalar | None:
-        if nt == 0:
-            return None
         if var not in deps:
-            raise ValueError(f"t-derivative of {var} not covered by the evolution system")
+            if nt:
+                raise ValueError(f"t-derivative of {var} not covered by the evolution system")
+            return None
+        rule = leaders.get(var)
+        if rule is None or nx < rule[0] or nt < rule[1]:
+            return None
+        a, b, rhs = rule
         key = (var, nx, nt)
         if key not in cache:
-            if nt == 1:
-                cache[key] = total_derivatives(sys.rules[var], nx, 0, deps)
+            if nt > b:
+                cache[key] = normal(total_derivative(image(var, nx, nt - 1), "t", deps))
+            elif nx > a:
+                cache[key] = normal(total_derivative(image(var, nx - 1, nt), "x", deps))
             else:
-                bumped = total_derivative(image(var, nx, nt - 1), "t", deps)
-                cache[key] = reduce_mod_evolution(bumped, sys)
+                cache[key] = normal(rhs)
         return cache[key]
 
-    return substitute_jets(e, image)
+    return normal(e)
 
 
 def euler_operator(e: Scalar, var: str, deps: Sequence[str]) -> Scalar:

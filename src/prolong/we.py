@@ -6,12 +6,14 @@ by finding multiplier witnesses d(xi_i) = sum_j alpha_ij ^ xi_j through an
 exact linear solve over the rational-function field.  Sectioning pulls the
 generators back along du -> u_x dx + u_t dt and reads off their dx, dt or
 dx^dt coefficients; a user-declared elimination chain then presents the
-final equation(s).  Each elimination replaces every jet of its variable by
-the matching total derivative of the replacement, through
-:func:`jets.substitute_jets`.  Linear connections are tested through the
-curvature d(Omega) - Omega^Omega of Omega = F dt + G dx, either against
-the ideal (membership of each entry) or against an evolution system
-(zero-curvature residual).
+final equation(s).  The chain is staged as rules of a
+:class:`jets.EvolutionSystem`, one per eliminated variable, and
+:func:`jets.reduce_mod_evolution` replaces every jet of that variable by
+the matching total derivative of its replacement.  Linear connections are
+tested through the curvature d(Omega) - Omega^Omega of
+Omega = F dt + G dx, either against the ideal (membership of each entry)
+or, over the jets, modulo the rules of an evolution system and of a
+section (zero-curvature residual).
 """
 
 from __future__ import annotations
@@ -23,14 +25,7 @@ from .coeff import Scalar, is_constant_multiple, sym
 from .forms import ContextError, DerivationContext, Form, MatrixForm, build_jet_context
 from .linsolve import express_in_basis
 from .record import Record
-from .jets import (
-    EvolutionSystem,
-    jet,
-    reduce_mod_evolution,
-    split_jet,
-    substitute_jets,
-    total_derivatives,
-)
+from .jets import EvolutionSystem, jet, reduce_mod_evolution
 
 __all__ = [
     "ExteriorIdeal",
@@ -46,7 +41,6 @@ __all__ = [
     "prolongation_residual",
     "curvature_matrix",
     "zero_curvature_residual",
-    "apply_eliminations",
 ]
 
 
@@ -158,7 +152,7 @@ class SectionResult(Record):
     __slots__ = (
         "raw",  # pulled-back jet coefficients by generator name, -dx/-dt for a one-form
         "reduced",  # the same after the elimination chain, trivial ones dropped
-        "eliminations",  # (variable, substituted jet expression) as applied
+        "eliminations",  # EvolutionSystem: variable -> its replacement as staged
     )
 
 
@@ -187,24 +181,17 @@ def section(ideal: ExteriorIdeal, eliminations: Sequence[tuple] = ()) -> Section
         for base in itertools.combinations(("dx", "dt"), gen.degree):
             key = f"{name}-{base[0]}" if gen.degree == 1 else name
             raw[key] = pulled.coefficient(*base)
-    applied = []
+    # each replacement is reduced modulo the earlier ones; the system refuses a
+    # second elimination of a variable, and a cyclic one, whose replacement
+    # still holds a jet of its own variable
+    staged = EvolutionSystem({}, deps)
     for var, replacement in eliminations:
-        replacement = apply_eliminations(replacement, applied, deps)
-        for s in replacement.free_symbols():
-            parts = split_jet(s)
-            if parts and parts[0] == var:
-                raise ValueError(f"cyclic elimination for {var}: {replacement}")
-        applied.append((var, replacement))
+        staged = EvolutionSystem(
+            (*staged.rules.items(), (var, reduce_mod_evolution(replacement, staged))), deps)
     reduced = [
-        e
-        for e in (apply_eliminations(e, applied, deps) for e in raw.values())
-        if not e.is_zero
+        e for e in (reduce_mod_evolution(e, staged) for e in raw.values()) if not e.is_zero
     ]
-    return SectionResult(
-        raw=raw,
-        reduced=tuple(reduced),
-        eliminations=tuple(applied),
-    )
+    return SectionResult(raw=raw, reduced=tuple(reduced), eliminations=staged)
 
 
 def _peakon_family(beta: int) -> Scalar:
@@ -249,12 +236,6 @@ class ConnectionData(Record):
     @property
     def size(self) -> int:
         return len(self.F)
-
-    def map_entries(self, fn) -> "ConnectionData":
-        return ConnectionData(
-            F=tuple(tuple(fn(c) for c in row) for row in self.F),
-            G=tuple(tuple(fn(c) for c in row) for row in self.G),
-        )
 
     def one_form(self, ctx: DerivationContext) -> MatrixForm:
         """Omega = F dt + G dx over a context declaring dx and dt."""
@@ -313,16 +294,4 @@ def zero_curvature_residual(raw: tuple, sys: EvolutionSystem) -> tuple:
     return tuple(
         tuple(reduce_mod_evolution(entry, sys) for entry in row) for row in raw
     )
-
-
-def apply_eliminations(e: Scalar, chain: Sequence[tuple], deps: Sequence[str]) -> Scalar:
-    """Apply an already-staged elimination chain to a jet expression: each
-    step replaces every jet var_(x^nx t^nt) by D_x^nx D_t^nt replacement."""
-    out = Scalar(e)
-    for var, replacement in chain:
-        out = substitute_jets(
-            out,
-            lambda v, nx, nt: total_derivatives(replacement, nx, nt, deps) if v == var else None,
-        )
-    return out
 

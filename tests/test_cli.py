@@ -302,6 +302,21 @@ def test_laxcheck_ideal(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("beta, code, residual", [
+    ("2", 0, []), ("3", 1, ["entry-10: u*lam*u_x - lam*u_x*u_xx"])])
+def test_laxcheck_on_a_peakon_member(beta, code, residual, tmp_path, capsys):
+    # the ch connection is the Camassa-Holm member's: it passes at beta = 2,
+    # and at beta = 3 the one nonzero entry is named
+    text = fixture_text("ch").replace("params beta lam", "params lam").replace("beta", beta)
+    model, report = tmp_path / f"ch-{beta}.eds", tmp_path / "report.json"
+    model.write_text(text, encoding="utf-8")
+    got, out, err = run(["laxcheck", str(model), "--json", str(report)], capsys)
+    assert (got, err) == (code, "")
+    [item] = json.loads(report.read_text())["items"]
+    assert item == {"name": "zero-curvature", "status": "failed" if code else "verified",
+                    "residual": residual}
+
+
 def test_surface(capsys):
     code, out, _ = run(["surface", "--fixture", "kdv"], capsys)
     assert code == 0

@@ -90,7 +90,7 @@ def test_current_without_eta_content():
 
 def test_verify_linear_density():
     u, uxx = sym(jet("u")), sym(jet("u", 2))
-    sys = EvolutionSystem({"u": sym(jet("u", 3))})
+    sys = EvolutionSystem({"u_t": sym(jet("u", 3))})
     pair = ConservedPair(n=1, density=Scalar(u), current=Scalar(uxx), eta_trace=())
     cert = verify_conservation(pair, sys)
     assert cert.ok
@@ -99,7 +99,7 @@ def test_verify_linear_density():
 
 def test_verify_quadratic_density_up_to_exact_terms():
     u = sym(jet("u"))
-    sys = EvolutionSystem({"u": sym(jet("u", 3))})
+    sys = EvolutionSystem({"u_t": sym(jet("u", 3))})
     # D_t(u^2) = 2 u u_xxx = D_x(2 u u_xx - u_x^2); current left at zero
     pair = ConservedPair(n=1, density=Scalar(u**2), current=ZERO, eta_trace=())
     cert = verify_conservation(pair, sys)
@@ -109,7 +109,7 @@ def test_verify_quadratic_density_up_to_exact_terms():
 
 def test_verify_failure_carries_witness():
     u, ux = sym(jet("u")), sym(jet("u", 1))
-    sys = EvolutionSystem({"u": sym(jet("u", 3))})
+    sys = EvolutionSystem({"u_t": sym(jet("u", 3))})
     pair = ConservedPair(n=1, density=Scalar(u**3), current=ZERO, eta_trace=())
     cert = verify_conservation(pair, sys)
     assert not cert.ok

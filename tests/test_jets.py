@@ -15,7 +15,6 @@ from prolong.jets import (
     jet_order,
     reduce_mod_evolution,
     solve_evolution,
-    solve_for_t_derivative,
     split_jet,
     total_derivative,
 )
@@ -23,7 +22,7 @@ from prolong.jets import (
 from sympy_bridge import from_sympy, to_sympy
 
 u, ux, uxx, uxxx = sym(jet("u")), sym(jet("u", 1)), sym(jet("u", 2)), sym(jet("u", 3))
-ut, uxt = sym(jet("u", 0, 1)), sym(jet("u", 1, 1))
+ut, uxt, uxxt = sym(jet("u", 0, 1)), sym(jet("u", 1, 1)), sym(jet("u", 2, 1))
 q, qx, r, rx = sym(jet("q")), sym(jet("q", 1)), sym(jet("r")), sym(jet("r", 1))
 
 
@@ -48,47 +47,82 @@ def test_chain_rule():
 
 
 def test_reduce_direct_rule():
-    sys = EvolutionSystem({"u": -u * ux})
+    sys = EvolutionSystem({"u_t": -u * ux})
     assert reduce_mod_evolution(ut, sys) == -u * ux
 
 
 def test_reduce_prolonged_rule():
-    sys = EvolutionSystem({"u": -u * ux})
+    sys = EvolutionSystem({"u_t": -u * ux})
     got = reduce_mod_evolution(uxt, sys)
     assert got == -(ux**2) - u * uxx
 
 
 def test_reduce_second_t_derivative():
     # u_tt = D_t(u*u_x) = u_t*u_x + u*u_xt, each t-derivative reduced again
-    sys = EvolutionSystem({"u": u * ux})
+    sys = EvolutionSystem({"u_t": u * ux})
     assert reduce_mod_evolution(sym(jet("u", 0, 2)), sys) == u**2 * uxx + 2 * u * ux**2
 
 
 def test_evolution_system_of_pairs_or_a_dict():
-    assert EvolutionSystem((("u", u * ux),)) == EvolutionSystem({"u": u * ux})
+    assert EvolutionSystem((("u_t", u * ux),)) == EvolutionSystem({"u_t": u * ux})
 
 
 def test_reduce_no_t_derivatives_is_identity():
-    sys = EvolutionSystem({"u": uxx})
+    sys = EvolutionSystem({"u_t": uxx})
     assert reduce_mod_evolution(ux, sys) == ux
 
 
 def test_reduce_idempotent():
-    sys = EvolutionSystem({"u": uxxx + u * ux})
+    sys = EvolutionSystem({"u_t": uxxx + u * ux})
     e = ut * uxt + u
     once = reduce_mod_evolution(e, sys)
     assert reduce_mod_evolution(once, sys) == once
 
 
 def test_reduce_uncovered_variable():
-    sys = EvolutionSystem({"u": ux})
+    sys = EvolutionSystem({"u_t": ux})
     with pytest.raises(ValueError):
         reduce_mod_evolution(sym(jet("v", 0, 1)), sys)
 
 
 def test_evolution_rhs_must_be_t_free():
     with pytest.raises(ValueError):
-        EvolutionSystem({"u": ut})
+        EvolutionSystem({"u_t": ut})
+
+
+def test_a_rule_holds_no_jet_of_its_variable_at_or_above_its_leader():
+    # u_t and u_xxx lie below u_xxt in the ranking; u_xxxt lies above it
+    assert EvolutionSystem({"u_xxt": ut + uxxx}).deps == ("u",)
+    with pytest.raises(ValueError, match="u_xxxt"):
+        EvolutionSystem({"u_xxt": sym(jet("u", 3, 1))})
+    with pytest.raises(ValueError, match="p_x"):
+        EvolutionSystem({"p": sym(jet("p", 1))}, ("u", "p"))
+
+
+def test_a_second_rule_for_a_variable_is_refused():
+    with pytest.raises(ValueError, match="a second rule for u"):
+        EvolutionSystem((("u_t", uxx), ("u_xxt", ut)))
+    with pytest.raises(ValueError, match="a second rule for p"):
+        EvolutionSystem((("p", ux), ("p", uxx)))
+
+
+def test_reduce_modulo_a_leader_above_the_first_t_derivative():
+    # u_xxt = u_t + u*u_x: u_t and u_xt stay, u_xxxt is D_x of the right side
+    sys = EvolutionSystem({"u_xxt": ut + u * ux})
+    assert reduce_mod_evolution(ut + uxt, sys) == ut + uxt
+    assert reduce_mod_evolution(uxxt, sys) == ut + u * ux
+    assert reduce_mod_evolution(sym(jet("u", 3, 1)), sys) == uxt + ux**2 + u * uxx
+    # u_xxxxt = D_x^2 (u_t + u*u_x) holds u_xxt, itself reduced again
+    assert reduce_mod_evolution(sym(jet("u", 4, 1)), sys) == ut + u * ux + 3 * ux * uxx + u * uxxx
+
+
+def test_reduce_modulo_a_section_elimination():
+    # p -> u_x at t-order 0: every jet of p becomes the total derivative of u_x
+    p = sym(jet("p"))
+    sys = EvolutionSystem({"p": ux}, ("u", "p"))
+    assert sys.deps == ("u", "p")
+    e = p * sym(jet("p", 1, 1)) + sym(jet("p", 0, 1))
+    assert reduce_mod_evolution(e, sys) == ux * sym(jet("u", 2, 1)) + uxt
 
 
 def test_euler_examples():
@@ -149,32 +183,84 @@ def test_euler_annihilates_total_derivatives_randomized(e):
     assert euler_operator(dx_e, "u", ["u"]).is_zero
 
 
+def _rule_sets() -> dict:
+    """name -> (EvolutionSystem, the jets an expression draws from): KdV,
+    the peakon equation solved for u_xxt, the ch section's eliminations,
+    and both of the latter, as laxcheck reduces the ch connection."""
+    beta, p, q = sym("beta"), sym(jet("p")), sym(jet("q"))
+    peakon = {"u_xxt": ut + u * (ux - uxxx) + beta * (u - uxx) * ux}
+    section = {"p": ux, "q": uxx}
+    u_jets = (u, ux, ut, uxt, uxxt, sym(jet("u", 3, 1)), sym(jet("u", 0, 2)), sym(jet("u", 2, 2)))
+    chart_jets = (*u_jets[:5], p, sym(jet("p", 1)), sym(jet("p", 0, 1)), q, sym(jet("q", 1, 1)))
+    return {
+        "kdv": (EvolutionSystem({"u_t": -6 * u * ux - uxxx}), u_jets),
+        "peakon": (EvolutionSystem(peakon), u_jets),
+        "section": (EvolutionSystem(section, ("u", "p", "q")), chart_jets),
+        "section+peakon": (EvolutionSystem({**section, **peakon}, ("u", "p", "q")), chart_jets),
+    }
+
+
+_RULE_SETS = _rule_sets()
+
+
+@settings(max_examples=40, deadline=None)
+@pytest.mark.parametrize("name", sorted(_RULE_SETS))
+@given(data=st.data(), direction=st.sampled_from("xt"))
+def test_reduction_is_a_normal_form(name, data, direction):
+    """Reducing twice equals reducing once, no jet at or above a leader is
+    left, and reduction commutes with a total derivative."""
+    sys, pool = _RULE_SETS[name]
+    e = data.draw(_polys(*pool))
+    once = reduce_mod_evolution(e, sys)
+    assert reduce_mod_evolution(once, sys) == once
+    leaders = [split_jet(leader) for leader in sys.rules]
+    for var, nx, nt in filter(None, map(split_jet, once.free_symbols())):
+        assert not any(var == v and nx >= a and nt >= b for v, a, b in leaders)
+    derivative = total_derivative(e, direction, sys.deps)
+    assert reduce_mod_evolution(derivative, sys) == reduce_mod_evolution(
+        total_derivative(once, direction, sys.deps), sys)
+
+
 def test_jet_order_reporting():
     assert jet_order(u * uxxx + ux, ["u"]) == 3
     assert jet_order(q, ["u"]) == 0
 
 
-def test_solve_for_t_derivative():
-    var, rhs = solve_for_t_derivative(2 * ut + u * ux - uxxx)
-    assert var == "u"
-    assert rhs == (uxxx - u * ux) / 2
+def test_solve_evolution_solves_each_equation_for_its_leader():
+    vt = sym(jet("v", 0, 1))
+    system, leftovers = solve_evolution((2 * ut + u * ux - uxxx, ux + sym(jet("v", 2)) - vt))
+    assert system.rules == {"u_t": (uxxx - u * ux) / 2, "v_t": ux + sym(jet("v", 2))}
+    assert leftovers == ()
+    # the peakon equation: its leader u_xxt outranks u_t and u_xxx
+    beta = sym("beta")
+    peakon = ut - uxxt + u * (ux - uxxx) + beta * (u - uxx) * ux
+    system, leftovers = solve_evolution((peakon,))
+    assert system.rules == {"u_xxt": peakon + uxxt} and leftovers == ()
 
 
-def test_solve_for_t_derivative_refuses_a_second_t_derivative():
-    assert solve_for_t_derivative(ut + uxt + u * ux) is None
-    assert solve_for_t_derivative(uxt + u) is None
+def test_solve_evolution_refuses_a_t_derivative_of_another_variable():
+    vt = sym(jet("v", 0, 1))
+    system, leftovers = solve_evolution((uxt + vt + u * ux,))
+    assert system.rules == {} and leftovers == (uxt + vt + u * ux,)
+    # a lower t-derivative of the leader's own variable may stay beside it
+    system, leftovers = solve_evolution((uxt + ut + u * ux,))
+    assert system.rules == {"u_xt": -ut - u * ux} and leftovers == ()
 
 
-def test_solve_for_t_derivative_refuses_nonlinear_slope():
-    assert solve_for_t_derivative(ut**2 + ux) is None
-    assert solve_for_t_derivative(u * ux) is None
+def test_solve_evolution_refuses_a_leader_with_a_jet_in_its_coefficient():
+    beta = sym("beta")
+    equations = (ut**2 + ux, u * ut + ux, uxx * uxxt - u, u * ux, beta * ut - uxx)
+    system, leftovers = solve_evolution(equations)
+    assert system.rules == {"u_t": uxx / beta}
+    assert leftovers == equations[:4]
 
 
 def test_solve_evolution_leaves_a_second_equation_for_a_solved_variable():
-    # the first rule for u stands; the second equation is left over
-    system, leftovers = solve_evolution((ut - uxxx, 2 * ut - u * ux))
-    assert system.rules == {"u": uxxx}
-    assert leftovers == (2 * ut - u * ux,)
+    # the first rule for u stands; the second equation is left over, even
+    # with another leader
+    system, leftovers = solve_evolution((ut - uxxx, 2 * ut - u * ux, uxxt - u))
+    assert system.rules == {"u_t": uxxx}
+    assert leftovers == (2 * ut - u * ux, uxxt - u)
 
 
 def test_solve_evolution_leaves_a_right_side_that_holds_eta():
@@ -186,7 +272,7 @@ def test_solve_evolution_leaves_a_right_side_that_holds_eta():
 def test_solve_evolution_keeps_the_leftovers_in_input_order():
     vt = sym(jet("v", 0, 1))
     system, leftovers = solve_evolution((u * ux, ut - uxx, uxt + u, vt - ux, ut + u, qx))
-    assert system.rules == {"u": uxx, "v": ux}
+    assert system.rules == {"u_t": uxx, "v_t": ux}
     assert leftovers == (u * ux, uxt + u, ut + u, qx)
 
 

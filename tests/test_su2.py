@@ -195,7 +195,7 @@ def test_kdv_extraction(kdv_spec):
     extraction = extract_evolution(kdv_spec)
     assert extraction.consistent
     q, qx, qxxx = sym(jet("q")), sym(jet("q", 1)), sym(jet("q", 3))
-    assert extraction.system.rules["q"] == Scalar(-qxxx - 6 * q * qx)
+    assert extraction.system.rules["q_t"] == Scalar(-qxxx - 6 * q * qx)
 
 
 def test_generic_family_extracts_no_rule(generic_spec):
@@ -207,15 +207,18 @@ def test_generic_family_extracts_no_rule(generic_spec):
 
 
 def test_channel_with_a_higher_t_derivative_is_a_constraint():
-    # each channel holds a first t-derivative next to r_xt, so none is an
-    # evolution rule; none may become one whose right side keeps r_xt
+    # A = r_xt: the third channel r_xxt is the rule r_xxt = 0; the first,
+    # 2*q*r_xt - q_t, holds q_t beside its leader r_xt, and the second,
+    # -2*r*r_xt - r_t, has the jet r in its leader's coefficient
     spec = AKNSSpec(
         name="mixed", deps=("q", "r"), r=sym(jet("r")), q=sym(jet("q")),
         A=sym(jet("r", 1, 1)), B=ZERO, C=ZERO,
     )
     extraction = extract_evolution(spec)
-    assert extraction.system.rules == {}
-    assert len(extraction.constraints) == 3
+    assert extraction.system.rules == {"r_xxt": ZERO}
+    r, r_xt = sym(jet("r")), sym(jet("r", 1, 1))
+    assert extraction.constraints == (
+        2 * sym(jet("q")) * r_xt - sym(jet("q", 0, 1)), -2 * r * r_xt - sym(jet("r", 0, 1)))
 
 
 def test_kdv_eta_matching_is_exact(kdv_spec):
@@ -237,7 +240,7 @@ def test_surface_zero_rotation_gives_flat():
     w2 = dx * u
     w3 = dx * u
     w1 = dt * Scalar(1)
-    data = surface_data(w1, w2, w3, EvolutionSystem({"u": sym(jet("u", 1))}))
+    data = surface_data(w1, w2, w3, EvolutionSystem({"u_t": sym(jet("u", 1))}))
     assert not data.degenerate
     assert data.curvature == ZERO
 

@@ -15,7 +15,6 @@ from prolong.jets import EvolutionSystem, is_total_x_derivative, jet, solve_evol
 from prolong.we import (
     ConnectionData,
     ExteriorIdeal,
-    apply_eliminations,
     closure_check,
     curvature_matrix,
     ideal_membership,
@@ -140,7 +139,7 @@ def test_section_raw_equations(ch_ideal):
 
 def test_section_elimination_chain(ch_model, ch_ideal):
     result = section(ch_ideal, ch_model.sections["ch"])
-    assert [(v, str(r)) for v, r in result.eliminations] == [
+    assert [(v, str(r)) for v, r in result.eliminations.rules.items()] == [
         ("p", "u_x"),
         ("q", "u_xx"),
     ]
@@ -152,8 +151,22 @@ def test_section_elimination_chain(ch_model, ch_ideal):
 
 
 def test_section_cyclic_elimination_rejected(ch_ideal):
+    p_x, q_x = sym(jet("p", 1)), sym(jet("q", 1))
     with pytest.raises(ValueError):
-        section(ch_ideal, [("p", sym(jet("p", 1)))])
+        section(ch_ideal, [("p", p_x)])
+    # q -> p_x becomes q -> q_xx modulo the staged p -> q_x
+    with pytest.raises(ValueError, match="q_xx"):
+        section(ch_ideal, [("p", q_x), ("q", p_x)])
+    with pytest.raises(ValueError, match="a second rule for p"):
+        section(ch_ideal, [("p", sym(jet("u", 1))), ("p", q_x)])
+
+
+def test_section_reduces_modulo_a_later_elimination(ch_ideal):
+    # p -> q_x is staged as it is, and q -> u_x then reaches it too
+    u_x, u_xx = sym(jet("u", 1)), sym(jet("u", 2))
+    result = section(ch_ideal, [("p", sym(jet("q", 1))), ("q", u_x)])
+    assert result.eliminations.rules == {"p": sym(jet("q", 1)), "q": u_x}
+    assert result.reduced[0] == u_x - u_xx
 
 
 def test_section_generator_order_irrelevant(ch_model, ch_ideal):
@@ -312,7 +325,7 @@ def test_curvature_matrix_3x3_matches_hand_curvature():
 
 
 def test_zero_curvature_trivial_cases():
-    sys = EvolutionSystem({"u": sym(jet("u", 1))})
+    sys = EvolutionSystem({"u_t": sym(jet("u", 1))})
     zero = ((ZERO, ZERO), (ZERO, ZERO))
     raw = curvature_matrix(ConnectionData(F=zero, G=zero), sys.deps)
     res = zero_curvature_residual(raw, sys)
@@ -331,11 +344,11 @@ def test_zero_curvature_kdv_cross_module(kdv_ideal_model):
     sys, leftovers = solve_evolution(sec.reduced)
     assert leftovers == ()
     u, ux, uxxx = sym(jet("u")), sym(jet("u", 1)), sym(jet("u", 3))
-    assert sys.rules["u"] == Scalar(-uxxx - 6 * u * ux)
-    conn = kdv_ideal_model.connections["lax"].map_entries(
-        lambda c: apply_eliminations(c, sec.eliminations, sys.deps)
-    )
-    res = zero_curvature_residual(curvature_matrix(conn, sys.deps), sys)
+    assert sys.rules["u_t"] == Scalar(-uxxx - 6 * u * ux)
+    # the curvature over the chart, reduced modulo the eliminations and u_t at once
+    both = EvolutionSystem({**sec.eliminations.rules, **sys.rules}, sec.eliminations.deps)
+    raw = curvature_matrix(kdv_ideal_model.connections["lax"], both.deps)
+    res = zero_curvature_residual(raw, both)
     assert all(c.is_zero for row in res for c in row)
 
 
@@ -447,25 +460,28 @@ def test_an_unknown_name_raises_key_error(ch_ideal):
     assert certificate.witnesses["u"] == -2 * u_xx
     with pytest.raises(KeyError):
         certificate.witnesses["nope"]
-    system = EvolutionSystem({"u": u_xx})
-    assert system.rules["u"] == u_xx
+    system = EvolutionSystem({"u_t": u_xx})
+    assert system.rules["u_t"] == u_xx
     with pytest.raises(KeyError):
-        system.rules["v"]
+        system.rules["v_t"]
 
 
-def test_section_evolution_refuses_a_second_t_derivative(ch_model, ch_ideal):
+def test_section_evolution_solves_the_peakon_equation_for_u_xxt(ch_model, ch_ideal):
     sec = section(ch_ideal, ch_model.sections["ch"])
     system, leftovers = solve_evolution(sec.reduced)
-    assert system.rules == {} and leftovers == sec.reduced
+    assert leftovers == ()
+    assert system.rules == {"u_xxt": sec.reduced[0] + sym(jet("u", 2, 1))}
 
 
-def test_laxcheck_on_non_evolutionary_section_is_unsupported(capsys):
-    # the engine reduces only modulo u_t = rhs; the peakon equation holds u_xxt
-    assert main(["laxcheck", "--fixture", "ch"]) == 4
+def test_laxcheck_on_the_peakon_section_locates_entry_10(capsys):
+    # the ch connection is the beta = 2 member's: at symbolic beta only
+    # entry (1, 0) is nonzero, (beta - 2)*lam*u_x*(u - u_xx)
+    assert main(["laxcheck", "--fixture", "ch"]) == 1
     out, err = capsys.readouterr()
     assert err == ""
-    assert "[unsupported] evolution" in out and "u_xxt" in out
-    assert out.endswith("result: UNSUPPORTED\n")
+    assert ('"residual": ["entry-10: u*beta*lam*u_x - 2*u*lam*u_x - beta*lam*u_x*u_xx'
+            ' + 2*lam*u_x*u_xx"]') in out
+    assert out.endswith("result: FAILED\n")
 
 
 # d(cl) = 0, a zero target beside the two-form d(th) and the three-form d(om)
