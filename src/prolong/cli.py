@@ -340,7 +340,7 @@ def _cmd_laxcheck(args) -> tuple:
     elif model.ideals and model.connections:
         name, ideal = _pick(model.ideals, "ideal")
         sec = we.section(ideal, model.sections.get(name, ()))
-        evolution, leftovers = solve_evolution(sec.reduced)
+        evolution, leftovers = solve_evolution(sec.reduced, sec.eliminations.deps)
         if unsupported := _unsupported(leftovers):
             return unsupported, None
         _, conn = _pick(model.connections, "connection")

@@ -5,9 +5,9 @@ Derivative symbols are generated on demand with canonical names like
 by t-order, then x-order, then name.  An :class:`EvolutionSystem` holds
 at most one rule per variable, solved for its leader: an evolution rule
 ``u_t = rhs``, the peakon equation solved for ``u_xxt``, or a section's
-elimination ``p -> u_x``.  :func:`reduce_mod_evolution` is the one
-rewrite modulo such rules, and :func:`solve_evolution` reads every
-system off equations.
+elimination ``p -> u_x``; its constructor is the one place that stages
+rules.  :func:`reduce_mod_evolution` is the one rewrite modulo them, and
+:func:`solve_evolution` reads every system off equations over its fields.
 Every derivative, total or partial, is the one derivation
 :func:`prolong.coeff.derive` on the stored pair: :func:`total_derivative`
 gives it the image of the independent variable and of each jet symbol.
@@ -107,38 +107,42 @@ def substitute_jets(e: Scalar, image) -> Scalar:
 class EvolutionSystem(Record):
     """Rules leader = rhs, at most one per dependent variable, keyed by the
     leader's jet name: ``u_t`` for an evolution rule, ``u_xxt`` for the
-    peakon equation, ``p`` for the elimination p -> u_x.  A right side holds
-    no jet of its variable at or above its leader.  deps lists the dependent
-    variables: those given, then the leaders' own."""
+    peakon equation, ``p`` for the elimination p -> u_x.  Each right side is
+    staged: reduced modulo the rules before it, it may hold no jet of its
+    variable at or above its leader, so a cycle fails at the rule closing it.
+    deps lists the dependent variables: those given, then the leaders' own;
+    a t-derivative of another variable on a right side is refused."""
 
     __slots__ = ("rules", "deps")  # rules: leader -> Scalar, from a dict or (leader, rhs) pairs
 
     def __init__(self, rules, deps: Sequence[str] = ()):
-        frozen, variables = {}, []
-        for leader, rhs in getattr(rules, "items", lambda: rules)():
+        pairs = tuple(getattr(rules, "items", lambda: rules)())
+        variables = [split_jet(leader)[0] for leader, _ in pairs]
+        super().__init__({}, tuple(dict.fromkeys((*deps, *variables))))
+        for index, (leader, rhs) in enumerate(pairs):
             var, nx, nt = split_jet(leader)
-            if var in variables:
+            if var in variables[:index]:
                 raise ValueError(f"a second rule for {var}: {leader}")
-            rhs = Scalar(rhs)
+            rhs = reduce_mod_evolution(rhs, self)  # self holds the rules staged so far
             for s in rhs.free_symbols():
                 parts = split_jet(s)
                 if parts and parts[0] == var and parts[1] >= nx and parts[2] >= nt:
                     raise ValueError(f"the rule for {leader} holds {s} on its right side")
-            frozen[leader] = rhs
-            variables.append(var)
-        super().__init__(frozen, tuple(dict.fromkeys((*deps, *variables))))
+            self.rules[leader] = rhs
 
 
-def solve_evolution(equations: Sequence[Scalar]) -> tuple:
-    """(EvolutionSystem, leftovers) of the equations e = 0.
+def solve_evolution(equations: Sequence[Scalar], fields: Sequence[str]) -> tuple:
+    """(EvolutionSystem, leftovers) of the equations e = 0 over the
+    dependent variables fields.
 
     An equation's leader is its highest jet, ranked by t-order, then
     x-order, then name.  The equation gives the rule leader = rhs when the
-    leader has a t-derivative, its coefficient holds no jet of a variable
-    the equation differentiates (so e is linear in it), every other
+    leader has a t-derivative, its coefficient holds no jet of a field (so
+    e is linear in it and the rule divides by no field), every other
     t-derivative in e is of the leader's variable, rhs is free of the
     spectral parameter, and no earlier equation gave a rule for that
-    variable.  Every other equation is left over, in input order.
+    variable.  Every other equation is left over, in input order.  The
+    system's deps are the fields, with or without a rule.
     """
     rules, leftovers = {}, []
     for e in map(Scalar, equations):
@@ -147,12 +151,11 @@ def solve_evolution(equations: Sequence[Scalar]) -> tuple:
         rhs = None
         if leader is not None and jets[leader][2] > 0:
             var = jets[leader][0]
-            differentiated = {v for v, nx, nt in jets.values() if nx or nt}
             slope = e.diff(leader)
             if (
                 all(v == var for v, _, nt in jets.values() if nt)
                 and not slope.is_zero
-                and all(jets[s][0] not in differentiated for s in slope.free_symbols() if s in jets)
+                and all(jets[s][0] not in fields for s in slope.free_symbols() if s in jets)
                 and all(split_jet(k)[0] != var for k in rules)
             ):
                 rhs = (slope * sym(leader) - e) / slope
@@ -160,7 +163,7 @@ def solve_evolution(equations: Sequence[Scalar]) -> tuple:
             leftovers.append(e)
         else:
             rules[leader] = rhs
-    return EvolutionSystem(rules), tuple(leftovers)
+    return EvolutionSystem(rules, fields), tuple(leftovers)
 
 
 def reduce_mod_evolution(e: Scalar, sys: EvolutionSystem) -> Scalar:

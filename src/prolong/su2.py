@@ -510,7 +510,7 @@ class Extraction(Record):
 def extract_evolution(spec: AKNSSpec) -> Extraction:
     comps = theta_components(spec)
     system, constraints = jets.solve_evolution(
-        (comps.minus_coeff, comps.plus_coeff, comps.third_coeff))
+        (comps.minus_coeff, comps.plus_coeff, comps.third_coeff), spec.deps)
     return Extraction(components=comps, system=system, constraints=constraints)
 
 

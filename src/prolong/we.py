@@ -6,8 +6,8 @@ by finding multiplier witnesses d(xi_i) = sum_j alpha_ij ^ xi_j through an
 exact linear solve over the rational-function field.  Sectioning pulls the
 generators back along du -> u_x dx + u_t dt and reads off their dx, dt or
 dx^dt coefficients; a user-declared elimination chain then presents the
-final equation(s).  The chain is staged as rules of a
-:class:`jets.EvolutionSystem`, one per eliminated variable, and
+final equation(s).  The chain is one :class:`jets.EvolutionSystem`, whose
+constructor stages it, one rule per eliminated variable, and
 :func:`jets.reduce_mod_evolution` replaces every jet of that variable by
 the matching total derivative of its replacement.  Linear connections are
 tested through the curvature d(Omega) - Omega^Omega of
@@ -181,13 +181,7 @@ def section(ideal: ExteriorIdeal, eliminations: Sequence[tuple] = ()) -> Section
         for base in itertools.combinations(("dx", "dt"), gen.degree):
             key = f"{name}-{base[0]}" if gen.degree == 1 else name
             raw[key] = pulled.coefficient(*base)
-    # each replacement is reduced modulo the earlier ones; the system refuses a
-    # second elimination of a variable, and a cyclic one, whose replacement
-    # still holds a jet of its own variable
-    staged = EvolutionSystem({}, deps)
-    for var, replacement in eliminations:
-        staged = EvolutionSystem(
-            (*staged.rules.items(), (var, reduce_mod_evolution(replacement, staged))), deps)
+    staged = EvolutionSystem(eliminations, deps)
     reduced = [
         e for e in (reduce_mod_evolution(e, staged) for e in raw.values()) if not e.is_zero
     ]

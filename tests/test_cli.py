@@ -317,6 +317,25 @@ def test_laxcheck_on_a_peakon_member(beta, code, residual, tmp_path, capsys):
                     "residual": residual}
 
 
+_FLAT = "connection flat {\n  F = [[0]]\n  G = [[0]]\n}\n"
+
+
+@pytest.mark.parametrize("model, unsolved", [
+    # the sectioned equation's slope -q holds the field q: no rule divides by it
+    ("chart x t u p q\nideal slope {\n  xi1 = du^dt - p*dx^dt\n  xi2 = q*du^dx + dp^dt\n}\n"
+     "section slope {\n  p -> u_x\n}\n", "-q*u_t + u_xx"),
+    # the leader v_t has u_t beside it, a t-derivative of another field
+    ("chart x t u v\nideal two {\n  xi1 = du^dx + dv^dx - u*dx^dt\n}\n", "-u - u_t - v_t"),
+], ids=["slope-holds-a-field", "t-derivatives-of-two-fields"])
+def test_laxcheck_on_a_section_without_a_rule_is_unsupported(model, unsolved, tmp_path, capsys):
+    path, report = tmp_path / "model.eds", tmp_path / "report.json"
+    path.write_text(model + _FLAT, encoding="utf-8")
+    code, out, err = run(["laxcheck", str(path), "--json", str(report)], capsys)
+    assert (code, err) == (4, "") and out.endswith("result: UNSUPPORTED\n")
+    [item] = json.loads(report.read_text())["items"]
+    assert item == {"name": "evolution", "status": "unsupported", "unsolved": [unsolved]}
+
+
 def test_surface(capsys):
     code, out, _ = run(["surface", "--fixture", "kdv"], capsys)
     assert code == 0

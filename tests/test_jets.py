@@ -17,6 +17,7 @@ from prolong.jets import (
     solve_evolution,
     split_jet,
     total_derivative,
+    total_derivatives,
 )
 
 from sympy_bridge import from_sympy, to_sympy
@@ -104,6 +105,30 @@ def test_a_second_rule_for_a_variable_is_refused():
         EvolutionSystem((("u_t", uxx), ("u_xxt", ut)))
     with pytest.raises(ValueError, match="a second rule for p"):
         EvolutionSystem((("p", ux), ("p", uxx)))
+
+
+def test_the_constructor_stages_each_right_side_modulo_the_rules_before_it():
+    p_x = sym(jet("p", 1))
+    staged = EvolutionSystem((("p", ux), ("q", p_x)), ("u", "p", "q"))
+    assert staged.rules == {"p": ux, "q": uxx}
+    # the first right side is reduced too: a t-derivative outside deps is refused
+    with pytest.raises(ValueError, match="t-derivative of v"):
+        EvolutionSystem({"u_t": sym(jet("v", 1, 1))})
+    with pytest.raises(ValueError, match="t-derivative of v"):
+        EvolutionSystem((("p", ux), ("u_t", p_x * sym(jet("v", 0, 1)))), ("u", "p"))
+
+
+def test_a_cycle_of_rules_is_refused_at_the_rule_that_closes_it():
+    p_x, q_x, r_x = sym(jet("p", 1)), sym(jet("q", 1)), sym(jet("r", 1))
+    # q -> p_x becomes q -> q_xx modulo p -> q_x
+    with pytest.raises(ValueError, match="the rule for q holds q_xx"):
+        EvolutionSystem({"p": q_x, "q": p_x}, ("p", "q"))
+    # r -> p_x becomes r -> r_xxx modulo p -> q_x and q -> r_x
+    with pytest.raises(ValueError, match="the rule for r holds r_xxx"):
+        EvolutionSystem({"p": q_x, "q": r_x, "r": p_x}, ("p", "q", "r"))
+    # the same rules without the closing one reduce p to the far end of the chain
+    chain = EvolutionSystem({"p": q_x, "q": r_x}, ("p", "q", "r"))
+    assert reduce_mod_evolution(sym(jet("p", 0, 1)), chain) == sym(jet("r", 2, 1))
 
 
 def test_reduce_modulo_a_leader_above_the_first_t_derivative():
@@ -221,6 +246,21 @@ def test_reduction_is_a_normal_form(name, data, direction):
         total_derivative(once, direction, sys.deps), sys)
 
 
+@pytest.mark.parametrize("name", ["kdv", "peakon"])
+def test_derivatives_of_an_equation_reduce_to_zero_modulo_its_own_rule(name):
+    # D_x^2 of the peakon equation reaches u_xxxxt, two x-steps above u_xxt
+    beta = sym("beta")
+    equation = {
+        "kdv": ut + 6 * u * ux + uxxx,
+        "peakon": ut - uxxt + u * (ux - uxxx) + beta * (u - uxx) * ux,
+    }[name]
+    system, leftovers = solve_evolution((equation,), ("u",))
+    assert leftovers == ()
+    for nx, nt in ((0, 0), (1, 0), (2, 0), (0, 1), (2, 1)):
+        derivative = total_derivatives(equation, nx, nt, ("u",))
+        assert reduce_mod_evolution(derivative, system).is_zero
+
+
 def test_jet_order_reporting():
     assert jet_order(u * uxxx + ux, ["u"]) == 3
     assert jet_order(q, ["u"]) == 0
@@ -228,50 +268,68 @@ def test_jet_order_reporting():
 
 def test_solve_evolution_solves_each_equation_for_its_leader():
     vt = sym(jet("v", 0, 1))
-    system, leftovers = solve_evolution((2 * ut + u * ux - uxxx, ux + sym(jet("v", 2)) - vt))
+    equations = (2 * ut + u * ux - uxxx, ux + sym(jet("v", 2)) - vt)
+    system, leftovers = solve_evolution(equations, ("u", "v"))
     assert system.rules == {"u_t": (uxxx - u * ux) / 2, "v_t": ux + sym(jet("v", 2))}
     assert leftovers == ()
     # the peakon equation: its leader u_xxt outranks u_t and u_xxx
     beta = sym("beta")
     peakon = ut - uxxt + u * (ux - uxxx) + beta * (u - uxx) * ux
-    system, leftovers = solve_evolution((peakon,))
+    system, leftovers = solve_evolution((peakon,), ("u",))
     assert system.rules == {"u_xxt": peakon + uxxt} and leftovers == ()
 
 
 def test_solve_evolution_refuses_a_t_derivative_of_another_variable():
     vt = sym(jet("v", 0, 1))
-    system, leftovers = solve_evolution((uxt + vt + u * ux,))
+    system, leftovers = solve_evolution((uxt + vt + u * ux,), ("u", "v"))
     assert system.rules == {} and leftovers == (uxt + vt + u * ux,)
     # a lower t-derivative of the leader's own variable may stay beside it
-    system, leftovers = solve_evolution((uxt + ut + u * ux,))
+    system, leftovers = solve_evolution((uxt + ut + u * ux,), ("u",))
     assert system.rules == {"u_xt": -ut - u * ux} and leftovers == ()
 
 
 def test_solve_evolution_refuses_a_leader_with_a_jet_in_its_coefficient():
     beta = sym("beta")
     equations = (ut**2 + ux, u * ut + ux, uxx * uxxt - u, u * ux, beta * ut - uxx)
-    system, leftovers = solve_evolution(equations)
+    system, leftovers = solve_evolution(equations, ("u",))
     assert system.rules == {"u_t": uxx / beta}
     assert leftovers == equations[:4]
+
+
+def test_solve_evolution_leaves_an_equation_whose_slope_holds_a_field():
+    # q*u_t - u_xx would give u_t = u_xx/q, dividing by the field q
+    equation = q * ut - uxx
+    system, leftovers = solve_evolution((equation,), ("u", "q"))
+    assert system.rules == {} and leftovers == (equation,)
+    # where q is a parameter, not a field, the same equation is a rule
+    system, leftovers = solve_evolution((equation,), ("u",))
+    assert system.rules == {"u_t": uxx / q} and leftovers == ()
+
+
+def test_solve_evolution_keeps_every_field_a_dependent_variable():
+    # v has no rule, yet D_t of u_t = v_xx is v_xxt, not zero
+    system, leftovers = solve_evolution((ut - sym(jet("v", 2)),), ("u", "v"))
+    assert system.deps == ("u", "v") and leftovers == ()
+    assert reduce_mod_evolution(sym(jet("u", 0, 2)), system) == sym(jet("v", 2, 1))
 
 
 def test_solve_evolution_leaves_a_second_equation_for_a_solved_variable():
     # the first rule for u stands; the second equation is left over, even
     # with another leader
-    system, leftovers = solve_evolution((ut - uxxx, 2 * ut - u * ux, uxxt - u))
+    system, leftovers = solve_evolution((ut - uxxx, 2 * ut - u * ux, uxxt - u), ("u",))
     assert system.rules == {"u_t": uxxx}
     assert leftovers == (2 * ut - u * ux, uxxt - u)
 
 
 def test_solve_evolution_leaves_a_right_side_that_holds_eta():
-    system, leftovers = solve_evolution((ut - sym("eta") * ux,))
+    system, leftovers = solve_evolution((ut - sym("eta") * ux,), ("u",))
     assert system.rules == {}
     assert leftovers == (ut - sym("eta") * ux,)
 
 
 def test_solve_evolution_keeps_the_leftovers_in_input_order():
     vt = sym(jet("v", 0, 1))
-    system, leftovers = solve_evolution((u * ux, ut - uxx, uxt + u, vt - ux, ut + u, qx))
+    system, leftovers = solve_evolution((u * ux, ut - uxx, uxt + u, vt - ux, ut + u, qx), ("u", "v", "q"))
     assert system.rules == {"u_t": uxx, "v_t": ux}
     assert leftovers == (u * ux, uxt + u, ut + u, qx)
 

@@ -341,7 +341,7 @@ def test_zero_curvature_kdv_cross_module(kdv_ideal_model):
     ideal = kdv_ideal_model.ideals["kdv"]
     chain = kdv_ideal_model.sections["kdv"]
     sec = section(ideal, chain)
-    sys, leftovers = solve_evolution(sec.reduced)
+    sys, leftovers = solve_evolution(sec.reduced, sec.eliminations.deps)
     assert leftovers == ()
     u, ux, uxxx = sym(jet("u")), sym(jet("u", 1)), sym(jet("u", 3))
     assert sys.rules["u_t"] == Scalar(-uxxx - 6 * u * ux)
@@ -468,7 +468,7 @@ def test_an_unknown_name_raises_key_error(ch_ideal):
 
 def test_section_evolution_solves_the_peakon_equation_for_u_xxt(ch_model, ch_ideal):
     sec = section(ch_ideal, ch_model.sections["ch"])
-    system, leftovers = solve_evolution(sec.reduced)
+    system, leftovers = solve_evolution(sec.reduced, sec.eliminations.deps)
     assert leftovers == ()
     assert system.rules == {"u_xxt": sec.reduced[0] + sym(jet("u", 2, 1))}
 
