@@ -22,11 +22,11 @@ the stored polynomial pairs (see ``coeff``), and ``print_scalar`` and
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 
 from .coeff import I, ONE, Scalar, exp_atom, sym
 from .forms import ContextError, DerivationContext, Form
 from .jets import jet, split_jet
-from .record import Record
 from .su2 import AKNSSpec
 from .we import ConnectionData, ExteriorIdeal
 
@@ -51,41 +51,26 @@ _TOKEN_RE = re.compile(
   | (?P<int>\d+)
   | (?P<name>[A-Za-z][A-Za-z0-9_]*)
   | (?P<op>[{}\[\](),=^+\-*/])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
-
-class Token(Record):
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "col", col)
+Token = namedtuple("Token", "kind text line col")
 
 
 def tokenize(text: str) -> list:
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise DslError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
+    line, start = 1, 0  # start: the offset where the current line starts
+    for m in _TOKEN_RE.finditer(text):
+        kind, col = m.lastgroup, m.start() - start + 1
+        if kind == "bad":
+            raise DslError(f"unexpected character {m.group()!r}", line, col)
+        if kind != "ws" and kind != "comment":
+            tokens.append(Token(kind, m.group(), line, col))
         if kind == "newline":
-            tokens.append(Token("newline", value, line, col))
-            line += 1
-            col = 1
-        else:
-            if kind not in ("ws", "comment"):
-                tokens.append(Token(kind, value, line, col))
-            col += len(value)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+            line, start = line + 1, m.end()
+    tokens.append(Token("eof", "", line, len(text) - start + 1))
     return tokens
 
 
@@ -377,6 +362,8 @@ class _Parser:
                 raise self.error(f"section {name}: use 'var -> expression'")
             if var not in m.ctx.declared["scalars"]:
                 raise self.error(f"section {name}: {var} is not a chart coordinate")
+            if var in ("x", "t"):
+                raise self.error(f"section {name}: {var} is an independent coordinate")
             value = self._operand()
             if isinstance(value, Form):
                 raise self.error(f"section {name}: replacement must be a jet scalar")

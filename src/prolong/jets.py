@@ -16,6 +16,7 @@ gives it the image of the independent variable and of each jet symbol.
 from __future__ import annotations
 
 import re
+from types import MappingProxyType
 from typing import Sequence
 
 from .coeff import ETA, ONE, Scalar, ZERO, derive, substitute, sym
@@ -110,6 +111,7 @@ class EvolutionSystem(Record):
     peakon equation, ``p`` for the elimination p -> u_x.  Each right side is
     staged: reduced modulo the rules before it, it may hold no jet of its
     variable at or above its leader, so a cycle fails at the rule closing it.
+    Once staged, rules is a read-only mapping.
     deps lists the dependent variables: those given, then the leaders' own;
     a t-derivative of another variable on a right side is refused."""
 
@@ -129,6 +131,7 @@ class EvolutionSystem(Record):
                 if parts and parts[0] == var and parts[1] >= nx and parts[2] >= nt:
                     raise ValueError(f"the rule for {leader} holds {s} on its right side")
             self.rules[leader] = rhs
+        object.__setattr__(self, "rules", MappingProxyType(self.rules))
 
 
 def solve_evolution(equations: Sequence[Scalar], fields: Sequence[str]) -> tuple:

@@ -4,8 +4,8 @@ A record names its fields in ``__slots__`` and takes them by position or
 keyword; a field cannot be assigned or deleted afterwards.  Two records
 are equal when they are of one type with equal fields, and hash as the
 tuple of their fields.  A type that validates or normalises its fields
-writes its own ``__init__`` and ends it with ``super().__init__``; one
-built on a hot path (``Form``, ``Token``) sets each field with
+writes its own ``__init__`` and ends it with ``super().__init__``; the
+one built on a hot path, ``Form``, sets each field with
 ``object.__setattr__``, and ``Form`` operations skip ``Form.__init__``.
 ``DerivationContext`` compares by identity, so it is no record, but it
 takes the record's ``__setattr__`` and ``__delattr__``: it is immutable too.

@@ -108,21 +108,34 @@ MUTANTS = {
         "jets.py",
         "if parts[2] > 0:\n                raise ValueError",
         "if False:\n                raise ValueError",
-        ("tests/test_jets.py::test_euler_rejects_t_derivatives_of_deps_only",),
+        ("tests/test_jets.py::test_euler_rejects_t_derivatives_of_deps_only",
+         "tests/test_jets.py::test_a_total_derivative_certificate_refuses_t_derivatives_of_deps"),
         None,
     ),
     "d-drops-the-direction-skip": (
         "forms.py",
         "if idx not in mono:  # else its wedge with mono vanishes",
         "if True:",
-        ("tests/test_forms.py::test_d_skips_the_directions_already_in_a_monomial",),
+        ("tests/test_forms.py::test_d_skips_the_directions_already_in_a_monomial",
+         "tests/test_forms.py::test_d_on_the_free_dga_skips_the_direction_already_in_a_monomial"),
         None,
     ),
     "stated-ok-ignores-reexpansions": (
         "su2.py",
         "return all(f.is_zero for f in (*self.residuals, *self.reexpansions))",
         "return all(f.is_zero for f in self.residuals)",
-        ("tests/test_su2.py::test_an_identity_whose_decomposition_does_not_reexpand_fails[xi1]",),
+        ("tests/test_su2.py::test_an_identity_whose_decomposition_does_not_reexpand_fails[xi1]",
+         "tests/test_su2.py::test_an_identity_whose_decomposition_does_not_reexpand_fails[xi7]"),
+        None,
+    ),
+    "tokenize-skips-unexpected-characters": (
+        "dsl.py",
+        'raise DslError(f"unexpected character {m.group()!r}", line, col)',
+        "continue",
+        ("tests/test_dsl.py::test_a_character_outside_the_language_is_refused_at_its_position"
+         "[dollar]",
+         "tests/test_dsl.py::test_a_character_outside_the_language_is_refused_at_its_position"
+         "[e-acute-after-a-comment-line]"),
         None,
     ),
     "heugcd-point-fixed-at-3": (

@@ -166,6 +166,16 @@ def test_prolong_needs_the_coordinates_x_and_t(tmp_path, capsys):
     assert code == 0, err
 
 
+@pytest.mark.parametrize("var", ["x", "t"])
+def test_section_refuses_to_eliminate_x_or_t(var, tmp_path, capsys):
+    text = fixture_text("ch").replace("  q -> p_x\n", f"  q -> p_x\n  {var} -> u_x\n")
+    model = tmp_path / "ch.eds"
+    model.write_text(text, encoding="utf-8")
+    code, out, err = run(["section", str(model), "--beta", "2"], capsys)
+    assert code == 2 and out == ""
+    assert f"line 16, column 3: section ch: {var} is an independent coordinate" in err
+
+
 @pytest.mark.parametrize("verb", ["section", "prolong"])
 def test_beta_with_zero_denominator_is_a_usage_error(verb, capsys):
     code, out, err = run([verb, "--fixture", "ch", "--beta", "3/0"], capsys)

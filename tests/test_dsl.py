@@ -488,16 +488,37 @@ CH_IDEAL = "chart x t u p q\nideal ch {\n  xi1 = du - p*dx\n  xi2 = dq\n}\n"
         (CH_IDEAL.replace("xi2 = dq", "xi2 = dq + dx ^ dt"), "degree", 4, 3),
         ("oneform w1\nchart x t u\n", "chart cannot be mixed with a dga context", 2, 1),
         ("chart x t u\nlet a = 1/(u - u)\n", "division", 2, 1),
+        (CH_IDEAL + "section ch {\n  p -> u_x\n  x -> u\n}\n",
+         "section ch: x is an independent coordinate", 8, 3),
+        (CH_IDEAL + "section ch {\n  t -> u\n}\n", "section ch: t is an independent coordinate", 7, 3),
     ],
     ids=["generator-not-a-form", "arrow-in-ideal", "ideal-without-chart", "akns-missing-entry",
          "engine-error-in-statement", "engine-error-in-block-item", "mixed-context",
-         "division-by-zero"],
+         "division-by-zero", "section-eliminates-x", "section-eliminates-t"],
 )
 def test_semantic_errors_carry_the_statement_or_item_position(text, message, line, col):
     with pytest.raises(DslError) as err:
         parse(text)
     assert message in str(err.value)
     assert str(err.value).startswith(f"line {line}, column {col}: ")
+
+
+@pytest.mark.parametrize(
+    "text, char, line, col",
+    [
+        ("chart x t u\nlet a = x $ 2\n", "$", 2, 11),
+        ("chart x t u @\n", "@", 1, 13),
+        ("chart x t u\n# a comment\nlet \u00e9 = 1\n", "\u00e9", 3, 5),
+        ("# a comment\n\t@", "@", 2, 2),
+    ],
+    ids=["dollar", "at", "e-acute-after-a-comment-line", "at-after-a-tab"],
+)
+def test_a_character_outside_the_language_is_refused_at_its_position(text, char, line, col):
+    with pytest.raises(DslError) as err:
+        parse(text)
+    assert str(err.value) == f"line {line}, column {col}: unexpected character {char!r}"
+    # negative control: the same character inside a comment is read past
+    assert parse(f"chart x t u # {char}\nlet a = x  # {char}\n").lets["a"] == sym("x")
 
 
 @pytest.mark.parametrize(

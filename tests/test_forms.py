@@ -427,6 +427,15 @@ def test_d_skips_the_directions_already_in_a_monomial(monkeypatch, chart):
     assert seen == ["t", "p", "q"]
 
 
+def test_d_on_the_free_dga_skips_the_direction_already_in_a_monomial(monkeypatch, sc):
+    seen = []
+    diff = Scalar.diff
+    monkeypatch.setattr(Scalar, "diff", lambda c, name: seen.append(name) or diff(c, name))
+    assert (sc.dy[1] * sc.y[1]).d().is_zero
+    # every scalar direction but y1, whose dy1 is already in the monomial
+    assert seen == ["y2", "y5", "y6", "y7", "y8", "f", "g"]
+
+
 def test_operations_on_canonical_forms_skip_the_checking_constructor(monkeypatch, sc, chart):
     a = sc.w[0] * sc.y[1] + sc.w[1] * sc.e5
     b = sc.w[2] * sc.y3 - sc.w[0]

@@ -131,6 +131,14 @@ def test_a_cycle_of_rules_is_refused_at_the_rule_that_closes_it():
     assert reduce_mod_evolution(sym(jet("p", 0, 1)), chain) == sym(jet("r", 2, 1))
 
 
+def test_the_staged_rules_are_read_only():
+    system = EvolutionSystem({"q": sym(jet("p", 1))}, ("p", "q"))
+    with pytest.raises(TypeError):
+        system.rules["p"] = sym(jet("q", 1))  # would close the cycle p -> q_x -> p_xx
+    assert system.rules == {"q": sym(jet("p", 1))}
+    assert reduce_mod_evolution(sym("p"), system) == sym("p")
+
+
 def test_reduce_modulo_a_leader_above_the_first_t_derivative():
     # u_xxt = u_t + u*u_x: u_t and u_xt stay, u_xxxt is D_x of the right side
     sys = EvolutionSystem({"u_xxt": ut + u * ux})
@@ -166,6 +174,11 @@ def test_euler_rejects_t_derivatives_of_deps_only():
         euler_operator(u * uxt, "u", ["u"])
     # a t-derivative of a variable outside deps is a coefficient
     assert euler_operator(u**2 * sym(jet("v", 0, 1)), "u", ["u"]) == 2 * u * sym(jet("v", 0, 1))
+
+
+def test_a_total_derivative_certificate_refuses_t_derivatives_of_deps():
+    with pytest.raises(ValueError, match="found u_t$"):
+        is_total_x_derivative(ut * ux, ["u"])
 
 
 def test_total_derivative_certificate():

@@ -74,7 +74,7 @@ def test_decompositions_reexpand_exactly(sc, su2_forms):
         assert (dec.expand(sc, su2_forms) - lhs).is_zero
 
 
-@pytest.mark.parametrize("name", ["xi1", "xi4"])
+@pytest.mark.parametrize("name", ["xi1", "xi4", "xi7"])
 def test_an_identity_whose_decomposition_does_not_reexpand_fails(monkeypatch, sc, su2_forms,
                                                                  name, tmp_path):
     # negative control: a decomposition with one theta coefficient off by one
@@ -89,7 +89,7 @@ def test_an_identity_whose_decomposition_does_not_reexpand_fails(monkeypatch, sc
     result = verify_identity(sc, name, su2_forms)
     assert result.reexpansions == (sc.th[0],)
     assert not result.stated_ok and not result.corrected
-    assert result.residuals[0].is_zero == (name == "xi1")  # the stated side as before
+    assert result.residuals[0].is_zero == (name != "xi4")  # the stated side as before
     report = tmp_path / "report.json"
     assert main(["verify-su2", "--name", name, "--json", str(report)]) == 1
     item = json.loads(report.read_text(encoding="utf-8"))["items"][-1]
