@@ -233,8 +233,7 @@ class _Parser:
         if stage == _RULE:
             self._rule()
         else:
-            name, value = self._definition(tok.text)
-            getattr(m, field_name)[name] = value
+            self._definition(tok.text, getattr(m, field_name))
 
     def _declaration(self, keyword: str, kind: str | None, key: str):
         m = self.model
@@ -271,9 +270,13 @@ class _Parser:
         self.model.ctx = DerivationContext(**ctx.declared, rules={**ctx.rules, target: rule})
         self.end_statement()
 
-    def _definition(self, keyword: str) -> tuple:
+    def _definition(self, keyword: str, defined: dict):
         tok = self.expect("name")
         name = tok.text
+        m = self.model
+        # lets and forms share the names an expression reads
+        if name in defined or keyword in ("let", "form") and (name in m.lets or name in m.forms):
+            raise self.error(f"{keyword} {name} is defined twice")
         if keyword == "let" or keyword == "form":
             if name == "i":
                 raise DslError("i is the imaginary unit and cannot be defined", tok.line, tok.col)
@@ -288,7 +291,7 @@ class _Parser:
                       "connection": self._connection, "section": self._section}
             value = blocks[keyword](name)
         self.end_statement()
-        return name, value
+        defined[name] = value
 
     def _items(self):
         """Yield (name, separator) for each `name = value` or `name -> value`
@@ -364,6 +367,8 @@ class _Parser:
                 raise self.error(f"section {name}: {var} is not a chart coordinate")
             if var in ("x", "t"):
                 raise self.error(f"section {name}: {var} is an independent coordinate")
+            if var in dict(chain):
+                raise self.error(f"section {name}: {var} is eliminated twice")
             value = self._operand()
             if isinstance(value, Form):
                 raise self.error(f"section {name}: replacement must be a jet scalar")

@@ -1,15 +1,16 @@
 """Exact linear solving over the rational-function coefficient field.
 
 One elimination solves A z = b for every right-hand side b_1 .. b_k that
-shares the matrix A: [A | b_1 .. b_k] is brought to reduced row echelon
-form by Gauss-Jordan elimination on canonical Scalars, taking pivots on
-A's columns only, left to right, so the pivot columns are the leftmost
-independent ones and the solution does not depend on row order or on the
-other right-hand sides.  b_j is inconsistent exactly when its column is
-nonzero in a row past the last pivot row.  Underdetermined systems
-return the solution with all non-pivot unknowns set to zero, which is
-the minimal-support choice under the declared column order.  An ideal
-membership check sends all its targets of one degree through one
+shares the matrix A.  Each row of [A | b_1 .. b_k] is a sparse map from
+column to nonzero canonical Scalar.  Forward elimination takes pivots on
+A's columns only, left to right, each in the first remaining row holding
+it, and clears the pivot's column in the rows below.  So the pivot
+columns are the leftmost independent ones, and the solution does not
+depend on row order or on the other right-hand sides.
+b_j is inconsistent exactly when a row past the last pivot row holds its
+column; otherwise only its column is back-substituted, and non-pivot
+unknowns are zero, the minimal-support choice under the declared column
+order.  A membership check sends its targets of one degree through one
 elimination.
 """
 
@@ -17,48 +18,54 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .coeff import Scalar, ONE, ZERO
+from .coeff import Scalar, ZERO
 from .forms import Form
 
 __all__ = ["solve_linear", "express_in_basis"]
 
 
 def solve_linear(matrix: Sequence[Sequence[Scalar]], columns: Sequence[Sequence[Scalar]]):
-    """Solve A z = b for each right-hand side b in columns, in one
+    """Solve A z = b for each right-hand side b in columns, in one forward
     elimination; returns one solution per column, a list of Scalars or
     None where that system is inconsistent.  Free unknowns are zero."""
     ncols = len(matrix[0]) if matrix else 0
     rows = [
-        [Scalar(c) for c in row] + [Scalar(b[i]) for b in columns]
+        {j: c for j, c in enumerate(map(Scalar, [*row, *(b[i] for b in columns)])) if not c.is_zero}
         for i, row in enumerate(matrix)
     ]
-    pivots: list = []
+    pivots: list = []  # (pivot column, pivot entry)
     for col in range(ncols):
         top = len(pivots)
-        found = next((i for i in range(top, len(rows)) if not rows[i][col].is_zero), None)
+        found = next((i for i in range(top, len(rows)) if col in rows[i]), None)
         if found is None:
             continue
         rows[top], rows[found] = rows[found], rows[top]
-        # the pivot row is zero left of col, so only the rest is scaled and cleared
-        inverse = ONE / rows[top][col]
-        pivot = [c * inverse for c in rows[top][col:]]
-        rows[top] = rows[top][:col] + pivot
-        for i, row in enumerate(rows):
-            factor = row[col]
-            if i != top and not factor.is_zero:
-                rows[i] = row[:col] + [
-                    a if p.is_zero else a - factor * p for a, p in zip(row[col:], pivot)
-                ]
-        pivots.append(col)
+        # the pivot row holds nothing left of col and is not scaled: each row
+        # below, and each solved unknown, divides by the pivot entry once
+        lead = rows[top].pop(col)
+        pivots.append((col, lead))
+        for row in rows[top + 1:]:
+            factor = row.pop(col, None)
+            if factor is None:
+                continue
+            factor = factor / lead
+            for j, p in rows[top].items():
+                row[j] = value = row.get(j, ZERO) - factor * p
+                if value.is_zero:
+                    del row[j]
     solutions = []
     for k in range(ncols, ncols + len(columns)):
-        if any(not row[k].is_zero for row in rows[len(pivots):]):
+        if any(k in row for row in rows[len(pivots):]):
             solutions.append(None)
             continue
-        solution = [ZERO] * ncols
-        for row, col in zip(rows, pivots):
-            solution[col] = row[k]
-        solutions.append(solution)
+        solved: dict = {}  # pivot column -> its nonzero value, last pivot first
+        for row, (col, lead) in zip(reversed(rows[:len(pivots)]), reversed(pivots)):
+            value = row.get(k, ZERO)
+            for j in solved.keys() & row.keys():
+                value = value - row[j] * solved[j]
+            if not value.is_zero:
+                solved[col] = value / lead
+        solutions.append([solved.get(col, ZERO) for col in range(ncols)])
     return solutions
 
 

@@ -112,12 +112,14 @@ def _memberships(targets: Sequence[Form], ideal: ExteriorIdeal) -> list:
                 candidates.append(basis_form.wedge(gen))
                 layout.append((name, basis_form))
         solutions = express_in_basis([targets[i] for i in indices], candidates)
+        zero_at_degree = {**zero, **{name: ctx.zero(b.degree) for name, b in layout}}
         for index, solution in zip(indices, solutions):
             if solution is None:
                 continue
-            multipliers = dict(zero)
+            multipliers = dict(zero_at_degree)
             for coeff, (name, basis_form) in zip(solution, layout):
-                multipliers[name] = multipliers[name] + basis_form * coeff
+                if not coeff.is_zero:
+                    multipliers[name] = multipliers[name] + basis_form * coeff
             witness = MembershipWitness(ideal, multipliers)
             if (witness.expand() - targets[index]).is_zero:
                 results[index] = witness

@@ -138,6 +138,16 @@ MUTANTS = {
          "[e-acute-after-a-comment-line]"),
         None,
     ),
+    "back-substitution-drops-solved-unknowns": (
+        "linsolve.py",
+        "value = value - row[j] * solved[j]",
+        "value = value",
+        ("tests/test_linsolve.py::test_unique_solution",
+         "tests/test_linsolve.py::test_each_right_hand_side_solves_as_if_alone",
+         "tests/test_golden.py::test_report_matches_golden[closure-fixture-ch]",
+         "tests/test_acceptance.py::test_criterion_6_closure_with_witnesses"),
+        None,
+    ),
     "heugcd-point-fixed-at-3": (
         "coeff.py",
         "x = max(min(bound, 99 * isqrt(bound)), 4 * min(root_bound(f), root_bound(g)) + 4)",

@@ -176,6 +176,18 @@ def test_section_refuses_to_eliminate_x_or_t(var, tmp_path, capsys):
     assert f"line 16, column 3: section ch: {var} is an independent coordinate" in err
 
 
+def test_section_refuses_a_coordinate_eliminated_twice_at_its_line(tmp_path, capsys):
+    text = fixture_text("ch").replace("  q -> p_x\n", "  q -> p_x\n  p -> u_xx\n")
+    model = tmp_path / "ch.eds"
+    model.write_text(text, encoding="utf-8")
+    code, out, err = run(["section", str(model), "--beta", "2"], capsys)
+    assert code == 2 and out == ""
+    assert "line 16, column 3: section ch: p is eliminated twice" in err
+    # positive control: the fixture's own chain runs
+    code, out, err = run(["section", "--fixture", "ch", "--beta", "2"], capsys)
+    assert code == 0, err
+
+
 @pytest.mark.parametrize("verb", ["section", "prolong"])
 def test_beta_with_zero_denominator_is_a_usage_error(verb, capsys):
     code, out, err = run([verb, "--fixture", "ch", "--beta", "3/0"], capsys)

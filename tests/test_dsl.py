@@ -491,10 +491,25 @@ CH_IDEAL = "chart x t u p q\nideal ch {\n  xi1 = du - p*dx\n  xi2 = dq\n}\n"
         (CH_IDEAL + "section ch {\n  p -> u_x\n  x -> u\n}\n",
          "section ch: x is an independent coordinate", 8, 3),
         (CH_IDEAL + "section ch {\n  t -> u\n}\n", "section ch: t is an independent coordinate", 7, 3),
+        (CH_IDEAL + "section ch {\n  p -> u_x\n  q -> p_x\n  p -> u_xx\n}\n",
+         "section ch: p is eliminated twice", 9, 3),
+        ("chart x t u\nlet a = u\nlet a = 2*u\n", "let a is defined twice", 3, 1),
+        ("chart x t u\nform w = dx\nform w = dt\n", "form w is defined twice", 3, 1),
+        ("chart x t u\nlet w = u\nform w = dt\n", "form w is defined twice", 3, 1),
+        (CH_IDEAL + CH_IDEAL[CH_IDEAL.index("ideal"):], "ideal ch is defined twice", 6, 1),
+        (fixture_text("kdv") + fixture_text("kdv")[fixture_text("kdv").index("akns"):],
+         "akns kdv is defined twice", 14, 1),
+        (fixture_text("kdv_ideal")
+         + fixture_text("kdv_ideal")[fixture_text("kdv_ideal").index("connection lax"):],
+         "connection lax is defined twice", 21, 1),
+        (CH_IDEAL + "section ch {\n  p -> u_x\n}\nsection ch {\n  p -> u_xx\n}\n",
+         "section ch is defined twice", 9, 1),
     ],
     ids=["generator-not-a-form", "arrow-in-ideal", "ideal-without-chart", "akns-missing-entry",
          "engine-error-in-statement", "engine-error-in-block-item", "mixed-context",
-         "division-by-zero", "section-eliminates-x", "section-eliminates-t"],
+         "division-by-zero", "section-eliminates-x", "section-eliminates-t",
+         "section-eliminates-a-coordinate-twice", "let-twice", "form-twice", "form-after-let",
+         "ideal-twice", "akns-twice", "connection-twice", "section-twice"],
 )
 def test_semantic_errors_carry_the_statement_or_item_position(text, message, line, col):
     with pytest.raises(DslError) as err:
